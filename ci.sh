@@ -64,6 +64,15 @@ echo "== parallel solver gate: -race -count=2 =="
 go test -race -count=2 -run 'TestParallel|TestSharedGrid|TestClaimOrder|TestCounters' \
   ./internal/search/ ./internal/topo/
 
+echo "== solver kernel gate: golden tree + kernel oracles under -race =="
+# The search tree is frozen: the sequential node count of every golden
+# instance must match its recorded value and plans must be byte-identical
+# at 1/2/8 workers. The incremental clockwise check and the presorted
+# candidate tables are diffed against their full-rescan and
+# sort-per-node oracles.
+go test -race -run 'TestGoldenTree|TestClockwiseAdmitsMatchesFullCheck|TestCandTableOrder' \
+  ./internal/search/
+
 echo "== portfolio gate: -race -count=2 =="
 # Lane racing, loser cross-checks, infeasibility agreement, the
 # similarity index's adaptation paths and the seeded-solve determinism
@@ -226,6 +235,12 @@ echo "$search_out" | awk '
   END {
     if (seq == "" || par == "") {
       print "ci.sh: search benchmark output incomplete" > "/dev/stderr"
+      exit 1
+    }
+    # Allocation ceiling: the search state lives in the pooled arena, so
+    # a sequential proof allocates only its incumbents and result.
+    if (seqAllocs > 55) {
+      printf "ci.sh: sequential solve makes %d allocs/op, ceiling 55\n", seqAllocs > "/dev/stderr"
       exit 1
     }
     printf "{\n"

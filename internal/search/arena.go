@@ -3,7 +3,6 @@ package search
 import (
 	"sync"
 
-	"switchsynth/internal/spec"
 	"switchsynth/internal/topo"
 )
 
@@ -28,14 +27,13 @@ type arena struct {
 	ownerFlat []int
 	owner     [][]int
 
-	routes   []spec.Route
-	assigned []bool
-	vmask    []topo.Bits
+	pathOf []*topo.Path
+	setOf  []int
 
-	candBuf [][]cand
-	inPins  [][]int
-	outPins [][]int
-	cwBuf   []cwBound
+	// undo and claimed back the LIFO placement undo log; claimed is
+	// sized so it never regrows (see bind).
+	undo    []undoRec
+	claimed []int
 
 	// replay backs the parallel driver's prefix replay (see runUnit).
 	replay []replayFrame
@@ -45,10 +43,10 @@ var arenaPool = sync.Pool{New: func() any { return new(arena) }}
 
 func acquireArena() *arena { return arenaPool.Get().(*arena) }
 
-// releaseArena drops the pointer-bearing contents (routes hold path
-// slices) and returns the arena to the pool.
+// releaseArena drops the pointer-bearing contents (path and candidate
+// pointers into shared path tables) and returns the arena to the pool.
 func releaseArena(a *arena) {
-	clearSlice(a.routes)
+	clearSlice(a.pathOf)
 	clearSlice(a.replay)
 	arenaPool.Put(a)
 }
@@ -73,19 +71,13 @@ func (a *arena) bind(s *solver, nModules, nFlows, numPins, maxSets, numVerts int
 		a.owner[i] = a.ownerFlat[i*numVerts : (i+1)*numVerts]
 	}
 
-	a.routes = grown(a.routes, nFlows)
-	clearSlice(a.routes)
-	a.assigned = grown(a.assigned, nFlows)
-	for i := range a.assigned {
-		a.assigned[i] = false
-	}
-	a.vmask = grown(a.vmask, nFlows)
-	clearSlice(a.vmask)
-
-	// Per-depth scratch: keep inner capacities, they rebuild via [:0].
-	a.candBuf = grown(a.candBuf, nFlows)
-	a.inPins = grown(a.inPins, nFlows)
-	a.outPins = grown(a.outPins, nFlows)
+	a.pathOf = grown(a.pathOf, nFlows)
+	clearSlice(a.pathOf)
+	a.setOf = grown(a.setOf, nFlows)
+	a.undo = grown(a.undo, nFlows)
+	// Each (set, vertex) owner slot is claimed at most once at a time,
+	// so the claim stack never outgrows the owner matrix.
+	a.claimed = grown(a.claimed, maxSets*numVerts)[:0]
 
 	s.pinOf = a.pinOf
 	s.modOf = a.modOf
@@ -94,13 +86,10 @@ func (a *arena) bind(s *solver, nModules, nFlows, numPins, maxSets, numVerts int
 	s.order = a.order
 	s.seenGen = a.seenGen
 	s.owner = a.owner
-	s.routes = a.routes
-	s.assigned = a.assigned
-	s.vmask = a.vmask
-	s.candBuf = a.candBuf
-	s.inPins = a.inPins
-	s.outPins = a.outPins
-	s.cwBuf = a.cwBuf[:0]
+	s.pathOf = a.pathOf
+	s.setOf = a.setOf
+	s.undo = a.undo
+	s.claimed = a.claimed
 }
 
 // grown returns buf resized to n elements, reallocating only when the

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"switchsynth/internal/spec"
 	"switchsynth/internal/topo"
 )
 
@@ -65,9 +64,10 @@ func Counters() (nodes, steals int64) {
 }
 
 // unitStep is one frozen branch decision: flow order[k] takes candidate
-// (pIn, pOut, pathIdx) in the given set.
+// c in the given set.
 type unitStep struct {
-	pIn, pOut, pathIdx, set int
+	c   *topo.Cand
+	set int
 }
 
 // workUnit is a feasible prefix of branch decisions for flows
@@ -188,53 +188,26 @@ func (s *solver) expand(pos, depth int, prefix []unitStep, out *[]workUnit) {
 	// on a deadline would make the frontier depend on timing.
 	s.nodes++
 	f := s.order[pos]
-	ms, md := s.srcs[f], s.dsts[f]
-	cands := s.enumCands(pos)
+	ms := s.srcs[f]
+	cands, flt := s.candTable(pos)
 	for i := range cands {
-		c := cands[i]
-		boundIn := s.bindIfNeeded(ms, c.pIn)
-		if boundIn == bindConflict {
+		c := &cands[i]
+		if !flt.admits(s.modOf, c) {
 			continue
 		}
-		boundOut := s.bindIfNeeded(md, c.pOut)
-		if boundOut == bindConflict {
-			s.unbind(ms, c.pIn, boundIn)
+		boundIn, boundOut, ok := s.bindCand(f, c)
+		if !ok {
 			continue
 		}
-		if s.sp.Binding == spec.Clockwise && (boundIn == bindDone || boundOut == bindDone) && !s.clockwiseFeasible() {
-			s.unbind(md, c.pOut, boundOut)
-			s.unbind(ms, c.pIn, boundIn)
-			continue
-		}
-		path := s.pt.PathsBetween(c.pIn, c.pOut)[c.pathIdx]
-		if s.conflictClash(f, path) {
-			s.unbind(md, c.pOut, boundOut)
-			s.unbind(ms, c.pIn, boundIn)
-			continue
-		}
-		maxIdx := -1
-		for i, cnt := range s.setCount {
-			if cnt > 0 && i > maxIdx {
-				maxIdx = i
-			}
-		}
-		freshTried := false
-		for set := 0; set < s.maxSets && set <= maxIdx+1; set++ {
-			if s.setCount[set] == 0 {
-				if freshTried {
-					continue
-				}
-				freshTried = true
-			}
-			if !s.setFits(set, ms, path) {
+		for set := range s.setChoices() {
+			if !s.setFits(set, ms, c.Path) {
 				continue
 			}
-			s.place(f, ms, set, path)
-			s.expand(pos+1, depth, append(prefix, unitStep{c.pIn, c.pOut, c.pathIdx, set}), out)
-			s.unplace(f, ms, set, path)
+			s.place(f, ms, set, c.Path)
+			s.expand(pos+1, depth, append(prefix, unitStep{c, set}), out)
+			s.unplace(f, set)
 		}
-		s.unbind(md, c.pOut, boundOut)
-		s.unbind(ms, c.pIn, boundIn)
+		s.unbindCand(f, c, boundIn, boundOut)
 	}
 }
 
@@ -262,17 +235,17 @@ func claimOrder(n int) []int {
 
 // replayFrame records one replayed prefix step so runUnit can unwind it.
 type replayFrame struct {
-	f, ms, md         int
-	pIn, pOut         int
+	f                 int
+	c                 *topo.Cand
 	boundIn, boundOut bindOutcome
 	set               int
-	path              topo.Path
 }
 
 // runUnit replays the unit's branch prefix onto the worker's (clean)
 // state, exhausts the subtree with the regular DFS, and unwinds. The
 // prefix was feasible during expansion from the same clean state, so the
-// replay cannot fail.
+// replay cannot fail. The frames unwind in reverse — the LIFO order the
+// placement undo log requires.
 func (s *solver) runUnit(unitIdx int, u workUnit) {
 	s.unit = unitIdx
 	frames := grown(s.arena.replay, len(u.steps))
@@ -280,20 +253,18 @@ func (s *solver) runUnit(unitIdx int, u workUnit) {
 	for k, st := range u.steps {
 		f := s.order[k]
 		ms, md := s.srcs[f], s.dsts[f]
-		boundIn := s.bindIfNeeded(ms, st.pIn)
-		boundOut := s.bindIfNeeded(md, st.pOut)
-		path := s.pt.PathsBetween(st.pIn, st.pOut)[st.pathIdx]
-		s.place(f, ms, st.set, path)
-		frames[k] = replayFrame{f, ms, md, st.pIn, st.pOut, boundIn, boundOut, st.set, path}
+		boundIn := s.bindIfNeeded(ms, st.c.In)
+		boundOut := s.bindIfNeeded(md, st.c.Out)
+		s.place(f, ms, st.set, st.c.Path)
+		frames[k] = replayFrame{f, st.c, boundIn, boundOut, st.set}
 	}
 
 	s.dfs(len(u.steps))
 
 	for k := len(frames) - 1; k >= 0; k-- {
 		fr := frames[k]
-		s.unplace(fr.f, fr.ms, fr.set, fr.path)
-		s.unbind(fr.md, fr.pOut, fr.boundOut)
-		s.unbind(fr.ms, fr.pIn, fr.boundIn)
+		s.unplace(fr.f, fr.set)
+		s.unbindCand(fr.f, fr.c, fr.boundIn, fr.boundOut)
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	mathbits "math/bits"
 	"runtime"
-	"slices"
 	"sort"
 	"time"
 
@@ -191,33 +190,15 @@ type incumbent struct {
 	edges  topo.Bits
 }
 
-// cand is one (inlet pin, outlet pin, path) choice for a flow, ordered
-// canonically by (length, pIn, pOut, pathIdx). The integer triple is
-// unique per candidate, so the order is strict and total.
-type cand struct {
-	pIn, pOut int
-	pathIdx   int
-	length    float64
+// undoRec is one placement's entry in the LIFO undo log: the used-edge
+// union and length from before the placement, and the claim-stack height
+// below the vertices it newly claimed. Placements are always undone in
+// reverse order, so restoring these values is an exact undo.
+type undoRec struct {
+	edges  topo.Bits
+	length float64
+	mark   int
 }
-
-// compareCands is the canonical candidate order shared by the sequential
-// DFS and the parallel frontier expansion.
-func compareCands(a, b cand) int {
-	switch {
-	case a.length < b.length:
-		return -1
-	case a.length > b.length:
-		return 1
-	case a.pIn != b.pIn:
-		return a.pIn - b.pIn
-	case a.pOut != b.pOut:
-		return a.pOut - b.pOut
-	default:
-		return a.pathIdx - b.pathIdx
-	}
-}
-
-type cwBound struct{ idx, pin int }
 
 type solver struct {
 	sp    *spec.Spec
@@ -241,24 +222,21 @@ type solver struct {
 	pinOf      []int // module -> pin order, -1 unbound
 	modOf      []int // pin order -> module, -1 free
 	boundCount int
-	routes     []spec.Route // per flow; valid when assigned
-	assigned   []bool
-	vmask      []topo.Bits // per flow: chosen path vertex mask
-	owner      [][]int     // set × vertex -> owning inlet module, -1
+	pathOf     []*topo.Path // per flow: chosen path, nil while unassigned
+	setOf      []int        // per flow: chosen set; valid while assigned
+	owner      [][]int      // set × vertex -> owning inlet module, -1
 	setCount   []int
 	usedSets   int
 	usedEdges  topo.Bits
 	curLen     float64
 
-	// Per-depth scratch reused across nodes at the same depth (the DFS
-	// holds at most one frame per depth, so no aliasing is possible).
-	candBuf [][]cand
-	inPins  [][]int
-	outPins [][]int
+	// LIFO undo log: undo[f] restores flow f's placement, claimed is the
+	// stack of (set-owner) vertices claimed by the live placements.
+	undo    []undoRec
+	claimed []int
 	// remainingLB scratch: stamp array instead of a per-node map.
 	seenGen []int64
 	gen     int64
-	cwBuf   []cwBound
 
 	arena *arena // backing storage for the slices above; pooled
 
@@ -327,9 +305,7 @@ func newSolver(sp *spec.Spec, sw *topo.Switch, pt *topo.PathTable, opts Options)
 	a.bind(s, len(sp.Modules), nFlows, s.numPins, s.maxSets, len(sw.Vertices))
 
 	for p := 0; p < s.numPins; p++ {
-		pv := sw.PinVertex(p)
-		edges := sw.IncidentEdges(pv)
-		s.stubEdge[p] = edges[0]
+		s.stubEdge[p] = sw.PinStubEdge(p)
 	}
 
 	// Flow ordering: conflicted flows first (most constrained), then by
@@ -496,9 +472,6 @@ func (s *solver) release() {
 	if s.arena == nil {
 		return
 	}
-	// clockwiseFeasible may have regrown its scratch past the arena's
-	// copy; hand the larger buffer back so the capacity is recycled.
-	s.arena.cwBuf = s.cwBuf
 	releaseArena(s.arena)
 	s.arena = nil
 }
@@ -671,8 +644,12 @@ func (s *solver) publishIncumbent(inc *incumbent) {
 // snapshotIncumbent copies the current assignment out of the (pooled,
 // mutable) solver state into a standalone incumbent.
 func (s *solver) snapshotIncumbent(c float64) *incumbent {
+	routes := make([]spec.Route, len(s.pathOf))
+	for f, p := range s.pathOf {
+		routes[f] = spec.Route{Flow: f, Set: s.setOf[f], Path: *p}
+	}
 	return &incumbent{
-		routes: append([]spec.Route(nil), s.routes...),
+		routes: routes,
 		pinOf:  append([]int(nil), s.pinOf...),
 		cost:   c,
 		sets:   s.usedSets,
@@ -721,97 +698,90 @@ func (s *solver) dfs(pos int) {
 	}
 
 	f := s.order[pos]
-	ms, md := s.srcs[f], s.dsts[f]
-	cands := s.enumCands(pos)
-
+	ms := s.srcs[f]
+	cands, flt := s.candTable(pos)
 	for i := range cands {
+		c := &cands[i]
+		if !flt.admits(s.modOf, c) {
+			continue
+		}
 		if s.halted() {
 			return
 		}
-		c := cands[i]
-		boundIn := s.bindIfNeeded(ms, c.pIn)
-		if boundIn == bindConflict {
+		boundIn, boundOut, ok := s.bindCand(f, c)
+		if !ok {
 			continue
 		}
-		boundOut := s.bindIfNeeded(md, c.pOut)
-		if boundOut == bindConflict {
-			s.unbind(ms, c.pIn, boundIn)
-			continue
-		}
-		if s.sp.Binding == spec.Clockwise && (boundIn == bindDone || boundOut == bindDone) && !s.clockwiseFeasible() {
-			s.unbind(md, c.pOut, boundOut)
-			s.unbind(ms, c.pIn, boundIn)
-			continue
-		}
-
-		path := s.pt.PathsBetween(c.pIn, c.pOut)[c.pathIdx]
-		if s.conflictClash(f, path) {
-			s.unbind(md, c.pOut, boundOut)
-			s.unbind(ms, c.pIn, boundIn)
-			continue
-		}
-
-		// Try every non-empty set plus exactly one empty set: empty sets are
-		// interchangeable, so trying more than one is pure symmetry.
-		maxIdx := -1
-		for i, cnt := range s.setCount {
-			if cnt > 0 && i > maxIdx {
-				maxIdx = i
-			}
-		}
-		freshTried := false
-		for set := 0; set < s.maxSets && set <= maxIdx+1; set++ {
-			if s.setCount[set] == 0 {
-				if freshTried {
-					continue
-				}
-				freshTried = true
-			}
-			if !s.setFits(set, ms, path) {
+		for set := range s.setChoices() {
+			if !s.setFits(set, ms, c.Path) {
 				continue
 			}
-			s.place(f, ms, set, path)
+			s.place(f, ms, set, c.Path)
 			s.dfs(pos + 1)
-			s.unplace(f, ms, set, path)
+			s.unplace(f, set)
 			if s.halted() {
 				break
 			}
 		}
-
-		s.unbind(md, c.pOut, boundOut)
-		s.unbind(ms, c.pIn, boundIn)
+		s.unbindCand(f, c, boundIn, boundOut)
 	}
 }
 
-// enumCands fills the depth's candidate buffer with flow pos's
-// (inlet pin, outlet pin, path) choices in canonical order. The outlet
-// pin set is loop-invariant during enumeration (nothing binds until a
-// candidate is tried), so it is computed once, not per inlet pin.
-func (s *solver) enumCands(pos int) []cand {
+// setChoices is the number of sets a placement may try: every non-empty
+// set plus exactly one empty set, since empty sets are interchangeable and
+// trying more than one is pure symmetry. Placements only ever open the
+// first empty set and are undone in LIFO order, so the non-empty sets
+// are always exactly 0..usedSets-1 and the one empty set is usedSets.
+func (s *solver) setChoices() int {
+	return min(s.usedSets+1, s.maxSets)
+}
+
+// candFilter selects, from a presorted candidate table, the candidates
+// whose unbound endpoints land on free pins: the endpoints the table was
+// not already restricted to must be checked against modOf, and the inlet
+// must also fall below inLimit (the rotational-symmetry cut).
+type candFilter struct {
+	in, out bool
+	inLimit int
+}
+
+func (fl candFilter) admits(modOf []int, c *topo.Cand) bool {
+	return (!fl.in || (c.In < fl.inLimit && modOf[c.In] == -1)) &&
+		(!fl.out || modOf[c.Out] == -1)
+}
+
+// candTable returns flow pos's candidates in canonical order as a
+// presorted table plus the filter that keeps the admissible ones: the
+// pin-pair table when both endpoints are bound, the inlet- or outlet-pin
+// table when one is, and the full table when neither is. Filtering a
+// sorted table keeps it sorted, so no node ever sorts. The filter is
+// evaluated lazily while iterating: each candidate's bindings are undone
+// before the next one is tested, so the pin state it reads is the node's.
+//
+// With nothing bound yet, the rotational symmetry cut restricts the
+// inlet — the module bound first — to one orbit representative per
+// rotation class: the topology's smallest rotational automorphism shifts
+// every pin order by Switch.RotStep (90° → PerSide on the crossbar, 180°
+// → Rows+Cols on the FPVA grid), so the inlet only needs the first
+// RotStep pins. A topology without rotational symmetry reports RotStep 0
+// and disables the cut.
+func (s *solver) candTable(pos int) ([]topo.Cand, candFilter) {
 	f := s.order[pos]
-	ms, md := s.srcs[f], s.dsts[f]
-	cands := s.candBuf[pos][:0]
-	// The rotational symmetry cut may only constrain the module that is
-	// bound first (the inlet): the outlet binds second, when the rotation
-	// is already fixed.
-	ins := s.candidatePins(ms, true, &s.inPins[pos])
-	outs := s.candidatePins(md, false, &s.outPins[pos])
-	for _, pIn := range ins {
-		for _, pOut := range outs {
-			if pIn == pOut {
-				continue
-			}
-			paths := s.pt.PathsBetween(pIn, pOut)
-			for pi := range paths {
-				cands = append(cands, cand{pIn, pOut, pi, paths[pi].Length})
-			}
-		}
+	pIn, pOut := s.pinOf[s.srcs[f]], s.pinOf[s.dsts[f]]
+	ct := &s.pt.Cands
+	switch {
+	case pIn >= 0 && pOut >= 0:
+		return ct.ByPair[pIn][pOut], candFilter{}
+	case pIn >= 0:
+		return ct.ByIn[pIn], candFilter{out: true}
+	case pOut >= 0:
+		return ct.ByOut[pOut], candFilter{in: true, inLimit: s.numPins}
 	}
-	// The comparator is a strict total order (the pin/path triple is
-	// unique), so the unstable sort is deterministic.
-	slices.SortFunc(cands, compareCands)
-	s.candBuf[pos] = cands
-	return cands
+	limit := s.numPins
+	if !s.opts.DisableSymmetryBreaking && s.boundCount == 0 && s.rotStep > 0 {
+		limit = s.rotStep
+	}
+	return ct.All, candFilter{in: true, out: true, inLimit: limit}
 }
 
 type bindOutcome int
@@ -822,32 +792,36 @@ const (
 	bindConflict                    // impossible (other pin / pin taken)
 )
 
-// candidatePins appends the pins a module may use into *buf: its bound
-// pin, or all free pins. With allowCut, the very first binding of the
-// search is restricted to one orbit representative per rotation class:
-// the topology's smallest rotational automorphism shifts every pin
-// order by Switch.RotStep (90° → PerSide on the crossbar, 180° →
-// Rows+Cols on the FPVA grid), so the first bound module only needs the
-// first RotStep pins. A topology without rotational symmetry reports
-// RotStep 0 and disables the cut.
-func (s *solver) candidatePins(module int, allowCut bool, buf *[]int) []int {
-	out := (*buf)[:0]
-	if p := s.pinOf[module]; p >= 0 {
-		out = append(out, p)
-		*buf = out
-		return out
+// bindCand binds flow f's inlet and outlet modules to candidate c's pins
+// and applies the per-candidate feasibility rules: clockwise winding after
+// each new bind, then the conflict clash of c's path. On failure every
+// binding it made is undone and ok is false; on success the caller undoes
+// them with unbindCand.
+func (s *solver) bindCand(f int, c *topo.Cand) (boundIn, boundOut bindOutcome, ok bool) {
+	ms, md := s.srcs[f], s.dsts[f]
+	cw := s.sp.Binding == spec.Clockwise
+	boundIn = s.bindIfNeeded(ms, c.In)
+	if boundIn == bindConflict {
+		return boundIn, bindConflict, false
 	}
-	limit := s.numPins
-	if allowCut && !s.opts.DisableSymmetryBreaking && s.boundCount == 0 && s.rotStep > 0 {
-		limit = s.rotStep
+	if cw && boundIn == bindDone && !s.clockwiseAdmits(ms) {
+		s.unbind(ms, c.In, boundIn)
+		return boundIn, bindConflict, false
 	}
-	for p := 0; p < limit; p++ {
-		if s.modOf[p] == -1 {
-			out = append(out, p)
-		}
+	boundOut = s.bindIfNeeded(md, c.Out)
+	if boundOut == bindConflict ||
+		(cw && boundOut == bindDone && !s.clockwiseAdmits(md)) ||
+		s.conflictClash(f, c.Path) {
+		s.unbindCand(f, c, boundIn, boundOut)
+		return boundIn, boundOut, false
 	}
-	*buf = out
-	return out
+	return boundIn, boundOut, true
+}
+
+// unbindCand undoes bindCand's bindings, outlet first.
+func (s *solver) unbindCand(f int, c *topo.Cand, boundIn, boundOut bindOutcome) {
+	s.unbind(s.dsts[f], c.Out, boundOut)
+	s.unbind(s.srcs[f], c.In, boundIn)
 }
 
 func (s *solver) bindIfNeeded(module, pin int) bindOutcome {
@@ -874,9 +848,9 @@ func (s *solver) unbind(module, pin int, oc bindOutcome) {
 
 // conflictClash reports whether routing flow f over path would make it share
 // a vertex (hence possibly a segment) with an already-routed conflicting flow.
-func (s *solver) conflictClash(f int, path topo.Path) bool {
+func (s *solver) conflictClash(f int, path *topo.Path) bool {
 	for _, g := range s.conf[f] {
-		if s.assigned[g] && s.vmask[g].Intersects(path.VertMask) {
+		if p := s.pathOf[g]; p != nil && p.VertMask.Intersects(path.VertMask) {
 			return true
 		}
 	}
@@ -885,19 +859,26 @@ func (s *solver) conflictClash(f int, path topo.Path) bool {
 
 // setFits reports whether every junction on the path is free or already
 // owned by the same inlet module in the given set.
-func (s *solver) setFits(set, inletModule int, path topo.Path) bool {
+func (s *solver) setFits(set, inletModule int, path *topo.Path) bool {
+	own := s.owner[set]
 	for _, v := range path.Verts[1 : len(path.Verts)-1] {
-		if o := s.owner[set][v]; o != -1 && o != inletModule {
+		if o := own[v]; o != -1 && o != inletModule {
 			return false
 		}
 	}
 	return true
 }
 
-func (s *solver) place(f, inletModule, set int, path topo.Path) {
+// place routes flow f over path in set and logs its undo record: the
+// vertices it newly claims go on the claim stack, the prior edge union
+// and length into undo[f].
+func (s *solver) place(f, inletModule, set int, path *topo.Path) {
+	s.undo[f] = undoRec{edges: s.usedEdges, length: s.curLen, mark: len(s.claimed)}
+	own := s.owner[set]
 	for _, v := range path.Verts[1 : len(path.Verts)-1] {
-		if s.owner[set][v] == -1 {
-			s.owner[set][v] = inletModule
+		if own[v] == -1 {
+			own[v] = inletModule
+			s.claimed = append(s.claimed, v)
 		}
 	}
 	if s.setCount[set] == 0 {
@@ -907,44 +888,28 @@ func (s *solver) place(f, inletModule, set int, path topo.Path) {
 	newEdges := path.EdgeMask.AndNot(s.usedEdges)
 	s.usedEdges = s.usedEdges.Or(path.EdgeMask)
 	s.curLen += s.edgeMaskLen(newEdges)
-	s.assigned[f] = true
-	s.vmask[f] = path.VertMask
-	s.routes[f] = spec.Route{Flow: f, Set: set, Path: path}
+	s.pathOf[f] = path
+	s.setOf[f] = set
 }
 
-func (s *solver) unplace(f, inletModule, set int, path topo.Path) {
-	s.assigned[f] = false
-	s.vmask[f] = topo.Bits{}
+// unplace undoes place(f, ·, set, ·). It must be the most recent live
+// placement (LIFO): the vertices above its claim-stack mark are exactly
+// the ones it claimed, and every vertex it found already owned still
+// belongs to an earlier placement of the same inlet in this set.
+func (s *solver) unplace(f, set int) {
+	u := &s.undo[f]
+	own := s.owner[set]
+	for _, v := range s.claimed[u.mark:] {
+		own[v] = -1
+	}
+	s.claimed = s.claimed[:u.mark]
+	s.usedEdges = u.edges
+	s.curLen = u.length
 	s.setCount[set]--
 	if s.setCount[set] == 0 {
 		s.usedSets--
 	}
-	// Recompute ownership for the set's vertices touched by this path: a
-	// vertex stays owned if another flow of this set still uses it.
-	for _, v := range path.Verts[1 : len(path.Verts)-1] {
-		stillUsed := false
-		for g, a := range s.assigned {
-			if !a || s.routes[g].Set != set {
-				continue
-			}
-			if s.routes[g].Path.UsesVertex(v) {
-				stillUsed = true
-				break
-			}
-		}
-		if !stillUsed {
-			s.owner[set][v] = -1
-		}
-	}
-	// Recompute the used-edge union and length.
-	var union topo.Bits
-	for g, a := range s.assigned {
-		if a {
-			union = union.Or(s.routes[g].Path.EdgeMask)
-		}
-	}
-	s.usedEdges = union
-	s.curLen = s.edgeMaskLen(union)
+	s.pathOf[f] = nil
 }
 
 // edgeMaskLen sums edge lengths over a mask, iterating set bits in
@@ -962,53 +927,41 @@ func (s *solver) edgeMaskLen(mask topo.Bits) float64 {
 	return sum
 }
 
-// clockwiseFeasible checks that the partial module→pin binding can still be
-// completed into an assignment where the module list order winds exactly
-// once clockwise around the switch (constraints 3.12–3.13).
-func (s *solver) clockwiseFeasible() bool {
-	// Appending in module-index order keeps bs sorted by idx.
-	bs := s.cwBuf[:0]
-	for mi, p := range s.pinOf {
-		if p >= 0 {
-			bs = append(bs, cwBound{mi, p})
+// clockwiseAdmits reports whether module m, just bound, keeps the partial
+// binding completable into one where the module list order winds exactly
+// once clockwise around the switch (constraints 3.12–3.13). It must be
+// called after every new bind, so the binding without m is known to be
+// completable; feasibility is monotone under unbinding, so checking each
+// new bind this way accepts exactly the bindings a full recheck would.
+//
+// In a completable binding the bound pins appear in module order around
+// the switch, so the clockwise pin arc between two module-order
+// neighbours holds only free pins. Binding m between its nearest bound
+// neighbours a and b therefore only needs pin(m) strictly inside the arc
+// from pin(a) to pin(b), and each of the two sub-arcs to hold at least as
+// many free pins — plain cyclic distances — as there are unbound modules
+// between its ends.
+func (s *solver) clockwiseAdmits(m int) bool {
+	nMod := len(s.pinOf)
+	a := m
+	for {
+		if a = (a + nMod - 1) % nMod; a == m {
+			return true // m is the only bound module
+		}
+		if s.pinOf[a] >= 0 {
+			break
 		}
 	}
-	s.cwBuf = bs
-	if len(bs) <= 1 {
-		return true
+	b := (m + 1) % nMod
+	for s.pinOf[b] < 0 {
+		b = (b + 1) % nMod
 	}
-	// The pins must appear in the same cyclic order as the modules: exactly
-	// one descent around the cycle.
-	descents := 0
-	for i := range bs {
-		next := bs[(i+1)%len(bs)]
-		if next.pin < bs[i].pin {
-			descents++
-		}
+	n := s.numPins
+	pa, pm, pb := s.pinOf[a], s.pinOf[m], s.pinOf[b]
+	toM := (pm - pa + n) % n // 1..n-1: pin(m) ≠ pin(a)
+	if a != b && toM >= (pb-pa+n)%n {
+		return false // outside the arc; with a == b the arc is the whole ring
 	}
-	if descents != 1 {
-		return false
-	}
-	// Capacity: between consecutive bound modules there must be enough free
-	// pins in the corresponding clockwise pin arc for the unbound modules.
-	nMod := len(s.sp.Modules)
-	for i := range bs {
-		next := bs[(i+1)%len(bs)]
-		unboundBetween := 0
-		for j := (bs[i].idx + 1) % nMod; j != next.idx; j = (j + 1) % nMod {
-			if s.pinOf[j] == -1 {
-				unboundBetween++
-			}
-		}
-		freeInArc := 0
-		for p := (bs[i].pin + 1) % s.numPins; p != next.pin; p = (p + 1) % s.numPins {
-			if s.modOf[p] == -1 {
-				freeInArc++
-			}
-		}
-		if freeInArc < unboundBetween {
-			return false
-		}
-	}
-	return true
+	fromM := (pb - pm + n) % n
+	return (m-a+nMod)%nMod <= toM && (b-m+nMod)%nMod <= fromM
 }

@@ -1,0 +1,69 @@
+package topo
+
+import "slices"
+
+// Cand is one routing choice for a flow: an (inlet pin, outlet pin, path)
+// triple, with In and Out given as clockwise pin orders and Path pointing
+// into the owning PathTable's ByPair[In][Out][PathIdx].
+type Cand struct {
+	In, Out int
+	PathIdx int
+	Path    *Path
+}
+
+// compareCands is the canonical candidate order: ascending (path length,
+// In, Out, PathIdx). The integer triple is unique per candidate, so the
+// order is strict and total and needs no stable sort.
+func compareCands(a, b Cand) int {
+	switch {
+	case a.Path.Length < b.Path.Length:
+		return -1
+	case a.Path.Length > b.Path.Length:
+		return 1
+	case a.In != b.In:
+		return a.In - b.In
+	case a.Out != b.Out:
+		return a.Out - b.Out
+	default:
+		return a.PathIdx - b.PathIdx
+	}
+}
+
+// CandTable holds every candidate of a path table presorted in the
+// canonical order, together with its restrictions to one inlet pin, one
+// outlet pin and one pin pair. Each restriction is a subsequence of All,
+// so any of them filtered by a free-pin mask is still in canonical order:
+// a search enumerating candidates only filters, it never sorts.
+type CandTable struct {
+	All    []Cand
+	ByIn   [][]Cand   // [inlet pin order]
+	ByOut  [][]Cand   // [outlet pin order]
+	ByPair [][][]Cand // [inlet pin order][outlet pin order]
+}
+
+// buildCandTable sorts pt's candidates once; BuildPathTable calls it, so
+// every shared path table carries its candidate tables with it.
+func buildCandTable(pt *PathTable) CandTable {
+	n := len(pt.ByPair)
+	ct := CandTable{
+		All:    make([]Cand, 0, len(pt.All)),
+		ByIn:   make([][]Cand, n),
+		ByOut:  make([][]Cand, n),
+		ByPair: make([][][]Cand, n),
+	}
+	for in := range pt.ByPair {
+		ct.ByPair[in] = make([][]Cand, n)
+		for out, paths := range pt.ByPair[in] {
+			for i := range paths {
+				ct.All = append(ct.All, Cand{in, out, i, &paths[i]})
+			}
+		}
+	}
+	slices.SortFunc(ct.All, compareCands)
+	for _, c := range ct.All {
+		ct.ByIn[c.In] = append(ct.ByIn[c.In], c)
+		ct.ByOut[c.Out] = append(ct.ByOut[c.Out], c)
+		ct.ByPair[c.In][c.Out] = append(ct.ByPair[c.In][c.Out], c)
+	}
+	return ct
+}

@@ -416,6 +416,10 @@ func (sw *Switch) IncidentEdges(v int) []int {
 	return out
 }
 
+// PinStubEdge returns the ID of the stub segment of the pin at the given
+// clockwise order: a pin is a channel dead-end, so it is its only edge.
+func (sw *Switch) PinStubEdge(order int) int { return sw.adj[sw.pins[order]][0] }
+
 // Degree returns the number of edges incident to vertex v.
 func (sw *Switch) Degree(v int) int { return len(sw.adj[v]) }
 
@@ -618,6 +622,10 @@ type PathTable struct {
 	// All is the flattened, deterministic path list; Path d of the paper's
 	// x_{i,d} variables refers to All[d].
 	All []Path
+	// Cands lists the same paths as search candidates in canonical order
+	// (see CandTable), sorted once when the table is built so a search
+	// only ever filters them.
+	Cands CandTable
 }
 
 // BuildPathTable enumerates all shortest paths between every ordered pin
@@ -646,6 +654,7 @@ func BuildPathTable(sw *Switch) *PathTable {
 			pt.All = append(pt.All, paths...)
 		}
 	}
+	pt.Cands = buildCandTable(pt)
 	return pt
 }
 
