@@ -3,7 +3,7 @@
 # the seeded chaos suites (service faults and store crash-recovery, both
 # goroutine-leak gated and run twice), the cluster gate (race-checked
 # suite — including the replication, partition-heal and kill-restart
-# chaos tests — plus the three-topology campaign byte-diff and the
+# chaos tests — plus the four-topology campaign byte-diff and the
 # kill-any-node zero-re-solve campaign), the admission gate (batch
 # dedup/determinism, per-tenant fairness and the streaming contract,
 # race-checked twice), the portfolio gate (lane racing, cross-checks,
@@ -28,10 +28,11 @@
 # encode/decode cost and frame size with hard gates on decode speedup,
 # size ratio and decode allocations (BENCH_planio.json), and the FPVA
 # tier — grid synthesis and test-pattern generation with a scaling gate
-# (BENCH_fpva.json). The wire-format
-# gate also fuzzes the binary frame decoder and the cross-format
-# re-encode fixed point, and byte-diffs a binary-framed replicating
-# 3-node campaign against a JSON single-node reference.
+# (BENCH_fpva.json). The plan-bytes
+# gate fuzzes the binary frame decoder and the cross-format re-encode
+# fixed point, and race-checks the one admission door: tampered bytes
+# refused at every door a plan can enter a node through, and a valid
+# plan misfiled under the wrong key in the store healed, not served.
 #
 # Usage: ./ci.sh            (full gate)
 #        BENCHTIME=5s ./ci.sh  (longer benchmark runs)
@@ -137,34 +138,39 @@ echo "== store crash-recovery gate: 25 seeded schedules, -race -count=2 =="
 # torn tails, corrupt records, failed fsyncs, abandoned compactions.
 go test -race -count=2 ./internal/store/...
 
-echo "== cluster gate: -race -count=2, three-topology determinism =="
+echo "== cluster gate: -race -count=2, four-topology determinism =="
 # The ring/membership/proxy/fill/sync suites twice under the race
 # detector (-short skips only the campaign test), then the campaign
-# determinism test once: it boots one node, three nodes, and three nodes
-# with one killed mid-campaign, and byte-compares the deterministic
-# reports across all three topologies. The -short suite now also carries
-# the replication chaos gate: write-time push, failover reads,
-# read-repair, corrupt-push rejection, partition+heal anti-entropy
-# convergence and kill-restart rejoin, all seeded and run twice.
+# determinism test once: it boots one node, three nodes, three
+# replicating nodes (binary frames forwarded, peer-filled and pushed),
+# and three nodes with one killed mid-campaign, and byte-compares the
+# deterministic reports across all four topologies. The -short suite
+# also carries the replication chaos gate: write-time push, failover
+# reads, read-repair, corrupt-push rejection, partition+heal
+# anti-entropy convergence and kill-restart rejoin, all seeded and run
+# twice.
 go test -race -count=2 -short ./internal/cluster/
 go test -race -run 'TestCampaignDeterministicAcrossTopologies' ./internal/cluster/
 
-echo "== wire-format gate: fuzz + mixed-version + binary campaign byte-diff =="
+echo "== plan-bytes gate: fuzz + one admission door + plan stream =="
 # The binary frame decoder must reject every malformed frame it is
 # fuzzed with, and any frame either decoder accepts must re-encode to a
-# byte-identical fixed point in both formats. The mixed-version suite
-# (run again here, race-checked) proves a binary node and a JSON-only
-# peer interoperate with zero verification skips, and the campaign
-# byte-diff proves the wire format is invisible in results: a
-# replicating binary 3-node cluster matches a JSON single node. The
-# plan-stream suite proves the persistent fetch channel serves
-# byte-identical frames, falls back to plain GETs for pre-stream peers,
-# and hangs up when its engine retires.
+# byte-identical fixed point in both formats (JSON stays the export and
+# human format). The door suite, race-checked: a one-byte-flipped frame
+# and a valid frame filed under the wrong key are refused at the store
+# read, the peer fill, the PUT /plans/{key} push, the anti-entropy
+# import and read-repair, with nothing left behind in any tier; a
+# misfiled store record is healed and re-solved to the true optimum;
+# the digest cache only skips re-verification for bytes already
+# admitted. The plan-stream suite proves the persistent fetch channel
+# serves byte-identical frames, falls back to plain GETs for pre-stream
+# peers, and hangs up when its engine retires. The byte-diff of the
+# replicating binary 3-node campaign is the replicating arm of the
+# four-topology determinism test in the cluster gate above.
 go test -fuzz '^FuzzDecodeBinary$' -fuzztime 15s -run '^$' ./internal/planio/
 go test -fuzz '^FuzzCrossFormat$' -fuzztime 15s -run '^$' ./internal/planio/
-go test -race -run 'TestMixedVersionClusterInterop|TestDigestCache|TestPlanBytes|TestPlanEndpointNegotiatesFormat|TestPlanStream|TestStreamFetch' \
+go test -race -run 'TestTamperedPlanBytesRejectedAtEveryDoor|TestEngineHealsPersistedPlanUnderWrongKey|TestDigestCache|TestPlanBytes|TestPlanEndpointNegotiatesFormat|TestPlanStream|TestStreamFetch' \
   ./internal/cluster/ ./internal/service/ ./internal/planio/
-go test -race -run 'TestCampaignBinaryClusterMatchesJSONSingleNode' ./internal/cluster/
 
 echo "== replication chaos gate: kill any node mid-campaign, zero re-solves =="
 # For every choice of victim in a replicated 3-node cluster: warm a

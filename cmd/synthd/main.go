@@ -63,10 +63,16 @@
 // misses try the replica set's plans before solving; freshly proven
 // plans are pushed asynchronously to the key's replica set; and a
 // background anti-entropy loop pulls plans this node replicates but
-// lacks, so a killed-and-restarted node re-converges. Every plan
-// crossing a node boundary is re-verified before it is served or
-// stored. The peer list is static and must be identical on every node;
-// see DESIGN.md §8.
+// lacks, so a killed-and-restarted node re-converges. The peer list is
+// static and must be identical on every node; see DESIGN.md §8.
+//
+// Plans sit on disk and travel between nodes in one format, the binary
+// planio frame; JSON is only for export and humans. Every plan the
+// daemon did not just solve itself — read from disk, filled from a
+// peer, pushed, repaired or pulled by anti-entropy — passes one
+// admission check (decode, optimality proof, canonical-key
+// re-derivation, contamination verification) before it is served or
+// stored.
 //
 // On SIGINT/SIGTERM the daemon drains gracefully: /readyz flips to 503
 // so cluster peers stop routing here, the listener stops accepting,
@@ -91,7 +97,8 @@
 //	GET  /metrics                 job/cache/store/cluster/admission counters as JSON
 //	GET  /portfolio               portfolio racing and warm-start counters
 //	GET  /plans                   manifest of locally held plan keys
-//	GET  /plans/{key}             one plan's wire bytes (404 when absent)
+//	GET  /plans/{key}             one plan: the binary frame when Accept names
+//	                              it, JSON otherwise (404 when absent)
 //	PUT  /plans/{key}             receive a peer's replication push (re-verified
 //	                              before storing; 204 ok, 422 rejected)
 //	GET  /cluster                 ring membership, health, and forwarding counters
@@ -352,8 +359,6 @@ func parseFlags(args []string) (service.Config, serverFlags) {
 		pfRace     = fs.Bool("portfolio", false, "race the solver backends per solve (first optimality proof wins; losers cross-checked)")
 		pfLanes    = fs.String("portfolio-lanes", "", "comma-separated racing lanes: search,milp,greedy (empty = all; needs -portfolio)")
 		simSize    = fs.Int("simindex-size", 0, "similarity warm-start index entries (0 = default 512, negative disables)")
-		wireFmt    = fs.String("wire-format", "", "plan encoding for store/replication: binary or json (empty = binary)")
-		digestSize = fs.Int("digest-cache", 0, "verified-bytes digest cache entries (0 = shared default 4096, negative disables)")
 		storeDir   = fs.String("store-dir", "", "durable plan store directory (empty disables the disk tier)")
 		storeFlush = fs.Duration("store-flush-interval", 0, "store group-commit window (0 = default 5ms, negative fsyncs every put)")
 		storeWAL   = fs.Int64("store-max-wal-bytes", 0, "WAL size that triggers store compaction (0 = default 8MiB, negative disables)")
@@ -376,16 +381,6 @@ func parseFlags(args []string) (service.Config, serverFlags) {
 		fmt.Fprintln(os.Stderr, "synthd: -portfolio-lanes requires -portfolio")
 		os.Exit(2)
 	}
-	// Fail fast on an unknown wire format rather than silently encoding
-	// with the default: a typo here would only surface as surprising
-	// bytes in the store or on the wire.
-	switch *wireFmt {
-	case "", service.WireFormatBinary, service.WireFormatJSON:
-	default:
-		fmt.Fprintf(os.Stderr, "synthd: -wire-format %q: must be %q or %q\n",
-			*wireFmt, service.WireFormatBinary, service.WireFormatJSON)
-		os.Exit(2)
-	}
 	return service.Config{
 			Workers:           *workers,
 			SolverWorkers:     *solverWrk,
@@ -399,8 +394,6 @@ func parseFlags(args []string) (service.Config, serverFlags) {
 			Portfolio:         *pfRace,
 			PortfolioLanes:    *pfLanes,
 			SimIndexSize:      *simSize,
-			WireFormat:        *wireFmt,
-			DigestCacheSize:   *digestSize,
 		}, serverFlags{
 			Addr:      *addr,
 			Drain:     *drain,

@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"switchsynth/internal/faultinject"
+	"switchsynth/internal/planio"
 )
 
 // Defaults; each is overridable via Config.
@@ -142,7 +143,6 @@ type Cluster struct {
 	replErrors       atomic.Int64 // replica/repair pushes that failed or were rejected
 	replDropped      atomic.Int64 // pushes dropped because the queue was full
 	repairPushes     atomic.Int64 // read-repair pushes delivered
-	pushTranscodes   atomic.Int64 // binary pushes transcoded to JSON for old peers
 	syncRounds       atomic.Int64
 	syncPulls        atomic.Int64 // plans imported by anti-entropy
 	syncErrors       atomic.Int64
@@ -329,10 +329,6 @@ func (c *Cluster) probe(n Node) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("readyz: status %d", resp.StatusCode)
 	}
-	// An answering peer also tells us which plan encodings it accepts;
-	// replication pushes consult this to decide between sending binary
-	// frames verbatim and transcoding to JSON for older nodes.
-	c.mem.setFormats(n.ID, resp.Header.Get(planFormatsHeader))
 	return nil
 }
 
@@ -443,9 +439,9 @@ func (c *Cluster) fetchFrom(ctx context.Context, n Node, key string) (data []byt
 	if err != nil {
 		return nil, false, err
 	}
-	// Ask for the binary frame; a peer that cannot serve it (or stores
-	// JSON) answers JSON, which the engine's DecodeAny handles the same.
-	req.Header.Set("Accept", contentTypeBinaryPlan+", "+contentTypeJSON)
+	// Ask for the binary frame (without the Accept header a peer answers
+	// the JSON file format meant for humans).
+	req.Header.Set("Accept", planio.ContentTypeBinary)
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return nil, false, err
@@ -502,7 +498,6 @@ type Status struct {
 	ReplErrors       int64 `json:"replErrors"`
 	ReplDropped      int64 `json:"replDropped"`
 	RepairPushes     int64 `json:"repairPushes"`
-	PushTranscodes   int64 `json:"pushTranscodes"`
 	SyncRounds       int64 `json:"syncRounds"`
 	SyncPulls        int64 `json:"syncPulls"`
 	SyncErrors       int64 `json:"syncErrors"`
@@ -543,7 +538,6 @@ func (c *Cluster) Status() Status {
 		ReplErrors:       c.replErrors.Load(),
 		ReplDropped:      c.replDropped.Load(),
 		RepairPushes:     c.repairPushes.Load(),
-		PushTranscodes:   c.pushTranscodes.Load(),
 		SyncRounds:       c.syncRounds.Load(),
 		SyncPulls:        c.syncPulls.Load(),
 		SyncErrors:       c.syncErrors.Load(),

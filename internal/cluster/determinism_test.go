@@ -5,9 +5,10 @@
 //
 // The property under test is the tentpole invariant: a fixed campaign
 // produces a byte-identical deterministic report no matter the topology
-// it ran on — one node, three nodes behind a single entry point, or
-// three nodes with one killed mid-run. Sharding decides only WHERE a
-// plan is solved, never WHAT the plan is.
+// it ran on — one node, three nodes behind a single entry point, three
+// replicating nodes, or three nodes with one killed mid-run. Sharding
+// and replication decide only WHERE a plan is solved, never WHAT the
+// plan is.
 package cluster_test
 
 import (
@@ -47,14 +48,7 @@ type detNode struct {
 // (the full cmd/synthd write-path wiring).
 func bootNodes(t *testing.T, n int, repl bool) []*detNode {
 	t.Helper()
-	return bootNodesWire(t, n, repl, "")
-}
-
-// bootNodesWire is bootNodes with an explicit plan wire format for
-// every engine ("" uses the engine default).
-func bootNodesWire(t *testing.T, n int, repl bool, wireFormat string) []*detNode {
-	t.Helper()
-	return bootNodesCfg(t, n, repl, func(scfg *service.Config) { scfg.WireFormat = wireFormat })
+	return bootNodesCfg(t, n, repl, nil)
 }
 
 // bootNodesCfg is the general form: mut adjusts each node's service
@@ -120,8 +114,9 @@ func bootNodesCfg(t *testing.T, n int, repl bool, mut func(*service.Config)) []*
 
 // TestCampaignDeterministicAcrossTopologies is the acceptance gate from
 // the cluster design: the same seeded campaign, byte-identical on one
-// node, on three nodes entered through a non-owner, and on three nodes
-// with one killed mid-run.
+// node, on three nodes entered through a non-owner, on three nodes that
+// replicate every plan (so the entry node also serves peer-filled and
+// pushed frames), and on three nodes with one killed mid-run.
 func TestCampaignDeterministicAcrossTopologies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node campaign in -short mode")
@@ -156,6 +151,22 @@ func TestCampaignDeterministicAcrossTopologies(t *testing.T) {
 		t.Error("3-node campaign forwarded nothing; sharding untested")
 	}
 
+	repl := bootNodes(t, 3, true)
+	rTable, rStats := run(repl[0].url)
+	if rTable != wantTable {
+		t.Errorf("replicating 3-node campaign table differs from single-node:\n--- single\n%s\n--- replicating\n%s", wantTable, rTable)
+	}
+	if rStats != wantStats {
+		t.Errorf("replicating 3-node campaign stats differ: %q vs %q", rStats, wantStats)
+	}
+	forwards := int64(0)
+	for _, n := range repl {
+		forwards += n.cl.Status().Forwards
+	}
+	if forwards == 0 {
+		t.Error("replicating campaign forwarded nothing; sharding untested")
+	}
+
 	killed := bootNodes(t, 3, false)
 	timer := time.AfterFunc(75*time.Millisecond, killed[2].srv.Close)
 	defer timer.Stop()
@@ -165,50 +176,6 @@ func TestCampaignDeterministicAcrossTopologies(t *testing.T) {
 	}
 	if kStats != wantStats {
 		t.Errorf("kill-one campaign stats differ: %q vs %q", kStats, wantStats)
-	}
-}
-
-// TestCampaignBinaryClusterMatchesJSONSingleNode is the wire-format
-// determinism gate: the encoding a cluster moves plans around in is
-// invisible in the results. A replicating three-node cluster on the
-// binary frame format must produce the byte-identical campaign report
-// of a single node pinned to the JSON wire format.
-func TestCampaignBinaryClusterMatchesJSONSingleNode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-node campaign in -short mode")
-	}
-	const count, seed = 24, 42
-	run := func(url string) (table, stats string) {
-		res := exp.RunCampaign(exp.Config{
-			DaemonURL: url,
-			Workers:   4,
-			TimeLimit: 10 * time.Second,
-		}, count, seed)
-		return report.CampaignTable(res.Rows), res.Stats.DeterministicString()
-	}
-
-	single := bootNodesWire(t, 1, false, service.WireFormatJSON)
-	wantTable, wantStats := run(single[0].url)
-
-	three := bootNodesWire(t, 3, true, service.WireFormatBinary)
-	gotTable, gotStats := run(three[0].url)
-	if gotTable != wantTable {
-		t.Errorf("binary 3-node campaign table differs from JSON single-node:\n--- json single\n%s\n--- binary three\n%s", wantTable, gotTable)
-	}
-	if gotStats != wantStats {
-		t.Errorf("binary 3-node campaign stats differ: %q vs %q", gotStats, wantStats)
-	}
-	// Sanity: the binary cluster actually moved frames around.
-	forwards := int64(0)
-	for _, n := range three {
-		st := n.cl.Status()
-		forwards += st.Forwards
-		if st.PushTranscodes != 0 {
-			t.Errorf("%s transcoded %d pushes between same-version nodes", n.id, st.PushTranscodes)
-		}
-	}
-	if forwards == 0 {
-		t.Error("binary campaign forwarded nothing; sharding untested")
 	}
 }
 

@@ -11,7 +11,6 @@
 package cluster
 
 import (
-	"strings"
 	"sync"
 	"time"
 )
@@ -40,11 +39,6 @@ type PeerStatus struct {
 	// request-path reports).
 	Probes  int64  `json:"probes"`
 	LastErr string `json:"lastErr,omitempty"`
-	// PlanFormats is the peer's advertised plan-encoding capability (the
-	// X-Synthd-Plan-Formats value from its last successful readiness
-	// probe). Empty until a probe has answered — pushes to such a peer
-	// are transcoded to JSON, the encoding every version accepts.
-	PlanFormats string `json:"planFormats,omitempty"`
 }
 
 // peerState is the damped two-state machine for one peer.
@@ -57,12 +51,6 @@ type peerState struct {
 	probes     int64
 	lastErr    string
 	lastChange time.Time
-	// formats is the peer's advertised plan-format capability, recorded
-	// from readiness probes; binaryOK caches whether it includes
-	// "binary". Both stay zero-valued until the first successful probe,
-	// so an unprobed peer conservatively counts as JSON-only.
-	formats  string
-	binaryOK bool
 }
 
 // membership tracks liveness for every non-self peer. Peers start
@@ -156,50 +144,6 @@ func (m *membership) observe(id string, ok bool, errMsg string) (flipped bool) {
 	return false
 }
 
-// setFormats records id's advertised plan-format capability from a
-// successful readiness probe. A missing header on an answering peer is
-// recorded as "json": the node is alive but predates the binary frame
-// format.
-func (m *membership) setFormats(id, formats string) {
-	if id == m.selfID {
-		return
-	}
-	if formats == "" {
-		formats = "json"
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if p, ok := m.peers[id]; ok {
-		p.formats = formats
-		p.binaryOK = false
-		for _, f := range strings.Split(formats, ",") {
-			if strings.TrimSpace(f) == "binary" {
-				p.binaryOK = true
-			}
-		}
-	}
-}
-
-// formatsKnown reports whether id's plan-format capability has been
-// learned from a successful probe (an answering peer without the header
-// is recorded as "json", which also counts as known).
-func (m *membership) formatsKnown(id string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p, ok := m.peers[id]
-	return ok && p.formats != ""
-}
-
-// binaryOK reports whether id has advertised binary plan-frame support.
-// Unknown or never-probed peers report false, so pushes default to the
-// JSON encoding every version accepts.
-func (m *membership) binaryOK(id string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p, ok := m.peers[id]
-	return ok && p.binaryOK
-}
-
 // snapshot returns every peer's status (self excluded), ID-sorted by
 // the caller via the ring's member order.
 func (m *membership) snapshot() map[string]PeerStatus {
@@ -212,14 +156,13 @@ func (m *membership) snapshot() map[string]PeerStatus {
 			streak = p.okStreak
 		}
 		out[id] = PeerStatus{
-			ID:          id,
-			URL:         p.node.URL,
-			Up:          p.up,
-			Streak:      streak,
-			Flaps:       p.flaps,
-			Probes:      p.probes,
-			LastErr:     p.lastErr,
-			PlanFormats: p.formats,
+			ID:      id,
+			URL:     p.node.URL,
+			Up:      p.up,
+			Streak:  streak,
+			Flaps:   p.flaps,
+			Probes:  p.probes,
+			LastErr: p.lastErr,
 		}
 	}
 	return out

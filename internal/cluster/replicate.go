@@ -12,9 +12,9 @@
 // that answered 404 for it.
 //
 // The receiving side is PUT /plans/{key} (service layer), which funnels
-// into Engine.ImportPlan: decode, Proven check, canonical-key
-// re-derivation and full contamination verification before any tier is
-// touched. A corrupted or malicious push costs the sender a rejected
+// into Engine.ImportPlan and through the engine's one admission door:
+// decode, Proven check, canonical-key re-derivation and full
+// contamination verification before any tier is touched. A corrupted or malicious push costs the sender a rejected
 // request, never the receiver a wrong plan (invariant 2).
 package cluster
 
@@ -28,14 +28,6 @@ import (
 
 	"switchsynth/internal/faultinject"
 	"switchsynth/internal/planio"
-	"switchsynth/internal/service"
-)
-
-// Wire-protocol names shared with the service layer's HTTP surface.
-const (
-	planFormatsHeader     = service.PlanFormatsHeader
-	contentTypeBinaryPlan = planio.ContentTypeBinary
-	contentTypeJSON       = "application/json"
 )
 
 const (
@@ -127,34 +119,6 @@ func (c *Cluster) pushPlan(n Node, key string, data []byte) error {
 		return fmt.Errorf("injected: peer down")
 	}
 	c.inj.Fire(faultinject.PeerSlow)
-	// Version negotiation: binary frames are pushed verbatim only to
-	// peers that advertised binary support on a readiness probe. Anyone
-	// else — an older node, or a peer not yet probed — gets the plan
-	// transcoded to the JSON file format, which every version verifies
-	// and accepts. The transcode runs the full frame validation, and its
-	// output is byte-identical to what a JSON-wire node would have
-	// produced, so mixed-version replica sets converge on consistent
-	// bytes per format.
-	if planio.IsBinary(data) && !c.mem.binaryOK(n.ID) {
-		if !c.mem.formatsKnown(n.ID) {
-			// A push racing the first probe round would otherwise transcode
-			// pessimistically and leave this replica holding different bytes
-			// than the owner. Learn the capability now — a one-time /readyz
-			// round trip per unprobed peer; if it fails the conservative
-			// JSON path below still applies.
-			if err := c.probe(n); err == nil {
-				c.mem.observe(n.ID, true, "")
-			}
-		}
-		if !c.mem.binaryOK(n.ID) {
-			jd, err := planio.ToJSON(data)
-			if err != nil {
-				return fmt.Errorf("cluster: push plan %s to peer %s: transcode: %w", key, n.ID, err)
-			}
-			data = jd
-			c.pushTranscodes.Add(1)
-		}
-	}
 	if len(data) > 0 && c.inj.Fire(faultinject.ReplCorrupt) {
 		// Flip one byte mid-payload on a copy (the caller's slice is
 		// shared with local tiers); the receiver must reject it.

@@ -91,8 +91,7 @@ func ContentTypeOf(data []byte) string {
 // ToJSON returns plan bytes in the JSON file format: binary frames are
 // transcoded through full decode validation, JSON passes through
 // unchanged. The transcoded output is byte-identical to EncodeWire of
-// the decoded plan, so mixed-version peers see exactly the bytes a
-// JSON-only node would have produced.
+// the decoded plan — the JSON view humans and exports get of a frame.
 func ToJSON(data []byte) ([]byte, error) {
 	if !IsBinary(data) {
 		return data, nil

@@ -3,15 +3,16 @@
 // re-verified (cmd/verifyplan). Two encodings share one validation path:
 //
 //   - JSON (Encode / EncodeWire / Decode): the human and audit format —
-//     what cmd/switchsynth writes, what store exports produce, and what
-//     verifyplan reads.
-//   - Binary (EncodeBinary / DecodeBinary, binary.go): the machine
+//     what cmd/switchsynth writes, what store exports produce, what
+//     verifyplan reads, and what GET /plans/{key} answers to callers
+//     that do not name the binary type.
+//   - Binary (EncodeBinary / DecodeBinary, binary.go): the one machine
 //     format — a length-prefixed, CRC32C-checksummed frame with a string
 //     table and varint vertex encoding, used on the WAL, the cluster
 //     wire and the service plan cache.
 //
-// DecodeAny sniffs the leading bytes and accepts either, so mixed-version
-// peers interoperate regardless of transport headers. Both decoders
+// DecodeAny sniffs the leading bytes and accepts either, so old JSON
+// store records and exports still load. Both decoders
 // store only the spec, the binding and each route's vertex sequence;
 // masks, lengths and objectives are recomputed on load and never trusted
 // from the bytes.
@@ -156,9 +157,8 @@ func Decode(data []byte) (*spec.Result, error) {
 // DecodeAny decodes a plan in either encoding, sniffing the leading
 // bytes: a binary frame magic selects DecodeBinary, anything else is
 // handed to the JSON decoder. Receivers use this regardless of transport
-// content-type headers, so a mislabeled or mixed-version peer can never
-// smuggle bytes past validation — both paths converge on the same
-// checks.
+// content-type headers, so a mislabeled body can never smuggle bytes
+// past validation — both paths converge on the same checks.
 func DecodeAny(data []byte) (*spec.Result, error) {
 	if IsBinary(data) {
 		return DecodeBinary(data)

@@ -13,8 +13,9 @@
 //
 // The stream carries stored plan bytes verbatim — the same frames
 // GET /plans/{key} serves to a binary-accepting client — so the
-// receiver's verification pipeline (DecodeAny, key re-derivation, the
-// digest cache) is format-agnostic between the two transports. Only
+// receiver's admission check (digest cache, DecodeAny, key
+// re-derivation, contamination verification) is the same for both
+// transports. Only
 // the envelope changes; the trust model does not: stream bytes get the
 // exact checks HTTP bytes get.
 package planio

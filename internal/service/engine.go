@@ -98,11 +98,11 @@ type Config struct {
 	// PeerFill, when non-nil, is the cluster tier of the result cache: on
 	// a full local miss (memory and disk) the engine asks it for the
 	// planio-encoded plan before solving — in a sharded deployment this is
-	// the key's owning peer (internal/cluster). The fetched plan is
-	// decoded, its canonical key re-derived and compared, and the full
-	// contamination verifier re-run before it is served or persisted; a
-	// plan failing any of those is discarded and the request falls back to
-	// a local solve. A (nil, error) or (nil, nil) return is a miss.
+	// the key's owning peer (internal/cluster). The fetched plan passes
+	// the engine's one admission check — decoded, its canonical key
+	// re-derived and compared, the full contamination verifier re-run —
+	// before it is served or persisted; a plan failing any of those is
+	// discarded and the request falls back to a local solve. A (nil, error) or (nil, nil) return is a miss.
 	PeerFill func(ctx context.Context, key string) ([]byte, error)
 	// OnPlanStored, when non-nil, is called after a freshly solved proven
 	// plan lands in the local tiers, with its canonical key and
@@ -125,27 +125,13 @@ type Config struct {
 	// Portfolio is set. Invalid lane names fall back to the full default
 	// set — cmd/synthd validates the flag up front and fails fast instead.
 	PortfolioLanes string
-	// WireFormat selects the encoding of the plan bytes this engine
-	// produces — the frame cached next to each plan, the store
-	// write-through, replication pushes and GET /plans/{key} responses:
-	// "binary" (the default; planio's checksummed frame format) or "json"
-	// (the human/audit file format). Decoding always accepts both, so
-	// nodes with different wire formats interoperate.
-	WireFormat string
-	// DigestCacheSize configures the verified-bytes digest cache, which
-	// lets byte-identical plan frames that already passed a full import
-	// verification skip the redundant re-decode on later fills, imports
-	// and disk reads. 0 (the default) shares the process-wide
-	// planio.SharedVerified cache; > 0 uses a private cache of that many
-	// entries; < 0 disables the fast path (every load takes the full
-	// verify).
-	DigestCacheSize int
 	// SimIndexSize bounds the spec-similarity warm-start index in entries
 	// (default 512; negative disables it). The index is populated with
-	// every proven plan — solved, filled or imported — and consulted on
-	// cold search-engine solves: a stored plan for the same spec family
-	// (one module/flow removed or added, one conflict toggled) is adapted
-	// into a starting incumbent. Warm starts only tighten the initial
+	// every proven plan solved here or admitted from elsewhere (filled,
+	// imported or read from disk, on its first full verification) and
+	// consulted on cold search-engine solves: a stored plan for the same
+	// spec family (one module/flow removed or added, one conflict
+	// toggled) is adapted into a starting incumbent. Warm starts only tighten the initial
 	// bound; plans stay bit-identical to a cold solve.
 	SimIndexSize int
 }
@@ -233,31 +219,6 @@ func (c Config) simIndexSize() int {
 	}
 }
 
-// WireFormatBinary and WireFormatJSON are the valid Config.WireFormat
-// values (empty means binary).
-const (
-	WireFormatBinary = "binary"
-	WireFormatJSON   = "json"
-)
-
-func (c Config) wireFormat() string {
-	if c.WireFormat == WireFormatJSON {
-		return WireFormatJSON
-	}
-	return WireFormatBinary
-}
-
-func (c Config) verifiedCache() *planio.VerifiedCache {
-	switch {
-	case c.DigestCacheSize > 0:
-		return planio.NewVerifiedCache(c.DigestCacheSize)
-	case c.DigestCacheSize < 0:
-		return nil
-	default:
-		return planio.SharedVerified
-	}
-}
-
 func (c Config) portfolioLanes() []portfolio.Lane {
 	lanes, err := portfolio.ParseLanes(c.PortfolioLanes)
 	if err != nil {
@@ -330,11 +291,11 @@ type Engine struct {
 	fill     func(ctx context.Context, key string) ([]byte, error)
 	onStored func(key string, data []byte) // write-time replication hook
 	neg      *negCache
-	// verified is the verified-bytes digest cache (nil when disabled):
-	// SHA-256 of plan bytes that already passed a full verification, so
-	// identical bytes arriving again — repeat fills, anti-entropy sweeps,
-	// read-repair, disk re-reads — skip the redundant decode. Unseen
-	// bytes always take the full path.
+	// verified is the verified-bytes digest cache (the process-wide
+	// planio.SharedVerified): SHA-256 of plan bytes that already passed
+	// admitPlan's full check, so identical bytes arriving again — repeat
+	// fills, anti-entropy sweeps, read-repair, disk re-reads — skip the
+	// redundant decode. Unseen bytes always take the full path.
 	verified *planio.VerifiedCache
 	breakers *admission.Breakers // nil when the breaker is disabled
 	inj      *faultinject.Injector
@@ -391,7 +352,7 @@ func New(cfg Config) *Engine {
 		fill:     cfg.PeerFill,
 		onStored: cfg.OnPlanStored,
 		neg:      newNegCache(cfg.negativeCacheSize()),
-		verified: cfg.verifiedCache(),
+		verified: planio.SharedVerified,
 		inj:      cfg.FaultInjector,
 		flights:  newFlightGroup(),
 		feeds:    newFeedGroup(),
@@ -480,10 +441,11 @@ func (e *Engine) Do(ctx context.Context, sp *spec.Spec, opts switchsynth.Options
 				return resp, nil
 			}
 		}
-		// Disk tier: decode the persisted plan and re-verify it through
-		// the same assemble path a memory hit takes (Analyze runs the
-		// full contamination verifier), so a record that rotted on disk
-		// is healed — evicted and re-solved — never served.
+		// Disk tier: the persisted bytes pass admitPlan (the one door every
+		// plan entering a tier goes through) and then the same assemble
+		// path a memory hit takes, so a record that rotted on disk — or
+		// was filed under a key it does not belong to — is healed
+		// (evicted and re-solved), never served.
 		if e.store != nil {
 			if res, data, ok := e.loadFromStore(key); ok {
 				resp, ferr := e.assemble(&Response{Key: key, CacheHit: true, DiskHit: true, SolveTime: res.Runtime}, res, sp, opts)
@@ -503,48 +465,25 @@ func (e *Engine) Do(ctx context.Context, sp *spec.Spec, opts switchsynth.Options
 			}
 		}
 		// Cluster tier: both local tiers missed — ask the key's owning
-		// peer before burning a solver slot. The fetched plan passes the
-		// same assemble path as any cache hit (full contamination
-		// verification), so a corrupt fetch is rejected here and the
-		// request falls through to a local solve; only verified plans are
-		// written through to the local tiers. Tried at most once per
-		// request — a heal-loop retry must not hammer the peer.
+		// peer before burning a solver slot. The fetched bytes pass
+		// admitPlan and then assemble, so a corrupt fetch is rejected here
+		// and the request falls through to a local solve; only admitted
+		// plans are installed in the local tiers, verbatim (no re-encode).
+		// Tried at most once per request — a heal-loop retry must not
+		// hammer the peer.
 		if e.fill != nil && !triedPeer {
 			triedPeer = true
-			if res, data, seen, ok := e.loadFromPeer(ctx, key); ok {
+			if res, data, ok := e.loadFromPeer(ctx, key); ok {
 				resp, ferr := e.assemble(&Response{Key: key, CacheHit: true, PeerHit: true, SolveTime: res.Runtime}, res, sp, opts)
 				if ferr == nil {
 					e.metrics.peerHits.Add(1)
-					// The fetched bytes just passed the full check (or were
-					// digest-known to have passed it): remember their digest
-					// and reuse them verbatim for the memory frame and the
-					// durable tier — no re-encode on the fill path. A
-					// digest-seen fill skips the digest and sim-index adds:
-					// the first pass of these exact bytes through this path
-					// (or through a solve or import) already recorded both,
-					// and Lookup refreshed the digest entry's recency. The
-					// sim index may meanwhile have evicted the plan — warm
-					// starts are best-effort, and re-deriving the canonical
-					// spec on every repeat fill costs more than a missed
-					// seed.
-					if !seen {
-						if e.verified != nil {
-							e.verified.Add(data, key, res)
-						}
-						if e.simIndex != nil {
-							e.simIndex.Add(res.Spec, res)
-						}
-					}
-					if e.cache.enabled() {
-						e.cache.put(key, res, data)
-					}
-					if e.store != nil {
-						_ = e.store.Put(key, engineName(opts), data)
-					}
+					// A store failure only costs a later re-fill; the
+					// store's own error counters surface it.
+					_ = e.install(key, res, data)
 					e.metrics.jobsCompleted.Add(1)
 					return resp, nil
 				}
-				// Fetched plan failed verification: never served, never
+				// Fetched plan failed assembly: never served, never
 				// stored. Fall through to the local solve.
 				e.metrics.peerRejected.Add(1)
 			}
@@ -606,30 +545,94 @@ func (e *Engine) Do(ctx context.Context, sp *spec.Spec, opts switchsynth.Options
 	}
 }
 
-// loadFromStore fetches and decodes the persisted plan for key, also
-// returning the raw stored bytes so the caller can reuse them as the
-// plan's frame. A record that fails its CRC is already evicted by the
-// store itself; one that reads back but no longer decodes (or lost its
-// optimality proof) is deleted here. Either way the caller sees a miss
-// and re-solves — a corrupted persisted plan is never served. Bytes that
-// are digest-identical to a previously fully verified frame skip the
-// decode (any disk rot changes the digest and takes the full path).
-// Counted as storeHits / storeMisses on the engine, mirroring the
-// store's own counters.
+// ErrPlanRejected reports plan bytes that admitPlan refused to let into
+// any tier under Key: they do not decode, carry no optimality proof,
+// belong to a different canonical key, or fail the contamination
+// verifier. Err is the underlying reason.
+type ErrPlanRejected struct {
+	Key string
+	Err error
+}
+
+// Error implements error.
+func (e *ErrPlanRejected) Error() string {
+	return fmt.Sprintf("service: plan %s rejected: %v", e.Key, e.Err)
+}
+
+// Unwrap exposes the underlying reason to errors.Is and errors.As.
+func (e *ErrPlanRejected) Unwrap() error { return e.Err }
+
+// admitPlan is the one door for plan bytes the engine did not just
+// produce itself: store reads, peer fills, replication pushes,
+// read-repair and anti-entropy pulls all pass through it before any tier
+// holds them. Bytes digest-identical to a frame that already passed this
+// check under key return at once. Anything else is decoded, must carry
+// an optimality proof, must re-derive exactly key as its canonical job
+// key, and must pass the full contamination verifier; only then is its
+// digest recorded and the similarity index taught the plan — once per
+// byte string, never on a digest hit. Callers keep their own counters
+// and heal actions.
+func (e *Engine) admitPlan(key string, data []byte) (*spec.Result, error) {
+	if res, ok := e.verified.Lookup(data, key); ok {
+		return res, nil
+	}
+	reject := func(err error) (*spec.Result, error) {
+		return nil, &ErrPlanRejected{Key: key, Err: err}
+	}
+	res, err := planio.DecodeAny(data)
+	if err != nil {
+		return reject(err)
+	}
+	if !res.Proven {
+		return reject(errors.New("plan is degraded (unproven plans never enter a tier)"))
+	}
+	derived, err := canonicalJobKey(res.Spec, switchsynth.Options{Engine: res.Engine})
+	if err != nil {
+		return reject(err)
+	}
+	if derived != key {
+		return reject(fmt.Errorf("canonical key mismatch (derived %q)", derived))
+	}
+	if err := switchsynth.Verify(res); err != nil {
+		return reject(err)
+	}
+	e.verified.Add(data, key, res)
+	if e.simIndex != nil {
+		e.simIndex.Add(res.Spec, res)
+	}
+	return res, nil
+}
+
+// install puts a proven plan and its frame into the memory tier and the
+// durable store: plans admitted from a peer (fill, import) and fresh
+// solves alike. A store failure is returned; the store is a cache, so
+// most callers absorb it.
+func (e *Engine) install(key string, res *spec.Result, data []byte) error {
+	if e.cache.enabled() {
+		e.cache.put(key, res, data)
+	}
+	if e.store != nil && data != nil {
+		return e.store.Put(key, res.Engine, data)
+	}
+	return nil
+}
+
+// loadFromStore reads the persisted plan for key through admitPlan,
+// also returning the raw stored bytes so the caller can reuse them as
+// the plan's frame. A record that fails its CRC is already evicted by
+// the store itself; one that reads back but is refused admission is
+// deleted here. Either way the caller sees a miss and re-solves — a
+// corrupted or misfiled persisted plan is never served. Counted as
+// storeHits / storeMisses on the engine, mirroring the store's own
+// counters, plus storeHealed for a refused record.
 func (e *Engine) loadFromStore(key string) (*spec.Result, []byte, bool) {
 	data, _, ok := e.store.Get(key)
 	if !ok {
 		e.metrics.storeMisses.Add(1)
 		return nil, nil, false
 	}
-	if e.verified != nil {
-		if res, hit := e.verified.Lookup(data, key); hit {
-			e.metrics.storeHits.Add(1)
-			return res, data, true
-		}
-	}
-	res, err := planio.DecodeAny(data)
-	if err != nil || !res.Proven {
+	res, err := e.admitPlan(key, data)
+	if err != nil {
 		_ = e.store.Delete(key)
 		e.metrics.storeHealed.Add(1)
 		e.metrics.storeMisses.Add(1)
@@ -640,49 +643,29 @@ func (e *Engine) loadFromStore(key string) (*spec.Result, []byte, bool) {
 }
 
 // loadFromPeer asks the cluster tier (the key's owning peer) for the
-// plan, returning the decoded plan together with the fetched bytes. The
-// bytes are decoded and structurally vetted here — proven, and carrying
-// a spec whose re-derived canonical job key matches the requested key,
-// so a peer can never poison a foreign cache slot. Contamination
-// verification happens in the caller's assemble step, the same path
-// every cache hit takes. Bytes digest-identical to a frame that already
-// passed the whole of that pipeline under this key skip straight to the
-// decoded plan — a corrupt fetch differs in at least one byte, misses
-// the digest, and is rejected by the full path as before. Counted as
-// peerMisses (no plan) or peerRejected (plan that failed vetting). The
-// seen result reports a digest hit — the caller uses it to skip
-// re-recording what the first pass already recorded.
-func (e *Engine) loadFromPeer(ctx context.Context, key string) (res *spec.Result, data []byte, seen, ok bool) {
+// plan and passes the fetched bytes through admitPlan, so a peer can
+// never poison a foreign cache slot or hand over an unverified plan.
+// Counted as peerMisses (no plan) or peerRejected (plan refused).
+func (e *Engine) loadFromPeer(ctx context.Context, key string) (*spec.Result, []byte, bool) {
 	data, err := e.fill(ctx, key)
 	if err != nil || data == nil {
 		e.metrics.peerMisses.Add(1)
-		return nil, nil, false, false
+		return nil, nil, false
 	}
-	if e.verified != nil {
-		if res, hit := e.verified.Lookup(data, key); hit {
-			return res, data, true, true
-		}
-	}
-	res, err = planio.DecodeAny(data)
-	if err != nil || !res.Proven {
+	res, err := e.admitPlan(key, data)
+	if err != nil {
 		e.metrics.peerRejected.Add(1)
-		return nil, nil, false, false
+		return nil, nil, false
 	}
-	derived, err := canonicalJobKey(res.Spec, switchsynth.Options{Engine: res.Engine})
-	if err != nil || derived != key {
-		e.metrics.peerRejected.Add(1)
-		return nil, nil, false, false
-	}
-	return res, data, false, true
+	return res, data, true
 }
 
-// ImportPlan verifies a planio-encoded plan fetched from a peer and, on
-// success, installs it in the local tiers under key. It is the pull side
-// of anti-entropy sync (internal/cluster): only proven plans whose
-// re-derived canonical job key matches key and which pass the full
-// contamination verifier replicate — a corrupt or forged plan is an
-// error, never a stored entry. Importing an already-present key is a
-// cheap no-op.
+// ImportPlan admits a planio-encoded plan pushed or pulled from a peer
+// and, on success, installs it in the local tiers under key. It is the
+// receiving side of replication pushes, read-repair and anti-entropy
+// sync (internal/cluster): bytes admitPlan refuses come back as an
+// *ErrPlanRejected, never as a stored entry. Importing an
+// already-present key is a cheap no-op.
 func (e *Engine) ImportPlan(key string, data []byte) error {
 	if e.cache.enabled() {
 		if _, ok := e.cache.get(key); ok {
@@ -692,51 +675,13 @@ func (e *Engine) ImportPlan(key string, data []byte) error {
 	if e.store != nil && e.store.Has(key) {
 		return nil
 	}
-	res, fullyVerified := (*spec.Result)(nil), false
-	if e.verified != nil {
-		// Digest fast path: byte-identical frames that already passed the
-		// decode → proof → key → contamination pipeline under this key
-		// install without repeating it. Anti-entropy sweeps and read-repair
-		// re-offer the same bytes constantly; a corrupt copy differs and
-		// misses.
-		res, fullyVerified = e.verified.Lookup(data, key)
+	res, err := e.admitPlan(key, data)
+	if err != nil {
+		e.metrics.peerRejected.Add(1)
+		return err
 	}
-	if !fullyVerified {
-		var err error
-		res, err = planio.DecodeAny(data)
-		if err != nil {
-			e.metrics.peerRejected.Add(1)
-			return fmt.Errorf("service: import %s: %w", key, err)
-		}
-		if !res.Proven {
-			e.metrics.peerRejected.Add(1)
-			return fmt.Errorf("service: import %s: plan is degraded (unproven plans do not replicate)", key)
-		}
-		derived, err := canonicalJobKey(res.Spec, switchsynth.Options{Engine: res.Engine})
-		if err != nil || derived != key {
-			e.metrics.peerRejected.Add(1)
-			return fmt.Errorf("service: import %s: canonical key mismatch (derived %q)", key, derived)
-		}
-		if err := switchsynth.Verify(res); err != nil {
-			e.metrics.peerRejected.Add(1)
-			return fmt.Errorf("service: import %s: %w", key, err)
-		}
-		if e.verified != nil {
-			e.verified.Add(data, key, res)
-		}
-	}
-	if e.cache.enabled() {
-		e.cache.put(key, res, data)
-	}
-	if e.store != nil {
-		if err := e.store.Put(key, res.Engine, data); err != nil {
-			return err
-		}
-	}
-	if e.simIndex != nil {
-		// A verified imported plan warms the similarity index just like a
-		// local solve: neighbors of replicated specs warm-start too.
-		e.simIndex.Add(res.Spec, res)
+	if err := e.install(key, res, data); err != nil {
+		return err
 	}
 	e.metrics.peerImported.Add(1)
 	return nil
@@ -754,7 +699,7 @@ func (e *Engine) PlanBytes(key string) ([]byte, bool) {
 			return data, true
 		}
 		if res, ok := e.cache.get(key); ok {
-			if data, err := e.encodeFrame(res); err == nil {
+			if data, err := planio.EncodeBinary(res); err == nil {
 				return data, true
 			}
 		}
@@ -765,14 +710,6 @@ func (e *Engine) PlanBytes(key string) ([]byte, bool) {
 		}
 	}
 	return nil, false
-}
-
-// encodeFrame serializes a plan in the engine's configured wire format.
-func (e *Engine) encodeFrame(res *spec.Result) ([]byte, error) {
-	if e.cfg.wireFormat() == WireFormatJSON {
-		return planio.EncodeWire(res)
-	}
-	return planio.EncodeBinary(res)
 }
 
 // PlanKeys returns the sorted union of the keys held by the local tiers
@@ -941,24 +878,19 @@ func (e *Engine) runJob(j job) {
 			// the verified-bytes cache — a replica receiving this push can
 			// skip the redundant re-decode, while any corruption in transit
 			// changes the digest and takes the full check.
-			wire, _ := e.encodeFrame(res)
-			if wire != nil && e.verified != nil {
+			wire, _ := planio.EncodeBinary(res)
+			if wire != nil {
 				e.verified.Add(wire, j.key, res)
 			}
-			if e.cache.enabled() {
-				toCache, cachedWire := res, wire
-				if e.inj.Fire(faultinject.CacheCorrupt) {
-					toCache, cachedWire = corruptPlan(res), nil
-				}
-				e.cache.put(j.key, toCache, cachedWire)
-			}
-			// Write through to the durable tier (always the pristine
-			// plan — the cache-corruption fault stays a memory-tier
-			// fault; the store has its own disk fault points). Failures
-			// are absorbed: the store is a cache, not a system of
-			// record, and its error counters surface in the metrics.
-			if e.store != nil && wire != nil {
-				_ = e.store.Put(j.key, engineName(j.opts), wire)
+			// Store write-through failures are absorbed: the store is a
+			// cache, not a system of record, and its error counters surface
+			// in the metrics.
+			_ = e.install(j.key, res, wire)
+			// The cache-corruption fault overwrites the memory entry only;
+			// the store and the flight keep the pristine plan (the store has
+			// its own disk fault points).
+			if e.cache.enabled() && e.inj.Fire(faultinject.CacheCorrupt) {
+				e.cache.put(j.key, corruptPlan(res), nil)
 			}
 			// Replicate the freshly proven plan to the key's replica set
 			// (the hook only enqueues; pushes happen on the cluster's own
@@ -1090,16 +1022,12 @@ func (e *Engine) Snapshot() Snapshot {
 	s.Workers = e.cfg.workers()
 	s.BreakersOpen = e.breakers.OpenCount()
 	s.PeerFillEnabled = e.fill != nil
-	s.WireFormat = e.cfg.wireFormat()
-	if e.verified != nil {
-		st := e.verified.Stats()
-		s.DigestCacheEnabled = true
-		s.DigestCacheEntries = st.Entries
-		s.DigestCacheCapacity = st.Capacity
-		s.DigestCacheHits = st.Hits
-		s.DigestCacheMisses = st.Misses
-		s.DigestCacheAdds = st.Adds
-	}
+	dst := e.verified.Stats()
+	s.DigestCacheEntries = dst.Entries
+	s.DigestCacheCapacity = dst.Capacity
+	s.DigestCacheHits = dst.Hits
+	s.DigestCacheMisses = dst.Misses
+	s.DigestCacheAdds = dst.Adds
 	s.SolverWorkers = e.cfg.solverWorkers()
 	s.SolverNodesTotal, s.SolverStealsTotal = search.Counters()
 	s.PortfolioEnabled = len(e.pfLanes) > 0

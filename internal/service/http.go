@@ -94,21 +94,10 @@ const (
 	PriorityHeader = "X-Synthd-Priority"
 )
 
-// PlanFormatsHeader advertises, on /readyz responses, the plan encodings
-// this node accepts and serves; PlanFormatsValue is this version's
-// capability set. Cluster peers record it from their readiness probes:
-// a peer that never advertised "binary" — an older node, or one not yet
-// probed — receives replication pushes transcoded to JSON, which every
-// version accepts.
-const (
-	PlanFormatsHeader = "X-Synthd-Plan-Formats"
-	PlanFormatsValue  = "binary,json"
-)
-
 // acceptsBinaryPlan reports whether the client explicitly listed the
 // binary plan content type in its Accept header. A wildcard is not
 // enough — JSON stays the answer for every caller that does not name
-// the binary format, so old nodes and humans never see frames.
+// the binary format, so curl and humans never see frames.
 func acceptsBinaryPlan(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), planio.ContentTypeBinary)
 }
@@ -303,11 +292,6 @@ func NewHandlerWith(e *Engine, hc HandlerConfig) http.Handler {
 		// membership probes and load balancers stop routing here. The
 		// Retry-After is the queue's measured estimate of when the
 		// backlog — the thing the drain is waiting on — will be gone.
-		// Advertise the plan encodings this node accepts and serves, so
-		// cluster peers probing readiness learn whether binary frames can
-		// be pushed here or must be transcoded to JSON first. Sent on the
-		// drain path too — capability does not change with readiness.
-		w.Header().Set(PlanFormatsHeader, PlanFormatsValue)
 		if e.Draining() {
 			w.Header().Set("Retry-After", strconv.Itoa(retrySeconds(e.RetryAfterHint())))
 			writeError(w, http.StatusServiceUnavailable, "unavailable", fmt.Errorf("draining"))
@@ -355,12 +339,10 @@ func NewHandlerWith(e *Engine, hc HandlerConfig) http.Handler {
 			writeError(w, http.StatusNotFound, "not-found", fmt.Errorf("no plan for key %q", key))
 			return
 		}
-		// Content negotiation for mixed-version clusters: binary frames go
-		// out as-is only to clients that explicitly accept the binary
-		// content type; everyone else — older nodes, curl, verifyplan over
-		// HTTP — gets the JSON file format, transcoded through full decode
-		// validation. JSON-stored plans are format-agnostic and always
-		// serve verbatim.
+		// Peers name the binary content type and get the frame as-is;
+		// everyone else — curl, humans, verifyplan over HTTP — gets the
+		// JSON file format, transcoded through full decode validation.
+		// Plans from an old JSON store serve verbatim either way.
 		if planio.IsBinary(data) && !acceptsBinaryPlan(r) {
 			jd, err := planio.ToJSON(data)
 			if err != nil {
@@ -386,7 +368,7 @@ func NewHandlerWith(e *Engine, hc HandlerConfig) http.Handler {
 
 // handlePlanPush receives a replication or read-repair push
 // (PUT /plans/{key} from a peer's cluster layer). The body is handed to
-// Engine.ImportPlan, which re-verifies everything — decode, Proven,
+// Engine.ImportPlan, whose admitPlan re-verifies everything — decode, Proven,
 // canonical-key re-derivation against the URL key, full contamination
 // check — before any local tier is touched. Success is 204; bytes that
 // fail verification are a 422 and are never stored or served. Pushing

@@ -199,15 +199,11 @@ type Snapshot struct {
 	PeerRejected    int64 `json:"peerRejected"`
 	PeerImported    int64 `json:"peerImported"`
 
-	// Plan wire format and the verified-bytes digest cache. WireFormat is
-	// the encoding this engine produces ("binary" or "json"); the digest
-	// gauges mirror planio.VerifiedCache.Stats — a hit means
-	// byte-identical plan bytes skipped a redundant re-verify because the
-	// exact same bytes already passed the full import check. When the
-	// engine shares the process-wide cache, the counters are process-wide
-	// too.
-	WireFormat          string `json:"wireFormat"`
-	DigestCacheEnabled  bool   `json:"digestCacheEnabled"`
+	// The verified-bytes digest cache: the gauges mirror
+	// planio.VerifiedCache.Stats — a hit means byte-identical plan bytes
+	// skipped a redundant re-verify because the exact same bytes already
+	// passed admitPlan's full check. The engine uses the process-wide
+	// planio.SharedVerified cache, so the counters are process-wide too.
 	DigestCacheEntries  int    `json:"digestCacheEntries"`
 	DigestCacheCapacity int    `json:"digestCacheCapacity"`
 	DigestCacheHits     uint64 `json:"digestCacheHits"`

@@ -1,8 +1,8 @@
-// The engine's plan wire format and the verified-bytes digest cache:
-// binary framing is the default and round-trips through every tier,
-// JSON mode still works end to end, GET /plans/{key} negotiates the
-// response encoding per client, and the digest cache only ever skips
-// re-verification for bytes this process has already fully verified.
+// The engine's plan bytes and the verified-bytes digest cache: every
+// tier holds one binary frame per plan, GET /plans/{key} answers
+// JSON to callers that do not name the binary type, and the digest cache
+// only ever skips re-verification for bytes this process has already
+// fully verified.
 package service
 
 import (
@@ -43,27 +43,6 @@ func TestPlanBytesAreBinaryByDefault(t *testing.T) {
 	}
 	if string(data) != string(want) {
 		t.Error("served frame differs from the canonical encoding of its own plan")
-	}
-}
-
-func TestPlanBytesJSONMode(t *testing.T) {
-	e := newTestEngine(t, Config{Workers: 2, WireFormat: WireFormatJSON})
-	resp, err := e.Do(context.Background(), serviceSpec("wf-json"), switchsynth.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, ok := e.PlanBytes(resp.Key)
-	if !ok {
-		t.Fatal("no plan bytes after a proven solve")
-	}
-	if planio.IsBinary(data) {
-		t.Fatal("WireFormat json produced a binary frame")
-	}
-	if _, err := planio.Decode(data); err != nil {
-		t.Fatalf("JSON wire bytes do not decode: %v", err)
-	}
-	if snap := e.Snapshot(); snap.WireFormat != WireFormatJSON {
-		t.Errorf("snapshot wireFormat = %q, want %q", snap.WireFormat, WireFormatJSON)
 	}
 }
 
@@ -145,30 +124,20 @@ func TestPlanEndpointNegotiatesFormat(t *testing.T) {
 	}
 }
 
-func TestReadyzAdvertisesPlanFormats(t *testing.T) {
-	srv, _ := newTestServer(t)
-	r, err := http.Get(srv.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if got := r.Header.Get(PlanFormatsHeader); got != PlanFormatsValue {
-		t.Errorf("%s = %q, want %q", PlanFormatsHeader, got, PlanFormatsValue)
-	}
-}
-
 // TestDigestCacheSkipsReverifyForSeenBytesOnly is the digest-cache
 // soundness test: a byte-identical re-import of already-verified bytes
 // skips the redundant re-verification (counted as a hit), while unseen
 // bytes — even valid ones — always take the full verification path.
 func TestDigestCacheSkipsReverifyForSeenBytesOnly(t *testing.T) {
-	// Private digest cache: the process-wide shared cache would leak
-	// counter state between tests. The memory cache is disabled so
-	// repeated imports reach the digest path instead of the
-	// already-present fast exit.
-	e := newTestEngine(t, Config{Workers: 2, DigestCacheSize: 64, CacheSize: -1})
+	// Private digest caches, swapped in right after New: the process-wide
+	// shared cache would leak counter state between tests. The memory
+	// cache is disabled so repeated imports reach the digest path instead
+	// of the already-present fast exit.
+	e := newTestEngine(t, Config{Workers: 2, CacheSize: -1})
+	e.verified = planio.NewVerifiedCache(64)
 
-	donor := newTestEngine(t, Config{Workers: 2, DigestCacheSize: 64})
+	donor := newTestEngine(t, Config{Workers: 2})
+	donor.verified = planio.NewVerifiedCache(64)
 	dresp, err := donor.Do(context.Background(), serviceSpec("wf-digest"), switchsynth.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -216,36 +185,5 @@ func TestDigestCacheSkipsReverifyForSeenBytesOnly(t *testing.T) {
 	}
 	if snap := e.Snapshot(); snap.DigestCacheHits != 1 {
 		t.Errorf("corrupt/wrong-key imports moved the hit counter: %d, want still 1", snap.DigestCacheHits)
-	}
-	if !e.Snapshot().DigestCacheEnabled {
-		t.Error("digestCacheEnabled = false with a private cache configured")
-	}
-}
-
-func TestDigestCacheDisabled(t *testing.T) {
-	e := newTestEngine(t, Config{Workers: 2, DigestCacheSize: -1, CacheSize: -1})
-	donor := newTestEngine(t, Config{Workers: 2, DigestCacheSize: -1})
-	dresp, err := donor.Do(context.Background(), serviceSpec("wf-nodigest"), switchsynth.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire, ok := donor.PlanBytes(dresp.Key)
-	if !ok {
-		t.Fatal("donor has no plan bytes")
-	}
-	for i := 0; i < 2; i++ {
-		if err := e.ImportPlan(dresp.Key, wire); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := e.Snapshot()
-	if snap.DigestCacheEnabled {
-		t.Error("digestCacheEnabled = true with DigestCacheSize < 0")
-	}
-	if snap.DigestCacheHits != 0 || snap.DigestCacheAdds != 0 {
-		t.Errorf("disabled digest cache counted hits=%d adds=%d", snap.DigestCacheHits, snap.DigestCacheAdds)
-	}
-	if snap.PeerImported != 2 {
-		t.Errorf("peerImported = %d, want 2 (disabled cache must not break imports)", snap.PeerImported)
 	}
 }

@@ -190,3 +190,61 @@ func TestEngineNeverPersistsDegradedPlans(t *testing.T) {
 		t.Fatal("degraded plan cached in memory")
 	}
 }
+
+// TestEngineHealsPersistedPlanUnderWrongKey files a valid, proven plan
+// under a canonical key it does not belong to: the fixed-binding twin's
+// plan stored under the unfixed spec's key. The store read must refuse
+// it at admission (the key does not re-derive), heal the record and
+// re-solve, so the request is served the true unfixed optimum rather
+// than the costlier fixed-binding plan.
+func TestEngineHealsPersistedPlanUnderWrongKey(t *testing.T) {
+	fixed := serviceSpec("fixed")
+	fixed.Conflicts = nil
+	fixed.Binding = spec.Fixed
+	fixed.FixedPins = map[string]int{"sample": 0, "mix1": 4, "buffer": 2, "mix2": 6}
+	unfixed := serviceSpec("unfixed")
+	unfixed.Conflicts = nil
+
+	donor := newTestEngine(t, Config{Workers: 1})
+	fresp, err := donor.Do(context.Background(), fixed, switchsynth.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, ok := donor.PlanBytes(fresp.Key)
+	if !ok {
+		t.Fatal("donor holds no plan bytes")
+	}
+	wrongKey, err := canonicalJobKey(unfixed, switchsynth.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wrongKey == fresp.Key {
+		t.Fatal("fixed and unfixed specs share a key; test setup broken")
+	}
+	cold := solveOnce(t, unfixed)
+	if cold.Objective == fresp.Synthesis.Result.Objective {
+		t.Fatal("fixed and unfixed optima coincide; the wrong plan would go unnoticed")
+	}
+
+	st := openStoreT(t, t.TempDir())
+	if err := st.Put(wrongKey, "search", data); err != nil {
+		t.Fatal(err)
+	}
+	e, solves := countingEngine(t, Config{Workers: 2, Store: st})
+	resp, err := e.Do(context.Background(), unfixed, switchsynth.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.DiskHit {
+		t.Fatalf("misfiled plan served as a disk hit (objective %v)", resp.Synthesis.Result.Objective)
+	}
+	if got := e.Snapshot().StoreHealed; got != 1 {
+		t.Errorf("storeHealed = %d, want 1", got)
+	}
+	if got := solves.Load(); got != 1 {
+		t.Errorf("solves = %d, want 1 re-solve", got)
+	}
+	if got := resp.Synthesis.Result.Objective; got != cold.Objective {
+		t.Errorf("served objective = %v, want the cold optimum %v", got, cold.Objective)
+	}
+}
