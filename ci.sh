@@ -66,13 +66,14 @@ go test -race -count=2 -run 'TestParallel|TestSharedGrid|TestClaimOrder|TestCoun
   ./internal/search/ ./internal/topo/
 
 echo "== solver kernel gate: golden tree + kernel oracles under -race =="
-# The search tree is frozen: the sequential node count of every golden
-# instance must match its recorded value and plans must be byte-identical
-# at 1/2/8 workers. The incremental clockwise check and the presorted
-# candidate tables are diffed against their full-rescan and
-# sort-per-node oracles.
-go test -race -run 'TestGoldenTree|TestClockwiseAdmitsMatchesFullCheck|TestCandTableOrder' \
-  ./internal/search/
+# The search tree is frozen: the sequential node count, plan digest and
+# published-incumbent count of every golden instance must match their
+# recorded values and plans must be byte-identical at 1/2/8 workers. The
+# incremental clockwise check, the per-node winding arcs, the presorted
+# candidate tables and the bitset set ownership are diffed against their
+# full-rescan, sort-per-node and owner-scan oracles.
+go test -race -run 'TestGoldenTree|TestClockwiseAdmitsMatchesFullCheck|TestClockwiseArcMatchesFullCheck|TestCandTableOrder|TestSetOwnershipMatchesOwnerScan|TestBitsRange' \
+  ./internal/search/ ./internal/topo/
 
 echo "== portfolio gate: -race -count=2 =="
 # Lane racing, loser cross-checks, infeasibility agreement, the

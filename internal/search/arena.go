@@ -16,24 +16,22 @@ import (
 // releasing the arena after finish() is safe.
 type arena struct {
 	pinOf    []int
-	modOf    []int
 	setCount []int
 	stubEdge []int
 	order    []int
 	seenGen  []int64
 
-	// owner is a maxSets × numVertices matrix carved out of one flat
-	// backing slice so the pool recycles a single allocation.
-	ownerFlat []int
-	owner     [][]int
+	// owned[set] is the union of the junction vertices the set's
+	// placements claim; ownedBy[set*nModules+inlet] the part of it claimed
+	// by one inlet module's flows.
+	owned   []topo.Bits
+	ownedBy []topo.Bits
 
 	pathOf []*topo.Path
 	setOf  []int
 
-	// undo and claimed back the LIFO placement undo log; claimed is
-	// sized so it never regrows (see bind).
-	undo    []undoRec
-	claimed []int
+	// undo backs the LIFO placement undo log.
+	undo []undoRec
 
 	// replay backs the parallel driver's prefix replay (see runUnit).
 	replay []replayFrame
@@ -54,42 +52,34 @@ func releaseArena(a *arena) {
 // bind sizes the arena for one solve and points the solver's state at it.
 // Every buffer is reset to its initial value; capacity is retained across
 // solves.
-func (a *arena) bind(s *solver, nModules, nFlows, numPins, maxSets, numVerts int) {
+func (a *arena) bind(s *solver, nModules, nFlows, maxSets int) {
 	a.pinOf = resetInts(a.pinOf, nModules, -1)
-	a.modOf = resetInts(a.modOf, numPins, -1)
 	a.setCount = resetInts(a.setCount, maxSets, 0)
-	a.stubEdge = grown(a.stubEdge, numPins)
+	a.stubEdge = grown(a.stubEdge, s.numPins)
 	a.order = grown(a.order, nFlows)
 	a.seenGen = grown(a.seenGen, nModules)
-	for i := range a.seenGen {
-		a.seenGen[i] = 0
-	}
+	clearSlice(a.seenGen)
 
-	a.ownerFlat = resetInts(a.ownerFlat, maxSets*numVerts, -1)
-	a.owner = grown(a.owner, maxSets)
-	for i := range a.owner {
-		a.owner[i] = a.ownerFlat[i*numVerts : (i+1)*numVerts]
-	}
+	a.owned = grown(a.owned, maxSets)
+	clearSlice(a.owned)
+	a.ownedBy = grown(a.ownedBy, maxSets*nModules)
+	clearSlice(a.ownedBy)
 
 	a.pathOf = grown(a.pathOf, nFlows)
 	clearSlice(a.pathOf)
 	a.setOf = grown(a.setOf, nFlows)
 	a.undo = grown(a.undo, nFlows)
-	// Each (set, vertex) owner slot is claimed at most once at a time,
-	// so the claim stack never outgrows the owner matrix.
-	a.claimed = grown(a.claimed, maxSets*numVerts)[:0]
 
 	s.pinOf = a.pinOf
-	s.modOf = a.modOf
 	s.setCount = a.setCount
 	s.stubEdge = a.stubEdge
 	s.order = a.order
 	s.seenGen = a.seenGen
-	s.owner = a.owner
+	s.owned = a.owned
+	s.ownedBy = a.ownedBy
 	s.pathOf = a.pathOf
 	s.setOf = a.setOf
 	s.undo = a.undo
-	s.claimed = a.claimed
 }
 
 // grown returns buf resized to n elements, reallocating only when the

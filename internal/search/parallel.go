@@ -86,6 +86,12 @@ type sharedBest struct {
 	inc  *incumbent
 }
 
+// yields reports whether a leaf of cost c from unit gives a better
+// incumbent than b: strictly cheaper, or cost-tied from an earlier unit.
+func (b *sharedBest) yields(c float64, unit int) bool {
+	return c < b.cost-eps || (unit < b.unit && c < b.cost+eps)
+}
+
 // sharedState is the coordination block for one parallel solve.
 type sharedState struct {
 	best   atomic.Pointer[sharedBest]
@@ -128,7 +134,7 @@ func (sh *sharedState) offer(s *solver, c float64) {
 	var inc *incumbent
 	for {
 		b := sh.best.Load()
-		if !(c < b.cost-eps || (s.unit < b.unit && c < b.cost+eps)) {
+		if !b.yields(c, s.unit) {
 			return
 		}
 		if inc == nil {
@@ -192,7 +198,7 @@ func (s *solver) expand(pos, depth int, prefix []unitStep, out *[]workUnit) {
 	cands, flt := s.candTable(pos)
 	for i := range cands {
 		c := &cands[i]
-		if !flt.admits(s.modOf, c) {
+		if !flt.admits(c) {
 			continue
 		}
 		boundIn, boundOut, ok := s.bindCand(f, c)

@@ -191,13 +191,13 @@ type incumbent struct {
 }
 
 // undoRec is one placement's entry in the LIFO undo log: the used-edge
-// union and length from before the placement, and the claim-stack height
-// below the vertices it newly claimed. Placements are always undone in
-// reverse order, so restoring these values is an exact undo.
+// union and length from before the placement, and the junction vertices
+// it newly claimed for its set. Placements are always undone in reverse
+// order, so restoring these values is an exact undo.
 type undoRec struct {
-	edges  topo.Bits
-	length float64
-	mark   int
+	edges   topo.Bits
+	length  float64
+	claimed topo.Bits
 }
 
 type solver struct {
@@ -218,22 +218,25 @@ type solver struct {
 	stubEdge []int // pin order -> stub edge ID
 	stubLen  float64
 
-	// Mutable state.
-	pinOf      []int // module -> pin order, -1 unbound
-	modOf      []int // pin order -> module, -1 free
-	boundCount int
-	pathOf     []*topo.Path // per flow: chosen path, nil while unassigned
-	setOf      []int        // per flow: chosen set; valid while assigned
-	owner      [][]int      // set × vertex -> owning inlet module, -1
-	setCount   []int
-	usedSets   int
-	usedEdges  topo.Bits
-	curLen     float64
+	allPins  topo.Bits // pin orders 0..numPins-1
+	pinVerts topo.Bits // vertex IDs of the pins
 
-	// LIFO undo log: undo[f] restores flow f's placement, claimed is the
-	// stack of (set-owner) vertices claimed by the live placements.
-	undo    []undoRec
-	claimed []int
+	// Mutable state.
+	pinOf    []int        // module -> pin order, -1 unbound
+	freePins topo.Bits    // pin orders no module is bound to
+	pathOf   []*topo.Path // per flow: chosen path, nil while unassigned
+	setOf    []int        // per flow: chosen set; valid while assigned
+	// owned[set] holds the junction vertices the set's placements claim,
+	// ownedBy[set*len(pinOf)+inlet] the ones claimed by one inlet module.
+	owned     []topo.Bits
+	ownedBy   []topo.Bits
+	setCount  []int
+	usedSets  int
+	usedEdges topo.Bits
+	curLen    float64
+
+	// LIFO undo log: undo[f] restores flow f's placement.
+	undo []undoRec
 	// remainingLB scratch: stamp array instead of a per-node map.
 	seenGen []int64
 	gen     int64
@@ -295,6 +298,7 @@ func newSolver(sp *spec.Spec, sw *topo.Switch, pt *topo.PathTable, opts Options)
 		maxSets:  sp.EffectiveMaxSets(),
 		numPins:  sw.NumPins,
 		rotStep:  sw.RotStep,
+		allPins:  topo.BitsRange(0, sw.NumPins),
 		stubLen:  geom.PinStubLength,
 		bestCost: inf,
 		unit:     maxUnit,
@@ -302,10 +306,12 @@ func newSolver(sp *spec.Spec, sw *topo.Switch, pt *topo.PathTable, opts Options)
 	nFlows := len(sp.Flows)
 	a := acquireArena()
 	s.arena = a
-	a.bind(s, len(sp.Modules), nFlows, s.numPins, s.maxSets, len(sw.Vertices))
+	a.bind(s, len(sp.Modules), nFlows, s.maxSets)
+	s.freePins = s.allPins
 
 	for p := 0; p < s.numPins; p++ {
 		s.stubEdge[p] = sw.PinStubEdge(p)
+		s.pinVerts.Set(sw.PinVertex(p))
 	}
 
 	// Flow ordering: conflicted flows first (most constrained), then by
@@ -358,8 +364,7 @@ func (s *solver) bindFixed() {
 	for mi, name := range s.sp.Modules {
 		p := s.sp.FixedPins[name]
 		s.pinOf[mi] = p
-		s.modOf[p] = mi
-		s.boundCount++
+		s.freePins.Clear(p)
 	}
 }
 
@@ -462,8 +467,8 @@ func (s *solver) finish(start time.Time) (*spec.Result, error) {
 // the flat order, so the emitted Result is normalized to it and a
 // decoded round trip reproduces Length and Objective bit-for-bit.
 func (s *solver) normalizeDerived(res *spec.Result) {
-	res.Length = s.edgeMaskLen(res.UsedEdgeMask)
-	res.Objective = s.alpha*float64(res.NumSets) + s.beta*res.Length
+	res.Length = s.edgeMaskLen(&res.UsedEdgeMask, &topo.Bits{})
+	res.Objective = s.costOf(res.NumSets, res.Length)
 }
 
 // release returns the solver's pooled state. The Result never aliases
@@ -553,7 +558,14 @@ func (s *solver) halt(causeErr error) {
 }
 
 func (s *solver) cost() float64 {
-	return s.alpha*float64(s.usedSets) + s.beta*s.curLen
+	return s.costOf(s.usedSets, s.curLen)
+}
+
+// costOf is the objective α·sets + β·length; cost and leaf evaluate every
+// objective through it, so a leaf's cost computed before placing it is
+// bit-identical to the cost after.
+func (s *solver) costOf(sets int, length float64) float64 {
+	return s.alpha*float64(sets) + s.beta*length
 }
 
 // remainingLB is an admissible lower bound on the extra cost the unassigned
@@ -594,7 +606,7 @@ func (s *solver) acceptLeaf() {
 		s.shared.offer(s, c)
 		return
 	}
-	if c < s.bestCost-eps || (s.seedBest && c < s.bestCost+eps) {
+	if s.takes(c) {
 		s.seedBest = false
 		s.bestCost = c
 		s.best = s.snapshotIncumbent(c)
@@ -603,6 +615,18 @@ func (s *solver) acceptLeaf() {
 		}
 		s.publishIncumbent(s.best)
 	}
+}
+
+// takes reports whether the acceptance rule would install a leaf of cost
+// c: sequentially a strict improvement, or any leaf within tolerance of an
+// adopted seed; on the parallel driver the shared (cost, unit) order as
+// of now. The shared incumbent only ever moves down that order, so a leaf
+// it refuses now, offer would refuse later too.
+func (s *solver) takes(c float64) bool {
+	if sh := s.shared; sh != nil {
+		return sh.best.Load().yields(c, s.unit)
+	}
+	return c < s.bestCost-eps || (s.seedBest && c < s.bestCost+eps)
 }
 
 // publishIncumbent hands a fresh incumbent snapshot to the OnIncumbent
@@ -699,10 +723,11 @@ func (s *solver) dfs(pos int) {
 
 	f := s.order[pos]
 	ms := s.srcs[f]
+	last := pos == len(s.order)-1
 	cands, flt := s.candTable(pos)
 	for i := range cands {
 		c := &cands[i]
-		if !flt.admits(s.modOf, c) {
+		if !flt.admits(c) {
 			continue
 		}
 		if s.halted() {
@@ -716,15 +741,40 @@ func (s *solver) dfs(pos int) {
 			if !s.setFits(set, ms, c.Path) {
 				continue
 			}
-			s.place(f, ms, set, c.Path)
-			s.dfs(pos + 1)
-			s.unplace(f, set)
+			if last {
+				s.leaf(f, ms, set, c.Path)
+			} else {
+				s.place(f, ms, set, c.Path)
+				s.dfs(pos + 1)
+				s.unplace(f, set)
+			}
 			if s.halted() {
 				break
 			}
 		}
 		s.unbindCand(f, c, boundIn, boundOut)
 	}
+}
+
+// leaf evaluates the complete assignment that placing the last flow f in
+// set would make, without placing it: the leaf's cost comes from the set
+// count, the current length and the path's new edges through the same
+// float operations place and cost perform. Only a leaf the acceptance
+// rule would take is placed, accepted and unplaced. Leaves are not search
+// nodes (dfs counts a node only below the leaf check), so evaluating them
+// here leaves the node count unchanged.
+func (s *solver) leaf(f, inlet, set int, path *topo.Path) {
+	sets := s.usedSets
+	if s.setCount[set] == 0 {
+		sets++
+	}
+	length := s.curLen + s.edgeMaskLen(&path.EdgeMask, &s.usedEdges)
+	if !s.takes(s.costOf(sets, length)) {
+		return
+	}
+	s.place(f, inlet, set, path)
+	s.acceptLeaf()
+	s.unplace(f, set)
 }
 
 // setChoices is the number of sets a placement may try: every non-empty
@@ -737,26 +787,27 @@ func (s *solver) setChoices() int {
 }
 
 // candFilter selects, from a presorted candidate table, the candidates
-// whose unbound endpoints land on free pins: the endpoints the table was
-// not already restricted to must be checked against modOf, and the inlet
-// must also fall below inLimit (the rotational-symmetry cut).
+// whose endpoints land on admissible pins: in and out are the pins the
+// flow's inlet and outlet may take. A bound endpoint admits every pin (the
+// table is already restricted to its pin); an unbound one admits the free
+// pins it may be bound to, which under clockwise binding is its winding
+// arc and, with nothing bound yet, for the inlet only the pins below the
+// rotational-symmetry cut.
 type candFilter struct {
-	in, out bool
-	inLimit int
+	in, out topo.Bits
 }
 
-func (fl candFilter) admits(modOf []int, c *topo.Cand) bool {
-	return (!fl.in || (c.In < fl.inLimit && modOf[c.In] == -1)) &&
-		(!fl.out || modOf[c.Out] == -1)
+func (fl *candFilter) admits(c *topo.Cand) bool {
+	return fl.in.Has(c.In) && fl.out.Has(c.Out)
 }
 
 // candTable returns flow pos's candidates in canonical order as a
 // presorted table plus the filter that keeps the admissible ones: the
 // pin-pair table when both endpoints are bound, the inlet- or outlet-pin
 // table when one is, and the full table when neither is. Filtering a
-// sorted table keeps it sorted, so no node ever sorts. The filter is
-// evaluated lazily while iterating: each candidate's bindings are undone
-// before the next one is tested, so the pin state it reads is the node's.
+// sorted table keeps it sorted, so no node ever sorts. The filter's masks
+// are computed once per node from the node's binding; each candidate's
+// bindings are undone before the next one is tested.
 //
 // With nothing bound yet, the rotational symmetry cut restricts the
 // inlet — the module bound first — to one orbit representative per
@@ -767,21 +818,35 @@ func (fl candFilter) admits(modOf []int, c *topo.Cand) bool {
 // and disables the cut.
 func (s *solver) candTable(pos int) ([]topo.Cand, candFilter) {
 	f := s.order[pos]
-	pIn, pOut := s.pinOf[s.srcs[f]], s.pinOf[s.dsts[f]]
+	ms, md := s.srcs[f], s.dsts[f]
+	pIn, pOut := s.pinOf[ms], s.pinOf[md]
 	ct := &s.pt.Cands
 	switch {
 	case pIn >= 0 && pOut >= 0:
-		return ct.ByPair[pIn][pOut], candFilter{}
+		return ct.ByPair[pIn][pOut], candFilter{in: s.allPins, out: s.allPins}
 	case pIn >= 0:
-		return ct.ByIn[pIn], candFilter{out: true}
+		return ct.ByIn[pIn], candFilter{in: s.allPins, out: s.landing(md)}
 	case pOut >= 0:
-		return ct.ByOut[pOut], candFilter{in: true, inLimit: s.numPins}
+		return ct.ByOut[pOut], candFilter{in: s.landing(ms), out: s.allPins}
 	}
-	limit := s.numPins
-	if !s.opts.DisableSymmetryBreaking && s.boundCount == 0 && s.rotStep > 0 {
-		limit = s.rotStep
+	in := s.landing(ms)
+	if !s.opts.DisableSymmetryBreaking && s.freePins == s.allPins && s.rotStep > 0 {
+		in = in.And(topo.BitsRange(0, s.rotStep))
 	}
-	return ct.All, candFilter{in: true, out: true, inLimit: limit}
+	return ct.All, candFilter{in: in, out: s.landing(md)}
+}
+
+// landing returns the free pins unbound module m may be bound to given the
+// current binding: all of them, or under clockwise binding its winding
+// arc. When a candidate binds both of a flow's modules, the outlet's arc
+// is taken before the inlet is bound; binding more modules only narrows
+// an arc, so it stays a sound pre-filter and bindCand checks the outlet
+// again once the inlet is bound.
+func (s *solver) landing(m int) topo.Bits {
+	if s.sp.Binding == spec.Clockwise {
+		return s.clockwiseArc(m)
+	}
+	return s.freePins
 }
 
 type bindOutcome int
@@ -792,25 +857,20 @@ const (
 	bindConflict                    // impossible (other pin / pin taken)
 )
 
-// bindCand binds flow f's inlet and outlet modules to candidate c's pins
-// and applies the per-candidate feasibility rules: clockwise winding after
-// each new bind, then the conflict clash of c's path. On failure every
+// bindCand binds flow f's inlet and outlet modules to the pins of
+// candidate c, which the node's candFilter admitted, and applies the
+// per-candidate feasibility rules the filter cannot: the clockwise winding
+// of an outlet bound together with its inlet (the filter's arcs predate
+// both binds), then the conflict clash of c's path. On failure every
 // binding it made is undone and ok is false; on success the caller undoes
 // them with unbindCand.
 func (s *solver) bindCand(f int, c *topo.Cand) (boundIn, boundOut bindOutcome, ok bool) {
 	ms, md := s.srcs[f], s.dsts[f]
-	cw := s.sp.Binding == spec.Clockwise
 	boundIn = s.bindIfNeeded(ms, c.In)
-	if boundIn == bindConflict {
-		return boundIn, bindConflict, false
-	}
-	if cw && boundIn == bindDone && !s.clockwiseAdmits(ms) {
-		s.unbind(ms, c.In, boundIn)
-		return boundIn, bindConflict, false
-	}
 	boundOut = s.bindIfNeeded(md, c.Out)
-	if boundOut == bindConflict ||
-		(cw && boundOut == bindDone && !s.clockwiseAdmits(md)) ||
+	if boundIn == bindConflict || boundOut == bindConflict ||
+		(boundIn == bindDone && boundOut == bindDone &&
+			s.sp.Binding == spec.Clockwise && !s.clockwiseAdmits(md)) ||
 		s.conflictClash(f, c.Path) {
 		s.unbindCand(f, c, boundIn, boundOut)
 		return boundIn, boundOut, false
@@ -828,12 +888,11 @@ func (s *solver) bindIfNeeded(module, pin int) bindOutcome {
 	if s.pinOf[module] == pin {
 		return bindAlready
 	}
-	if s.pinOf[module] != -1 || s.modOf[pin] != -1 {
+	if s.pinOf[module] != -1 || !s.freePins.Has(pin) {
 		return bindConflict
 	}
 	s.pinOf[module] = pin
-	s.modOf[pin] = module
-	s.boundCount++
+	s.freePins.Clear(pin)
 	return bindDone
 }
 
@@ -842,8 +901,7 @@ func (s *solver) unbind(module, pin int, oc bindOutcome) {
 		return
 	}
 	s.pinOf[module] = -1
-	s.modOf[pin] = -1
-	s.boundCount--
+	s.freePins.Set(pin)
 }
 
 // conflictClash reports whether routing flow f over path would make it share
@@ -858,53 +916,57 @@ func (s *solver) conflictClash(f int, path *topo.Path) bool {
 }
 
 // setFits reports whether every junction on the path is free or already
-// owned by the same inlet module in the given set.
+// owned by the same inlet module in the given set: no interior vertex may
+// lie in the set's owned mask outside the inlet's own. A path's interior
+// is its vertex mask without its two pins, and a path touches no other
+// pin, so masking out every pin vertex derives it.
 func (s *solver) setFits(set, inletModule int, path *topo.Path) bool {
-	own := s.owner[set]
-	for _, v := range path.Verts[1 : len(path.Verts)-1] {
-		if o := own[v]; o != -1 && o != inletModule {
+	own, mine := &s.owned[set], &s.ownedBy[set*len(s.pinOf)+inletModule]
+	for w := range path.VertMask {
+		if path.VertMask[w]&^s.pinVerts[w]&own[w]&^mine[w] != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// place routes flow f over path in set and logs its undo record: the
-// vertices it newly claims go on the claim stack, the prior edge union
-// and length into undo[f].
+// place routes flow f over path in set and logs its undo record: the prior
+// edge union and length, and the junctions it newly claims for the set
+// (and for its inlet within the set).
 func (s *solver) place(f, inletModule, set int, path *topo.Path) {
-	s.undo[f] = undoRec{edges: s.usedEdges, length: s.curLen, mark: len(s.claimed)}
-	own := s.owner[set]
-	for _, v := range path.Verts[1 : len(path.Verts)-1] {
-		if own[v] == -1 {
-			own[v] = inletModule
-			s.claimed = append(s.claimed, v)
-		}
+	u := &s.undo[f]
+	u.edges, u.length = s.usedEdges, s.curLen
+	own, mine := &s.owned[set], &s.ownedBy[set*len(s.pinOf)+inletModule]
+	for w := range path.VertMask {
+		claim := path.VertMask[w] &^ s.pinVerts[w] &^ own[w]
+		u.claimed[w] = claim
+		own[w] |= claim
+		mine[w] |= claim
 	}
 	if s.setCount[set] == 0 {
 		s.usedSets++
 	}
 	s.setCount[set]++
-	newEdges := path.EdgeMask.AndNot(s.usedEdges)
-	s.usedEdges = s.usedEdges.Or(path.EdgeMask)
-	s.curLen += s.edgeMaskLen(newEdges)
+	s.curLen += s.edgeMaskLen(&path.EdgeMask, &s.usedEdges)
+	for w := range path.EdgeMask {
+		s.usedEdges[w] |= path.EdgeMask[w]
+	}
 	s.pathOf[f] = path
 	s.setOf[f] = set
 }
 
 // unplace undoes place(f, ·, set, ·). It must be the most recent live
-// placement (LIFO): the vertices above its claim-stack mark are exactly
-// the ones it claimed, and every vertex it found already owned still
-// belongs to an earlier placement of the same inlet in this set.
+// placement (LIFO): the junctions it claimed are still owned by its inlet
+// in this set, and every junction it found already owned still belongs to
+// an earlier placement of the same inlet in this set.
 func (s *solver) unplace(f, set int) {
 	u := &s.undo[f]
-	own := s.owner[set]
-	for _, v := range s.claimed[u.mark:] {
-		own[v] = -1
+	own, mine := &s.owned[set], &s.ownedBy[set*len(s.pinOf)+s.srcs[f]]
+	for w := range u.claimed {
+		own[w] &^= u.claimed[w]
+		mine[w] &^= u.claimed[w]
 	}
-	s.claimed = s.claimed[:u.mark]
-	s.usedEdges = u.edges
-	s.curLen = u.length
+	s.usedEdges, s.curLen = u.edges, u.length
 	s.setCount[set]--
 	if s.setCount[set] == 0 {
 		s.usedSets--
@@ -912,12 +974,14 @@ func (s *solver) unplace(f, set int) {
 	s.pathOf[f] = nil
 }
 
-// edgeMaskLen sums edge lengths over a mask, iterating set bits in
-// ascending order (the same order Bits.Indices would produce, so float
-// summation is bit-identical) without materializing an index slice.
-func (s *solver) edgeMaskLen(mask topo.Bits) float64 {
+// edgeMaskLen sums the lengths of the edges in mask but not in minus,
+// iterating set bits in ascending order (the same order Bits.Indices
+// would produce, so float summation is bit-identical) without
+// materializing an index slice.
+func (s *solver) edgeMaskLen(mask, minus *topo.Bits) float64 {
 	var sum float64
-	for wi, w := range mask {
+	for wi := range mask {
+		w := mask[wi] &^ minus[wi]
 		base := wi * 64
 		for w != 0 {
 			sum += s.sw.Edges[base+mathbits.TrailingZeros64(w)].Length
@@ -929,10 +993,12 @@ func (s *solver) edgeMaskLen(mask topo.Bits) float64 {
 
 // clockwiseAdmits reports whether module m, just bound, keeps the partial
 // binding completable into one where the module list order winds exactly
-// once clockwise around the switch (constraints 3.12–3.13). It must be
-// called after every new bind, so the binding without m is known to be
-// completable; feasibility is monotone under unbinding, so checking each
-// new bind this way accepts exactly the bindings a full recheck would.
+// once clockwise around the switch (constraints 3.12–3.13). The binding
+// without m must be completable; feasibility is monotone under unbinding,
+// so checking each new bind this way accepts exactly the bindings a full
+// recheck would. Most binds never get here — candFilter only admits pins
+// inside clockwiseArc — so it runs only for the outlet of a candidate
+// that binds both of its flow's modules.
 //
 // In a completable binding the bound pins appear in module order around
 // the switch, so the clockwise pin arc between two module-order
@@ -942,19 +1008,9 @@ func (s *solver) edgeMaskLen(mask topo.Bits) float64 {
 // many free pins — plain cyclic distances — as there are unbound modules
 // between its ends.
 func (s *solver) clockwiseAdmits(m int) bool {
-	nMod := len(s.pinOf)
-	a := m
-	for {
-		if a = (a + nMod - 1) % nMod; a == m {
-			return true // m is the only bound module
-		}
-		if s.pinOf[a] >= 0 {
-			break
-		}
-	}
-	b := (m + 1) % nMod
-	for s.pinOf[b] < 0 {
-		b = (b + 1) % nMod
+	a, b, ok := s.boundNeighbours(m)
+	if !ok {
+		return true // m is the only bound module
 	}
 	n := s.numPins
 	pa, pm, pb := s.pinOf[a], s.pinOf[m], s.pinOf[b]
@@ -963,5 +1019,59 @@ func (s *solver) clockwiseAdmits(m int) bool {
 		return false // outside the arc; with a == b the arc is the whole ring
 	}
 	fromM := (pb - pm + n) % n
+	nMod := len(s.pinOf)
 	return (m-a+nMod)%nMod <= toM && (b-m+nMod)%nMod <= fromM
+}
+
+// clockwiseArc returns the free pins on which binding the unbound module
+// m passes clockwiseAdmits: one cyclic run of pins inside the arc between
+// its nearest bound module-order neighbours a and b. With toM the cyclic
+// distance from pin(a) to pin(m) and arc the one from pin(a) to pin(b)
+// (the whole ring when a == b), clockwiseAdmits accepts exactly
+// (m−a) ≤ toM ≤ arc − (b−m), module distances taken cyclically.
+func (s *solver) clockwiseArc(m int) topo.Bits {
+	a, b, ok := s.boundNeighbours(m)
+	if !ok {
+		return s.freePins // nothing is bound: m may go anywhere
+	}
+	n, nMod := s.numPins, len(s.pinOf)
+	pa := s.pinOf[a]
+	arc := n
+	if a != b {
+		arc = (s.pinOf[b] - pa + n) % n
+	}
+	lo, hi := (m-a+nMod)%nMod, arc-(b-m+nMod)%nMod
+	if lo > hi {
+		return topo.Bits{}
+	}
+	start, end := pa+lo, pa+hi+1 // pins start..end-1, modulo n
+	if start >= n {
+		start, end = start-n, end-n
+	}
+	run := topo.BitsRange(start, end)
+	if end > n {
+		run = topo.BitsRange(start, n).Or(topo.BitsRange(0, end-n))
+	}
+	return run.And(s.freePins)
+}
+
+// boundNeighbours returns m's nearest bound modules in module order, a
+// before it and b after it cyclically (a == b when one other module is
+// bound); ok is false when no module other than m is bound.
+func (s *solver) boundNeighbours(m int) (a, b int, ok bool) {
+	nMod := len(s.pinOf)
+	a = m
+	for {
+		if a = (a + nMod - 1) % nMod; a == m {
+			return 0, 0, false
+		}
+		if s.pinOf[a] >= 0 {
+			break
+		}
+	}
+	b = (m + 1) % nMod
+	for s.pinOf[b] < 0 {
+		b = (b + 1) % nMod
+	}
+	return a, b, true
 }

@@ -5,6 +5,7 @@ import (
 
 	"switchsynth/internal/contam"
 	"switchsynth/internal/spec"
+	"switchsynth/internal/topo"
 )
 
 // Seed adoption telemetry: how many external seeds (Options.SeedIncumbent)
@@ -114,8 +115,8 @@ func (s *solver) buildSeedIncumbent() *incumbent {
 	if res.NumSets > s.maxSets {
 		return nil
 	}
-	res.Length = s.edgeMaskLen(edges)
-	cost := s.alpha*float64(res.NumSets) + s.beta*res.Length
+	res.Length = s.edgeMaskLen(&edges, &topo.Bits{})
+	cost := s.costOf(res.NumSets, res.Length)
 	res.Objective = cost
 	if diff := cost - seed.Objective; diff > 1e-6 || diff < -1e-6 {
 		return nil // stale: recorded objective disagrees with the plan

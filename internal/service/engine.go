@@ -905,13 +905,16 @@ func (e *Engine) runJob(j job) {
 			e.neg.put(j.key, nosol)
 		}
 	}
-	// Cache before completing the flight: a request arriving after the
-	// flight disappears must find the entry. The flight always carries
-	// the pristine plan, never the possibly-corrupted cache copy. The
-	// feed completes last so a stream watcher woken by the final frame
-	// already finds the cached entry when it falls back to Do.
-	e.flights.complete(j.key, j.flight, res, err)
+	// Cache before completing the feed and the flight: a request arriving
+	// after either disappears must find the entry, and a stream watcher
+	// woken by the final frame finds it when it falls back to Do. The
+	// flight always carries the pristine plan, never the possibly-corrupted
+	// cache copy. The feed completes first: a waiter the flight releases
+	// may at once open a DoStream for the same key, which must get a fresh
+	// feed rather than attach to this one and replay its incumbents as
+	// frames of what is now a cache hit.
 	e.feeds.complete(j.key, feed, res, err)
+	e.flights.complete(j.key, j.flight, res, err)
 }
 
 // seedTightenEps is the margin below which a proven objective counts as

@@ -88,6 +88,19 @@ func (b Bits) Indices() []int {
 	return out
 }
 
+// BitsRange returns the set {lo, …, hi-1}, built a word at a time; it is
+// empty when hi <= lo.
+func BitsRange(lo, hi int) Bits {
+	var b Bits
+	for i := range b {
+		wlo, whi := max(lo-64*i, 0), min(hi-64*i, 64)
+		if wlo < whi {
+			b[i] = ^uint64(0) >> (64 - (whi - wlo)) << wlo
+		}
+	}
+	return b
+}
+
 // BitsOf builds a set from indices.
 func BitsOf(indices ...int) Bits {
 	var b Bits

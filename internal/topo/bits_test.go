@@ -55,6 +55,20 @@ func TestBitsSetOps(t *testing.T) {
 	}
 }
 
+func TestBitsRange(t *testing.T) {
+	for lo := -1; lo <= 64*BitsWords; lo++ {
+		for hi := lo - 1; hi <= 64*BitsWords+1; hi++ {
+			var want Bits
+			for i := max(lo, 0); i < min(hi, 64*BitsWords); i++ {
+				want.Set(i)
+			}
+			if got := BitsRange(lo, hi); got != want {
+				t.Fatalf("BitsRange(%d, %d) = %v, want %v", lo, hi, got.Indices(), want.Indices())
+			}
+		}
+	}
+}
+
 func TestBitsPropertyAgainstMapModel(t *testing.T) {
 	// Model-based property test: Bits behaves like a set of small ints.
 	f := func(xs, ys []uint8) bool {
