@@ -6,14 +6,14 @@
 # chaos tests — plus the four-topology campaign byte-diff and the
 # kill-any-node zero-re-solve campaign), the admission gate (batch
 # dedup/determinism, per-tenant fairness and the streaming contract,
-# race-checked twice), the portfolio gate (lane racing, cross-checks,
-# similarity-index adaptation and seeded-solve determinism, race-checked
-# twice, plus the campaign byte-diff with racing on vs off), the FPVA
-# gate (race-checked fault-coverage property suite — every single
-# stuck-open/stuck-closed valve fault on 2x2..8x8 grids must be detected
-# by the generated test patterns — plus the randomized FPVA campaign
-# byte-diffed across solver widths and portfolio racing, and the
-# cluster-served FPVA plan byte-compared to a cold single-node solve),
+# race-checked twice), the warm-start gate (similarity-index adaptation
+# and seeded-solve determinism, race-checked twice, plus the campaign
+# byte-diff across solver widths), the FPVA gate (race-checked
+# fault-coverage property suite — every single stuck-open/stuck-closed
+# valve fault on 2x2..8x8 grids must be detected by the generated test
+# patterns — plus the randomized FPVA campaign byte-diffed across solver
+# widths, and the cluster-served FPVA plan byte-compared to a cold
+# single-node solve),
 # and the benchmarks: cold-vs-cached request rate (BENCH_service.json),
 # degraded-path throughput under injected slow-solve faults
 # (BENCH_resilience.json), the plan-store tiers — cold solve vs memory
@@ -22,8 +22,8 @@
 # (BENCH_cluster.json), and the
 # admission tier — batch dedup speedup, per-class queue latency,
 # streamed time-to-first-plan vs time-to-proof (BENCH_admission.json),
-# and the portfolio tier — cold vs warm-started vs raced synthesis on
-# the saturated 16-pin ring and its one-module-delta neighbor family
+# and the warm-start tier — cold vs warm-started synthesis on the
+# saturated 16-pin ring and its one-module-delta neighbor family
 # (BENCH_portfolio.json), and the plan wire format — binary vs JSON
 # encode/decode cost and frame size with hard gates on decode speedup,
 # size ratio and decode allocations (BENCH_planio.json), and the FPVA
@@ -75,29 +75,27 @@ echo "== solver kernel gate: golden tree + kernel oracles under -race =="
 go test -race -run 'TestGoldenTree|TestClockwiseAdmitsMatchesFullCheck|TestClockwiseArcMatchesFullCheck|TestCandTableOrder|TestSetOwnershipMatchesOwnerScan|TestBitsRange' \
   ./internal/search/ ./internal/topo/
 
-echo "== portfolio gate: -race -count=2 =="
-# Lane racing, loser cross-checks, infeasibility agreement, the
-# similarity index's adaptation paths and the seeded-solve determinism
-# suite, twice under the race detector. -short skips only the 200-spec
-# property sweep, which tier 1 above already ran once at full size.
+echo "== warm-start gate: -race -count=2 =="
+# The similarity index's adaptation paths and the seeded-solve
+# determinism suite, twice under the race detector. -short skips only
+# the 200-spec property sweep, which tier 1 above already ran once at
+# full size.
 go test -race -count=2 -short ./internal/portfolio/
 
-echo "== determinism gate: campaign at -solver-workers 1/2/8 and -portfolio =="
-# Plans must be bit-identical at every worker count AND with the solver
-# portfolio racing: run the seeded campaign at three solver widths plus
-# one raced run, and byte-diff the deterministic report.
+echo "== determinism gate: campaign at -solver-workers 1/2/8 =="
+# Plans must be bit-identical at every worker count: run the seeded
+# campaign at three solver widths and byte-diff the deterministic
+# report. The exact MILP encoding cross-checks the optima of these
+# seed-7 campaign specs in tier 1 (TestMILPOracleOnCampaignSpecs).
 det_dir=$(mktemp -d)
 trap 'rm -rf "$det_dir"' EXIT
 for w in 1 2 8; do
   go run ./cmd/experiments -only campaign -campaign 30 -seed 7 \
     -timelimit 10s -workers 2 -solver-workers "$w" -out "$det_dir/w$w" > /dev/null
 done
-go run ./cmd/experiments -only campaign -campaign 30 -seed 7 \
-  -timelimit 10s -workers 2 -solver-workers 2 -portfolio -out "$det_dir/pf" > /dev/null
 diff "$det_dir/w1/campaign.txt" "$det_dir/w2/campaign.txt"
 diff "$det_dir/w1/campaign.txt" "$det_dir/w8/campaign.txt"
-diff "$det_dir/w1/campaign.txt" "$det_dir/pf/campaign.txt"
-echo "campaign.txt byte-identical at -solver-workers 1, 2, 8 and with -portfolio"
+echo "campaign.txt byte-identical at -solver-workers 1, 2, 8"
 
 echo "== fpva gate: -race -count=2, fault coverage + determinism =="
 # The FPVA suite twice under the race detector: grid construction and
@@ -108,23 +106,20 @@ echo "== fpva gate: -race -count=2, fault coverage + determinism =="
 go test -race -count=2 ./internal/fpva/
 go test -race -count=2 -run 'FPVA|SharedTopology|ValidateTopology|CanonicalKeyTopology|TestVerifyFile' \
   ./internal/topo/ ./internal/spec/ ./internal/planio/ ./cmd/verifyplan/
-go test -race -run 'TestFPVAPlanClusterPortfolioMatchesSingleNode' ./internal/cluster/
+go test -race -run 'TestFPVAPlanClusterMatchesSingleNode' ./internal/cluster/
 
-echo "== fpva determinism gate: campaign at -solver-workers 1/2/8 and -portfolio =="
+echo "== fpva determinism gate: campaign at -solver-workers 1/2/8 =="
 # Same byte-diff discipline as the crossbar campaign: the randomized
 # FPVA campaign plus the grid scaling sweep (which re-verifies 100%
 # fault coverage at every swept size) must be byte-identical at every
-# solver width and with portfolio racing.
+# solver width.
 for w in 1 2 8; do
   go run ./cmd/experiments -only fpva -fpva-campaign 12 -seed 7 \
     -timelimit 10s -workers 2 -solver-workers "$w" -out "$det_dir/fw$w" > /dev/null
 done
-go run ./cmd/experiments -only fpva -fpva-campaign 12 -seed 7 \
-  -timelimit 10s -workers 2 -solver-workers 2 -portfolio -out "$det_dir/fpf" > /dev/null
 diff "$det_dir/fw1/fpva.txt" "$det_dir/fw2/fpva.txt"
 diff "$det_dir/fw1/fpva.txt" "$det_dir/fw8/fpva.txt"
-diff "$det_dir/fw1/fpva.txt" "$det_dir/fpf/fpva.txt"
-echo "fpva.txt byte-identical at -solver-workers 1, 2, 8 and with -portfolio"
+echo "fpva.txt byte-identical at -solver-workers 1, 2, 8"
 
 echo "== chaos suite: 25 seeded fault schedules, -race -count=2 =="
 # The chaos tests carry their own goroutine-leak gate (leakcheck_test.go);
@@ -196,18 +191,20 @@ go test -race -count=2 ./internal/admission/
 
 echo "== admission benchmark: batch dedup, per-class latency, streaming =="
 # Emits BENCH_admission.json: batch dedup speedup over sequential cold
-# solves (gate: >= 5x), EWMA queue wait per priority class under a mixed
+# solves (gates: the batch runs exactly one solve per distinct key, the
+# sequential run one per spec, and the batch is >= 5x faster with every
+# solve priced at a fixed injected 20 ms floor, so the ratio counts
+# solves saved rather than tracking host or solver speed), EWMA queue wait per priority class under a mixed
 # interactive/background load, and streamed time-to-first-plan vs
 # time-to-proof on the saturated 16-pin case.
 BENCH_ADMISSION_OUT="$PWD/BENCH_admission.json" \
   go test -run 'TestAdmissionBenchReport' ./internal/service/
 cat BENCH_admission.json
 
-echo "== portfolio benchmark: cold vs warm-start vs raced =="
+echo "== warm-start benchmark: cold vs warm-start =="
 # Emits BENCH_portfolio.json: cold vs warm-started solve times across
 # the saturated 16-pin ring's drop-one-flow (= one-module-delta)
-# neighbor family (gate: warm-start speedup > 1x, plans byte-identical)
-# and the raced base solve (gate: byte-identical, zero disagreements).
+# neighbor family (gate: warm-start speedup > 1x, plans byte-identical).
 BENCH_PORTFOLIO_OUT="$PWD/BENCH_portfolio.json" \
   go test -run 'TestPortfolioBenchReport' -timeout 1200s ./internal/service/
 cat BENCH_portfolio.json

@@ -536,29 +536,6 @@ func (c *Client) Metrics(ctx context.Context) (*service.Snapshot, error) {
 	return &snap, nil
 }
 
-// PortfolioStats fetches the daemon's /portfolio counters — racing lane
-// wins, backend disagreements (zero in a healthy deployment), warm-start
-// hit rate and similarity-index gauges (no retries).
-func (c *Client) PortfolioStats(ctx context.Context) (*service.PortfolioStats, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/portfolio", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, readAPIError(resp)
-	}
-	var ps service.PortfolioStats
-	if err := json.NewDecoder(resp.Body).Decode(&ps); err != nil {
-		return nil, fmt.Errorf("client: decoding portfolio stats: %w", err)
-	}
-	return &ps, nil
-}
-
 // Healthz probes the daemon's liveness endpoint (no retries).
 func (c *Client) Healthz(ctx context.Context) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)

@@ -6,11 +6,10 @@
 //	experiments [-out results] [-timelimit 30s] [-campaign 90] [-seed 42]
 //	            [-only table4.1|table4.2|table4.3|campaign|fpva|spine|stress|figures]
 //	            [-workers N] [-solver-workers N] [-daemon http://host:8080]
-//	            [-portfolio] [-fpva-campaign 30]
+//	            [-fpva-campaign 30]
 //
 // -workers bounds how many campaign cases solve concurrently;
-// -solver-workers parallelizes the branch and bound inside each solve;
-// -portfolio races the solver backends inside each campaign solve.
+// -solver-workers parallelizes the branch and bound inside each solve.
 // Every table and the deterministic campaign report are byte-identical
 // for any value of any knob.
 //
@@ -49,11 +48,10 @@ func main() {
 		workers   = flag.Int("workers", 0, "concurrent campaign syntheses (0 = GOMAXPROCS, 1 = sequential)")
 		solverWrk = flag.Int("solver-workers", 0, "branch-and-bound goroutines per solve (0 = sequential; results are identical at any value)")
 		daemon    = flag.String("daemon", "", "synthd base URL; campaign solves go through the remote daemon")
-		pfRace    = flag.Bool("portfolio", false, "race the solver backends inside each campaign solve (results are identical either way)")
 	)
 	flag.Parse()
 
-	cfg := exp.Config{TimeLimit: *timeLimit, OutDir: *out, Engine: *engine, Workers: *workers, SolverWorkers: *solverWrk, DaemonURL: *daemon, Portfolio: *pfRace}
+	cfg := exp.Config{TimeLimit: *timeLimit, OutDir: *out, Engine: *engine, Workers: *workers, SolverWorkers: *solverWrk, DaemonURL: *daemon}
 	want := func(name string) bool { return *only == "" || *only == name }
 	var files []string
 
@@ -130,7 +128,7 @@ func main() {
 		scalingText := exp.FPVAScalingTable(points)
 		fmt.Println(scalingText)
 		// Like campaign.txt, the saved file carries no wall-clock values:
-		// byte-identical across runs, worker counts, and portfolio racing.
+		// byte-identical across runs and worker counts.
 		save("fpva.txt", res.Stats.DeterministicString()+"\n"+
 			report.CampaignTable(res.Rows)+"\n"+scalingText)
 	}

@@ -10,7 +10,7 @@
 //	       [-breaker-threshold 3] [-breaker-cooldown 5s] [-negcache 256]
 //	       [-store-dir DIR] [-store-flush-interval 5ms] [-store-max-wal-bytes N]
 //	       [-export-plans DIR] [-pprof-addr 127.0.0.1:6060]
-//	       [-portfolio] [-portfolio-lanes search,milp,greedy] [-simindex-size 512]
+//	       [-simindex-size 512]
 //	       [-node-id ID -peers ID=URL,ID=URL,...] [-replication 2]
 //	       [-cluster-probe-interval 2s] [-cluster-sync-interval 15s]
 //
@@ -39,20 +39,12 @@
 // -store-dir as planio JSON files into DIR (for cmd/verifyplan audit)
 // and exits without serving.
 //
-// With -portfolio each search-engine solve races the configured backend
-// lanes — parallel branch-and-bound, the exact MILP encoding, and a
-// greedy first-fit incumbent — under one supervisor: the first
-// optimality proof wins and cancels the rest, every lane that still
-// completes is cross-checked against the winner, and any disagreement
-// between two proofs fails the solve closed (it is a solver bug, never a
-// plan to serve). The served plan is byte-identical to a plain search
-// solve, so racing never partitions the cache. Independently, the
-// similarity warm-start index (on by default; -simindex-size to resize
-// or disable) seeds cold solves of specs one edit away — a module or
-// flow added or removed, a conflict toggled — from an adapted
+// The similarity warm-start index (on by default; -simindex-size to
+// resize or disable) seeds cold solves of specs one edit away — a module
+// or flow added or removed, a conflict toggled — from an adapted
 // previously-proven neighbor plan; seeds only tighten the initial bound
-// and plans stay bit-identical. GET /portfolio reports both features'
-// counters; see DESIGN.md §10.
+// and plans stay bit-identical. Its counters are the portfolio_* and
+// simindex_* fields of GET /metrics; see DESIGN.md §10.
 //
 // With -peers (and a -node-id naming this instance's entry in the
 // list) the daemon joins a consistent-hash sharded cluster: each spec's
@@ -95,7 +87,6 @@
 //	GET  /healthz                 liveness and pool shape
 //	GET  /readyz                  readiness: 200 serving, 503 once draining
 //	GET  /metrics                 job/cache/store/cluster/admission counters as JSON
-//	GET  /portfolio               portfolio racing and warm-start counters
 //	GET  /plans                   manifest of locally held plan keys
 //	GET  /plans/{key}             one plan: the binary frame when Accept names
 //	                              it, JSON otherwise (404 when absent)
@@ -121,7 +112,6 @@ import (
 	"time"
 
 	"switchsynth/internal/cluster"
-	"switchsynth/internal/portfolio"
 	"switchsynth/internal/service"
 	"switchsynth/internal/store"
 )
@@ -356,8 +346,6 @@ func parseFlags(args []string) (service.Config, serverFlags) {
 		brkThresh  = fs.Int("breaker-threshold", 0, "consecutive timeouts before a spec's circuit breaker opens (0 = default 3, negative disables)")
 		brkCool    = fs.Duration("breaker-cooldown", 0, "how long an open breaker fast-fails before probing (0 = default 5s)")
 		negEntries = fs.Int("negcache", 0, "infeasibility-proof cache entries (0 = default 256, negative disables)")
-		pfRace     = fs.Bool("portfolio", false, "race the solver backends per solve (first optimality proof wins; losers cross-checked)")
-		pfLanes    = fs.String("portfolio-lanes", "", "comma-separated racing lanes: search,milp,greedy (empty = all; needs -portfolio)")
 		simSize    = fs.Int("simindex-size", 0, "similarity warm-start index entries (0 = default 512, negative disables)")
 		storeDir   = fs.String("store-dir", "", "durable plan store directory (empty disables the disk tier)")
 		storeFlush = fs.Duration("store-flush-interval", 0, "store group-commit window (0 = default 5ms, negative fsyncs every put)")
@@ -371,16 +359,6 @@ func parseFlags(args []string) (service.Config, serverFlags) {
 		replicas   = fs.Int("replication", 0, "replica-set size per plan (0 = default 2, clamped to cluster size; 1 disables replication)")
 	)
 	_ = fs.Parse(args)
-	// Fail fast on a bad lane list instead of silently racing the default
-	// set (service.Config falls back to all lanes on a parse error).
-	if _, err := portfolio.ParseLanes(*pfLanes); err != nil {
-		fmt.Fprintln(os.Stderr, "synthd:", err)
-		os.Exit(2)
-	}
-	if *pfLanes != "" && !*pfRace {
-		fmt.Fprintln(os.Stderr, "synthd: -portfolio-lanes requires -portfolio")
-		os.Exit(2)
-	}
 	return service.Config{
 			Workers:           *workers,
 			SolverWorkers:     *solverWrk,
@@ -391,8 +369,6 @@ func parseFlags(args []string) (service.Config, serverFlags) {
 			BreakerThreshold:  *brkThresh,
 			BreakerCooldown:   *brkCool,
 			NegativeCacheSize: *negEntries,
-			Portfolio:         *pfRace,
-			PortfolioLanes:    *pfLanes,
 			SimIndexSize:      *simSize,
 		}, serverFlags{
 			Addr:      *addr,

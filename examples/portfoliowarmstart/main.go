@@ -1,9 +1,8 @@
-// Portfolio racing + similarity warm start: boots an in-process synthd
-// engine with lane racing enabled, then drives it with the Go client
-// the way an incremental design session would —
+// Similarity warm start: boots an in-process synthd engine, then drives
+// it with the Go client the way an incremental design session would —
 //
-//  1. a cold solve of a base chip spec, raced across the branch-and-
-//     bound and greedy lanes (first proof wins, losers cross-checked);
+//  1. a cold solve of a base chip spec, which lands in the similarity
+//     index once proven;
 //
 //  2. a solve of a one-edit neighbor (one flow and its outlet module
 //     added), warm-started from the similarity index: the base plan is
@@ -11,8 +10,8 @@
 //     solve gets faster, the plan bytes stay exactly what a cold solve
 //     returns;
 //
-//  3. the GET /portfolio counters showing the race wins, the warm-start
-//     hit and the zero disagreement count.
+//  3. the warm-start counters and similarity-index gauges from
+//     GET /metrics showing the hit.
 //
 //     go run ./examples/portfoliowarmstart
 package main
@@ -58,11 +57,10 @@ func neighbor(name string) *switchsynth.Spec {
 }
 
 func main() {
-	// A real daemon would be `go run ./cmd/synthd -portfolio`; here the
-	// engine and its HTTP surface run in-process so the example is
-	// self-contained. The similarity index is on by default; racing is
-	// the opt-in part.
-	eng := service.New(service.Config{Workers: 2, Portfolio: true, PortfolioLanes: "search,greedy"})
+	// A real daemon would be `go run ./cmd/synthd`; here the engine and
+	// its HTTP surface run in-process so the example is self-contained.
+	// The similarity index is on by default (-simindex-size resizes it).
+	eng := service.New(service.Config{Workers: 2})
 	defer eng.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -82,7 +80,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("cold raced solve of chip-v1: %d flow sets, %.1f mm, proven=%v in %s\n",
+	fmt.Printf("cold solve of chip-v1: %d flow sets, %.1f mm, proven=%v in %s\n",
 		cold.NumSets, cold.LengthMM, cold.Proven,
 		time.Since(start).Round(time.Millisecond))
 
@@ -95,17 +93,17 @@ func main() {
 		warm.NumSets, warm.LengthMM, warm.Proven,
 		time.Since(start).Round(time.Millisecond))
 
-	ps, err := c.PortfolioStats(ctx)
+	m, err := c.Metrics(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nGET /portfolio:\n")
-	fmt.Printf("  races %d (search wins %d, milp wins %d, greedy wins %d), disagreements %d\n",
-		ps.Races, ps.LaneWinsSearch, ps.LaneWinsMILP, ps.LaneWinsGreedy, ps.Disagreements)
-	fmt.Printf("  warm-start hits %d, misses %d; seeds adopted %d, rejected %d\n",
-		ps.WarmStartHits, ps.WarmStartMisses, ps.SeedsAdopted, ps.SeedsRejected)
-	fmt.Printf("  similarity index: %d/%d plans, %d lookups, %d hits\n",
-		ps.SimIndex.Entries, ps.SimIndex.Capacity, ps.SimIndex.Lookups, ps.SimIndex.Hits)
-	fmt.Println("\nplans are byte-identical with racing and warm starts on or off;")
-	fmt.Println("the portfolio tier only changes when the answer arrives, never what it is.")
+	fmt.Printf("\nGET /metrics (warm-start fields):\n")
+	fmt.Printf("  portfolio_warmstart_hits %d, portfolio_warmstart_misses %d\n",
+		m.WarmStartHits, m.WarmStartMisses)
+	fmt.Printf("  portfolio_seeds_adopted %d, portfolio_seeds_rejected %d, portfolio_seed_tightened %d\n",
+		m.SeedsAdopted, m.SeedsRejected, m.SeedTightened)
+	fmt.Printf("  simindex_entries %d/%d, simindex_lookups %d, simindex_hits %d\n",
+		m.SimIndexEntries, m.SimIndexCapacity, m.SimIndexLookups, m.SimIndexHits)
+	fmt.Println("\nplans are byte-identical with warm starts on or off;")
+	fmt.Println("the seed only changes when the answer arrives, never what it is.")
 }

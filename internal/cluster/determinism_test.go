@@ -48,13 +48,6 @@ type detNode struct {
 // (the full cmd/synthd write-path wiring).
 func bootNodes(t *testing.T, n int, repl bool) []*detNode {
 	t.Helper()
-	return bootNodesCfg(t, n, repl, nil)
-}
-
-// bootNodesCfg is the general form: mut adjusts each node's service
-// config before the engine starts.
-func bootNodesCfg(t *testing.T, n int, repl bool, mut func(*service.Config)) []*detNode {
-	t.Helper()
 	peers := make([]cluster.Node, n)
 	listeners := make([]net.Listener, n)
 	for i := range peers {
@@ -84,9 +77,6 @@ func bootNodesCfg(t *testing.T, n int, repl bool, mut func(*service.Config)) []*
 			Workers:          2,
 			PeerFill:         cl.FetchPlan,
 			DefaultTimeLimit: 10 * time.Second,
-		}
-		if mut != nil {
-			mut(&scfg)
 		}
 		if repl {
 			scfg.OnPlanStored = cl.ReplicatePlan
@@ -179,12 +169,12 @@ func TestCampaignDeterministicAcrossTopologies(t *testing.T) {
 	}
 }
 
-// TestFPVAPlanClusterPortfolioMatchesSingleNode is the FPVA acceptance
-// gate: an FPVA grid spec served through a replicating three-node
-// cluster with portfolio racing returns plan bytes identical to a cold
-// single-node solve without racing — and every node returns the same
-// bytes, whether it owns the key, forwards to the owner, or peer-fills.
-func TestFPVAPlanClusterPortfolioMatchesSingleNode(t *testing.T) {
+// TestFPVAPlanClusterMatchesSingleNode is the FPVA acceptance gate: an
+// FPVA grid spec served through a replicating three-node cluster returns
+// plan bytes identical to a cold single-node solve — and every node
+// returns the same bytes, whether it owns the key, forwards to the
+// owner, or peer-fills.
+func TestFPVAPlanClusterMatchesSingleNode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node solve in -short mode")
 	}
@@ -232,10 +222,10 @@ func TestFPVAPlanClusterPortfolioMatchesSingleNode(t *testing.T) {
 	single := bootNodes(t, 1, false)
 	want := solve(single[0].url)
 
-	three := bootNodesCfg(t, 3, true, func(scfg *service.Config) { scfg.Portfolio = true })
+	three := bootNodes(t, 3, true)
 	for _, n := range three {
 		if got := solve(n.url); !bytes.Equal(got, want) {
-			t.Errorf("portfolio plan from %s differs from cold single-node solve:\n--- single\n%s\n--- %s\n%s",
+			t.Errorf("cluster plan from %s differs from cold single-node solve:\n--- single\n%s\n--- %s\n%s",
 				n.id, want, n.id, got)
 		}
 	}

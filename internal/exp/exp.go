@@ -55,10 +55,6 @@ type Config struct {
 	// client, and every returned plan is re-verified locally before it
 	// counts as solved.
 	DaemonURL string
-	// Portfolio races the solver backends inside each campaign solve
-	// (service.Config.Portfolio). The campaign report is byte-identical
-	// with racing on or off — the CI determinism gate diffs exactly that.
-	Portfolio bool
 }
 
 func (c Config) timeLimit() time.Duration {
@@ -241,7 +237,7 @@ func RunCampaign(cfg Config, count int, seed int64) CampaignResult {
 // RunFPVACampaign is the FPVA counterpart of RunCampaign: randomized
 // grid cases (cases.ArtificialFPVA) through the same service engine,
 // with the same determinism guarantee — the rows are identical for
-// every worker count, solver parallelism, and portfolio setting.
+// every worker count and solver parallelism.
 func RunFPVACampaign(cfg Config, count int, seed int64) CampaignResult {
 	return runCampaignCases(cfg, cases.ArtificialFPVA(count, seed))
 }
@@ -259,7 +255,6 @@ func runCampaignCases(cfg Config, cs []cases.Case) CampaignResult {
 		Workers:          cfg.workers(),
 		SolverWorkers:    cfg.SolverWorkers,
 		DefaultTimeLimit: cfg.timeLimit(),
-		Portfolio:        cfg.Portfolio,
 	})
 	var wg sync.WaitGroup
 	for i := range cs {

@@ -258,8 +258,8 @@ type Options struct {
 	// periodically inside each LP relaxation (a single simplex solve on
 	// a large model can otherwise run for minutes): a cancelled context
 	// stops the solve promptly with Status Limit and Solution.Err =
-	// Ctx.Err(), so a losing portfolio lane stops burning CPU the
-	// moment its race is decided. TimeLimit is enforced at the same two
+	// Ctx.Err(), so a cancelled request or a draining daemon stops
+	// burning CPU promptly. TimeLimit is enforced at the same two
 	// granularities.
 	Ctx context.Context
 }

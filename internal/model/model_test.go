@@ -16,12 +16,17 @@ import (
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-6 }
 
+// crossCheckLimit bounds each IQP solve in crossCheck. It is generous on
+// purpose: a spec that stops proving inside it fails the cross-check
+// loudly instead of passing without a comparison.
+const crossCheckLimit = 2 * time.Minute
+
 // crossCheck solves sp with both the faithful IQP encoding and the dedicated
 // search engine and requires equal optima (the plans themselves may differ —
 // optima are often degenerate).
 func crossCheck(t *testing.T, sp *spec.Spec) {
 	t.Helper()
-	iqp, errM := Solve(sp, Options{TimeLimit: 2 * time.Minute})
+	iqp, errM := Solve(sp, Options{TimeLimit: crossCheckLimit})
 	se, errS := search.Solve(sp, search.Options{})
 
 	var noSolM, noSolS *spec.ErrNoSolution
@@ -46,7 +51,7 @@ func crossCheck(t *testing.T, sp *spec.Spec) {
 		t.Fatalf("search plan invalid: %v", err)
 	}
 	if !iqp.Proven {
-		t.Skip("iqp hit its limit; cannot compare optima")
+		t.Fatalf("iqp hit its %s limit; cannot compare optima", crossCheckLimit)
 	}
 	if !approx(iqp.Objective, se.Objective) {
 		t.Fatalf("optima differ: iqp %v (sets=%d len=%v), search %v (sets=%d len=%v)",

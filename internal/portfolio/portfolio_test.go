@@ -2,11 +2,8 @@ package portfolio
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"switchsynth/internal/contam"
 	"switchsynth/internal/planio"
@@ -28,21 +25,6 @@ func baseSpec() *spec.Spec {
 	}
 }
 
-// smallSpec is an 8-pin fixed-binding instance tractable for the exact
-// MILP lane (the IQP encoding is only practical for small fixed-binding
-// instances; see internal/model's cross-check suite).
-func smallSpec() *spec.Spec {
-	return &spec.Spec{
-		Name:       "pf-small",
-		SwitchPins: 8,
-		Modules:    []string{"a", "b", "o1", "o2"},
-		Flows:      []spec.Flow{{From: "a", To: "o1"}, {From: "b", To: "o2"}},
-		Conflicts:  [][2]int{{0, 1}},
-		Binding:    spec.Fixed,
-		FixedPins:  map[string]int{"a": 0, "o1": 1, "b": 4, "o2": 5},
-	}
-}
-
 // biggerSpec is baseSpec plus one module and one flow: a one-edit
 // neighbor in the "query = stored + one flow" direction.
 func biggerSpec() *spec.Spec {
@@ -60,162 +42,6 @@ func encode(t *testing.T, res *spec.Result) []byte {
 		t.Fatalf("encode: %v", err)
 	}
 	return data
-}
-
-func TestParseLanes(t *testing.T) {
-	lanes, err := ParseLanes("milp, search")
-	if err != nil || len(lanes) != 2 || lanes[0] != LaneMILP || lanes[1] != LaneSearch {
-		t.Fatalf("ParseLanes = %v, %v", lanes, err)
-	}
-	if def, err := ParseLanes(""); err != nil || len(def) != 3 {
-		t.Fatalf("empty lane list: %v, %v", def, err)
-	}
-	if _, err := ParseLanes("search,quantum"); err == nil {
-		t.Error("unknown lane accepted")
-	}
-	if _, err := ParseLanes("search,search"); err == nil {
-		t.Error("duplicate lane accepted")
-	}
-}
-
-// TestRaceMatchesSequentialSearch: a proven race outcome must be
-// byte-identical to a lone sequential search.Solve, whichever lane wins.
-func TestRaceMatchesSequentialSearch(t *testing.T) {
-	sp := smallSpec()
-	cold, err := search.Solve(sp, search.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d0 := Disagreements()
-	for _, lanes := range [][]Lane{
-		nil, // default: all three
-		{LaneSearch},
-		{LaneMILP},
-		{LaneMILP, LaneGreedy},
-	} {
-		out, err := Race(context.Background(), smallSpec(), Options{Lanes: lanes})
-		if err != nil {
-			t.Fatalf("lanes %v: %v", lanes, err)
-		}
-		if !out.Result.Proven {
-			t.Fatalf("lanes %v: race result not proven", lanes)
-		}
-		if !bytes.Equal(encode(t, out.Result), encode(t, cold)) {
-			t.Errorf("lanes %v: race plan differs from sequential search plan", lanes)
-		}
-		if len(out.Reports) != len(lanes) && lanes != nil {
-			t.Errorf("lanes %v: got %d reports", lanes, len(out.Reports))
-		}
-	}
-	if d := Disagreements() - d0; d != 0 {
-		t.Errorf("disagreement counter moved by %d on agreeing backends", d)
-	}
-}
-
-// TestRaceGreedyOnlyDegraded: with only the greedy lane nothing can be
-// proven; the race serves the verified first-fit plan as degraded.
-func TestRaceGreedyOnlyDegraded(t *testing.T) {
-	out, err := Race(context.Background(), baseSpec(), Options{Lanes: []Lane{LaneGreedy}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Result.Proven || !out.Result.Degraded {
-		t.Errorf("Proven=%v Degraded=%v, want degraded", out.Result.Proven, out.Result.Degraded)
-	}
-	if out.Winner != LaneGreedy {
-		t.Errorf("winner = %q", out.Winner)
-	}
-	if verr := contam.Verify(out.Result); verr != nil {
-		t.Errorf("degraded race plan failed verification: %v", verr)
-	}
-}
-
-// TestRaceProvenInfeasibility: every proving lane agrees the spec is
-// infeasible; the race surfaces ErrNoSolution and no disagreement.
-func TestRaceProvenInfeasibility(t *testing.T) {
-	sp := &spec.Spec{
-		Name:       "pf-nosol",
-		SwitchPins: 8,
-		Modules:    []string{"in1", "in2", "out1", "out2"},
-		Flows:      []spec.Flow{{From: "in1", To: "out1"}, {From: "in2", To: "out2"}},
-		Conflicts:  [][2]int{{0, 1}},
-		Binding:    spec.Fixed,
-		FixedPins:  map[string]int{"in1": 0, "out1": 2, "in2": 1, "out2": 3},
-	}
-	d0 := Disagreements()
-	out, err := Race(context.Background(), sp, Options{Lanes: []Lane{LaneSearch, LaneMILP}})
-	var nosol *spec.ErrNoSolution
-	if !errors.As(err, &nosol) {
-		t.Fatalf("err = %v, want ErrNoSolution", err)
-	}
-	if out.Result != nil {
-		t.Error("infeasible race returned a plan")
-	}
-	if d := Disagreements() - d0; d != 0 {
-		t.Errorf("disagreement counter moved by %d", d)
-	}
-}
-
-// TestRaceCancelledContext: a pre-cancelled context yields a timeout-like
-// error, not a hang.
-func TestRaceCancelledContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := Race(ctx, smallSpec(), Options{Lanes: []Lane{LaneSearch, LaneMILP}})
-	if err == nil {
-		t.Skip("race won before the cancellation was observed")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want to wrap context.Canceled", err)
-	}
-}
-
-// TestCrossCheckDisagreements exercises the fail-closed comparisons with
-// synthetic lane outcomes.
-func TestCrossCheckDisagreements(t *testing.T) {
-	sp := baseSpec()
-	win, err := search.Solve(sp, search.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A second "proof" with a different cost.
-	forged := *win
-	forged.Objective += 5
-	err = crossCheck(sp, LaneSearch, win, LaneMILP, laneDone{res: &forged})
-	var dis *ErrBackendDisagreement
-	if !errors.As(err, &dis) {
-		t.Fatalf("conflicting proofs: err = %v, want ErrBackendDisagreement", err)
-	}
-	if !errors.Is(err, &ErrBackendDisagreement{}) {
-		t.Error("errors.Is does not match ErrBackendDisagreement")
-	}
-
-	// A degraded plan strictly beating the proven optimum.
-	cheat := *win
-	cheat.Proven = false
-	cheat.Degraded = true
-	cheat.Objective -= 5
-	if err := crossCheck(sp, LaneSearch, win, LaneGreedy, laneDone{res: &cheat}); !errors.As(err, &dis) {
-		t.Errorf("bound-beating degraded plan: err = %v, want disagreement", err)
-	}
-
-	// An equal-cost second proof agrees.
-	agree := *win
-	if err := crossCheck(sp, LaneSearch, win, LaneMILP, laneDone{res: &agree}); err != nil {
-		t.Errorf("agreeing proof flagged: %v", err)
-	}
-
-	// A loser that proved infeasibility against a real plan.
-	nosol := &spec.ErrNoSolution{SpecName: sp.Name, Policy: sp.Binding}
-	if err := crossCheck(sp, LaneSearch, win, LaneMILP, laneDone{err: nosol}); !errors.As(err, &dis) {
-		t.Errorf("infeasibility vs plan: err = %v, want disagreement", err)
-	}
-
-	// A lane that timed out with nothing carries no evidence.
-	if err := crossCheck(sp, LaneSearch, win, LaneMILP, laneDone{err: &search.ErrTimeout{SpecName: sp.Name}}); err != nil {
-		t.Errorf("empty loser flagged: %v", err)
-	}
 }
 
 func TestSimIndexExactAndRestriction(t *testing.T) {
@@ -367,35 +193,5 @@ func TestSimIndexIgnoresUnproven(t *testing.T) {
 	idx.Add(baseSpec(), plan)
 	if idx.Len() != 0 {
 		t.Errorf("unproven plan was indexed (Len = %d)", idx.Len())
-	}
-}
-
-// TestRaceWarmStartSeed: racing with a SimIndex seed still reproduces
-// the canonical plan.
-func TestRaceWarmStartSeed(t *testing.T) {
-	idx := NewSimIndex(16)
-	basePlan, err := search.Solve(baseSpec(), search.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx.Add(baseSpec(), basePlan)
-	seed := idx.Lookup(biggerSpec())
-	if seed == nil {
-		t.Fatal("completion lookup missed")
-	}
-	cold, err := search.Solve(biggerSpec(), search.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Race(context.Background(), biggerSpec(), Options{
-		// No MILP lane: the IQP encoding is intractable at 12 pins.
-		Lanes: []Lane{LaneSearch, LaneGreedy},
-		Seed:  seed, TimeLimit: 30 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encode(t, out.Result), encode(t, cold)) {
-		t.Error("seeded race plan differs from cold sequential plan")
 	}
 }

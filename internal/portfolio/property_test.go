@@ -2,7 +2,6 @@ package portfolio
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"testing"
 	"time"
@@ -13,25 +12,20 @@ import (
 	"switchsynth/internal/spec"
 )
 
-// TestPropertyWarmStartAndRaceMatchCold is the randomized determinism
-// property behind the whole portfolio tier, over 200 generated specs:
+// TestPropertyWarmStartMatchesCold is the randomized determinism
+// property behind the warm start, over 200 generated specs:
 //
 //  1. a solve seeded with its own optimum (the hardest tie-break case —
 //     the seed matches the canonical leaf's cost exactly) is
 //     byte-identical to the cold solve;
 //  2. a solve seeded from the similarity index — which adapts whatever
 //     structural neighbor it finds, not necessarily an optimal plan for
-//     this spec — is byte-identical to the cold solve;
-//  3. a Race is byte-identical to the cold solve, and agrees with it on
-//     infeasibility;
-//
-// and the process-wide disagreement counter never moves.
-func TestPropertyWarmStartAndRaceMatchCold(t *testing.T) {
+//     this spec — is byte-identical to the cold solve.
+func TestPropertyWarmStartMatchesCold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("200-spec property sweep")
 	}
 	const timeLimit = 10 * time.Second
-	d0 := Disagreements()
 	idx := NewSimIndex(0)
 	cs := cases.Artificial(200, 20260808)
 	var proven, warmHits, infeasible int
@@ -44,13 +38,6 @@ func TestPropertyWarmStartAndRaceMatchCold(t *testing.T) {
 				t.Fatalf("%s: cold solve: %v", sp.Name, err)
 			}
 			infeasible++
-			// The race must agree the spec is infeasible.
-			_, rerr := Race(context.Background(), sp, Options{
-				Lanes: []Lane{LaneSearch, LaneGreedy}, TimeLimit: timeLimit,
-			})
-			if !errors.As(rerr, &nosol) {
-				t.Fatalf("%s: race = %v, want ErrNoSolution like the cold solve", sp.Name, rerr)
-			}
 			continue
 		}
 		if !cold.Proven {
@@ -85,26 +72,12 @@ func TestPropertyWarmStartAndRaceMatchCold(t *testing.T) {
 				t.Fatalf("%s: warm-started plan differs from cold", sp.Name)
 			}
 		}
-
-		// Property 3: the race winner is byte-identical.
-		out, err := Race(context.Background(), sp, Options{
-			Lanes: []Lane{LaneSearch, LaneGreedy}, TimeLimit: timeLimit,
-		})
-		if err != nil {
-			t.Fatalf("%s: race: %v", sp.Name, err)
-		}
-		if raceBytes, _ := planio.Encode(out.Result); !bytes.Equal(coldBytes, raceBytes) {
-			t.Fatalf("%s: raced plan (winner %s) differs from cold", sp.Name, out.Winner)
-		}
 	}
 	if proven == 0 {
 		t.Fatal("no proven cases — the sweep tested nothing")
 	}
 	if warmHits == 0 {
 		t.Fatal("similarity index never hit — the warm-start property went untested")
-	}
-	if d := Disagreements() - d0; d != 0 {
-		t.Fatalf("disagreement counter moved by %d across the sweep", d)
 	}
 	t.Logf("200 specs: %d proven, %d warm-start hits, %d infeasible", proven, warmHits, infeasible)
 }

@@ -1,3 +1,10 @@
+// Package portfolio holds the similarity index that warm-starts the
+// branch-and-bound from structurally similar, previously proven specs.
+//
+// SimIndex hands out adapted neighbor plans only as *seeds*: every
+// adapted plan is contamination-verified before it leaves the index,
+// and internal/search re-validates it once more before adoption, so a
+// stale index entry can waste a little work but never change an answer.
 package portfolio
 
 import (
@@ -10,6 +17,11 @@ import (
 	"switchsynth/internal/spec"
 	"switchsynth/internal/topo"
 )
+
+// costEps is the objective tolerance when comparing candidate seeds.
+// Objectives are quantized by the grid pitch (distinct values differ by
+// ≥ β·0.1), so anything beyond this is a real difference, not float noise.
+const costEps = 1e-6
 
 // DefaultSimIndexCapacity is the entry cap used when NewSimIndex is
 // given a non-positive capacity.

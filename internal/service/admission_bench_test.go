@@ -16,7 +16,14 @@ import (
 
 	"switchsynth"
 	"switchsynth/internal/admission"
+	"switchsynth/internal/faultinject"
 )
+
+// batchSolveFloor is the fixed cost every solve of the batch-dedup
+// comparison pays (a SolveSlow fault that always fires). It dominates
+// the solver's own few-millisecond run, so the speedup measures solves
+// saved by dedup, not how fast the host or the solver happens to be.
+const batchSolveFloor = 20 * time.Millisecond
 
 func TestAdmissionBenchReport(t *testing.T) {
 	out := os.Getenv("BENCH_ADMISSION_OUT")
@@ -26,13 +33,17 @@ func TestAdmissionBenchReport(t *testing.T) {
 
 	// Batch dedup: 100 specs over 7 canonical keys, solved as one batch
 	// vs one by one. Both engines run with the memory cache disabled so
-	// the comparison isolates the batch-level dedup (not the cache tier).
+	// the comparison isolates the batch-level dedup (not the cache tier),
+	// and every solve pays the same fixed floor.
 	const batchN, batchKeys = 100, 7
 	items := make([]BatchSpec, batchN)
 	for i := range items {
 		items[i] = BatchSpec{Spec: batchSpecVariant(i, batchKeys)}
 	}
-	eSeq := newTestEngine(t, Config{Workers: 4, CacheSize: -1})
+	floor := func() *faultinject.Injector {
+		return faultinject.New(1).Set(faultinject.SolveSlow, faultinject.Rule{Probability: 1, Delay: batchSolveFloor})
+	}
+	eSeq := newTestEngine(t, Config{Workers: 4, CacheSize: -1, FaultInjector: floor()})
 	seqStart := time.Now()
 	for i := range items {
 		if _, err := eSeq.Do(context.Background(), items[i].Spec, items[i].Opts); err != nil {
@@ -40,8 +51,9 @@ func TestAdmissionBenchReport(t *testing.T) {
 		}
 	}
 	seqElapsed := time.Since(seqStart)
+	seqSolves := eSeq.Snapshot().SolveCount
 
-	eBatch := newTestEngine(t, Config{Workers: 4, CacheSize: -1})
+	eBatch := newTestEngine(t, Config{Workers: 4, CacheSize: -1, FaultInjector: floor()})
 	batchStart := time.Now()
 	outcomes := eBatch.DoBatch(context.Background(), items)
 	batchElapsed := time.Since(batchStart)
@@ -51,6 +63,12 @@ func TestAdmissionBenchReport(t *testing.T) {
 		}
 	}
 	batchSolves := eBatch.Snapshot().SolveCount
+	if seqSolves != batchN {
+		t.Errorf("sequential engine ran %d solves, want %d (one per spec)", seqSolves, batchN)
+	}
+	if batchSolves != batchKeys {
+		t.Errorf("batch engine ran %d solves, want %d (one per distinct key)", batchSolves, batchKeys)
+	}
 	speedup := seqElapsed.Seconds() / batchElapsed.Seconds()
 	if speedup < 5 {
 		t.Errorf("batch dedup speedup %.1fx, want >= 5x (sequential %s, batch %s)", speedup, seqElapsed, batchElapsed)
@@ -116,6 +134,8 @@ func TestAdmissionBenchReport(t *testing.T) {
 		"batchSpecs":              batchN,
 		"batchDistinctKeys":       batchKeys,
 		"batchSolves":             batchSolves,
+		"sequentialSolves":        seqSolves,
+		"solveFloorSeconds":       batchSolveFloor.Seconds(),
 		"sequentialSeconds":       seqElapsed.Seconds(),
 		"batchSeconds":            batchElapsed.Seconds(),
 		"batchDedupSpeedup":       speedup,

@@ -113,18 +113,6 @@ type Config struct {
 	// (fill, import) are already replicating and are not re-pushed, so
 	// replication cannot amplify into a loop.
 	OnPlanStored func(key string, data []byte)
-	// Portfolio routes search-engine solves through portfolio.Race:
-	// configured backend lanes (branch-and-bound, MILP, greedy) run the
-	// same canonical spec concurrently, the first optimality proof wins
-	// and cancels the rest, and every completed loser is cross-checked
-	// against the winner. Disabled by default; the plan served is
-	// byte-identical either way, so this never partitions the cache.
-	Portfolio bool
-	// PortfolioLanes selects the racing lanes as a comma-separated list
-	// ("search,milp,greedy"); empty means every lane. Ignored unless
-	// Portfolio is set. Invalid lane names fall back to the full default
-	// set — cmd/synthd validates the flag up front and fails fast instead.
-	PortfolioLanes string
 	// SimIndexSize bounds the spec-similarity warm-start index in entries
 	// (default 512; negative disables it). The index is populated with
 	// every proven plan solved here or admitted from elsewhere (filled,
@@ -219,14 +207,6 @@ func (c Config) simIndexSize() int {
 	}
 }
 
-func (c Config) portfolioLanes() []portfolio.Lane {
-	lanes, err := portfolio.ParseLanes(c.PortfolioLanes)
-	if err != nil {
-		return portfolio.DefaultLanes()
-	}
-	return lanes
-}
-
 // Response is the outcome of one synthesis request.
 type Response struct {
 	// Synthesis is the routed, analyzed switch (nil on error).
@@ -306,8 +286,6 @@ type Engine struct {
 	// disabled): proven plans are added as they land, cold search-engine
 	// solves probe it for an adapted starting incumbent.
 	simIndex *portfolio.SimIndex
-	// pfLanes is the parsed racing lane set; empty unless cfg.Portfolio.
-	pfLanes []portfolio.Lane
 
 	// draining is set by StartDrain (graceful shutdown has begun):
 	// readiness probes — /readyz, cluster membership — steer traffic
@@ -367,9 +345,6 @@ func New(cfg Config) *Engine {
 	}
 	if size := cfg.simIndexSize(); size > 0 {
 		e.simIndex = portfolio.NewSimIndex(size)
-	}
-	if cfg.Portfolio {
-		e.pfLanes = cfg.portfolioLanes()
 	}
 	workers := cfg.workers()
 	done := make(chan struct{}, workers)
@@ -921,18 +896,15 @@ func (e *Engine) runJob(j job) {
 // merely matching its warm-start seed rather than tightening it.
 const seedTightenEps = 1e-9
 
-// solveCanonical runs the optimizer on the canonical spec, wiring in the
-// portfolio tier: search-engine solves probe the similarity index for a
-// warm-start seed, and — when racing is configured — run through
-// portfolio.Race instead of a lone solve. Plans are byte-identical on
-// every path, so neither feature partitions the cache; proven plans feed
-// back into the similarity index for future neighbors. The injectable
-// e.solve remains the entry point for every non-raced solve, so tests
-// that substitute it see all default-configuration traffic.
+// solveCanonical runs the optimizer on the canonical spec through the
+// injectable e.solve, the one solve path. Search-engine solves probe the
+// similarity index for a warm-start seed; the seed only tightens the
+// initial bound, so plans are byte-identical with or without it and the
+// index never partitions the cache. Proven plans feed back into the
+// index for future neighbors.
 func (e *Engine) solveCanonical(canon *spec.Spec, opts switchsynth.Options) (*spec.Result, error) {
-	isSearch := engineName(opts) == switchsynth.EngineSearch
 	var seed *spec.Result
-	if isSearch && e.simIndex != nil {
+	if engineName(opts) == switchsynth.EngineSearch && e.simIndex != nil {
 		if seed = e.simIndex.Lookup(canon); seed != nil {
 			e.metrics.warmStartHits.Add(1)
 			opts.SeedIncumbent = seed
@@ -940,15 +912,7 @@ func (e *Engine) solveCanonical(canon *spec.Spec, opts switchsynth.Options) (*sp
 			e.metrics.warmStartMisses.Add(1)
 		}
 	}
-	var (
-		res *spec.Result
-		err error
-	)
-	if isSearch && len(e.pfLanes) > 0 {
-		res, err = e.solveRace(canon, opts, seed)
-	} else {
-		res, err = e.solve(e.baseCtx, canon, opts)
-	}
+	res, err := e.solve(e.baseCtx, canon, opts)
 	if err == nil && res != nil && res.Proven {
 		if seed != nil && res.Objective < seed.Objective-seedTightenEps {
 			e.metrics.seedTightened.Add(1)
@@ -958,36 +922,6 @@ func (e *Engine) solveCanonical(canon *spec.Spec, opts switchsynth.Options) (*sp
 		}
 	}
 	return res, err
-}
-
-// solveRace runs one raced solve through the portfolio supervisor,
-// counting the race, the winning lane, and any backend disagreement. A
-// disagreement is returned as the job error — the fail-closed posture of
-// internal/portfolio — and is never served or cached.
-func (e *Engine) solveRace(canon *spec.Spec, opts switchsynth.Options, seed *spec.Result) (*spec.Result, error) {
-	e.metrics.portfolioRaces.Add(1)
-	out, err := portfolio.Race(e.baseCtx, canon, portfolio.Options{
-		Lanes:         e.pfLanes,
-		TimeLimit:     opts.TimeLimit,
-		SearchWorkers: opts.SolverWorkers,
-		Seed:          seed,
-		OnIncumbent:   opts.OnIncumbent,
-	})
-	if err != nil {
-		if errors.Is(err, &portfolio.ErrBackendDisagreement{}) {
-			e.metrics.portfolioDisagreements.Add(1)
-		}
-		return nil, err
-	}
-	switch out.Winner {
-	case portfolio.LaneSearch:
-		e.metrics.portfolioWinsSearch.Add(1)
-	case portfolio.LaneMILP:
-		e.metrics.portfolioWinsMILP.Add(1)
-	case portfolio.LaneGreedy:
-		e.metrics.portfolioWinsGreedy.Add(1)
-	}
-	return out.Result, nil
 }
 
 // recordBreaker feeds a solve outcome into the key's circuit breaker:
@@ -1033,7 +967,6 @@ func (e *Engine) Snapshot() Snapshot {
 	s.DigestCacheAdds = dst.Adds
 	s.SolverWorkers = e.cfg.solverWorkers()
 	s.SolverNodesTotal, s.SolverStealsTotal = search.Counters()
-	s.PortfolioEnabled = len(e.pfLanes) > 0
 	s.SeedsAdopted, s.SeedsRejected = search.SeedCounters()
 	if e.simIndex != nil {
 		st := e.simIndex.Stats()
@@ -1056,56 +989,6 @@ func (e *Engine) Snapshot() Snapshot {
 		s.StoreFsyncErrors = st.FsyncErrors
 	}
 	return s
-}
-
-// PortfolioStats is the GET /portfolio payload: the portfolio tier's
-// configuration and counters in one focused block (the same counters
-// also appear inside the full /metrics snapshot). Disagreements counts
-// raced engine solves that failed closed on a backend disagreement;
-// ProcessDisagreements is the portfolio package's process-wide counter
-// (it also covers races not routed through this engine) — both must stay
-// zero in a healthy deployment.
-type PortfolioStats struct {
-	Enabled              bool               `json:"enabled"`
-	Lanes                []string           `json:"lanes,omitempty"`
-	Races                int64              `json:"races"`
-	LaneWinsSearch       int64              `json:"laneWinsSearch"`
-	LaneWinsMILP         int64              `json:"laneWinsMilp"`
-	LaneWinsGreedy       int64              `json:"laneWinsGreedy"`
-	Disagreements        int64              `json:"disagreements"`
-	ProcessDisagreements int64              `json:"processDisagreements"`
-	WarmStartHits        int64              `json:"warmStartHits"`
-	WarmStartMisses      int64              `json:"warmStartMisses"`
-	SeedTightened        int64              `json:"seedTightened"`
-	SeedsAdopted         int64              `json:"seedsAdopted"`
-	SeedsRejected        int64              `json:"seedsRejected"`
-	SimIndex             portfolio.SimStats `json:"simIndex"`
-}
-
-// PortfolioStats returns the portfolio tier's current configuration and
-// counters (the GET /portfolio payload).
-func (e *Engine) PortfolioStats() PortfolioStats {
-	ps := PortfolioStats{
-		Enabled:        len(e.pfLanes) > 0,
-		Races:          e.metrics.portfolioRaces.Load(),
-		LaneWinsSearch: e.metrics.portfolioWinsSearch.Load(),
-		LaneWinsMILP:   e.metrics.portfolioWinsMILP.Load(),
-		LaneWinsGreedy: e.metrics.portfolioWinsGreedy.Load(),
-		Disagreements:  e.metrics.portfolioDisagreements.Load(),
-
-		ProcessDisagreements: portfolio.Disagreements(),
-		WarmStartHits:        e.metrics.warmStartHits.Load(),
-		WarmStartMisses:      e.metrics.warmStartMisses.Load(),
-		SeedTightened:        e.metrics.seedTightened.Load(),
-	}
-	for _, l := range e.pfLanes {
-		ps.Lanes = append(ps.Lanes, string(l))
-	}
-	ps.SeedsAdopted, ps.SeedsRejected = search.SeedCounters()
-	if e.simIndex != nil {
-		ps.SimIndex = e.simIndex.Stats()
-	}
-	return ps
 }
 
 // Close stops accepting requests, drains queued jobs, and waits for the

@@ -19,10 +19,6 @@
 //	                              reports the process up
 //	GET  /metrics                 Snapshot as JSON (plus a "cluster" section
 //	                              when a cluster status hook is configured)
-//	GET  /portfolio               the portfolio tier's configuration and
-//	                              counters: racing lanes, lane wins, backend
-//	                              disagreements (must be zero), warm-start
-//	                              hit rate and similarity-index gauges
 //	GET  /plans                   manifest of locally held canonical plan keys
 //	GET  /plans/{key}             the stored planio-encoded plan, 404 when
 //	                              absent — the peer cache-fill and anti-entropy
@@ -309,14 +305,6 @@ func NewHandlerWith(e *Engine, hc HandlerConfig) http.Handler {
 			return
 		}
 		writeJSON(w, http.StatusOK, snap)
-	})
-	mux.HandleFunc("/portfolio", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			writeError(w, http.StatusMethodNotAllowed, "invalid", fmt.Errorf("GET required"))
-			return
-		}
-		writeJSON(w, http.StatusOK, e.PortfolioStats())
 	})
 	plans := func(w http.ResponseWriter, r *http.Request) {
 		key := strings.TrimPrefix(r.URL.Path, "/plans")

@@ -87,18 +87,6 @@ type Metrics struct {
 	incumbentsPublished atomic.Int64
 	streamWatches       atomic.Int64
 
-	// Portfolio-tier counters. portfolioRaces counts solves routed through
-	// portfolio.Race; the three win counters break them down by which lane
-	// supplied the served plan (they sum to the races that served one).
-	// portfolioDisagreements counts raced solves failed closed by a
-	// backend disagreement — it must stay zero; the CI chaos and
-	// determinism gates assert on it.
-	portfolioRaces         atomic.Int64
-	portfolioWinsSearch    atomic.Int64
-	portfolioWinsMILP      atomic.Int64
-	portfolioWinsGreedy    atomic.Int64
-	portfolioDisagreements atomic.Int64
-
 	// Warm-start counters. warmStartHits/warmStartMisses count similarity
 	// index probes on cold search-engine solves; seedTightened counts
 	// proven solves whose optimum strictly beat their adapted seed (the
@@ -236,19 +224,6 @@ type Snapshot struct {
 	SolverNodesTotal  int64 `json:"solver_nodes_total"`
 	SolverStealsTotal int64 `json:"solver_steals_total"`
 
-	// Portfolio tier. PortfolioEnabled reports whether racing is
-	// configured (the warm-start index has its own gauges below and is on
-	// by default). Lane wins sum to the races that served a plan;
-	// Disagreements must stay zero — any nonzero value means two
-	// independent optimality proofs contradicted each other and the
-	// affected solves failed closed.
-	PortfolioEnabled       bool  `json:"portfolio_enabled"`
-	PortfolioRaces         int64 `json:"portfolio_races"`
-	PortfolioWinsSearch    int64 `json:"portfolio_lane_wins_search"`
-	PortfolioWinsMILP      int64 `json:"portfolio_lane_wins_milp"`
-	PortfolioWinsGreedy    int64 `json:"portfolio_lane_wins_greedy"`
-	PortfolioDisagreements int64 `json:"portfolio_disagreements"`
-
 	// Warm-start effectiveness. Hits/Misses count similarity index probes
 	// on cold search-engine solves; SeedTightened counts proven solves
 	// that strictly beat their seed. SeedsAdopted/SeedsRejected are the
@@ -306,14 +281,9 @@ func (m *Metrics) snapshot() Snapshot {
 		IncumbentsPublished: m.incumbentsPublished.Load(),
 		StreamWatches:       m.streamWatches.Load(),
 
-		PortfolioRaces:         m.portfolioRaces.Load(),
-		PortfolioWinsSearch:    m.portfolioWinsSearch.Load(),
-		PortfolioWinsMILP:      m.portfolioWinsMILP.Load(),
-		PortfolioWinsGreedy:    m.portfolioWinsGreedy.Load(),
-		PortfolioDisagreements: m.portfolioDisagreements.Load(),
-		WarmStartHits:          m.warmStartHits.Load(),
-		WarmStartMisses:        m.warmStartMisses.Load(),
-		SeedTightened:          m.seedTightened.Load(),
+		WarmStartHits:   m.warmStartHits.Load(),
+		WarmStartMisses: m.warmStartMisses.Load(),
+		SeedTightened:   m.seedTightened.Load(),
 
 		SolveCount: m.solveCount.Load(),
 		SolveMaxSeconds: time.Duration(

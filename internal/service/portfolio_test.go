@@ -4,34 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"switchsynth"
 	"switchsynth/internal/planio"
-	"switchsynth/internal/portfolio"
 	"switchsynth/internal/spec"
 )
-
-// fixedServiceSpec is MILP-tractable: small, Fixed binding. The exact
-// MILP lane only races usefully on instances like this; the unfixed
-// binding encoding is intractable even at 8 pins.
-func fixedServiceSpec(name string) *spec.Spec {
-	return &spec.Spec{
-		Name:       name,
-		SwitchPins: 8,
-		Modules:    []string{"a", "b", "o1", "o2"},
-		Flows: []spec.Flow{
-			{From: "a", To: "o1"},
-			{From: "b", To: "o2"},
-		},
-		Conflicts: [][2]int{{0, 1}},
-		Binding:   spec.Fixed,
-		FixedPins: map[string]int{"a": 0, "o1": 1, "b": 4, "o2": 5},
-	}
-}
 
 // neighborServiceSpec is serviceSpec plus one module and one flow — one
 // similarity edit away, so a solve of serviceSpec warms it.
@@ -59,80 +37,6 @@ func planBytes(t *testing.T, res *spec.Result) []byte {
 	return data
 }
 
-// TestPortfolioRaceServesIdenticalPlan races the full default lane set
-// on a MILP-tractable spec and demands the served plan be byte-identical
-// to a plain (non-raced) engine solve, with the lane wins accounting for
-// every race and zero disagreements.
-func TestPortfolioRaceServesIdenticalPlan(t *testing.T) {
-	before := portfolio.Disagreements()
-	plain := newTestEngine(t, Config{Workers: 1})
-	raced := newTestEngine(t, Config{Workers: 1, Portfolio: true})
-
-	sp := fixedServiceSpec("raced")
-	cold, err := plain.Do(context.Background(), sp, switchsynth.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hot, err := raced.Do(context.Background(), fixedServiceSpec("raced"), switchsynth.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(planBytes(t, cold.Synthesis.Result), planBytes(t, hot.Synthesis.Result)) {
-		t.Error("raced plan differs from plain solve")
-	}
-
-	ps := raced.PortfolioStats()
-	if !ps.Enabled {
-		t.Error("PortfolioStats.Enabled = false on a racing engine")
-	}
-	if ps.Races != 1 {
-		t.Errorf("races = %d, want 1", ps.Races)
-	}
-	if wins := ps.LaneWinsSearch + ps.LaneWinsMILP + ps.LaneWinsGreedy; wins != ps.Races {
-		t.Errorf("lane wins sum to %d, want %d (every served race has exactly one winner)", wins, ps.Races)
-	}
-	if ps.Disagreements != 0 {
-		t.Errorf("disagreements = %d, want 0", ps.Disagreements)
-	}
-	if got := portfolio.Disagreements() - before; got != 0 {
-		t.Errorf("process disagreements grew by %d during the race", got)
-	}
-	if plainPS := plain.PortfolioStats(); plainPS.Enabled || plainPS.Races != 0 {
-		t.Errorf("non-racing engine reports enabled=%v races=%d", plainPS.Enabled, plainPS.Races)
-	}
-}
-
-// TestPortfolioLaneWinsSumToCompletedRaces pushes several distinct specs
-// through a racing engine and checks the invariant the /portfolio
-// endpoint documents: every race that served a plan has exactly one
-// winning lane.
-func TestPortfolioLaneWinsSumToCompletedRaces(t *testing.T) {
-	e := newTestEngine(t, Config{Workers: 2, Portfolio: true, PortfolioLanes: "search,greedy"})
-	names := []string{"w1", "w2", "w3"}
-	specs := []*spec.Spec{serviceSpec(names[0]), neighborServiceSpec(names[1]), fixedServiceSpec(names[2])}
-	for _, sp := range specs {
-		if _, err := e.Do(context.Background(), sp, switchsynth.Options{}); err != nil {
-			t.Fatalf("%s: %v", sp.Name, err)
-		}
-	}
-	ps := e.PortfolioStats()
-	if ps.Races != int64(len(specs)) {
-		t.Errorf("races = %d, want %d", ps.Races, len(specs))
-	}
-	if wins := ps.LaneWinsSearch + ps.LaneWinsMILP + ps.LaneWinsGreedy; wins != ps.Races {
-		t.Errorf("lane wins sum to %d, want %d", wins, ps.Races)
-	}
-	if ps.LaneWinsMILP != 0 {
-		t.Errorf("milp lane won %d races but was not configured", ps.LaneWinsMILP)
-	}
-	if ps.Disagreements != 0 {
-		t.Errorf("disagreements = %d, want 0", ps.Disagreements)
-	}
-	if got, want := ps.Lanes, []string{"search", "greedy"}; len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("lanes = %v, want %v", got, want)
-	}
-}
-
 // TestWarmStartAcrossNeighborSolves solves a spec, then its one-edit
 // neighbor, and expects the second solve to warm-start from the first —
 // with the warm plan byte-identical to a cold engine's.
@@ -155,129 +59,38 @@ func TestWarmStartAcrossNeighborSolves(t *testing.T) {
 		t.Error("warm-started plan differs from cold solve")
 	}
 
-	ps := warm.PortfolioStats()
-	if ps.WarmStartHits != 1 {
-		t.Errorf("warm-start hits = %d, want 1 (the neighbor solve)", ps.WarmStartHits)
-	}
-	if ps.WarmStartMisses != 1 {
-		t.Errorf("warm-start misses = %d, want 1 (the cold base solve)", ps.WarmStartMisses)
-	}
-	if ps.SimIndex.Entries != 2 {
-		t.Errorf("simindex entries = %d, want 2", ps.SimIndex.Entries)
-	}
-	if cps := coldEng.PortfolioStats(); cps.WarmStartHits != 0 || cps.WarmStartMisses != 0 || cps.SimIndex.Capacity != 0 {
-		t.Errorf("disabled simindex still counting: %+v", cps)
-	}
-
 	snap := warm.Snapshot()
-	if snap.WarmStartHits != 1 || snap.SimIndexEntries != 2 {
-		t.Errorf("snapshot warm-start hits = %d entries = %d, want 1 and 2", snap.WarmStartHits, snap.SimIndexEntries)
+	if snap.WarmStartHits != 1 {
+		t.Errorf("warm-start hits = %d, want 1 (the neighbor solve)", snap.WarmStartHits)
+	}
+	if snap.WarmStartMisses != 1 {
+		t.Errorf("warm-start misses = %d, want 1 (the cold base solve)", snap.WarmStartMisses)
+	}
+	if snap.SimIndexEntries != 2 {
+		t.Errorf("simindex entries = %d, want 2", snap.SimIndexEntries)
 	}
 	if snap.SeedsRejected != 0 && snap.SeedsAdopted == 0 {
 		t.Errorf("seeds: adopted=%d rejected=%d — adapted neighbor seed should adopt", snap.SeedsAdopted, snap.SeedsRejected)
 	}
-}
+	if cs := coldEng.Snapshot(); cs.WarmStartHits != 0 || cs.WarmStartMisses != 0 || cs.SimIndexCapacity != 0 {
+		t.Errorf("disabled simindex still counting: hits=%d misses=%d capacity=%d",
+			cs.WarmStartHits, cs.WarmStartMisses, cs.SimIndexCapacity)
+	}
 
-// TestPortfolioEndpoint exercises GET /portfolio end to end and checks
-// the same counters surface in /metrics under their portfolio_* keys.
-func TestPortfolioEndpoint(t *testing.T) {
-	e := newTestEngine(t, Config{Workers: 1, Portfolio: true, PortfolioLanes: "search,greedy"})
-	srv := httptest.NewServer(NewHandler(e))
-	t.Cleanup(srv.Close)
-
-	body, _ := json.Marshal(SynthesizeRequest{Spec: serviceSpec("ep")})
-	resp, err := http.Post(srv.URL+"/synthesize", "application/json", bytes.NewReader(body))
+	// The warm-start counters keep their /metrics names.
+	data, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("synthesize status %d", resp.StatusCode)
-	}
-
-	pr, err := http.Get(srv.URL + "/portfolio")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pr.Body.Close()
-	if pr.StatusCode != http.StatusOK {
-		t.Fatalf("/portfolio status %d", pr.StatusCode)
-	}
-	var ps PortfolioStats
-	if err := json.NewDecoder(pr.Body).Decode(&ps); err != nil {
-		t.Fatal(err)
-	}
-	if !ps.Enabled || ps.Races != 1 || ps.Disagreements != 0 {
-		t.Errorf("portfolio payload enabled=%v races=%d disagreements=%d, want true/1/0", ps.Enabled, ps.Races, ps.Disagreements)
-	}
-	if wins := ps.LaneWinsSearch + ps.LaneWinsMILP + ps.LaneWinsGreedy; wins != ps.Races {
-		t.Errorf("lane wins sum to %d, want %d", wins, ps.Races)
-	}
-
-	mr, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mr.Body.Close()
 	var m map[string]any
-	if err := json.NewDecoder(mr.Body).Decode(&m); err != nil {
+	if err := json.Unmarshal(data, &m); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"portfolio_enabled", "portfolio_races", "portfolio_lane_wins_search",
-		"portfolio_disagreements", "portfolio_warmstart_hits", "simindex_entries"} {
+	for _, key := range []string{"portfolio_warmstart_hits", "portfolio_warmstart_misses",
+		"portfolio_seed_tightened", "portfolio_seeds_adopted", "portfolio_seeds_rejected",
+		"simindex_entries", "simindex_capacity", "simindex_lookups", "simindex_hits"} {
 		if _, ok := m[key]; !ok {
-			t.Errorf("/metrics missing %q", key)
+			t.Errorf("/metrics snapshot missing %q", key)
 		}
-	}
-	if races, _ := m["portfolio_races"].(float64); int64(races) != ps.Races {
-		t.Errorf("/metrics portfolio_races = %v, /portfolio races = %d", m["portfolio_races"], ps.Races)
-	}
-
-	mm, err := http.NewRequest(http.MethodPost, srv.URL+"/portfolio", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wr, err := http.DefaultClient.Do(mm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wr.Body.Close()
-	if wr.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST /portfolio status %d, want 405", wr.StatusCode)
-	}
-}
-
-// TestPortfolioRaceInfeasibleNegativeCaches proves that a raced
-// infeasibility behaves like a plain one: typed ErrNoSolution out, the
-// proof lands in the negative cache, and no disagreement fires.
-func TestPortfolioRaceInfeasibleNegativeCaches(t *testing.T) {
-	e := newTestEngine(t, Config{Workers: 1, Portfolio: true, PortfolioLanes: "search,greedy"})
-	// Conflicting flows pinned to adjacent corner pins cannot route
-	// node-disjoint: provably infeasible, not invalid.
-	sp := &spec.Spec{
-		Name:       "impossible",
-		SwitchPins: 8,
-		Modules:    []string{"in1", "in2", "out1", "out2"},
-		Flows: []spec.Flow{
-			{From: "in1", To: "out1"},
-			{From: "in2", To: "out2"},
-		},
-		Conflicts: [][2]int{{0, 1}},
-		Binding:   spec.Fixed,
-		FixedPins: map[string]int{"in1": 0, "out1": 2, "in2": 1, "out2": 3},
-	}
-	var nosol *spec.ErrNoSolution
-	if _, err := e.Do(context.Background(), sp, switchsynth.Options{}); !errors.As(err, &nosol) {
-		t.Fatalf("err = %v, want ErrNoSolution", err)
-	}
-	if _, err := e.Do(context.Background(), sp, switchsynth.Options{}); !errors.As(err, &nosol) {
-		t.Fatalf("replayed err = %v, want ErrNoSolution", err)
-	}
-	snap := e.Snapshot()
-	if snap.NegCacheHits != 1 {
-		t.Errorf("negative-cache hits = %d, want 1", snap.NegCacheHits)
-	}
-	if ps := e.PortfolioStats(); ps.Disagreements != 0 {
-		t.Errorf("disagreements = %d, want 0 on an agreed infeasibility", ps.Disagreements)
 	}
 }
