@@ -6,9 +6,10 @@
 # chaos tests — plus the four-topology campaign byte-diff and the
 # kill-any-node zero-re-solve campaign), the admission gate (batch
 # dedup/determinism, per-tenant fairness and the streaming contract,
-# race-checked twice), the warm-start gate (similarity-index adaptation
-# and seeded-solve determinism, race-checked twice, plus the campaign
-# byte-diff across solver widths), the FPVA gate (race-checked
+# race-checked twice, plus the flight-lifecycle tests fifty times), the
+# warm-start gate (similarity-index adaptation and seeded-solve
+# determinism, race-checked twice, plus the campaign byte-diff across
+# solver widths), the FPVA gate (race-checked
 # fault-coverage property suite — every single stuck-open/stuck-closed
 # valve fault on 2x2..8x8 grids must be detected by the generated test
 # patterns — plus the randomized FPVA campaign byte-diffed across solver
@@ -186,6 +187,14 @@ echo "== admission gate: batch determinism + fair queuing, -race -count=2 =="
 # key watching, wait=proof byte-identity with the cold path).
 go test -race -count=2 -run \
   'TestBatch|TestRetryAfterQueueShedPath|TestInvalidPriorityHeaderRejected|TestEngineTwoTenantFairness|TestErrorKindStatusTable|TestDoStream|TestWatchKey|TestHTTPWaitProofStreamsAndMatchesCold|TestHTTPStreamKeyEndpoint' \
+  ./internal/service/
+# The sub-second flight-lifecycle tests, fifty times under the race
+# detector: a cache hit holds no flight, an unknown or degraded key is
+# ErrUnknownKey, and watchers of a shed leader's flight get its error
+# (or, for a leader's private cancellation, look the key up again)
+# instead of hanging.
+go test -race -count=50 -run \
+  '^(TestDoStreamCacheHitHasNoFrames|TestWatchKeyUnknownKey|TestWatchKeyAndDoStreamGetShedLeadersError|TestWatchKeyRetriesLeadersPrivateCancel|TestWatchKeyAfterDegradedSolveIsUnknown)$' \
   ./internal/service/
 go test -race -count=2 ./internal/admission/
 

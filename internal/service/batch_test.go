@@ -68,6 +68,38 @@ func TestBatchHundredSpecsSevenKeys(t *testing.T) {
 	}
 }
 
+// TestBatchDegradedGroupCostsOneSolve pins DoBatch's per-key grouping,
+// which in-flight coalescing alone does not give: a degraded plan is
+// never cached, so a member reaching Do after its key's solve finished
+// would start another. A batch of isomorphic specs must still cost
+// exactly one solve.
+func TestBatchDegradedGroupCostsOneSolve(t *testing.T) {
+	e := newTestEngine(t, Config{Workers: 4})
+	base := solveOnce(t, serviceSpec("degraded"))
+	e.solve = func(context.Context, *spec.Spec, switchsynth.Options) (*spec.Result, error) {
+		c := *base
+		c.Proven, c.Degraded, c.Gap = false, true, 0.5
+		return &c, nil
+	}
+	items := make([]BatchSpec, 64)
+	for i := range items {
+		items[i] = BatchSpec{Spec: batchSpecVariant(i, 1)}
+	}
+	before := e.Snapshot()
+	out := e.DoBatch(context.Background(), items)
+	if solves := e.Snapshot().SolveCount - before.SolveCount; solves != 1 {
+		t.Errorf("batch of %d isomorphic specs performed %d solves, want exactly 1", len(items), solves)
+	}
+	for i, oc := range out {
+		if oc.Err != nil {
+			t.Fatalf("item %d failed: %v", i, oc.Err)
+		}
+		if !oc.Resp.Synthesis.Degraded {
+			t.Errorf("item %d: plan not degraded", i)
+		}
+	}
+}
+
 // TestBatchMatchesSequentialByteForByte is the batch-determinism gate:
 // one batch of N specs must produce, member for member, plans
 // byte-identical to N sequential solves on a fresh engine.

@@ -10,8 +10,9 @@
 // The flightGroup provides singleflight-style deduplication: of N
 // concurrent requests for the same canonical key, exactly one becomes
 // the leader and solves; the rest attach to the leader's flight and
-// receive its outcome. Failed flights are not cached, so a later
-// request retries the solve.
+// receive its outcome. The flight also carries the solve's anytime
+// incumbents, which streaming watchers receive while they wait. Failed
+// flights are not cached, so a later request retries the solve.
 package service
 
 import (
@@ -140,14 +141,51 @@ func (c *cache) len() int {
 	return c.ll.Len()
 }
 
-// flight is one in-progress solve; done is closed once res/err are set.
+// flight is one queued or running solve: the single in-flight record
+// for its canonical key, from the leader's join to complete. It carries
+// the solve's outcome and, while it runs, its anytime incumbents, so a
+// coalesced Do, a DoStream and a WatchKey watcher all wait on the same
+// record (Engine.wait).
 type flight struct {
-	done chan struct{}
+	done chan struct{} // closed by complete, after res/err are set
 	res  *spec.Result
 	err  error
+
+	// Incumbents, guarded by mu. best only ever improves, seq counts the
+	// accepted publishes, and updated is closed and replaced on each one
+	// so a watcher can block on it without polling.
+	mu      sync.Mutex
+	seq     int64
+	best    *spec.Result
+	updated chan struct{}
 }
 
-// flightGroup tracks in-flight solves by canonical key.
+// publish offers an anytime incumbent. Parallel solver workers may call
+// it concurrently and out of objective order; only strict improvements
+// over the best so far are kept, so watchers see a monotonically
+// decreasing objective.
+func (f *flight) publish(r *spec.Result) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.best != nil && r.Objective >= f.best.Objective {
+		return
+	}
+	f.best = r
+	f.seq++
+	close(f.updated)
+	f.updated = make(chan struct{})
+}
+
+// incumbent snapshots the incumbent state under one lock, so a watcher
+// never sees a seq without the plan that produced it, nor misses the
+// wakeup for a publish that lands after the snapshot.
+func (f *flight) incumbent() (seq int64, best *spec.Result, updated <-chan struct{}) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.seq, f.best, f.updated
+}
+
+// flightGroup tracks the in-flight solves by canonical key.
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[string]*flight
@@ -165,26 +203,26 @@ func (g *flightGroup) join(key string) (f *flight, leader bool) {
 	if f, ok := g.m[key]; ok {
 		return f, false
 	}
-	f = &flight{done: make(chan struct{})}
+	f = &flight{done: make(chan struct{}), updated: make(chan struct{})}
 	g.m[key] = f
 	return f, true
 }
 
-// complete publishes the flight's outcome and removes it from the group.
-// The removal happens before done is closed so that a request arriving
-// after completion starts fresh (and finds the cache already populated —
-// the caller must put into the cache before calling complete).
-// inFlight reports whether a solve for key is queued or running. The
-// feed layer consults this on release: a feed whose flight is still in
-// flight stays live even at zero refs, because the worker that picks the
-// job up will adopt and complete it.
-func (g *flightGroup) inFlight(key string) bool {
+// lookup returns key's flight without creating one: a watcher can only
+// attach to a solve some request started.
+func (g *flightGroup) lookup(key string) (*flight, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	_, ok := g.m[key]
-	return ok
+	f, ok := g.m[key]
+	return f, ok
 }
 
+// complete is the flight's one terminal event: it publishes the outcome
+// and removes the flight from the group. The removal happens before done
+// is closed, so a request arriving after completion starts fresh and
+// finds the cache already populated (the caller must put into the cache
+// before calling complete) instead of attaching to a finished solve and
+// replaying its incumbents.
 func (g *flightGroup) complete(key string, f *flight, res *spec.Result, err error) {
 	f.res, f.err = res, err
 	g.mu.Lock()

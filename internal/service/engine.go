@@ -280,7 +280,6 @@ type Engine struct {
 	breakers *admission.Breakers // nil when the breaker is disabled
 	inj      *faultinject.Injector
 	flights  *flightGroup
-	feeds    *feedGroup // per-key anytime incumbent feeds (streaming)
 	metrics  *Metrics
 	// simIndex is the spec-similarity warm-start index (nil when
 	// disabled): proven plans are added as they land, cold search-engine
@@ -333,7 +332,6 @@ func New(cfg Config) *Engine {
 		verified: planio.SharedVerified,
 		inj:      cfg.FaultInjector,
 		flights:  newFlightGroup(),
-		feeds:    newFeedGroup(),
 		metrics:  &Metrics{},
 		baseCtx:  ctx,
 		cancel:   cancel,
@@ -373,6 +371,12 @@ func New(cfg Config) *Engine {
 // possible. It blocks until the plan is ready, ctx is done, or the
 // engine closes. opts.TimeLimit of zero inherits the engine default.
 func (e *Engine) Do(ctx context.Context, sp *spec.Spec, opts switchsynth.Options) (*Response, error) {
+	return e.do(ctx, sp, opts, nil)
+}
+
+// do is Do with an optional frame sink: a non-nil emit also receives the
+// anytime incumbents of the flight the request waits on (DoStream).
+func (e *Engine) do(ctx context.Context, sp *spec.Spec, opts switchsynth.Options, emit func(*Response, bool) error) (*Response, error) {
 	e.metrics.jobsSubmitted.Add(1)
 	key, err := canonicalJobKey(sp, opts)
 	if err != nil {
@@ -395,49 +399,12 @@ func (e *Engine) Do(ctx context.Context, sp *spec.Spec, opts switchsynth.Options
 
 	triedPeer := false
 	for {
-		// Memory tier. A disabled cache (capacity <= 0) explicitly skips
-		// both the lookup here and the store in runJob — requests still
-		// coalesce through the flight group and, in a disk-only
-		// configuration, are served from the durable tier below.
-		if e.cache.enabled() {
-			if res, ok := e.cache.get(key); ok {
-				resp, ferr := e.assemble(&Response{Key: key, CacheHit: true, SolveTime: res.Runtime}, res, sp, opts)
-				if ferr != nil {
-					// The stored plan no longer adapts or verifies — a
-					// corrupted entry. Heal: drop it and re-solve; the fresh
-					// flight result is assembled directly, never from the
-					// cache, so this cannot loop.
-					e.cache.invalidate(key)
-					e.metrics.cacheHealed.Add(1)
-					continue
-				}
+		if resp, ok := e.fromTiers(key, sp, opts); ok {
+			if !resp.DiskHit {
 				e.metrics.cacheHits.Add(1)
-				e.metrics.jobsCompleted.Add(1)
-				return resp, nil
 			}
-		}
-		// Disk tier: the persisted bytes pass admitPlan (the one door every
-		// plan entering a tier goes through) and then the same assemble
-		// path a memory hit takes, so a record that rotted on disk — or
-		// was filed under a key it does not belong to — is healed
-		// (evicted and re-solved), never served.
-		if e.store != nil {
-			if res, data, ok := e.loadFromStore(key); ok {
-				resp, ferr := e.assemble(&Response{Key: key, CacheHit: true, DiskHit: true, SolveTime: res.Runtime}, res, sp, opts)
-				if ferr != nil {
-					_ = e.store.Delete(key)
-					e.metrics.storeHealed.Add(1)
-					continue
-				}
-				// Promote to the memory tier — with the stored frame, so the
-				// next hit skips the disk read and peers get the exact bytes
-				// without a re-encode.
-				if e.cache.enabled() {
-					e.cache.put(key, res, data)
-				}
-				e.metrics.jobsCompleted.Add(1)
-				return resp, nil
-			}
+			e.metrics.jobsCompleted.Add(1)
+			return resp, nil
 		}
 		// Cluster tier: both local tiers missed — ask the key's owning
 		// peer before burning a solver slot. The fetched bytes pass
@@ -472,12 +439,9 @@ func (e *Engine) Do(ctx context.Context, sp *spec.Spec, opts switchsynth.Options
 			e.metrics.cacheMisses.Add(1)
 			if err := e.enqueue(ctx, job{key: key, sp: sp, opts: opts, flight: f}); err != nil {
 				// Nobody will run this flight; fail it so attached
-				// waiters don't hang, and let later requests retry. A
-				// feed held open for this flight (a DoStream whose
-				// release deferred to the in-flight check) now has no
-				// worker coming — reap it so its watchers unblock too.
+				// waiters and watchers get this error instead of hanging,
+				// and let later requests retry.
 				e.flights.complete(key, f, nil, err)
-				e.feeds.abandon(key)
 				switch {
 				case errors.Is(err, &admission.ErrShed{}):
 					e.metrics.jobsShedQueue.Add(1)
@@ -491,24 +455,13 @@ func (e *Engine) Do(ctx context.Context, sp *spec.Spec, opts switchsynth.Options
 		} else {
 			e.metrics.dedupCoalesced.Add(1)
 		}
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			e.metrics.jobsFailed.Add(1)
-			return nil, ctx.Err()
+		retry, err := e.wait(ctx, f, !leader, key, sp, opts, emit)
+		if retry {
+			continue
 		}
-		if f.err != nil {
-			// A coalesced waiter whose leader was cancelled before its
-			// job ran retries its own solve rather than inheriting the
-			// leader's private cancellation. Genuine solve timeouts are
-			// *search.ErrTimeout, never a bare context error.
-			if !leader && ctx.Err() == nil && e.baseCtx.Err() == nil &&
-				!errors.Is(f.err, &search.ErrTimeout{}) &&
-				(errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) {
-				continue
-			}
-			e.classifyFailure(f.err)
-			return nil, f.err
+		if err != nil {
+			e.classifyFailure(err)
+			return nil, err
 		}
 		resp, ferr := e.assemble(&Response{Key: key, Coalesced: !leader, SolveTime: f.res.Runtime}, f.res, sp, opts)
 		if ferr != nil {
@@ -518,6 +471,88 @@ func (e *Engine) Do(ctx context.Context, sp *spec.Spec, opts switchsynth.Options
 		e.metrics.jobsCompleted.Add(1)
 		return resp, nil
 	}
+}
+
+// fromTiers serves key from the memory tier, then the durable store,
+// presenting the plan on sp like every hit (assemble). The persisted
+// bytes pass admitPlan first (loadFromStore). A hit that no longer
+// assembles — a corrupted entry, or a record filed under a key it does
+// not belong to — is healed (dropped from its tier, so the caller
+// re-solves), never served. A disk hit is promoted to the memory tier
+// with its stored frame, so the next hit skips the disk read and peers
+// get the exact bytes without a re-encode. A disabled memory tier
+// (capacity <= 0) is skipped here and in runJob: requests still
+// coalesce through the flight group and, in a disk-only configuration,
+// are served from the store.
+func (e *Engine) fromTiers(key string, sp *spec.Spec, opts switchsynth.Options) (*Response, bool) {
+	if e.cache.enabled() {
+		if res, ok := e.cache.get(key); ok {
+			resp, err := e.assemble(&Response{Key: key, CacheHit: true, SolveTime: res.Runtime}, res, sp, opts)
+			if err == nil {
+				return resp, true
+			}
+			e.cache.invalidate(key)
+			e.metrics.cacheHealed.Add(1)
+		}
+	}
+	if e.store != nil {
+		if res, data, ok := e.loadFromStore(key); ok {
+			resp, err := e.assemble(&Response{Key: key, CacheHit: true, DiskHit: true, SolveTime: res.Runtime}, res, sp, opts)
+			if err != nil {
+				_ = e.store.Delete(key)
+				e.metrics.storeHealed.Add(1)
+				return nil, false
+			}
+			if e.cache.enabled() {
+				e.cache.put(key, res, data)
+			}
+			return resp, true
+		}
+	}
+	return nil, false
+}
+
+// wait blocks until flight f completes or ctx is done, and returns f's
+// error (nil: the plan is f.res). With a nil emit that is one select.
+// With an emit it also hands every new incumbent of f to emit, presented
+// under key on sp like any hit, until f completes; an incumbent that
+// fails to assemble is skipped, and an emit error (the client went
+// away) stops delivery but not the wait.
+//
+// retry is set for a follower — a coalesced request or a watcher —
+// whose leader was cancelled before its job ran: rather than inherit the
+// leader's private cancellation, the caller looks the key up again.
+// Genuine solve timeouts are *search.ErrTimeout, never a bare context
+// error.
+func (e *Engine) wait(ctx context.Context, f *flight, follower bool, key string, sp *spec.Spec, opts switchsynth.Options, emit func(*Response, bool) error) (retry bool, err error) {
+	var seen int64
+	for done := false; !done; {
+		var updated <-chan struct{} // nil, so never ready, without an emit
+		if emit != nil {
+			seq, best, upd := f.incumbent()
+			if seq > seen {
+				seen = seq
+				if resp, aerr := e.assemble(&Response{Key: key, SolveTime: best.Runtime}, best, sp, opts); aerr == nil && emit(resp, false) != nil {
+					emit = nil
+				}
+				continue // more incumbents may already have landed
+			}
+			updated = upd
+		}
+		select {
+		case <-f.done:
+			done = true
+		case <-updated:
+		case <-ctx.Done():
+			return false, ctx.Err()
+		}
+	}
+	if follower && f.err != nil && ctx.Err() == nil && e.baseCtx.Err() == nil &&
+		!errors.Is(f.err, &search.ErrTimeout{}) &&
+		(errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) {
+		return true, nil
+	}
+	return false, f.err
 }
 
 // ErrPlanRejected reports plan bytes that admitPlan refused to let into
@@ -755,9 +790,14 @@ func (e *Engine) enqueue(ctx context.Context, j job) error {
 
 // assemble adapts the shared plan onto the requesting spec and runs the
 // per-request analyses (verification, valves, pressure sharing, control
-// routing). It records no metrics; callers classify the outcome, since a
-// failed assembly of a cached entry is a heal, not a job failure.
+// routing). A nil sp presents the plan on its own canonical spec, for a
+// watcher that supplied none (WatchKey). It records no metrics; callers
+// classify the outcome, since a failed assembly of a cached entry is a
+// heal, not a job failure.
 func (e *Engine) assemble(resp *Response, shared *spec.Result, sp *spec.Spec, opts switchsynth.Options) (*Response, error) {
+	if sp == nil {
+		sp, opts = shared.Spec, switchsynth.Options{Engine: shared.Engine}
+	}
 	adapted, err := adaptResult(shared, sp)
 	if err != nil {
 		return nil, err
@@ -810,16 +850,15 @@ func (e *Engine) runJob(j job) {
 		err error
 	)
 	e.inj.Fire(faultinject.QueueStall)
-	// Open the key's incumbent feed and stream every anytime improvement
-	// the optimizer installs: DoStream watchers see each snapshot as it
-	// lands, ahead of the optimality proof. The hook may fire from solver
-	// worker goroutines concurrently; the feed serializes and orders by
-	// objective internally.
-	feed := e.feeds.open(j.key)
+	// Publish every anytime improvement the optimizer installs on the
+	// flight: waiting DoStream and WatchKey watchers see each snapshot as
+	// it lands, ahead of the optimality proof. The hook may fire from
+	// solver worker goroutines concurrently; the flight serializes and
+	// orders by objective.
 	opts := j.opts
 	opts.OnIncumbent = func(r *spec.Result) {
 		e.metrics.incumbentsPublished.Add(1)
-		feed.publish(r)
+		j.flight.publish(r)
 	}
 	start := time.Now()
 	func() {
@@ -880,15 +919,9 @@ func (e *Engine) runJob(j job) {
 			e.neg.put(j.key, nosol)
 		}
 	}
-	// Cache before completing the feed and the flight: a request arriving
-	// after either disappears must find the entry, and a stream watcher
-	// woken by the final frame finds it when it falls back to Do. The
-	// flight always carries the pristine plan, never the possibly-corrupted
-	// cache copy. The feed completes first: a waiter the flight releases
-	// may at once open a DoStream for the same key, which must get a fresh
-	// feed rather than attach to this one and replay its incumbents as
-	// frames of what is now a cache hit.
-	e.feeds.complete(j.key, feed, res, err)
+	// Cache before completing the flight: a request arriving after it
+	// leaves the group must find the entry. The flight always carries the
+	// pristine plan, never the possibly-corrupted cache copy.
 	e.flights.complete(j.key, j.flight, res, err)
 }
 

@@ -394,6 +394,29 @@ func callerFromRequest(r *http.Request, def admission.Class) (admission.Caller, 
 	return c, nil
 }
 
+// decodeBody decodes r's JSON body into v, refusing unknown fields and
+// bodies over limit bytes. On failure it writes the JSON error envelope
+// and returns false: an oversized body is not malformed JSON but a limit
+// violation, so it is a 413 telling the client that shrinking (not
+// fixing) the payload is the remedy; anything else is a 400. Never a
+// decoder panic or a bare text body.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "invalid",
+			fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
+		return false
+	}
+	writeError(w, http.StatusBadRequest, "invalid", fmt.Errorf("parsing request: %w", err))
+	return false
+}
+
 func handleSynthesize(e *Engine, w http.ResponseWriter, r *http.Request) {
 	e.inj.Fire(faultinject.HTTPDelay)
 	caller, err := callerFromRequest(r, admission.Interactive)
@@ -402,20 +425,7 @@ func handleSynthesize(e *Engine, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SynthesizeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		// An oversized body is not malformed JSON but a limit violation:
-		// report 413 so the client knows shrinking (not fixing) the
-		// payload is the remedy. Both paths return the JSON error
-		// envelope — never a decoder panic or a bare text body.
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "invalid",
-				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "invalid", fmt.Errorf("parsing request: %w", err))
+	if !decodeBody(w, r, maxRequestBody, &req) {
 		return
 	}
 	if req.Spec == nil {
@@ -457,16 +467,7 @@ func handleBatch(e *Engine, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchRequestBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "invalid",
-				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "invalid", fmt.Errorf("parsing request: %w", err))
+	if !decodeBody(w, r, maxBatchRequestBody, &req) {
 		return
 	}
 	if len(req.Specs) == 0 {
@@ -524,8 +525,10 @@ func handleBatch(e *Engine, w http.ResponseWriter, r *http.Request) {
 
 // handleStreamKey attaches to the in-flight solve of the key in the URL
 // path and streams its incumbents as ndjson; a key already cached is a
-// single final frame, an unknown key a 404. Frames are presented on the
-// solve's canonical spec (the watcher supplied no spec of its own).
+// single final frame, an unknown key a 404, and a watched solve that
+// fails carries its own error (a shed or drained leader: 429 or 503 with
+// Retry-After). Frames are presented on the solve's canonical spec (the
+// watcher supplied no spec of its own).
 func handleStreamKey(e *Engine, w http.ResponseWriter, r *http.Request) {
 	key := strings.TrimPrefix(r.URL.Path, "/synthesize/stream/")
 	if key == "" {

@@ -1,30 +1,27 @@
-// Streaming refinement: per-key anytime incumbent feeds.
+// Streaming refinement: a flight's anytime incumbents, delivered while
+// callers wait on it.
 //
 // The optimizer's branch-and-bound is an anytime algorithm — it installs
 // a feasible plan early and keeps tightening it until the optimality
-// proof lands. The feed layer turns that into a service primitive: every
-// running solve publishes each improving incumbent on its canonical
-// key's feed, and watchers (Engine.DoStream, Engine.WatchKey, and the
-// ?wait=proof / GET /synthesize/stream/{key} HTTP endpoints on top of
-// them) receive the degraded snapshots as they land, ahead of the final
-// proven plan.
+// proof lands. Every running solve publishes each improving incumbent on
+// its flight (runJob), the one in-flight record per canonical key, and
+// the engine's one wait (Engine.wait) hands them to streaming callers:
+// DoStream, WatchKey, and the ?wait=proof / GET /synthesize/stream/{key}
+// HTTP endpoints on top of them receive the degraded snapshots as they
+// land, ahead of the final proven plan. A flight keeps only strict
+// improvements, so every watcher observes a monotonically decreasing
+// objective.
 //
-// A feed is strictly improving: out-of-order publishes from parallel
-// solver workers are dropped unless they beat the best seen, so every
-// watcher observes a monotonically decreasing objective. Feeds are
-// created by the worker that runs the solve (and by DoStream, which must
-// subscribe before its request races the solve) and removed from the
-// group when the solve completes; watchers holding the pointer still
-// read the terminal state from it. Openers are refcounted: the worker
-// that adopted a feed is its sole authoritative finisher, and a streamer
-// that gives up early only finishes a feed no worker (queued or running)
-// will ever complete.
+// Streaming adds no lifecycle of its own: incumbents live and die with
+// the flight, so a request served from a cache tier holds no flight and
+// sees no frames, and a watcher of a flight that fails — a solve error,
+// or a leader shed or drained before its job was queued — receives that
+// flight's error.
 package service
 
 import (
 	"context"
 	"errors"
-	"sync"
 
 	"switchsynth"
 	"switchsynth/internal/spec"
@@ -35,181 +32,6 @@ import (
 // never cached, so a watcher arriving after such a solve finished sees
 // this too. HTTP maps it to 404.
 var ErrUnknownKey = errors.New("service: no cached plan or in-flight solve for this key")
-
-// feed is one canonical key's incumbent stream. All fields are guarded
-// by mu; updated is closed (and, while the feed is live, replaced) on
-// every state change, so watchers can block on it without polling.
-type feed struct {
-	mu      sync.Mutex
-	seq     int64        // bumped per accepted incumbent
-	best    *spec.Result // lowest-objective incumbent published so far
-	done    bool         // terminal state reached; res/err are set
-	res     *spec.Result
-	err     error
-	updated chan struct{}
-}
-
-// feedState is an atomic snapshot of a feed, taken under its lock so a
-// watcher can never observe a seq without the incumbent that produced it
-// (the missed-wakeup hazard of reading fields separately).
-type feedState struct {
-	seq     int64
-	best    *spec.Result
-	done    bool
-	res     *spec.Result
-	err     error
-	updated chan struct{}
-}
-
-func (f *feed) state() feedState {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return feedState{seq: f.seq, best: f.best, done: f.done, res: f.res, err: f.err, updated: f.updated}
-}
-
-// publish offers an incumbent to the feed. Parallel solver workers may
-// call this concurrently and out of objective order; only strict
-// improvements over the best seen are kept.
-func (f *feed) publish(r *spec.Result) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.done || (f.best != nil && r.Objective >= f.best.Objective) {
-		return
-	}
-	f.best = r
-	f.seq++
-	close(f.updated)
-	f.updated = make(chan struct{})
-}
-
-// finish moves the feed to its terminal state. The first finisher wins;
-// the updated channel is closed for good (watchers check done before
-// blocking on it).
-func (f *feed) finish(res *spec.Result, err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.done {
-		return
-	}
-	f.done = true
-	f.res, f.err = res, err
-	close(f.updated)
-}
-
-// feedGroup indexes the live feeds by canonical job key. Every opener —
-// the worker that runs the solve and each DoStream watcher — holds one
-// ref on the entry, so a watcher that gives up (client cancel, early
-// return) cannot finish a live feed out from under the others: only the
-// last releaser of a feed no worker completed may declare it an orphan.
-type feedGroup struct {
-	mu sync.Mutex
-	m  map[string]*feedEntry
-}
-
-// feedEntry pairs a live feed with its open refcount (guarded by the
-// group's mu, not the feed's).
-type feedEntry struct {
-	f    *feed
-	refs int
-}
-
-func newFeedGroup() *feedGroup {
-	return &feedGroup{m: make(map[string]*feedEntry)}
-}
-
-// open returns key's live feed, creating it if absent, and takes one
-// ref. Both the worker that runs the solve and DoStream watchers land on
-// the same feed; each must pair this with exactly one complete or
-// release.
-func (g *feedGroup) open(key string) *feed {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	e := g.m[key]
-	if e == nil {
-		e = &feedEntry{f: &feed{updated: make(chan struct{})}}
-		g.m[key] = e
-	}
-	e.refs++
-	return e.f
-}
-
-// watch returns key's live feed without creating one and without taking
-// a ref: a WatchKey caller can only attach to a solve something else
-// started, and reads the terminal state from the pointer it holds.
-func (g *feedGroup) watch(key string) (*feed, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	e, ok := g.m[key]
-	if !ok {
-		return nil, false
-	}
-	return e.f, true
-}
-
-// complete finishes f with the solve outcome and unlinks it from the
-// group. Only the worker that ran the solve calls this; it is
-// authoritative, so the feed terminates regardless of refs still held by
-// DoStream watchers (their later release finds the key unlinked and is a
-// no-op). Watchers holding the pointer read the terminal state from it;
-// later requests for the key get a fresh feed.
-func (g *feedGroup) complete(key string, f *feed, res *spec.Result, err error) {
-	g.mu.Lock()
-	if e := g.m[key]; e != nil && e.f == f {
-		delete(g.m, key)
-	}
-	g.mu.Unlock()
-	f.finish(res, err)
-}
-
-// release returns one open ref. A feed whose last ref drops while it is
-// still linked is an orphan — DoStream opened it but no worker ever
-// adopted and completed it (the request was served from a cache tier,
-// shed, or failed before enqueueing) — so it is unlinked and finished
-// with ErrUnknownKey to unblock any watcher that attached in the
-// meantime. Two things keep a feed alive past the release: another
-// opener's ref (a worker mid-solve, another streamer), or keepAlive(key)
-// reporting true — DoStream passes the flight group's in-flight check,
-// so a solve still sitting in the admission queue (whose worker has not
-// opened the feed yet, but will) is not 404ed out from under concurrent
-// WatchKey watchers by a ?wait=proof client that cancelled. A feed left
-// linked at zero refs this way is adopted by that worker when it runs,
-// or reaped by abandon if the flight fails before reaching one.
-func (g *feedGroup) release(key string, f *feed, keepAlive func(string) bool) {
-	g.mu.Lock()
-	e := g.m[key]
-	if e == nil || e.f != f {
-		// Already unlinked (the worker completed it) or superseded by a
-		// fresh feed for the key; nothing to account.
-		g.mu.Unlock()
-		return
-	}
-	e.refs--
-	orphan := e.refs == 0 && (keepAlive == nil || !keepAlive(key))
-	if orphan {
-		delete(g.m, key)
-	}
-	g.mu.Unlock()
-	if orphan {
-		f.finish(nil, ErrUnknownKey)
-	}
-}
-
-// abandon reaps key's feed when no opener holds a ref: the flight that
-// would have adopted it failed before reaching a worker (enqueue
-// rejected by shed, drain, or close). A feed with live refs is left to
-// its holders' own release/complete.
-func (g *feedGroup) abandon(key string) {
-	g.mu.Lock()
-	e := g.m[key]
-	orphan := e != nil && e.refs == 0
-	if orphan {
-		delete(g.m, key)
-	}
-	g.mu.Unlock()
-	if orphan {
-		e.f.finish(nil, ErrUnknownKey)
-	}
-}
 
 // DoStream is Do with streaming refinement: it submits sp like Do, but
 // while the solve runs it delivers every improving anytime incumbent to
@@ -223,126 +45,41 @@ func (g *feedGroup) abandon(key string) {
 // and the cache.
 func (e *Engine) DoStream(ctx context.Context, sp *spec.Spec, opts switchsynth.Options, emit func(resp *Response, final bool) error) (*Response, error) {
 	e.metrics.streamWatches.Add(1)
-	key, kerr := canonicalJobKey(sp, opts)
-	if kerr != nil {
-		// Invalid spec: Do re-derives the key, fails identically, and
-		// classifies the failure. Nothing to stream.
-		return e.Do(ctx, sp, opts)
-	}
-	// Subscribe before submitting so no early incumbent slips between
-	// the solve starting and the watch attaching. The release consults
-	// the flight group: it only orphans the feed when no worker holds it
-	// AND no solve for the key is queued or running — this streamer
-	// going away (or its client cancelling mid-solve) must never finish
-	// the live feed other watchers are attached to.
-	f := e.feeds.open(key)
-	defer e.feeds.release(key, f, e.flights.inFlight)
-
-	type outcome struct {
-		resp *Response
-		err  error
-	}
-	doneCh := make(chan outcome, 1)
-	go func() {
-		resp, err := e.Do(ctx, sp, opts)
-		doneCh <- outcome{resp, err}
-	}()
-
-	var lastSeq int64
-	emitDead := false
-	for {
-		st := f.state()
-		if !emitDead && st.seq > lastSeq && st.best != nil {
-			lastSeq = st.seq
-			// Adapt the canonical-presentation incumbent onto the
-			// requester's spec exactly like a cache hit. A frame that
-			// fails to assemble is skipped, not fatal: the final plan
-			// still arrives through Do's own assemble.
-			if resp, ferr := e.assemble(&Response{Key: key, SolveTime: st.best.Runtime}, st.best, sp, opts); ferr == nil {
-				if err := emit(resp, false); err != nil {
-					emitDead = true
-				}
-			}
-			continue // more frames may already have landed
-		}
-		if st.done {
-			// No further frames will be published; just wait for Do.
-			out := <-doneCh
-			return out.resp, out.err
-		}
-		select {
-		case out := <-doneCh:
-			return out.resp, out.err
-		case <-st.updated:
-		case <-ctx.Done():
-			out := <-doneCh // Do respects ctx and returns promptly
-			return out.resp, out.err
-		}
-	}
+	return e.do(ctx, sp, opts, emit)
 }
 
 // WatchKey attaches to key's solve without submitting a spec: frames and
 // the final plan are presented on the solve's canonical spec (the
 // watcher supplied none of its own). A key whose plan is already cached
-// (memory or disk tier) returns it immediately with no frames; a key
-// with no cached plan and no in-flight solve — including one whose solve
-// just finished degraded, since degraded plans are never cached — fails
-// with ErrUnknownKey.
+// (memory or disk tier) returns it immediately with no frames. A watched
+// flight that fails returns its error. A key with no cached plan and no
+// in-flight solve — including one whose solve just finished degraded,
+// since degraded plans are never cached — fails with ErrUnknownKey.
 func (e *Engine) WatchKey(ctx context.Context, key string, emit func(resp *Response, final bool) error) (*Response, error) {
 	e.metrics.streamWatches.Add(1)
-	serve := func(shared *spec.Result, resp *Response) (*Response, error) {
-		return e.assemble(resp, shared, shared.Spec, switchsynth.Options{Engine: shared.Engine})
-	}
-	fromTiers := func() (*spec.Result, *Response, bool) {
-		if e.cache.enabled() {
-			if res, ok := e.cache.get(key); ok {
-				return res, &Response{Key: key, CacheHit: true, SolveTime: res.Runtime}, true
-			}
-		}
-		if e.store != nil {
-			if res, _, ok := e.loadFromStore(key); ok {
-				return res, &Response{Key: key, CacheHit: true, DiskHit: true, SolveTime: res.Runtime}, true
-			}
-		}
-		return nil, nil, false
-	}
-	if res, resp, ok := fromTiers(); ok {
-		return serve(res, resp)
-	}
-	f, ok := e.feeds.watch(key)
-	if !ok {
-		// A solve that completed between the tier lookup above and this
-		// watch has already cached its plan (runJob caches before the
-		// feed unlinks), so a miss here is not yet a 404: re-check the
-		// tiers once before declaring the key unknown.
-		if res, resp, ok := fromTiers(); ok {
-			return serve(res, resp)
-		}
-		return nil, ErrUnknownKey
-	}
-	var lastSeq int64
-	emitDead := false
 	for {
-		st := f.state()
-		if !emitDead && !st.done && st.seq > lastSeq && st.best != nil {
-			lastSeq = st.seq
-			if resp, ferr := e.assemble(&Response{Key: key, SolveTime: st.best.Runtime}, st.best, st.best.Spec, switchsynth.Options{Engine: st.best.Engine}); ferr == nil {
-				if err := emit(resp, false); err != nil {
-					emitDead = true
-				}
+		if resp, ok := e.fromTiers(key, nil, switchsynth.Options{}); ok {
+			return resp, nil
+		}
+		f, ok := e.flights.lookup(key)
+		if !ok {
+			// A solve that completed between the tier lookup above and
+			// this one has already cached its plan (runJob caches before
+			// the flight leaves the group), so a miss here is not yet a
+			// 404: re-check the tiers once before declaring the key
+			// unknown.
+			if resp, ok := e.fromTiers(key, nil, switchsynth.Options{}); ok {
+				return resp, nil
 			}
+			return nil, ErrUnknownKey
+		}
+		retry, err := e.wait(ctx, f, true, key, nil, switchsynth.Options{}, emit)
+		if retry {
 			continue
 		}
-		if st.done {
-			if st.err != nil {
-				return nil, st.err
-			}
-			return serve(st.res, &Response{Key: key, Coalesced: true, SolveTime: st.res.Runtime})
+		if err != nil {
+			return nil, err
 		}
-		select {
-		case <-st.updated:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+		return e.assemble(&Response{Key: key, Coalesced: true, SolveTime: f.res.Runtime}, f.res, nil, switchsynth.Options{})
 	}
 }

@@ -6,11 +6,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
 	"switchsynth"
+	"switchsynth/internal/admission"
+	"switchsynth/internal/search"
 	"switchsynth/internal/spec"
 )
 
@@ -144,10 +149,10 @@ func TestWatchKeyAttachesToInFlightSolve(t *testing.T) {
 }
 
 // TestDoStreamCancelMidSolveKeepsFeedAliveForWatchers: a ?wait=proof
-// client that disconnects mid-solve must not finish the live feed out
-// from under the worker — the solve continues on the engine's base
+// client that disconnects mid-solve must not end the flight's incumbent
+// stream for anyone else — the solve continues on the engine's base
 // context for other waiters, and a WatchKey watcher attached to the same
-// feed still receives later incumbents and the proven plan, never a
+// flight still receives later incumbents and the proven plan, never a
 // spurious ErrUnknownKey.
 func TestDoStreamCancelMidSolveKeepsFeedAliveForWatchers(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1})
@@ -178,7 +183,7 @@ func TestDoStreamCancelMidSolveKeepsFeedAliveForWatchers(t *testing.T) {
 		t.Fatal("no incumbent frame arrived; the solve never started publishing")
 	}
 
-	// A watcher attaches to the live feed; the already-published
+	// A watcher attaches to the live flight; the already-published
 	// incumbent reaches it immediately, proving it is attached before
 	// the streaming client goes away.
 	watchFrame := make(chan struct{}, 1)
@@ -203,8 +208,8 @@ func TestDoStreamCancelMidSolveKeepsFeedAliveForWatchers(t *testing.T) {
 		t.Fatal("watcher saw no frame; it never attached to the live feed")
 	}
 
-	// The streaming client disconnects mid-solve. Its deferred feed
-	// release runs now; it must leave the worker's feed alone.
+	// The streaming client disconnects mid-solve; only its own wait may
+	// end.
 	cancel()
 	<-streamDone
 
@@ -224,6 +229,235 @@ func TestWatchKeyUnknownKey(t *testing.T) {
 	_, err := e.WatchKey(context.Background(), "no-such-key", func(*Response, bool) error { return nil })
 	if !errors.Is(err, ErrUnknownKey) {
 		t.Errorf("WatchKey error = %v, want ErrUnknownKey", err)
+	}
+}
+
+// saturate parks e's single worker on a blocked solve and queues queued
+// more blocked solves behind it (distinct keys), so the next submission
+// meets a backlog. The blocked solves are released at cleanup, before
+// the engine closes.
+func saturate(t *testing.T, e *Engine, queued int) {
+	t.Helper()
+	release := make(chan struct{})
+	started := make(chan struct{}, 1)
+	e.solve = func(ctx context.Context, sp *spec.Spec, _ switchsynth.Options) (*spec.Result, error) {
+		select {
+		case started <- struct{}{}:
+		default:
+		}
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return nil, &search.ErrTimeout{SpecName: sp.Name, Cause: context.Canceled}
+	}
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		close(release)
+		wg.Wait()
+	})
+	for i := 0; i <= queued; i++ {
+		sp := serviceSpec(fmt.Sprintf("blocker-%d", i))
+		sp.Alpha = float64(100 + i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _ = e.Do(context.Background(), sp, switchsynth.Options{})
+		}()
+		if i == 0 {
+			within(t, started, "the blocking solve to start")
+		}
+	}
+	for e.queue.Stats().Depth < queued {
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// within fails the test unless ch is closed or receives within 10s.
+func within(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+// errWithin returns the next error on ch, failing the test if none
+// arrives within 10s: a waiter that hangs is the defect under test.
+func errWithin(t *testing.T, ch <-chan error, who string) error {
+	t.Helper()
+	select {
+	case err := <-ch:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s hung", who)
+		return nil
+	}
+}
+
+// gateCtx parks its first Value lookup until release is closed,
+// closing reached when it parks. A leader's first lookup is the
+// admission-identity read in Engine.enqueue: after the leader joined its
+// flight, before the queue decides.
+type gateCtx struct {
+	context.Context
+	once             sync.Once
+	reached, release chan struct{}
+}
+
+func (c *gateCtx) Value(k any) any {
+	c.once.Do(func() {
+		close(c.reached)
+		<-c.release
+	})
+	return c.Context.Value(k)
+}
+
+// attachCtx closes attached the first time a waiter selects on its Done
+// channel: the moment it blocks on a flight.
+type attachCtx struct {
+	context.Context
+	once     sync.Once
+	attached chan struct{}
+}
+
+func newAttachCtx() *attachCtx {
+	return &attachCtx{Context: context.Background(), attached: make(chan struct{})}
+}
+
+func (c *attachCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.attached) })
+	return c.Context.Done()
+}
+
+// TestWatchKeyAndDoStreamGetShedLeadersError: a WatchKey watcher and a
+// second DoStream attach to a flight whose leader the admission queue
+// then sheds. Both return the flight's own *admission.ErrShed at once —
+// a 429 with Retry-After over HTTP — and neither hangs.
+func TestWatchKeyAndDoStreamGetShedLeadersError(t *testing.T) {
+	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 2})
+	saturate(t, e, 1) // backlog 1 of 2: the background depth watermark sheds
+	sp := serviceSpec("shed")
+	sp.Alpha = 3
+	key, err := JobKey(sp, switchsynth.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noFrames := func(*Response, bool) error {
+		t.Error("frame from a flight that never ran")
+		return nil
+	}
+
+	gate := &gateCtx{
+		Context: admission.WithCaller(context.Background(),
+			admission.Caller{Tenant: "lab", Class: admission.Background}),
+		reached: make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := e.DoStream(gate, sp, switchsynth.Options{}, noFrames)
+		leaderErr <- err
+	}()
+	within(t, gate.reached, "the leader to join its flight")
+
+	watch, follow := newAttachCtx(), newAttachCtx()
+	watchErr, followErr := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, err := e.WatchKey(watch, key, noFrames)
+		watchErr <- err
+	}()
+	follower := permutedServiceSpec("shed-follower")
+	follower.Alpha = 3
+	go func() {
+		_, err := e.DoStream(follow, follower, switchsynth.Options{}, noFrames)
+		followErr <- err
+	}()
+	within(t, watch.attached, "the watcher to attach")
+	within(t, follow.attached, "the follower to attach")
+	close(gate.release)
+
+	for _, w := range []struct {
+		who string
+		ch  <-chan error
+	}{{"leader", leaderErr}, {"watcher", watchErr}, {"follower", followErr}} {
+		err := errWithin(t, w.ch, w.who)
+		if !errors.Is(err, &admission.ErrShed{}) {
+			t.Errorf("%s: error = %v, want the flight's *admission.ErrShed", w.who, err)
+			continue
+		}
+		status, kind := classifyHTTP(err)
+		rec := httptest.NewRecorder()
+		setRetryAfter(rec, e, status, err)
+		if status != http.StatusTooManyRequests || kind != "overloaded" || rec.Header().Get("Retry-After") == "" {
+			t.Errorf("%s: HTTP %d %q Retry-After %q, want 429 overloaded with Retry-After",
+				w.who, status, kind, rec.Header().Get("Retry-After"))
+		}
+	}
+}
+
+// TestWatchKeyRetriesLeadersPrivateCancel: a watcher attached to a
+// flight whose leader gave up while still waiting for a queue slot must
+// not inherit the leader's context.Canceled; it looks the key up again
+// and, with nothing cached or in flight, gets ErrUnknownKey.
+func TestWatchKeyRetriesLeadersPrivateCancel(t *testing.T) {
+	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 1})
+	saturate(t, e, 1) // queue full: an interactive leader blocks for a slot
+	sp := serviceSpec("cancelled")
+	sp.Alpha = 3
+	key, err := JobKey(sp, switchsynth.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := e.Do(ctx, sp, switchsynth.Options{})
+		leaderErr <- err
+	}()
+	for e.queue.Stats().Pending == 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	watch := newAttachCtx()
+	watchErr := make(chan error, 1)
+	go func() {
+		_, err := e.WatchKey(watch, key, func(*Response, bool) error { return nil })
+		watchErr <- err
+	}()
+	within(t, watch.attached, "the watcher to attach")
+	cancel()
+
+	if err := errWithin(t, leaderErr, "leader"); !errors.Is(err, context.Canceled) {
+		t.Errorf("leader error = %v, want context.Canceled", err)
+	}
+	if err := errWithin(t, watchErr, "watcher"); !errors.Is(err, ErrUnknownKey) {
+		t.Errorf("watcher error = %v, want ErrUnknownKey", err)
+	}
+}
+
+// TestWatchKeyAfterDegradedSolveIsUnknown: degraded plans are never
+// cached, so once such a solve finishes there is nothing to watch.
+func TestWatchKeyAfterDegradedSolveIsUnknown(t *testing.T) {
+	e := newTestEngine(t, Config{Workers: 1})
+	base := solveOnce(t, serviceSpec("degraded"))
+	e.solve = func(context.Context, *spec.Spec, switchsynth.Options) (*spec.Result, error) {
+		c := *base
+		c.Proven, c.Degraded, c.Gap = false, true, 0.5
+		return &c, nil
+	}
+	resp, err := e.Do(context.Background(), serviceSpec("degraded"), switchsynth.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Synthesis.Degraded {
+		t.Fatal("stub should produce a degraded plan")
+	}
+	_, err = e.WatchKey(context.Background(), resp.Key, func(*Response, bool) error { return nil })
+	if !errors.Is(err, ErrUnknownKey) {
+		t.Errorf("WatchKey after a degraded solve: error = %v, want ErrUnknownKey", err)
 	}
 }
 
