@@ -5,21 +5,28 @@
 //	go test -bench=. -benchmem
 //
 // The row/series values themselves are printed by cmd/experiments; these
-// benchmarks measure the cost of regenerating them.
+// benchmarks measure the cost of regenerating them. TestBenchReport at the
+// end prices the serving tiers, gates them and appends their records to
+// the history file named by BENCH_HISTORY.
 package switchsynth_test
 
 import (
 	"bytes"
 	"context"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
+	"runtime"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"switchsynth"
+	"switchsynth/internal/benchrec"
 	"switchsynth/internal/cases"
 	"switchsynth/internal/clique"
 	"switchsynth/internal/cluster"
@@ -323,8 +330,8 @@ func pressureMatrix(b *testing.B) [][]bool {
 // rotation almost immediately and their shared incumbent prunes the rest.
 // All sixteen modules are bound, so the only root freedom is the rotation —
 // the instance is proven optimal in about a second sequentially, and the
-// sequential/parallel node ratio is the speedup ci.sh tracks in
-// BENCH_search.json.
+// sequential/parallel node ratio is the speedup the search tier of
+// TestBenchReport records.
 func searchRing16() *spec.Spec {
 	mods := make([]string, 16)
 	for i := range mods {
@@ -420,7 +427,7 @@ func BenchmarkSearch_16Pin_Unfixed(b *testing.B) {
 	benchSearch(b, sp, 0, 300*time.Millisecond)
 }
 
-// Sequential16/Parallel16 are the BENCH_search.json pair: the same full
+// Sequential16/Parallel16 are the search tier's pair: the same full
 // proof on the ring instance at one worker versus four. The results are
 // bit-identical; only the node counts and wall clock differ.
 
@@ -674,6 +681,8 @@ func BenchmarkScaling_Modules8(b *testing.B) {
 
 // --- Service layer: cold vs cached synthesis --------------------------------
 
+// serviceBenchSpec and serviceBenchOpts are the one request every service,
+// store and cluster benchmark prices, so the tiers' ns/op compare directly.
 func serviceBenchSpec() *spec.Spec {
 	return &spec.Spec{
 		Name:       "bench-service",
@@ -688,16 +697,47 @@ func serviceBenchSpec() *spec.Spec {
 	}
 }
 
-// BenchmarkService_ColdSynthesize measures a full cache-miss request:
-// fresh engine, canonical hashing, queueing, solving, and analysis.
+var serviceBenchOpts = switchsynth.Options{PressureSharing: true}
+
+// benchDo sends the benchmark request to e.
+func benchDo(b *testing.B, e *service.Engine, sp *spec.Spec) *service.Response {
+	b.Helper()
+	resp, err := e.Do(context.Background(), sp, serviceBenchOpts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return resp
+}
+
+// reportDigestDelta returns a function that stops the timer and reports
+// the verified-bytes digest cache hits and misses since this call as the
+// digestHits and digestMisses metrics. The counters are process-wide
+// (planio.SharedVerified), so any engine of the process reads them.
+func reportDigestDelta(e *service.Engine) func(*testing.B) {
+	s0 := e.Snapshot()
+	return func(b *testing.B) {
+		b.StopTimer()
+		s := e.Snapshot()
+		b.ReportMetric(float64(s.DigestCacheHits-s0.DigestCacheHits), "digestHits")
+		b.ReportMetric(float64(s.DigestCacheMisses-s0.DigestCacheMisses), "digestMisses")
+	}
+}
+
+// BenchmarkService_ColdSynthesize measures a full cache-miss request on a
+// fresh engine: canonical hashing, queueing, solving, and analysis.
+// Building and closing the engine happen off the clock.
 func BenchmarkService_ColdSynthesize(b *testing.B) {
 	sp := serviceBenchSpec()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
 		e := service.New(service.Config{Workers: 2})
-		if _, err := e.Do(context.Background(), sp, switchsynth.Options{PressureSharing: true}); err != nil {
-			b.Fatal(err)
+		b.StartTimer()
+		if benchDo(b, e, sp).CacheHit {
+			b.Fatal("expected a cold solve")
 		}
+		b.StopTimer()
 		e.Close()
+		b.StartTimer()
 	}
 }
 
@@ -707,16 +747,10 @@ func BenchmarkService_CachedSynthesize(b *testing.B) {
 	e := service.New(service.Config{Workers: 2})
 	defer e.Close()
 	sp := serviceBenchSpec()
-	if _, err := e.Do(context.Background(), sp, switchsynth.Options{PressureSharing: true}); err != nil {
-		b.Fatal(err)
-	}
+	benchDo(b, e, sp)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := e.Do(context.Background(), sp, switchsynth.Options{PressureSharing: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !resp.CacheHit {
+		if !benchDo(b, e, sp).CacheHit {
 			b.Fatal("expected a cache hit")
 		}
 	}
@@ -747,19 +781,24 @@ func storeBenchDir(b *testing.B, dir string) *store.Store {
 }
 
 // BenchmarkStore_ColdSolve is the baseline the store amortizes: a full
-// solve with write-through to disk on every iteration.
+// solve on a fresh engine with write-through to a fresh store. Opening and
+// closing the store and the engine happen off the clock.
 func BenchmarkStore_ColdSolve(b *testing.B) {
 	sp := serviceBenchSpec()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
 		st := storeBenchDir(b, b.TempDir())
 		e := service.New(service.Config{Workers: 2, Store: st})
-		if _, err := e.Do(context.Background(), sp, switchsynth.Options{PressureSharing: true}); err != nil {
-			b.Fatal(err)
+		b.StartTimer()
+		if benchDo(b, e, sp).CacheHit {
+			b.Fatal("expected a cold solve")
 		}
+		b.StopTimer()
 		e.Close()
 		if err := st.Close(); err != nil {
 			b.Fatal(err)
 		}
+		b.StartTimer()
 	}
 }
 
@@ -771,43 +810,37 @@ func BenchmarkStore_MemoryHit(b *testing.B) {
 	e := service.New(service.Config{Workers: 2, Store: st})
 	defer e.Close()
 	sp := serviceBenchSpec()
-	if _, err := e.Do(context.Background(), sp, switchsynth.Options{PressureSharing: true}); err != nil {
-		b.Fatal(err)
-	}
+	benchDo(b, e, sp)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := e.Do(context.Background(), sp, switchsynth.Options{PressureSharing: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !resp.CacheHit || resp.DiskHit {
+		if resp := benchDo(b, e, sp); !resp.CacheHit || resp.DiskHit {
 			b.Fatal("expected a memory-tier hit")
 		}
 	}
 }
 
 // BenchmarkStore_DiskHit measures the second tier in isolation: the
-// memory cache is disabled, so every repeat request reads, CRC-checks,
-// and decodes the persisted plan, then re-runs analysis.
+// memory cache is disabled, so every repeat request reads and CRC-checks
+// the persisted frame, admits it and re-runs analysis. The first solve
+// added the frame to the process-wide digest cache, so admitPlan takes a
+// digest hit and skips decode, key re-derivation and verify; a restarted
+// synthd pays those on its first read of each key. The digestHits and
+// digestMisses metrics show what was priced.
 func BenchmarkStore_DiskHit(b *testing.B) {
 	st := storeBenchDir(b, b.TempDir())
 	defer st.Close()
 	e := service.New(service.Config{Workers: 2, CacheSize: -1, Store: st})
 	defer e.Close()
 	sp := serviceBenchSpec()
-	if _, err := e.Do(context.Background(), sp, switchsynth.Options{PressureSharing: true}); err != nil {
-		b.Fatal(err)
-	}
+	benchDo(b, e, sp)
+	report := reportDigestDelta(e)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := e.Do(context.Background(), sp, switchsynth.Options{PressureSharing: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !resp.DiskHit {
+		if !benchDo(b, e, sp).DiskHit {
 			b.Fatal("expected a disk-tier hit")
 		}
 	}
+	report(b)
 }
 
 // BenchmarkStore_WarmBoot measures the restart path end to end: every
@@ -819,9 +852,7 @@ func BenchmarkStore_WarmBoot(b *testing.B) {
 	st := storeBenchDir(b, dir)
 	e := service.New(service.Config{Workers: 2, Store: st})
 	sp := serviceBenchSpec()
-	if _, err := e.Do(context.Background(), sp, switchsynth.Options{PressureSharing: true}); err != nil {
-		b.Fatal(err)
-	}
+	benchDo(b, e, sp)
 	e.Close()
 	if err := st.Close(); err != nil {
 		b.Fatal(err)
@@ -830,11 +861,7 @@ func BenchmarkStore_WarmBoot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		st := storeBenchDir(b, dir)
 		e := service.New(service.Config{Workers: 2, Store: st})
-		resp, err := e.Do(context.Background(), sp, switchsynth.Options{PressureSharing: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !resp.DiskHit {
+		if !benchDo(b, e, sp).DiskHit {
 			b.Fatal("expected a warm-boot disk hit")
 		}
 		e.Close()
@@ -846,130 +873,84 @@ func BenchmarkStore_WarmBoot(b *testing.B) {
 
 // --- Cluster tier: local cache hit vs peer fill vs cold solve ---
 
-// clusterBenchSpec returns a fast-solving spec whose canonical job key
-// is owned by ownerID under a two-node ring; pin count is the search
-// knob (the canonical key ignores Name).
-func clusterBenchSpec(b *testing.B, r *cluster.Ring, ownerID string) *spec.Spec {
+// clusterBenchPeer boots the owner of the benchmark spec's key, with the
+// plan solved, behind a real HTTP server and returns the other node's
+// view of the two-node cluster. Roles follow the ring's ranking, so any
+// spec works. Benchmarks built on this fetch over the real wire path.
+func clusterBenchPeer(b *testing.B) *cluster.Cluster {
 	b.Helper()
-	for i := 0; i < 6; i++ {
-		sp := &spec.Spec{
-			Name:       "cluster-bench",
-			SwitchPins: 12,
-			Modules:    []string{"sample", "buffer", "mix1", "mix2"},
-			Flows:      []spec.Flow{{From: "sample", To: "mix1"}, {From: "buffer", To: "mix2"}},
-			Binding:    spec.Unfixed,
-		}
-		switch i {
-		case 1:
-			sp.Conflicts = [][2]int{{0, 1}}
-		case 2:
-			sp.Modules = []string{"sample", "mix1"}
-			sp.Flows = sp.Flows[:1]
-		case 3:
-			sp.Modules = []string{"sample", "buffer", "rinse", "mix1", "mix2", "mix3"}
-			sp.Flows = []spec.Flow{{From: "sample", To: "mix1"}, {From: "buffer", To: "mix2"}, {From: "rinse", To: "mix3"}}
-		case 4:
-			sp.Modules = []string{"sample", "buffer", "rinse", "mix1", "mix2", "mix3"}
-			sp.Flows = []spec.Flow{{From: "sample", To: "mix1"}, {From: "buffer", To: "mix2"}, {From: "rinse", To: "mix3"}}
-			sp.Conflicts = [][2]int{{0, 1}}
-		case 5:
-			sp.SwitchPins = 16
-			sp.Modules = []string{"sample", "mix1"}
-			sp.Flows = sp.Flows[:1]
-		}
-		key, err := service.JobKey(sp, switchsynth.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.OwnerID(key) == ownerID {
-			return sp
-		}
-	}
-	b.Fatal("no bench spec owned by " + ownerID)
-	return nil
-}
-
-// clusterBenchPeer boots an owner node ("a") with one solved plan behind
-// a real HTTP server and returns the non-owner's cluster ("b") plus the
-// spec that node a owns. Benchmarks built on this measure the genuine
-// wire path: GET /plans/{key}, re-verify, import.
-func clusterBenchPeer(b *testing.B) (*cluster.Cluster, *spec.Spec) {
-	b.Helper()
-	engA := service.New(service.Config{Workers: 2})
-	b.Cleanup(engA.CloseNow)
-	srvA := httptest.NewServer(service.NewHandler(engA))
-	b.Cleanup(srvA.Close)
-
-	peers := []cluster.Node{
-		{ID: "a", URL: srvA.URL},
-		{ID: "b", URL: "http://127.0.0.1:1"}, // self; never dialed
-	}
-	var engB *service.Engine
-	clB, err := cluster.New(cluster.Config{
-		SelfID:       "b",
-		Peers:        peers,
-		SyncInterval: -1,
-		LocalKeys:    func() []string { return engB.PlanKeys() },
-		LocalImport:  func(key string, data []byte) error { return engB.ImportPlan(key, data) },
-	})
+	owner := service.New(service.Config{Workers: 2})
+	b.Cleanup(owner.CloseNow)
+	srv := httptest.NewServer(service.NewHandler(owner))
+	b.Cleanup(srv.Close)
+	sp := serviceBenchSpec()
+	key, err := service.JobKey(sp, serviceBenchOpts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sp := clusterBenchSpec(b, clB.Ring(), "a")
-	if _, err := engA.Do(context.Background(), sp, switchsynth.Options{}); err != nil {
+	benchDo(b, owner, sp)
+
+	peers := []cluster.Node{{ID: "a"}, {ID: "b"}}
+	rank := cluster.NewRing(peers).Rank(key)
+	urls := map[string]string{
+		rank[0].ID: srv.URL,
+		rank[1].ID: "http://127.0.0.1:1", // self; never dialed
+	}
+	for i := range peers {
+		peers[i].URL = urls[peers[i].ID]
+	}
+	cl, err := cluster.New(cluster.Config{SelfID: rank[1].ID, Peers: peers, SyncInterval: -1})
+	if err != nil {
 		b.Fatal(err)
 	}
-	return clB, sp
+	return cl
 }
 
 // BenchmarkCluster_LocalHit is the sharded steady state: the owner (or a
 // warmed non-owner) answers from its own memory tier; the peer-fill hook
 // is wired but never fires.
 func BenchmarkCluster_LocalHit(b *testing.B) {
-	clB, sp := clusterBenchPeer(b)
-	e := service.New(service.Config{Workers: 2, PeerFill: clB.FetchPlan})
+	cl := clusterBenchPeer(b)
+	e := service.New(service.Config{Workers: 2, PeerFill: cl.FetchPlan})
 	defer e.Close()
-	if _, err := e.Do(context.Background(), sp, switchsynth.Options{}); err != nil {
-		b.Fatal(err)
-	}
+	sp := serviceBenchSpec()
+	benchDo(b, e, sp)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := e.Do(context.Background(), sp, switchsynth.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !resp.CacheHit || resp.PeerHit {
+		if resp := benchDo(b, e, sp); !resp.CacheHit || resp.PeerHit {
 			b.Fatal("expected a local memory-tier hit")
 		}
 	}
 }
 
-// BenchmarkCluster_PeerFill measures the cluster tier in isolation: the
+// BenchmarkCluster_PeerFill prices a repeat fill from the owner: the
 // local memory cache is disabled, so every request fetches the owner's
-// plan over HTTP, re-verifies it, and re-runs analysis.
+// frame over the plan stream, admits it and re-runs analysis. The
+// owner's solve added the frame to the process-wide digest cache, so
+// admitPlan takes a digest hit and skips decode, key re-derivation and
+// verify. Separate synthd processes share no digest cache: a node's first
+// fill of a key pays them (see ROADMAP). The digestHits and digestMisses
+// metrics show what was priced.
 func BenchmarkCluster_PeerFill(b *testing.B) {
-	clB, sp := clusterBenchPeer(b)
-	e := service.New(service.Config{Workers: 2, CacheSize: -1, PeerFill: clB.FetchPlan})
+	cl := clusterBenchPeer(b)
+	e := service.New(service.Config{Workers: 2, CacheSize: -1, PeerFill: cl.FetchPlan})
 	defer e.Close()
+	sp := serviceBenchSpec()
+	report := reportDigestDelta(e)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := e.Do(context.Background(), sp, switchsynth.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !resp.PeerHit {
+		if !benchDo(b, e, sp).PeerHit {
 			b.Fatal("expected a peer fill")
 		}
 	}
+	report(b)
 }
 
 // BenchmarkCluster_ColdSolve is the fallback the fill amortizes: the
-// same spec BenchmarkCluster_PeerFill fetches, solved from scratch. A
-// solo ring makes every key self-owned, so the wired FetchPlan declines
-// instantly and the engine runs a full solve on a fresh cache every
-// iteration.
+// benchmark spec solved from scratch on a fresh engine whose peer-fill
+// hook is wired to a solo ring, so it declines at once. Building and
+// closing the engine happen off the clock.
 func BenchmarkCluster_ColdSolve(b *testing.B) {
-	_, sp := clusterBenchPeer(b)
 	solo, err := cluster.New(cluster.Config{
 		SelfID:       "x",
 		Peers:        []cluster.Node{{ID: "x", URL: "http://127.0.0.1:1"}},
@@ -978,35 +959,33 @@ func BenchmarkCluster_ColdSolve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
+	sp := serviceBenchSpec()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
 		e := service.New(service.Config{Workers: 2, PeerFill: solo.FetchPlan})
-		resp, err := e.Do(context.Background(), sp, switchsynth.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if resp.CacheHit || resp.PeerHit {
+		b.StartTimer()
+		if resp := benchDo(b, e, sp); resp.CacheHit || resp.PeerHit {
 			b.Fatal("expected a cold solve")
 		}
+		b.StopTimer()
 		e.Close()
+		b.StartTimer()
 	}
 }
 
-// BenchmarkCluster_ReplicaPush prices one write-time replica push as
-// the receiver experiences it: a PUT /plans/{key} round trip whose
-// handler decodes, re-derives the canonical key and fully re-verifies
-// the plan before storing (verify-on-receipt, cluster invariant 2).
-// The receiver is rebuilt outside the timer each iteration so every
-// measured push is a genuine first import, not a present-key no-op.
+// BenchmarkCluster_ReplicaPush prices one write-time replica push as the
+// receiver experiences it: a PUT /plans/{key} round trip whose handler
+// admits the frame before storing (verify-on-receipt, cluster invariant
+// 2). The receiver is rebuilt outside the timer each iteration so every
+// measured push is a genuine first import, not a present-key no-op. The
+// donor's solve added the frame to the process-wide digest cache, so
+// admitPlan takes a digest hit and skips decode, key re-derivation and
+// verify; a receiver in another process pays them. The digestHits and
+// digestMisses metrics show what was priced.
 func BenchmarkCluster_ReplicaPush(b *testing.B) {
 	donor := service.New(service.Config{Workers: 2})
 	b.Cleanup(donor.CloseNow)
-	ring := cluster.NewRing([]cluster.Node{{ID: "a"}, {ID: "b"}})
-	sp := clusterBenchSpec(b, ring, "a")
-	resp, err := donor.Do(context.Background(), sp, switchsynth.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	resp := benchDo(b, donor, serviceBenchSpec())
 	wire, ok := donor.PlanBytes(resp.Key)
 	if !ok {
 		b.Fatal("donor holds no plan bytes")
@@ -1019,6 +998,7 @@ func BenchmarkCluster_ReplicaPush(b *testing.B) {
 	}))
 	b.Cleanup(srv.Close)
 
+	report := reportDigestDelta(donor)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -1042,13 +1022,14 @@ func BenchmarkCluster_ReplicaPush(b *testing.B) {
 		recv.CloseNow()
 		b.StartTimer()
 	}
+	report(b)
 }
 
 // --- Plan wire formats: encode/decode cost and size --------------------------
 
 // planioBenchResult solves the 16-pin ring instance once — the same
 // campaign-scale plan the cluster moves between nodes — and hands it to
-// the encode/decode benchmarks below, which are the BENCH_planio.json
+// the encode/decode benchmarks below, which are the planio tier's
 // source: binary vs JSON cost per operation and bytes per plan.
 func planioBenchResult(b *testing.B) *spec.Result {
 	b.Helper()
@@ -1126,22 +1107,22 @@ func BenchmarkPlanio_DecodeBinary(b *testing.B) {
 // set unreachably high so membership never learns), fails, and fails
 // over to the successor's replica. The delta against
 // BenchmarkCluster_PeerFill is the cost of one refused connection on
-// the read path.
+// the read path. As there, the successor's solve added the frame to the
+// process-wide digest cache, so admitPlan takes a digest hit.
 func BenchmarkCluster_FailoverRead(b *testing.B) {
 	engS := service.New(service.Config{Workers: 2})
 	b.Cleanup(engS.CloseNow)
 	srvS := httptest.NewServer(service.NewHandler(engS))
 	b.Cleanup(srvS.Close)
 
-	probe := cluster.NewRing([]cluster.Node{{ID: "o"}, {ID: "s"}, {ID: "r"}})
-	sp := clusterBenchSpec(b, probe, "o")
-	key, err := service.JobKey(sp, switchsynth.Options{})
+	sp := serviceBenchSpec()
+	key, err := service.JobKey(sp, serviceBenchOpts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	// The live server plays whichever node ranks just behind the dead
 	// owner; the reader is the last-ranked node.
-	rank := probe.Rank(key)
+	rank := cluster.NewRing([]cluster.Node{{ID: "o"}, {ID: "s"}, {ID: "r"}}).Rank(key)
 	urls := map[string]string{
 		rank[0].ID: "http://127.0.0.1:1", // dead owner: refuses instantly
 		rank[1].ID: srvS.URL,             // successor with the replica
@@ -1160,19 +1141,175 @@ func BenchmarkCluster_FailoverRead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := engS.Do(context.Background(), sp, switchsynth.Options{}); err != nil {
-		b.Fatal(err)
-	}
+	benchDo(b, engS, sp)
 	e := service.New(service.Config{Workers: 2, CacheSize: -1, PeerFill: cl.FetchPlan})
 	defer e.Close()
+	report := reportDigestDelta(e)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := e.Do(context.Background(), sp, switchsynth.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !resp.PeerHit {
+		if !benchDo(b, e, sp).PeerHit {
 			b.Fatal("expected a failover peer hit")
 		}
 	}
+	report(b)
+}
+
+// --- Benchmark report: every tier measured, gated and recorded ---------------
+
+// TestBenchReport prices the benchmark tiers above, enforces each tier's
+// gates beside the numbers they check, and appends one stamped record per
+// tier to the history file named by BENCH_HISTORY (internal/benchrec).
+// testing.Benchmark honours -benchtime. The test is skipped when
+// BENCH_HISTORY is unset.
+func TestBenchReport(t *testing.T) {
+	if !benchrec.Enabled() {
+		t.Skip("set " + benchrec.Env + " to price the benchmark tiers and append their records")
+	}
+	t.Run("service", func(t *testing.T) {
+		cold := nsPerOp(measure(t, BenchmarkService_ColdSynthesize))
+		cached := nsPerOp(measure(t, BenchmarkService_CachedSynthesize))
+		benchrec.Emit(t, "service", map[string]any{
+			"coldNsPerOp":     math.Round(cold),
+			"cachedNsPerOp":   math.Round(cached),
+			"coldReqPerSec":   1e9 / cold,
+			"cachedReqPerSec": 1e9 / cached,
+			"cachedSpeedup":   cold / cached,
+		})
+	})
+	t.Run("search", func(t *testing.T) {
+		seq := measure(t, BenchmarkSearch_Sequential16)
+		par := measure(t, BenchmarkSearch_Parallel16)
+		// The search state lives in the pooled arena, so a sequential
+		// proof allocates only its incumbents and result.
+		if a := seq.AllocsPerOp(); a > 55 {
+			t.Errorf("sequential solve makes %d allocs/op, ceiling 55", a)
+		}
+		benchrec.Emit(t, "search", map[string]any{
+			"sequentialNsPerOp":     math.Round(nsPerOp(seq)),
+			"parallelNsPerOp":       math.Round(nsPerOp(par)),
+			"sequentialAllocsPerOp": seq.AllocsPerOp(),
+			"parallelAllocsPerOp":   par.AllocsPerOp(),
+			"parallelSpeedup":       nsPerOp(seq) / nsPerOp(par),
+		})
+	})
+	t.Run("store", func(t *testing.T) {
+		cold := nsPerOp(measure(t, BenchmarkStore_ColdSolve))
+		mem := nsPerOp(measure(t, BenchmarkStore_MemoryHit))
+		diskR := measure(t, BenchmarkStore_DiskHit)
+		disk := nsPerOp(diskR)
+		boot := nsPerOp(measure(t, BenchmarkStore_WarmBoot))
+		rec := map[string]any{
+			"coldSolveNsPerOp":          math.Round(cold),
+			"memoryHitNsPerOp":          math.Round(mem),
+			"diskHitNsPerOp":            math.Round(disk),
+			"warmBootNsPerOp":           math.Round(boot),
+			"diskHitSpeedupOverCold":    cold / disk,
+			"warmBootSpeedupOverCold":   cold / boot,
+			"diskHitSlowdownOverMemory": disk / mem,
+		}
+		addDigestDelta(rec, "diskHit", diskR)
+		benchrec.Emit(t, "store", rec)
+	})
+	t.Run("cluster", func(t *testing.T) {
+		local := nsPerOp(measure(t, BenchmarkCluster_LocalHit))
+		fillR := measure(t, BenchmarkCluster_PeerFill)
+		fill := nsPerOp(fillR)
+		cold := nsPerOp(measure(t, BenchmarkCluster_ColdSolve))
+		pushR := measure(t, BenchmarkCluster_ReplicaPush)
+		push := nsPerOp(pushR)
+		foR := measure(t, BenchmarkCluster_FailoverRead)
+		fo := nsPerOp(foR)
+		if fill/local > 3 {
+			t.Errorf("peer fill %.1fx slower than a local hit, > 3x gate", fill/local)
+		}
+		rec := map[string]any{
+			"localHitNsPerOp":            math.Round(local),
+			"peerFillNsPerOp":            math.Round(fill),
+			"coldSolveNsPerOp":           math.Round(cold),
+			"replicaPushNsPerOp":         math.Round(push),
+			"failoverReadNsPerOp":        math.Round(fo),
+			"peerFillSpeedupOverCold":    cold / fill,
+			"peerFillSlowdownOverLocal":  fill / local,
+			"failoverReadOverPeerFill":   fo / fill,
+			"replicaPushSpeedupOverCold": cold / push,
+		}
+		addDigestDelta(rec, "peerFill", fillR)
+		addDigestDelta(rec, "replicaPush", pushR)
+		addDigestDelta(rec, "failoverRead", foR)
+		benchrec.Emit(t, "cluster", rec)
+	})
+	t.Run("planio", func(t *testing.T) {
+		ej := measure(t, BenchmarkPlanio_EncodeJSON)
+		eb := measure(t, BenchmarkPlanio_EncodeBinary)
+		dj := measure(t, BenchmarkPlanio_DecodeJSON)
+		db := measure(t, BenchmarkPlanio_DecodeBinary)
+		jsonBytes, binBytes := ej.Extra["bytes/plan"], eb.Extra["bytes/plan"]
+		decodeSpeedup := nsPerOp(dj) / nsPerOp(db)
+		sizeRatio := jsonBytes / binBytes
+		// The zero-copy framing must not regress into per-field churn.
+		if decodeSpeedup < 3 {
+			t.Errorf("binary decode speedup %.2fx < 3x gate", decodeSpeedup)
+		}
+		if sizeRatio < 2 {
+			t.Errorf("binary frame only %.2fx smaller than JSON, < 2x gate", sizeRatio)
+		}
+		if a := db.AllocsPerOp(); a > 128 {
+			t.Errorf("binary decode %d allocs/op > 128 ceiling", a)
+		}
+		benchrec.Emit(t, "planio", map[string]any{
+			"encodeJSONNsPerOp":           math.Round(nsPerOp(ej)),
+			"encodeBinaryNsPerOp":         math.Round(nsPerOp(eb)),
+			"decodeJSONNsPerOp":           math.Round(nsPerOp(dj)),
+			"decodeBinaryNsPerOp":         math.Round(nsPerOp(db)),
+			"jsonBytesPerPlan":            jsonBytes,
+			"binaryBytesPerPlan":          binBytes,
+			"decodeBinaryAllocsPerOp":     db.AllocsPerOp(),
+			"binaryDecodeSpeedupOverJSON": decodeSpeedup,
+			"binarySizeRatioOverJSON":     sizeRatio,
+		})
+	})
+	t.Run("fpva", func(t *testing.T) {
+		s3 := nsPerOp(measure(t, BenchmarkFPVA_Solve3x3))
+		s4 := nsPerOp(measure(t, BenchmarkFPVA_Solve4x4))
+		p4 := nsPerOp(measure(t, BenchmarkFPVA_TestPatterns4x4))
+		p8 := nsPerOp(measure(t, BenchmarkFPVA_TestPatterns8x8))
+		d8 := nsPerOp(measure(t, BenchmarkFPVA_Diagnose8x8))
+		// The detection-matrix work grows ~28x from 4x4 to 8x8; a
+		// superlinear set-cover regression would blow past the margin.
+		if p8/p4 > 60 {
+			t.Errorf("8x8 pattern generation %.1fx the 4x4 cost, > 60x gate", p8/p4)
+		}
+		benchrec.Emit(t, "fpva", map[string]any{
+			"solve3x3NsPerOp":        math.Round(s3),
+			"solve4x4NsPerOp":        math.Round(s4),
+			"testPatterns4x4NsPerOp": math.Round(p4),
+			"testPatterns8x8NsPerOp": math.Round(p8),
+			"diagnose8x8NsPerOp":     math.Round(d8),
+			"patternGen8x8Over4x4":   p8 / p4,
+		})
+	})
+}
+
+// measure runs one benchmark through testing.Benchmark and logs its line.
+// A result with N == 0 means the benchmark called Fatal or FailNow.
+func measure(t *testing.T, f func(*testing.B)) testing.BenchmarkResult {
+	t.Helper()
+	name := runtime.FuncForPC(reflect.ValueOf(f).Pointer()).Name()
+	name = name[strings.LastIndex(name, ".")+1:]
+	r := testing.Benchmark(f)
+	if r.N == 0 {
+		t.Fatalf("%s failed (N == 0): it called Fatal or FailNow", name)
+	}
+	t.Logf("%s\t%s\t%s", name, r, r.MemString())
+	return r
+}
+
+func nsPerOp(r testing.BenchmarkResult) float64 { return float64(r.T.Nanoseconds()) / float64(r.N) }
+
+// addDigestDelta records the timed loop's iteration count and the digest
+// cache traffic reportDigestDelta measured over it, under prefix.
+func addDigestDelta(rec map[string]any, prefix string, r testing.BenchmarkResult) {
+	rec[prefix+"Ops"] = r.N
+	rec[prefix+"DigestCacheHits"] = r.Extra["digestHits"]
+	rec[prefix+"DigestCacheMisses"] = r.Extra["digestMisses"]
 }

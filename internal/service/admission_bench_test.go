@@ -1,21 +1,20 @@
-// Admission-tier benchmark report for ci.sh: batch dedup speedup over
-// sequential cold solves, per-class queue latency under a mixed load,
-// and streamed time-to-first-plan vs time-to-proof. Runs only when
-// BENCH_ADMISSION_OUT names the JSON file to write (ci.sh sets it);
-// plain test runs skip it.
+// Admission-tier benchmark report: batch dedup speedup over sequential
+// cold solves, per-class queue latency under a mixed load, and streamed
+// time-to-first-plan vs time-to-proof. Runs only when BENCH_HISTORY names
+// the history file to append to (internal/benchrec); plain test runs skip
+// it.
 package service
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 	"time"
 
 	"switchsynth"
 	"switchsynth/internal/admission"
+	"switchsynth/internal/benchrec"
 	"switchsynth/internal/faultinject"
 )
 
@@ -26,9 +25,8 @@ import (
 const batchSolveFloor = 20 * time.Millisecond
 
 func TestAdmissionBenchReport(t *testing.T) {
-	out := os.Getenv("BENCH_ADMISSION_OUT")
-	if out == "" {
-		t.Skip("set BENCH_ADMISSION_OUT to emit the admission benchmark report")
+	if !benchrec.Enabled() {
+		t.Skip("set " + benchrec.Env + " to append the admission benchmark record")
 	}
 
 	// Batch dedup: 100 specs over 7 canonical keys, solved as one batch
@@ -129,8 +127,7 @@ func TestAdmissionBenchReport(t *testing.T) {
 		submittedByClass[name] = queueStats.Submitted[c]
 		shedByClass[name] = queueStats.Shed[c]
 	}
-	report := map[string]any{
-		"benchmark":               "admission-tier",
+	benchrec.Emit(t, "admission", map[string]any{
 		"batchSpecs":              batchN,
 		"batchDistinctKeys":       batchKeys,
 		"batchSolves":             batchSolves,
@@ -145,12 +142,5 @@ func TestAdmissionBenchReport(t *testing.T) {
 		"timeToFirstPlanSeconds":  firstPlan.Seconds(),
 		"timeToProofSeconds":      proof.Seconds(),
 		"streamFirstPlanSpeedup":  proof.Seconds() / firstPlan.Seconds(),
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	})
 }

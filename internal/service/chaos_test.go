@@ -2,16 +2,15 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"switchsynth"
+	"switchsynth/internal/benchrec"
 	"switchsynth/internal/faultinject"
 	"switchsynth/internal/search"
 	"switchsynth/internal/spec"
@@ -148,8 +147,9 @@ func hardSpec16(i int) *spec.Spec {
 // injected latency must still serve verified (possibly degraded) plans.
 // Every fourth request is a hard 16-pin case that cannot be proven in
 // 5ms, so the anytime incumbent path is genuinely on the clock. When
-// BENCH_RESILIENCE_OUT is set, the served/error throughput summary is
-// written there as JSON for ci.sh.
+// BENCH_HISTORY is set, the served/error throughput summary is appended
+// there as the resilience record (internal/benchrec); only a run without
+// the race detector should set it, or the rate prices the detector.
 func TestChaosDegradedThroughput(t *testing.T) {
 	inj := faultinject.New(42).
 		Set(faultinject.SolveSlow, faultinject.Rule{Probability: 0.3, Delay: 20 * time.Millisecond})
@@ -189,23 +189,13 @@ func TestChaosDegradedThroughput(t *testing.T) {
 		t.Error("no degraded plans: the hard cases were all proven in 5ms?")
 	}
 
-	if out := os.Getenv("BENCH_RESILIENCE_OUT"); out != "" {
-		report := map[string]any{
-			"benchmark":         "degraded-path-throughput",
-			"slowFaultPercent":  30,
-			"requests":          requests,
-			"served":            served,
-			"degraded":          degraded,
-			"errors":            failedCount,
-			"elapsedSeconds":    elapsed.Seconds(),
-			"requestsPerSecond": float64(requests) / elapsed.Seconds(),
-		}
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	benchrec.Emit(t, "resilience", map[string]any{
+		"slowFaultPercent":  30,
+		"requests":          requests,
+		"served":            served,
+		"degraded":          degraded,
+		"errors":            failedCount,
+		"elapsedSeconds":    elapsed.Seconds(),
+		"requestsPerSecond": float64(requests) / elapsed.Seconds(),
+	})
 }

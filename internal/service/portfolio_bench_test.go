@@ -1,24 +1,23 @@
-// Warm-start benchmark report for ci.sh: cold vs warm-started synthesis
-// on the saturated 16-pin distribution ring and its one-edit neighbor
-// family. Runs only when BENCH_PORTFOLIO_OUT names the JSON file to
-// write (ci.sh sets it); plain test runs skip it.
+// Warm-start benchmark report: cold vs warm-started synthesis on the
+// saturated 16-pin distribution ring and its one-edit neighbor family.
+// Runs only when BENCH_HISTORY names the history file to append to
+// (internal/benchrec); plain test runs skip it.
 package service
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"os"
 	"strconv"
 	"testing"
 	"time"
 
 	"switchsynth"
+	"switchsynth/internal/benchrec"
 	"switchsynth/internal/spec"
 )
 
 // benchRing16 is the saturated 16-module distribution ring from the
-// solver benchmarks (BENCH_search.json): five inlets feed the remaining
+// solver benchmarks (searchRing16 in bench_test.go): five inlets feed the remaining
 // eleven modules round-robin under the clockwise policy, proven optimal
 // in about a second sequentially. Dropping any one flow frees exactly
 // that flow's outlet module, so the drop-one-flow family below is the
@@ -67,9 +66,8 @@ func ringNeighbor(name string, drop int) *spec.Spec {
 }
 
 func TestPortfolioBenchReport(t *testing.T) {
-	out := os.Getenv("BENCH_PORTFOLIO_OUT")
-	if out == "" {
-		t.Skip("set BENCH_PORTFOLIO_OUT to emit the portfolio benchmark report")
+	if !benchrec.Enabled() {
+		t.Skip("set " + benchrec.Env + " to append the warm-start benchmark record")
 	}
 	opts := switchsynth.Options{TimeLimit: 5 * time.Minute}
 	timed := func(e *Engine, sp *spec.Spec) (*Response, float64) {
@@ -123,8 +121,7 @@ func TestPortfolioBenchReport(t *testing.T) {
 			speedup, coldSum, warmSum)
 	}
 
-	report := map[string]any{
-		"benchmark":             "portfolio-tier",
+	benchrec.Emit(t, "portfolio", map[string]any{
 		"instance":              "saturated 16-pin clockwise ring, drop-one-flow neighbors",
 		"coldBaseSeconds":       coldBaseSec,
 		"warmBaseSeconds":       warmBaseSec,
@@ -134,12 +131,5 @@ func TestPortfolioBenchReport(t *testing.T) {
 		"warmStartHits":         warmHits,
 		"neighborFlowsDropped":  neighborDrops,
 		"neighborByteIdentical": true,
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	})
 }

@@ -595,11 +595,10 @@ func TestHTTPStreamKeyEndpoint(t *testing.T) {
 	}
 }
 
-// TestStreamTimeToFirstPlanBench measures, for ci.sh's BENCH_admission
-// report, how much sooner a streaming watcher holds a usable plan than a
-// blocking caller holds the proof. Skipped unless BENCH_ADMISSION_OUT
-// demand pulls it in through the admission bench test (it is cheap
-// enough to always run; the numbers are logged for humans here).
+// TestStreamTimeToFirstPlanBench checks that a streaming watcher holds a
+// usable plan sooner than a blocking caller holds the proof, and logs
+// both times. It runs in every test run except -short; the admission
+// record (TestAdmissionBenchReport) measures the same pair on its own.
 func TestStreamTimeToFirstPlanBench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive benchmark companion")
