@@ -131,14 +131,16 @@ echo "== plan-bytes gate: fuzz + one admission door + plan stream =="
 # import and read-repair, with nothing left behind in any tier; a
 # misfiled store record is healed and re-solved to the true optimum;
 # the digest cache only skips re-verification for bytes already
-# admitted. The plan-stream suite proves the persistent fetch channel
-# serves byte-identical frames, falls back to plain GETs for pre-stream
-# peers, and hangs up when its engine retires. The byte-diff of the
+# admitted. The plan-stream suite proves the persistent fetch channel —
+# the only way a node fetches plan bytes from a peer — serves
+# byte-identical frames, reports a refused upgrade as a fill error,
+# re-dials a dead pooled stream once, and hangs up when its engine
+# retires; GET /plans/{key} serves every caller JSON. The byte-diff of the
 # replicating binary 3-node campaign is the replicating arm of the
 # four-topology determinism test in the cluster gate above.
 go test -fuzz '^FuzzDecodeBinary$' -fuzztime 15s -run '^$' ./internal/planio/
 go test -fuzz '^FuzzCrossFormat$' -fuzztime 15s -run '^$' ./internal/planio/
-go test -race -run 'TestTamperedPlanBytesRejectedAtEveryDoor|TestEngineHealsPersistedPlanUnderWrongKey|TestDigestCache|TestPlanBytes|TestPlanEndpointNegotiatesFormat|TestPlanStream|TestStreamFetch' \
+go test -race -run 'TestTamperedPlanBytesRejectedAtEveryDoor|TestEngineHealsPersistedPlanUnderWrongKey|TestDigestCache|TestPlanBytes|TestPlanEndpointServesJSON|TestPlanStream|TestStreamFetch' \
   ./internal/cluster/ ./internal/service/ ./internal/planio/
 
 echo "== replication chaos gate: kill any node mid-campaign, zero re-solves =="

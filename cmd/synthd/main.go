@@ -56,7 +56,8 @@
 // plans are pushed asynchronously to the key's replica set; and a
 // background anti-entropy loop pulls plans this node replicates but
 // lacks, so a killed-and-restarted node re-converges. The peer list is
-// static and must be identical on every node; see DESIGN.md §8.
+// static and must be identical on every node, and each URL must be
+// exactly http://host:port; see DESIGN.md §8.
 //
 // Plans sit on disk and travel between nodes in one format, the binary
 // planio frame; JSON is only for export and humans. Every plan the
@@ -88,8 +89,10 @@
 //	GET  /readyz                  readiness: 200 serving, 503 once draining
 //	GET  /metrics                 job/cache/store/cluster/admission counters as JSON
 //	GET  /plans                   manifest of locally held plan keys
-//	GET  /plans/{key}             one plan: the binary frame when Accept names
-//	                              it, JSON otherwise (404 when absent)
+//	GET  /plans/{key}             one plan in the JSON file format (404 when
+//	                              absent)
+//	GET  /plans.stream            upgrade to the plan stream peers fetch plan
+//	                              frames over
 //	PUT  /plans/{key}             receive a peer's replication push (re-verified
 //	                              before storing; 204 ok, 422 rejected)
 //	GET  /cluster                 ring membership, health, and forwarding counters
@@ -352,7 +355,7 @@ func parseFlags(args []string) (service.Config, serverFlags) {
 		storeWAL   = fs.Int64("store-max-wal-bytes", 0, "WAL size that triggers store compaction (0 = default 8MiB, negative disables)")
 		exportDir  = fs.String("export-plans", "", "with -store-dir: dump persisted plans as planio JSON into this directory and exit")
 		pprofAddr  = fs.String("pprof-addr", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060; empty disables)")
-		peersList  = fs.String("peers", "", "static cluster peer list as id=url,... including this node (empty disables clustering)")
+		peersList  = fs.String("peers", "", "static cluster peer list as id=http://host:port,... including this node (empty disables clustering)")
 		nodeID     = fs.String("node-id", "", "this node's id in -peers (required with -peers)")
 		probeInt   = fs.Duration("cluster-probe-interval", 0, "peer health-probe period (0 = default 2s)")
 		syncInt    = fs.Duration("cluster-sync-interval", 0, "anti-entropy sync period (0 = default 15s, negative disables)")

@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"switchsynth/internal/faultinject"
-	"switchsynth/internal/planio"
 )
 
 // Defaults; each is overridable via Config.
@@ -87,9 +86,6 @@ type Config struct {
 	UpAfter   int
 	DownAfter int
 
-	// HTTPClient performs all peer traffic; nil uses a private client
-	// with sane timeouts.
-	HTTPClient *http.Client
 	// FaultInjector, when non-nil, lets chaos tests break peer traffic
 	// (PeerDown, PeerSlow, FetchCorrupt). Nil in production.
 	FaultInjector *faultinject.Injector
@@ -166,6 +162,14 @@ func New(cfg Config) (*Cluster, error) {
 	if self == nil {
 		return nil, fmt.Errorf("cluster: SelfID %q not in peer list", cfg.SelfID)
 	}
+	for _, n := range cfg.Peers {
+		if n.ID == cfg.SelfID && n.URL == "" {
+			continue // self is never dialed and may omit its URL
+		}
+		if err := checkPeerURL(n.URL); err != nil {
+			return nil, fmt.Errorf("cluster: peer %s: %w", n.ID, err)
+		}
+	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = defaultProbeInterval
 	}
@@ -187,16 +191,12 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Replication > len(cfg.Peers) {
 		cfg.Replication = len(cfg.Peers)
 	}
-	hc := cfg.HTTPClient
-	if hc == nil {
-		hc = &http.Client{Timeout: 10 * time.Second}
-	}
 	return &Cluster{
 		self:     *self,
 		ring:     NewRing(cfg.Peers),
 		mem:      newMembership(cfg.SelfID, cfg.Peers, cfg.UpAfter, cfg.DownAfter),
-		hc:       hc,
-		streamHC: &http.Client{Transport: hc.Transport},
+		hc:       &http.Client{Timeout: 10 * time.Second},
+		streamHC: &http.Client{},
 		inj:      cfg.FaultInjector,
 		cfg:      cfg,
 		replq:    make(chan replTask, replQueueDepth),
@@ -294,71 +294,84 @@ func (c *Cluster) probeOnce() {
 		go func(n Node) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			if err := c.probe(n); err != nil {
-				c.mem.observe(n.ID, false, err.Error())
-			} else {
-				c.mem.observe(n.ID, true, "")
-			}
+			_ = c.probe(n)
 		}(n)
 	}
 	wg.Wait()
 }
 
-// probe performs one /readyz round trip. A 503 (draining) counts as
-// down: the peer is alive but asking not to be routed to.
-func (c *Cluster) probe(n Node) error {
-	if c.inj.LinkDown(c.self.ID, n.ID) {
-		return fmt.Errorf("injected: link %s->%s cut", c.self.ID, n.ID)
-	}
-	if c.inj.Fire(faultinject.PeerDown) {
-		return fmt.Errorf("injected: peer down")
-	}
-	c.inj.Fire(faultinject.PeerSlow)
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.URL+"/readyz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1024))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("readyz: status %d", resp.StatusCode)
+// checkPeerURL accepts exactly http://host:port. The plan stream dials
+// the host raw, so a scheme, path, query or userinfo it cannot honour
+// is a boot error rather than a permanent fill error.
+func checkPeerURL(raw string) error {
+	u, err := url.Parse(raw)
+	if err != nil || u.Scheme != "http" || u.Hostname() == "" || u.Port() == "" || "http://"+u.Host != raw {
+		return fmt.Errorf("URL %q is not http://host:port", raw)
 	}
 	return nil
 }
 
-// FetchPlan is the engine's peer-fill hook (service.Config.PeerFill):
-// on a local memory+disk miss it walks key's replica set in rank order
-// — owner first, then successors, up to Replication live candidates —
-// asking each for the plan bytes before solving. A candidate that is
-// down by membership or fails in transit is skipped (failover); the
-// walk stops at the local node's own rank position, since everything
-// ranked below it would hold the plan only by accident.
-//
-// Returns (nil, nil) — a clean miss that falls through to the local
-// solve — when the local node is the highest-ranked live replica or no
-// candidate has the plan. When every attempted candidate failed in
-// transit, the last error is returned wrapped with the peer ID and the
-// underlying cause (%w), so errors.Is(err, context.DeadlineExceeded)
-// works through the cluster layer.
-//
-// Read-repair: when a successor serves a plan that an earlier live
-// replica answered 404 for, the served bytes are pushed back to the
-// lacking replica through the same verify-on-receipt import path as
-// write-time replication. The engine re-verifies whatever this
-// function returns; it only moves bytes.
-func (c *Cluster) FetchPlan(ctx context.Context, key string) ([]byte, error) {
-	var (
-		lacked   []Node // live replicas that answered 404 before the hit
-		lastErr  error
-		failover bool
-		tried    int
-	)
+// peerCall runs one round trip to n behind the injected peer faults
+// and records its outcome in membership by one rule: a transport error
+// or an injected fault is a down observation, a shed status
+// (429/502/503/504) is no evidence, and any other answer is an up
+// observation. rt returns the status the peer answered with, 0 when no
+// answer arrived.
+func (c *Cluster) peerCall(n Node, rt func() (status int, err error)) error {
+	var status int
+	var err error
+	switch {
+	case c.inj.LinkDown(c.self.ID, n.ID):
+		err = fmt.Errorf("injected: link %s->%s cut", c.self.ID, n.ID)
+	case c.inj.Fire(faultinject.PeerDown):
+		err = fmt.Errorf("injected: peer down")
+	default:
+		c.inj.Fire(faultinject.PeerSlow)
+		status, err = rt()
+	}
+	switch {
+	case status == 0 && err != nil:
+		c.mem.observe(n.ID, false, err.Error())
+	case !shedStatus(status):
+		c.mem.observe(n.ID, true, "")
+	}
+	return err
+}
+
+// probe performs one /readyz round trip.
+func (c *Cluster) probe(n Node) error {
+	return c.peerCall(n, func() (int, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
+		defer cancel()
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.URL+"/readyz", nil)
+		if err != nil {
+			return 0, err
+		}
+		resp, err := c.hc.Do(req)
+		if err != nil {
+			return 0, err
+		}
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 1024))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			// Unlike any other round trip, every non-200 readiness
+			// answer is a down observation: a draining 503 means alive
+			// but asking not to be routed to.
+			return 0, fmt.Errorf("readyz: status %d", resp.StatusCode)
+		}
+		return resp.StatusCode, nil
+	})
+}
+
+// walkReplicas offers key's candidates to try in rank order — owner
+// first, then successors — until try reports success, the walk reaches
+// the local node (everything ranked below it would hold the plan only
+// by accident), or Replication live candidates were tried. Candidates
+// that membership marks down are skipped without using a slot.
+// failover tells try that an earlier candidate was skipped or failed.
+// It returns the number of candidates tried.
+func (c *Cluster) walkReplicas(key string, try func(n Node, failover bool) bool) (tried int) {
+	failover := false
 	for _, n := range c.ring.Rank(key) {
 		if n.ID == c.self.ID || tried >= c.cfg.Replication {
 			break
@@ -368,19 +381,56 @@ func (c *Cluster) FetchPlan(ctx context.Context, key string) ([]byte, error) {
 			continue
 		}
 		tried++
+		if try(n, failover) {
+			break
+		}
+		failover = true
+	}
+	return tried
+}
+
+// replicaSet returns key's replica set: the first Replication nodes of
+// its rendezvous ranking.
+func (c *Cluster) replicaSet(key string) []Node {
+	rank := c.ring.Rank(key)
+	return rank[:min(c.cfg.Replication, len(rank))]
+}
+
+// FetchPlan is the engine's peer-fill hook (service.Config.PeerFill):
+// on a local memory+disk miss it walks key's replicas (walkReplicas),
+// asking each for the plan bytes before solving. A candidate that
+// fails in transit is skipped (failover).
+//
+// Returns (nil, nil) — a clean miss that falls through to the local
+// solve — when the local node is the highest-ranked live replica or no
+// candidate has the plan. When every attempted candidate failed in
+// transit, the last error is returned wrapped with the peer ID and the
+// underlying cause (%w), so errors.Is(err, context.DeadlineExceeded)
+// works through the cluster layer. A caller whose ctx has ended stops
+// the walk at the failed candidate.
+//
+// Read-repair: when a successor serves a plan that an earlier live
+// replica answered 404 for, the served bytes are pushed back to the
+// lacking replica through the same verify-on-receipt import path as
+// write-time replication. The engine re-verifies whatever this
+// function returns; it only moves bytes.
+func (c *Cluster) FetchPlan(ctx context.Context, key string) ([]byte, error) {
+	var (
+		lacked  []Node // live replicas that answered 404 before the hit
+		lastErr error
+		plan    []byte
+	)
+	c.walkReplicas(key, func(n Node, failover bool) bool {
 		data, found, err := c.fetchFrom(ctx, n, key)
 		if err != nil {
 			c.fillErrors.Add(1)
-			c.mem.observe(n.ID, false, err.Error())
 			lastErr = fmt.Errorf("cluster: fetch plan %s from peer %s: %w", key, n.ID, err)
-			failover = true
-			continue
+			return ctx.Err() != nil
 		}
 		if !found {
 			c.fillMisses.Add(1)
 			lacked = append(lacked, n)
-			failover = true
-			continue
+			return false
 		}
 		c.fillHits.Add(1)
 		if failover {
@@ -389,23 +439,18 @@ func (c *Cluster) FetchPlan(ctx context.Context, key string) ([]byte, error) {
 		for _, back := range lacked {
 			c.enqueue(replTask{key: key, data: data, to: back, repair: true})
 		}
-		return data, nil
+		plan = data
+		return true
+	})
+	if plan != nil {
+		return plan, nil
 	}
-	if lastErr != nil {
-		return nil, lastErr
-	}
-	return nil, nil
+	return nil, lastErr
 }
 
-// replicated reports whether the local node is in key's replica set —
-// the first Replication entries of the rendezvous ranking.
+// replicated reports whether the local node is in key's replica set.
 func (c *Cluster) replicated(key string) bool {
-	rank := c.ring.Rank(key)
-	r := c.cfg.Replication
-	if r > len(rank) {
-		r = len(rank)
-	}
-	for _, n := range rank[:r] {
+	for _, n := range c.replicaSet(key) {
 		if n.ID == c.self.ID {
 			return true
 		}
@@ -413,63 +458,21 @@ func (c *Cluster) replicated(key string) bool {
 	return false
 }
 
-// fetchFrom GETs /plans/{key} from n. found is false on 404 (the peer
-// does not have the plan — not an error, not evidence of ill health).
+// fetchFrom asks n for key's plan bytes over the plan stream. found is
+// false when the peer answered that it lacks the plan — not an error,
+// and no evidence of ill health. Any failure to get an answer is an
+// error.
 func (c *Cluster) fetchFrom(ctx context.Context, n Node, key string) (data []byte, found bool, err error) {
-	if c.inj.LinkDown(c.self.ID, n.ID) {
-		return nil, false, fmt.Errorf("injected: link %s->%s cut", c.self.ID, n.ID)
-	}
-	if c.inj.Fire(faultinject.PeerDown) {
-		return nil, false, fmt.Errorf("injected: peer down")
-	}
-	c.inj.Fire(faultinject.PeerSlow)
-	// Persistent channel first: one length-prefixed exchange instead of
-	// a full HTTP round trip. Any stream problem — pre-stream peer,
-	// dial failure, mid-exchange error — falls through to the plain GET
-	// below, which owns the error accounting.
-	if data, found, ok := c.fetchViaStream(n, key); ok {
-		if len(data) > 0 && c.inj.Fire(faultinject.FetchCorrupt) {
-			data[len(data)/2] ^= 0x40
-		}
-		return data, found, nil
-	}
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.FetchTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.URL+"/plans/"+url.PathEscape(key), nil)
-	if err != nil {
-		return nil, false, err
-	}
-	// Ask for the binary frame (without the Accept header a peer answers
-	// the JSON file format meant for humans).
-	req.Header.Set("Accept", planio.ContentTypeBinary)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, false, err
-	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
-	}()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound:
-		return nil, false, nil
-	default:
-		return nil, false, fmt.Errorf("plans/%s: status %d", key, resp.StatusCode)
-	}
-	data, err = io.ReadAll(io.LimitReader(resp.Body, maxPlanBytes+1))
-	if err != nil {
-		return nil, false, err
-	}
-	if len(data) > maxPlanBytes {
-		return nil, false, fmt.Errorf("plans/%s: plan exceeds %d bytes", key, maxPlanBytes)
-	}
+	err = c.peerCall(n, func() (status int, err error) {
+		data, found, status, err = c.streamFetch(ctx, n, key)
+		return status, err
+	})
 	if len(data) > 0 && c.inj.Fire(faultinject.FetchCorrupt) {
 		// Flip one byte mid-payload; the receiver's re-verification must
 		// reject the plan (invariant 2).
 		data[len(data)/2] ^= 0x40
 	}
-	return data, true, nil
+	return data, found, err
 }
 
 // Status is the /cluster endpoint's payload: ownership scheme, the

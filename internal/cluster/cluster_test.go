@@ -62,6 +62,19 @@ func specOwnedBy(t *testing.T, r *Ring, ownerID string) (*spec.Spec, string) {
 	return nil, ""
 }
 
+// keyOwnedBy returns a synthetic key that ranks ownerID first under r,
+// for transport tests that never decode a plan.
+func keyOwnedBy(t *testing.T, r *Ring, ownerID string) string {
+	t.Helper()
+	for i := 0; i < 100; i++ {
+		if k := fmt.Sprintf("key-%d", i); r.OwnerID(k) == ownerID {
+			return k
+		}
+	}
+	t.Fatalf("no key owned by %q in 100 tries", ownerID)
+	return ""
+}
+
 // testNode is one in-process synthd: engine + cluster + HTTP server.
 type testNode struct {
 	id  string

@@ -9,9 +9,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -251,5 +253,167 @@ func TestAntiEntropyRejectsCorruptPlans(t *testing.T) {
 	}
 	if snap := nodes[1].eng.Snapshot(); snap.PeerRejected == 0 {
 		t.Error("peerRejected = 0, want the rejected import counted")
+	}
+}
+
+// peerFacing builds a cluster whose only other member, peer-a, is at
+// peerURL, and returns it with a key peer-a owns, so a fill tries
+// peer-a first and stops at self after it.
+func peerFacing(t *testing.T, peerURL string, fetchTimeout time.Duration) (*Cluster, string) {
+	t.Helper()
+	cl, err := New(Config{
+		SelfID:       "self",
+		Peers:        []Node{{ID: "self", URL: "http://127.0.0.1:1"}, {ID: "peer-a", URL: peerURL}},
+		FetchTimeout: fetchTimeout,
+		SyncInterval: -1,
+		DownAfter:    1 << 30, // keep trying the peer, however often it fails
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Stop)
+	return cl, keyOwnedBy(t, cl.Ring(), "peer-a")
+}
+
+// hungPeer accepts connections and requests but never answers one.
+func hungPeer(t *testing.T) string {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+	}))
+	t.Cleanup(srv.Close)
+	return srv.URL
+}
+
+// TestFetchPlanHungPeerCostsOneTimeout: a fill against a peer that
+// never answers costs one FetchTimeout, on every attempt — there is no
+// second transport to time out in turn.
+func TestFetchPlanHungPeerCostsOneTimeout(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	cl, key := peerFacing(t, hungPeer(t), timeout)
+	for i := 0; i < 2; i++ {
+		start := time.Now()
+		_, err := cl.FetchPlan(context.Background(), key)
+		took := time.Since(start)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("fill %d: err = %v, want context.DeadlineExceeded", i, err)
+		}
+		if took > timeout+100*time.Millisecond {
+			t.Errorf("fill %d against a hung peer took %v, want <= FetchTimeout (%v) + 100ms", i, took, timeout)
+		}
+	}
+}
+
+// TestFetchPlanEndsWithCallerContext: the caller's context bounds the
+// fill, well inside FetchTimeout — by its deadline and by cancellation.
+func TestFetchPlanEndsWithCallerContext(t *testing.T) {
+	peer := hungPeer(t)
+	tests := []struct {
+		name string
+		ctx  func() (context.Context, context.CancelFunc)
+		want error
+	}{
+		{"deadline", func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), 50*time.Millisecond)
+		}, context.DeadlineExceeded},
+		{"cancel", func() (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(context.Background())
+			time.AfterFunc(50*time.Millisecond, cancel)
+			return ctx, cancel
+		}, context.Canceled},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, key := peerFacing(t, peer, 2*time.Second)
+			ctx, cancel := tc.ctx()
+			defer cancel()
+			start := time.Now()
+			_, err := cl.FetchPlan(ctx, key)
+			took := time.Since(start)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+			if took > 150*time.Millisecond {
+				t.Errorf("fill ended %v after it started, want <= 150ms (the caller gave up at 50ms)", took)
+			}
+		})
+	}
+}
+
+// TestFetchPlanDeadOwnerCostsOneDial: an owner that dies on every
+// connection (accepts it, then closes it) costs each fill exactly one
+// dial, counted where the owner accepts.
+func TestFetchPlanDeadOwnerCostsOneDial(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	var accepts atomic.Int64
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			accepts.Add(1)
+			c.Close()
+		}
+	}()
+
+	cl, key := peerFacing(t, "http://"+l.Addr().String(), 2*time.Second)
+	const fills = 3
+	for i := 0; i < fills; i++ {
+		if _, err := cl.FetchPlan(context.Background(), key); err == nil {
+			t.Fatalf("fill %d against a dead owner succeeded", i)
+		}
+	}
+	if n := accepts.Load(); n != fills {
+		t.Errorf("dead owner accepted %d connections for %d fills, want one each", n, fills)
+	}
+	if st := cl.Status(); st.FillErrors != fills || st.StreamDials != fills {
+		t.Errorf("fillErrors=%d streamDials=%d, want %d/%d", st.FillErrors, st.StreamDials, fills, fills)
+	}
+}
+
+// TestPlanStreamRedialsDeadPooledStream: a restarted owner has dropped
+// the reader's pooled stream. The next fill closes it, re-dials once
+// and succeeds — no fill error and no down observation.
+func TestPlanStreamRedialsDeadPooledStream(t *testing.T) {
+	nodes := startNodes(t, 2, nil)
+	sp, key := specOwnedBy(t, nodes[0].cl.Ring(), "n0")
+	if _, err := nodes[0].eng.Do(context.Background(), sp, switchsynth.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	reader := nodes[1].cl
+	if _, err := reader.FetchPlan(context.Background(), key); err != nil {
+		t.Fatal(err)
+	}
+
+	// Restart the owner on its address with a fresh engine that holds
+	// the plan again; the old engine hangs up the pooled stream.
+	addr := nodes[0].srv.Listener.Addr().String()
+	nodes[0].srv.Close()
+	nodes[0].eng.CloseNow()
+	peers := []Node{{ID: "n0", URL: nodes[0].url}, {ID: "n1", URL: nodes[1].url}}
+	owner := bootNode(t, peers, listenOn(t, addr), 0, false, nil)
+	if _, err := owner.eng.Do(context.Background(), sp, switchsynth.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := owner.eng.PlanBytes(key)
+
+	got, err := reader.FetchPlan(context.Background(), key)
+	if err != nil {
+		t.Fatalf("fill over a dead pooled stream: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("re-dialed fill returned different bytes than the owner holds")
+	}
+	st := reader.Status()
+	if st.FillErrors != 0 || st.FillHits != 2 || st.StreamDials != 2 {
+		t.Errorf("fillErrors=%d fillHits=%d streamDials=%d, want 0/2/2", st.FillErrors, st.FillHits, st.StreamDials)
+	}
+	if ps := reader.mem.snapshot()["n0"]; !ps.Up || ps.Streak != 0 || ps.LastErr != "" {
+		t.Errorf("owner health after the re-dial = %+v, want up with no failure recorded", ps)
 	}
 }

@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -9,6 +12,7 @@ import (
 	"time"
 
 	"switchsynth"
+	"switchsynth/internal/faultinject"
 	"switchsynth/internal/service"
 )
 
@@ -211,5 +215,117 @@ func TestProbeLoopDetectsDownAndRecovery(t *testing.T) {
 
 	if st := c.Status(); st.Probes == 0 {
 		t.Error("probe counter never advanced")
+	}
+}
+
+// TestPeerRoundTripObservationRule: every kind of peer round trip feeds
+// membership by one rule. A transport error or an injected fault is a
+// down observation, a shed status is no evidence, and any other answer
+// is an up observation — except the probe, for which every non-200
+// readiness answer is down.
+func TestPeerRoundTripObservationRule(t *testing.T) {
+	eng := service.New(service.Config{Workers: 2})
+	t.Cleanup(eng.CloseNow)
+	sp := clusterSpecVariant(0)
+	resp, err := eng.Do(context.Background(), sp, switchsynth.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := resp.Key
+	plan, _ := eng.PlanBytes(key)
+	body, err := json.Marshal(service.SynthesizeRequest{Spec: sp})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	healthy := httptest.NewServer(service.NewHandler(eng))
+	t.Cleanup(healthy.Close)
+	shedding := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(shedding.Close)
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+
+	const (
+		none = "none"
+		up   = "up"
+		down = "down"
+	)
+	// call reports whether the round trip did its job, so each row also
+	// checks that it drove the outcome it names.
+	kinds := []struct {
+		name     string
+		call     func(c *Cluster, n Node) bool
+		whenShed string
+	}{
+		{"probe", func(c *Cluster, n Node) bool { return c.probe(n) == nil }, down},
+		{"fill", func(c *Cluster, n Node) bool {
+			_, found, err := c.fetchFrom(context.Background(), n, key)
+			return err == nil && found
+		}, none},
+		{"manifest", func(c *Cluster, n Node) bool {
+			keys, err := c.manifest(context.Background(), n)
+			return err == nil && len(keys) == 1
+		}, none},
+		{"push", func(c *Cluster, n Node) bool { return c.pushPlan(n, key, plan) == nil }, none},
+		{"forward", func(c *Cluster, n Node) bool {
+			r := httptest.NewRequest(http.MethodPost, "/synthesize", bytes.NewReader(body))
+			return c.forward(httptest.NewRecorder(), r, n, body, 0)
+		}, none},
+	}
+	for _, kind := range kinds {
+		outcomes := []struct {
+			name string
+			url  string
+			inj  func() *faultinject.Injector
+			want string
+		}{
+			{"transport error", dead.URL, nil, down},
+			{"injected peer down", healthy.URL, func() *faultinject.Injector {
+				return faultinject.New(1).Set(faultinject.PeerDown, faultinject.Rule{Probability: 1})
+			}, down},
+			{"injected link down", healthy.URL, func() *faultinject.Injector {
+				inj := faultinject.New(1)
+				inj.CutLink("self", "p")
+				return inj
+			}, down},
+			{"shed status", shedding.URL, nil, kind.whenShed},
+			{"success", healthy.URL, nil, up},
+		}
+		for _, oc := range outcomes {
+			t.Run(kind.name+"/"+oc.name, func(t *testing.T) {
+				cfg := Config{
+					SelfID:       "self",
+					Peers:        []Node{{ID: "self"}, {ID: "p", URL: oc.url}},
+					SyncInterval: -1,
+				}
+				if oc.inj != nil {
+					cfg.FaultInjector = oc.inj()
+				}
+				c, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(c.Stop)
+				if ok := kind.call(c, Node{ID: "p", URL: oc.url}); ok != (oc.name == "success") {
+					t.Fatalf("round trip succeeded = %v, want %v", ok, oc.name == "success")
+				}
+
+				ps := c.mem.snapshot()["p"]
+				got := none
+				switch {
+				case ps.Probes == 1 && ps.Streak == 1 && ps.LastErr != "":
+					got = down
+				case ps.Probes == 1 && ps.Streak == 0 && ps.LastErr == "":
+					got = up
+				case ps.Probes != 0:
+					got = fmt.Sprintf("%+v", ps)
+				}
+				if got != oc.want {
+					t.Errorf("observation = %s, want %s", got, oc.want)
+				}
+			})
+		}
 	}
 }

@@ -1,32 +1,25 @@
-// The plan-stream client: a per-peer persistent fetch channel that
+// The plan-stream client: the one transport a node fetches plan bytes
+// from a peer with. Each peer gets a persistent fetch channel, upgraded
+// once from a plain HTTP request on the peer's listening port, that
 // moves plan frames without the per-request HTTP envelope. The server
 // side lives in internal/service (the /plans.stream upgrade endpoint);
-// the framing in internal/planio. Capability is learned by trying: the
-// first fetch to a peer attempts the upgrade, a non-101 answer (an
-// older node) pins that peer to plain GETs for the process lifetime,
-// while transport errors leave the capability unknown so a rebooted
-// peer is retried. Every byte fetched over a stream passes the same
-// verification pipeline as an HTTP fetch — the channel changes the
+// the framing in internal/planio. Every byte fetched over a stream
+// passes the receiver's one admission check — the channel changes the
 // envelope, never the trust model.
 package cluster
 
 import (
 	"bufio"
+	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
-	"net/url"
+	"strings"
 	"sync"
 	"time"
 
 	"switchsynth/internal/planio"
-)
-
-// Stream capability states, per peer.
-const (
-	streamUnknown = iota // never tried, or last attempt failed in transit
-	streamYes            // upgrade succeeded at least once
-	streamNever          // peer answered non-101: it predates the protocol
 )
 
 // streamConn is one upgraded connection, owned by a single fetch at a
@@ -39,36 +32,48 @@ type streamConn struct {
 
 func (s *streamConn) close() { _ = s.c.Close() }
 
+// pastDeadline fails a connection's pending and future I/O at once.
+var pastDeadline = time.Unix(1, 0)
+
+// neverCancelled disarms the bound of a context that cannot end early.
+func neverCancelled() bool { return true }
+
+// arm bounds s's I/O by deadline and, when ctx can end early, sets a
+// past deadline the moment it does. disarm reports false once ctx has
+// fired: s may then carry an expired deadline and must not be pooled.
+func (s *streamConn) arm(ctx context.Context, deadline time.Time) (disarm func() bool) {
+	_ = s.c.SetDeadline(deadline)
+	if ctx.Done() == nil {
+		return neverCancelled
+	}
+	return context.AfterFunc(ctx, func() { _ = s.c.SetDeadline(pastDeadline) })
+}
+
 // planStreams pools at most one idle upgraded connection per peer.
-// Concurrent fetches to the same peer either dial a second stream or
-// fall back to a plain GET — never block behind each other.
+// Concurrent fetches to the same peer dial a second stream rather than
+// block behind each other.
 type planStreams struct {
-	mu    sync.Mutex
-	idle  map[string]*streamConn
-	state map[string]int
-	done  bool
+	mu   sync.Mutex
+	idle map[string]*streamConn
+	done bool
 }
 
 func newPlanStreams() *planStreams {
-	return &planStreams{idle: make(map[string]*streamConn), state: make(map[string]int)}
+	return &planStreams{idle: make(map[string]*streamConn)}
 }
 
-// take pops the peer's idle connection, if any, and reports whether
-// dialing a new one is worthwhile (false once the peer answered
-// non-101, or after closeAll).
-func (p *planStreams) take(id string) (*streamConn, bool) {
+// take pops the peer's idle connection, if any.
+func (p *planStreams) take(id string) *streamConn {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.done || p.state[id] == streamNever {
-		return nil, false
-	}
 	s := p.idle[id]
 	delete(p.idle, id)
-	return s, true
+	return s
 }
 
 // put returns a healthy connection to the pool. With the slot already
-// occupied (a concurrent fetch finished first) the extra stream closes.
+// occupied (a concurrent fetch finished first), or the pool closed, the
+// extra stream closes.
 func (p *planStreams) put(id string, s *streamConn) {
 	p.mu.Lock()
 	if p.done || p.idle[id] != nil {
@@ -77,18 +82,11 @@ func (p *planStreams) put(id string, s *streamConn) {
 		return
 	}
 	p.idle[id] = s
-	p.state[id] = streamYes
 	p.mu.Unlock()
 }
 
-func (p *planStreams) setState(id string, st int) {
-	p.mu.Lock()
-	p.state[id] = st
-	p.mu.Unlock()
-}
-
-// closeAll closes pooled connections and refuses new dials; the owning
-// Cluster is stopping.
+// closeAll closes pooled connections and stops pooling new ones; the
+// owning Cluster is stopping.
 func (p *planStreams) closeAll() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -99,80 +97,107 @@ func (p *planStreams) closeAll() {
 	}
 }
 
-// dialStream performs the upgrade handshake against the peer's one
-// listening port. A non-101 answer reports ok=false with a nil error:
-// the peer is healthy but pre-stream, and the caller pins it to GETs.
-func (c *Cluster) dialStream(n Node) (s *streamConn, ok bool, err error) {
-	u, err := url.Parse(n.URL)
-	if err != nil || u.Scheme != "http" || u.Host == "" {
-		// Only plain TCP is streamed; anything else keeps the verified
-		// HTTP client path.
-		return nil, false, nil
+// streamFetch performs one fetch exchange with n: on n's pooled stream
+// when one is idle, else on a fresh upgrade. A pooled stream that fails
+// is closed and the fetch retried once on a fresh dial — the server
+// drops idle streams after five minutes, and a restarted peer drops all
+// of them. The dial and the exchange end by the earlier of ctx's
+// deadline and FetchTimeout from now, and at once when ctx is
+// cancelled. status is the peer's answer to the upgrade (0 when no
+// complete exchange happened), for the round-trip guard.
+func (c *Cluster) streamFetch(ctx context.Context, n Node, key string) (data []byte, found bool, status int, err error) {
+	deadline := time.Now().Add(c.cfg.FetchTimeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
 	}
-	conn, err := net.DialTimeout("tcp", u.Host, c.cfg.FetchTimeout)
+	if s := c.streams.take(n.ID); s != nil {
+		if data, found, err = c.exchange(ctx, n.ID, s, deadline, key); err == nil {
+			return data, found, http.StatusSwitchingProtocols, nil
+		}
+		if err = fetchErr(ctx, err); errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+			return nil, false, 0, err
+		}
+	}
+	s, status, err := c.dialStream(ctx, n, deadline)
 	if err != nil {
-		return nil, false, err
+		return nil, false, status, fetchErr(ctx, err)
 	}
-	_ = conn.SetDeadline(time.Now().Add(c.cfg.FetchTimeout))
-	if _, err := fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: %s\r\nUpgrade: %s\r\nConnection: Upgrade\r\n\r\n",
-		planio.PlanStreamPath, u.Host, planio.PlanStreamProto); err != nil {
-		conn.Close()
-		return nil, false, err
+	if data, found, err = c.exchange(ctx, n.ID, s, deadline, key); err != nil {
+		return nil, false, 0, fetchErr(ctx, err)
 	}
-	br := bufio.NewReader(conn)
-	resp, err := http.ReadResponse(br, &http.Request{Method: http.MethodGet})
-	if err != nil {
-		conn.Close()
-		return nil, false, err
-	}
-	if resp.StatusCode != http.StatusSwitchingProtocols {
-		// Drain nothing: the connection dies with the refusal; the
-		// answer itself is the capability signal.
-		conn.Close()
-		return nil, false, nil
-	}
-	_ = conn.SetDeadline(time.Time{})
-	return &streamConn{c: conn, br: br, bw: bufio.NewWriter(conn)}, true, nil
+	return data, found, status, nil
 }
 
-// fetchViaStream tries the persistent channel. ok=false means the
-// caller must fall back to a plain GET — pre-stream peer, exhausted
-// dial, or a mid-exchange transport error (the plain GET then retries
-// the fetch from scratch and owns the error accounting).
-func (c *Cluster) fetchViaStream(n Node, key string) (data []byte, found, ok bool) {
-	s, try := c.streams.take(n.ID)
-	if s == nil {
-		if !try {
-			return nil, false, false
-		}
-		var err error
-		var upgraded bool
-		s, upgraded, err = c.dialStream(n)
-		c.streamDials.Add(1)
-		if err != nil {
-			return nil, false, false // transit failure: capability stays unknown
-		}
-		if !upgraded {
-			c.streams.setState(n.ID, streamNever)
-			return nil, false, false
-		}
+// fetchErr names why stream I/O failed: ctx's own error when ctx ended
+// it, context.DeadlineExceeded when the FetchTimeout deadline did, else
+// err itself.
+func fetchErr(ctx context.Context, err error) error {
+	if cerr := ctx.Err(); cerr != nil {
+		return cerr
 	}
-	_ = s.c.SetDeadline(time.Now().Add(c.cfg.FetchTimeout))
-	if err := planio.WriteFetchRequest(s.bw, key); err != nil {
-		s.close()
-		return nil, false, false
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		return context.DeadlineExceeded
 	}
-	if err := s.bw.Flush(); err != nil {
-		s.close()
-		return nil, false, false
+	return err
+}
+
+// dialStream opens a plan stream to n: one TCP dial and the HTTP/1.1
+// upgrade handshake. status is the peer's answer to the upgrade, 0 when
+// none arrived; any answer but 101 is an error. New has checked that
+// n.URL is exactly http://host:port.
+func (c *Cluster) dialStream(ctx context.Context, n Node, deadline time.Time) (*streamConn, int, error) {
+	c.streamDials.Add(1)
+	host := strings.TrimPrefix(n.URL, "http://")
+	d := net.Dialer{Deadline: deadline}
+	conn, err := d.DialContext(ctx, "tcp", host)
+	if err != nil {
+		return nil, 0, err
 	}
-	data, found, err := planio.ReadFetchResponse(s.br, maxPlanBytes)
+	s := &streamConn{c: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
+	disarm := s.arm(ctx, deadline)
+	fmt.Fprintf(s.bw, "GET %s HTTP/1.1\r\nHost: %s\r\nUpgrade: %s\r\nConnection: Upgrade\r\n\r\n",
+		planio.PlanStreamPath, host, planio.PlanStreamProto)
+	err = s.bw.Flush()
+	var resp *http.Response
+	if err == nil {
+		resp, err = http.ReadResponse(s.br, &http.Request{Method: http.MethodGet})
+	}
+	disarm()
 	if err != nil {
 		s.close()
-		return nil, false, false
+		return nil, 0, err
 	}
-	_ = s.c.SetDeadline(time.Time{})
-	c.streams.put(n.ID, s)
+	if resp.StatusCode != http.StatusSwitchingProtocols {
+		s.close()
+		return nil, resp.StatusCode, fmt.Errorf("%s: status %d", planio.PlanStreamPath, resp.StatusCode)
+	}
+	return s, resp.StatusCode, nil
+}
+
+// exchange runs one fetch on s, bounded by deadline and by ctx. A stream
+// that completes the exchange before ctx ends returns to the peer's pool
+// slot; any other stream closes.
+func (c *Cluster) exchange(ctx context.Context, id string, s *streamConn, deadline time.Time, key string) ([]byte, bool, error) {
+	disarm := s.arm(ctx, deadline)
+	err := planio.WriteFetchRequest(s.bw, key)
+	if err == nil {
+		err = s.bw.Flush()
+	}
+	var data []byte
+	var found bool
+	if err == nil {
+		data, found, err = planio.ReadFetchResponse(s.br, maxPlanBytes)
+	}
+	if disarm() && err == nil {
+		_ = s.c.SetDeadline(time.Time{})
+		c.streams.put(id, s)
+	} else {
+		s.close()
+	}
+	if err != nil {
+		return nil, false, err
+	}
 	c.streamFetches.Add(1)
-	return data, found, true
+	return data, found, nil
 }

@@ -1,6 +1,6 @@
 // Plan-stream client tests: the persistent fetch channel must be
 // invisible except in speed — identical bytes, identical verification,
-// graceful fallback for peers that predate it, and a hangup when the
+// a refused upgrade reported as a fill error, and a hangup when the
 // serving engine retires.
 package cluster
 
@@ -9,7 +9,9 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -60,45 +62,55 @@ func TestPlanStreamServesFetches(t *testing.T) {
 	}
 }
 
-// TestPlanStreamFallsBackToGET: a peer without the stream endpoint (an
-// older build) pins the client to plain GETs after one failed upgrade.
-func TestPlanStreamFallsBackToGET(t *testing.T) {
-	plan := []byte(`{"not":"a real plan — transport test only"}`)
+// TestPlanStreamRefusalIsFillError: the plan stream is the only fetch
+// transport, so a peer that answers the upgrade with anything but 101
+// fails the fill — named by peer and key, counted, never retried as a
+// plain GET — and the next fetch dials again rather than pinning the
+// peer to any other path.
+func TestPlanStreamRefusalIsFillError(t *testing.T) {
+	var gets atomic.Int64
 	mux := http.NewServeMux()
 	mux.HandleFunc("/plans/", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(plan)
+		gets.Add(1)
+		_, _ = w.Write([]byte(`{"not":"a real plan"}`))
 	})
-	old := httptest.NewServer(mux)
-	t.Cleanup(old.Close)
+	stub := httptest.NewServer(mux) // 404s /plans.stream
+	t.Cleanup(stub.Close)
 
 	cl, err := New(Config{
 		SelfID: "b",
-		Peers:  []Node{{ID: "a", URL: old.URL}, {ID: "b", URL: "http://127.0.0.1:1"}},
+		Peers:  []Node{{ID: "a", URL: stub.URL}, {ID: "b", URL: "http://127.0.0.1:1"}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Stop)
+	key := keyOwnedBy(t, cl.Ring(), "a")
 
-	for i := 0; i < 2; i++ {
-		data, found, err := cl.fetchFrom(context.Background(), Node{ID: "a", URL: old.URL}, "k")
-		if err != nil || !found || !bytes.Equal(data, plan) {
-			t.Fatalf("fetch %d = (%q, %v, %v), want the stub's plan", i, data, found, err)
+	for i := 1; i <= 2; i++ {
+		data, err := cl.FetchPlan(context.Background(), key)
+		if err == nil || data != nil {
+			t.Fatalf("fetch %d = (%q, %v), want a fill error", i, data, err)
+		}
+		if !strings.Contains(err.Error(), "peer a") || !strings.Contains(err.Error(), key) {
+			t.Errorf("fetch %d error %q does not name the peer and the key", i, err)
+		}
+		st := cl.Status()
+		if st.FillErrors != int64(i) {
+			t.Errorf("after fetch %d: fillErrors = %d, want %d", i, st.FillErrors, i)
+		}
+		if st.StreamDials != int64(i) {
+			t.Errorf("after fetch %d: streamDials = %d, want %d (a refusal must not pin the peer)", i, st.StreamDials, i)
 		}
 	}
-	st := cl.Status()
-	if st.StreamFetches != 0 {
-		t.Errorf("streamFetches = %d, want 0 against a pre-stream peer", st.StreamFetches)
-	}
-	if st.StreamDials != 1 {
-		t.Errorf("streamDials = %d, want 1 (non-101 must pin the peer to GETs)", st.StreamDials)
+	if n := gets.Load(); n != 0 {
+		t.Errorf("stub received %d GET /plans/{key}, want 0", n)
 	}
 }
 
 // TestPlanStreamConcurrentFetches: parallel fetches through one cluster
-// never corrupt or cross frames — each either rides a stream or falls
-// back to a plain GET, and every byte comes back intact.
+// never corrupt or cross frames — each rides the pooled stream or dials
+// its own, and every byte comes back intact.
 func TestPlanStreamConcurrentFetches(t *testing.T) {
 	nodes := startNodes(t, 2, nil)
 	sp, key := specOwnedBy(t, nodes[0].cl.Ring(), nodes[0].id)

@@ -47,7 +47,6 @@ import (
 	"strings"
 
 	"switchsynth"
-	"switchsynth/internal/faultinject"
 	"switchsynth/internal/service"
 )
 
@@ -127,37 +126,27 @@ func (c *Cluster) routeStreamKey(w http.ResponseWriter, r *http.Request, next ht
 	c.routeKey(w, r, next, key, nil)
 }
 
-// routeKey walks key's rank order — owner first, then successors —
-// forwarding to the first live candidate that answers, skipping
-// candidates that are down by membership and failing over past ones
-// that die in transit, up to Replication attempts. When no candidate
-// answers (or the local node outranks every live one) the request is
-// served locally: the replica walk narrows where the cluster looks for
-// the plan, never whether the request is served (invariant 1).
+// routeKey forwards to the first of key's replicas (walkReplicas) that
+// answers. When none answers (or the local node outranks every live
+// one) the request is served locally: the replica walk narrows where
+// the cluster looks for the plan, never whether the request is served
+// (invariant 1).
 func (c *Cluster) routeKey(w http.ResponseWriter, r *http.Request, next http.Handler, key string, body []byte) {
 	hop, _ := strconv.Atoi(r.Header.Get(HopHeader))
 	if hop >= c.cfg.MaxHops {
 		c.serveLocal(w, r, next, body)
 		return
 	}
-	failover := false
-	tried := 0
-	for _, n := range c.ring.Rank(key) {
-		if n.ID == c.self.ID || tried >= c.cfg.Replication {
-			break
+	served := false
+	tried := c.walkReplicas(key, func(n Node, failover bool) bool {
+		served = c.forward(w, r, n, body, hop)
+		if served && failover {
+			c.forwardFailovers.Add(1)
 		}
-		if !c.mem.alive(n.ID) {
-			failover = true
-			continue
-		}
-		tried++
-		if c.forward(w, r, n, body, hop) {
-			if failover {
-				c.forwardFailovers.Add(1)
-			}
-			return
-		}
-		failover = true
+		return served
+	})
+	if served {
+		return
 	}
 	if tried > 0 {
 		c.forwardFallbacks.Add(1)
@@ -179,18 +168,8 @@ func (c *Cluster) serveLocal(w http.ResponseWriter, r *http.Request, next http.H
 // body is the buffered request body, nil for body-less methods. It
 // reports whether a response was written; false means the caller must
 // fall back to the local engine (nothing has been written yet in that
-// case). Transport failures also feed the membership state machine — a
-// request-path error is health evidence just like a failed probe.
+// case). The round trip feeds membership like any other (peerCall).
 func (c *Cluster) forward(w http.ResponseWriter, r *http.Request, owner Node, body []byte, hop int) bool {
-	if c.inj.LinkDown(c.self.ID, owner.ID) {
-		c.mem.observe(owner.ID, false, "injected: link cut")
-		return false
-	}
-	if c.inj.Fire(faultinject.PeerDown) {
-		c.mem.observe(owner.ID, false, "injected: peer down")
-		return false
-	}
-	c.inj.Fire(faultinject.PeerSlow)
 	target := owner.URL + r.URL.Path
 	if r.URL.RawQuery != "" {
 		target += "?" + r.URL.RawQuery
@@ -218,9 +197,13 @@ func (c *Cluster) forward(w http.ResponseWriter, r *http.Request, owner Node, bo
 	if r.Method == http.MethodGet || r.URL.Query().Get("wait") == "proof" {
 		hc = c.streamHC
 	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		c.mem.observe(owner.ID, false, err.Error())
+	var resp *http.Response
+	if c.peerCall(owner, func() (status int, err error) {
+		if resp, err = hc.Do(req); err != nil {
+			return 0, err
+		}
+		return resp.StatusCode, nil
+	}) != nil {
 		return false
 	}
 	defer resp.Body.Close()
@@ -229,7 +212,6 @@ func (c *Cluster) forward(w http.ResponseWriter, r *http.Request, owner Node, bo
 		return false
 	}
 	c.forwards.Add(1)
-	c.mem.observe(owner.ID, true, "")
 	h := w.Header()
 	for _, k := range []string{"Content-Type", "Retry-After", NodeHeader} {
 		if v := resp.Header.Get(k); v != "" {

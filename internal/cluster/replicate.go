@@ -60,12 +60,7 @@ func (c *Cluster) ReplicatePlan(key string, data []byte) {
 	if c.cfg.Replication <= 1 {
 		return
 	}
-	rank := c.ring.Rank(key)
-	r := c.cfg.Replication
-	if r > len(rank) {
-		r = len(rank)
-	}
-	for _, n := range rank[:r] {
+	for _, n := range c.replicaSet(key) {
 		if n.ID == c.self.ID || !c.mem.alive(n.ID) {
 			continue
 		}
@@ -108,43 +103,35 @@ func (c *Cluster) replLoop() {
 // pushPlan PUTs the plan bytes to n, which re-verifies them before
 // storing (a 422 rejection is the receiver's verify-on-receipt working
 // as designed). Uses its own context: pushes are background work not
-// tied to any request. Transport failures feed the membership state
-// machine like any other peer round trip.
+// tied to any request. The round trip feeds membership like any other
+// (peerCall).
 func (c *Cluster) pushPlan(n Node, key string, data []byte) error {
-	if c.inj.LinkDown(c.self.ID, n.ID) {
-		return fmt.Errorf("injected: link %s->%s cut", c.self.ID, n.ID)
-	}
-	if c.inj.Fire(faultinject.PeerDown) {
-		c.mem.observe(n.ID, false, "injected: peer down")
-		return fmt.Errorf("injected: peer down")
-	}
-	c.inj.Fire(faultinject.PeerSlow)
-	if len(data) > 0 && c.inj.Fire(faultinject.ReplCorrupt) {
-		// Flip one byte mid-payload on a copy (the caller's slice is
-		// shared with local tiers); the receiver must reject it.
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		cp[len(cp)/2] ^= 0x40
-		data = cp
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.FetchTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		n.URL+"/plans/"+url.PathEscape(key), bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", planio.ContentTypeOf(data))
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		c.mem.observe(n.ID, false, err.Error())
-		return fmt.Errorf("cluster: push plan %s to peer %s: %w", key, n.ID, err)
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("cluster: push plan %s to peer %s: status %d", key, n.ID, resp.StatusCode)
-	}
-	c.mem.observe(n.ID, true, "")
-	return nil
+	return c.peerCall(n, func() (int, error) {
+		if len(data) > 0 && c.inj.Fire(faultinject.ReplCorrupt) {
+			// Flip one byte mid-payload on a copy (the caller's slice is
+			// shared with local tiers); the receiver must reject it.
+			cp := make([]byte, len(data))
+			copy(cp, data)
+			cp[len(cp)/2] ^= 0x40
+			data = cp
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.FetchTimeout)
+		defer cancel()
+		req, err := http.NewRequestWithContext(ctx, http.MethodPut,
+			n.URL+"/plans/"+url.PathEscape(key), bytes.NewReader(data))
+		if err != nil {
+			return 0, err
+		}
+		req.Header.Set("Content-Type", planio.ContentTypeOf(data))
+		resp, err := c.hc.Do(req)
+		if err != nil {
+			return 0, fmt.Errorf("cluster: push plan %s to peer %s: %w", key, n.ID, err)
+		}
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		resp.Body.Close()
+		if resp.StatusCode/100 != 2 {
+			return resp.StatusCode, fmt.Errorf("cluster: push plan %s to peer %s: status %d", key, n.ID, resp.StatusCode)
+		}
+		return resp.StatusCode, nil
+	})
 }

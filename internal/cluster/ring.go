@@ -30,9 +30,9 @@ type Node struct {
 	// ID is the stable node name used for hashing. Ownership moves if an
 	// ID changes, so IDs should survive restarts.
 	ID string `json:"id"`
-	// URL is the node's base URL (scheme://host:port, no trailing
-	// slash). The self entry may carry its own URL or leave it empty;
-	// hashing uses only the ID.
+	// URL is the node's base URL, exactly http://host:port (New
+	// refuses anything else). The self entry may carry its own URL or
+	// leave it empty; hashing uses only the ID.
 	URL string `json:"url"`
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -71,6 +72,39 @@ func TestRingMinimalDisruption(t *testing.T) {
 		if got := reduced.OwnerID(key); got != want {
 			t.Errorf("key %q: owner moved %s → %s after removing c (rank %v)",
 				key, want, got, rank)
+		}
+	}
+}
+
+// TestNewValidatesPeerURLs: the plan stream dials a peer's host raw, so
+// New accepts exactly http://host:port and refuses anything it could
+// not honour at boot, not at the first fill. Only self may omit its URL.
+func TestNewValidatesPeerURLs(t *testing.T) {
+	tests := []struct {
+		url string
+		ok  bool
+	}{
+		{"http://h:1", true},
+		{"http://127.0.0.1:8471", true},
+		{"http://[::1]:8471", true},
+		{"https://h:1", false},
+		{"http://h:1/prefix", false},
+		{"http://h:1/", false},
+		{"http://h:1?x=1", false},
+		{"http://h:1#frag", false},
+		{"http://user:pw@h:1", false},
+		{"http://h", false},
+		{"http://:1", false},
+		{"h:1", false},
+		{"", false},
+	}
+	for _, tc := range tests {
+		_, err := New(Config{SelfID: "self", Peers: []Node{{ID: "self"}, {ID: "p", URL: tc.url}}})
+		if (err == nil) != tc.ok {
+			t.Errorf("peer URL %q: err = %v, want ok=%v", tc.url, err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "peer p") {
+			t.Errorf("peer URL %q: error %q does not name the peer", tc.url, err)
 		}
 	}
 }

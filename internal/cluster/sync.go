@@ -23,8 +23,6 @@ import (
 	"io"
 	"net/http"
 	"time"
-
-	"switchsynth/internal/faultinject"
 )
 
 // syncLoop runs syncOnce on a fixed period until Stop.
@@ -59,7 +57,6 @@ func (c *Cluster) syncOnce(ctx context.Context) int {
 		keys, err := c.manifest(ctx, n)
 		if err != nil {
 			c.syncErrors.Add(1)
-			c.mem.observe(n.ID, false, err.Error())
 			continue
 		}
 		for _, key := range keys {
@@ -92,33 +89,31 @@ func (c *Cluster) syncOnce(ctx context.Context) int {
 }
 
 // manifest fetches n's plan-key list (GET /plans).
-func (c *Cluster) manifest(ctx context.Context, n Node) ([]string, error) {
-	if c.inj.LinkDown(c.self.ID, n.ID) {
-		return nil, fmt.Errorf("injected: link %s->%s cut", c.self.ID, n.ID)
-	}
-	if c.inj.Fire(faultinject.PeerDown) {
-		return nil, fmt.Errorf("injected: peer down")
-	}
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.FetchTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.URL+"/plans", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("plans: status %d", resp.StatusCode)
-	}
-	var out struct {
-		Keys []string `json:"keys"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxPlanBytes)).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out.Keys, nil
+func (c *Cluster) manifest(ctx context.Context, n Node) (keys []string, err error) {
+	err = c.peerCall(n, func() (int, error) {
+		ctx, cancel := context.WithTimeout(ctx, c.cfg.FetchTimeout)
+		defer cancel()
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.URL+"/plans", nil)
+		if err != nil {
+			return 0, err
+		}
+		resp, err := c.hc.Do(req)
+		if err != nil {
+			return 0, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+			return resp.StatusCode, fmt.Errorf("plans: status %d", resp.StatusCode)
+		}
+		var out struct {
+			Keys []string `json:"keys"`
+		}
+		if err := json.NewDecoder(io.LimitReader(resp.Body, maxPlanBytes)).Decode(&out); err != nil {
+			return 0, err
+		}
+		keys = out.Keys
+		return resp.StatusCode, nil
+	})
+	return keys, err
 }

@@ -4,8 +4,7 @@
 //
 //   - JSON (Encode / EncodeWire / Decode): the human and audit format —
 //     what cmd/switchsynth writes, what store exports produce, what
-//     verifyplan reads, and what GET /plans/{key} answers to callers
-//     that do not name the binary type.
+//     verifyplan reads, and what GET /plans/{key} answers.
 //   - Binary (EncodeBinary / DecodeBinary, binary.go): the one machine
 //     format — a length-prefixed, CRC32C-checksummed frame with a string
 //     table and varint vertex encoding, used on the WAL, the cluster

@@ -5,19 +5,17 @@
 // moving a ~300-byte frame between nodes. The plan stream replaces that
 // envelope with a length-prefixed exchange on a connection upgraded
 // once per peer (HTTP/1.1 Upgrade on PlanStreamPath, so it shares the
-// node's one listening port and old nodes simply 404):
+// node's one listening port):
 //
 //	request:  uvarint key length | key bytes
 //	response: status byte (planFound / planMissing) | when found:
 //	          uvarint data length | plan bytes (any planio format)
 //
-// The stream carries stored plan bytes verbatim — the same frames
-// GET /plans/{key} serves to a binary-accepting client — so the
-// receiver's admission check (digest cache, DecodeAny, key
-// re-derivation, contamination verification) is the same for both
-// transports. Only
-// the envelope changes; the trust model does not: stream bytes get the
-// exact checks HTTP bytes get.
+// The stream carries stored plan bytes verbatim — the same frames the
+// store and replication pushes carry — so the receiver's admission
+// check (digest cache, DecodeAny, key re-derivation, contamination
+// verification) is the one every imported plan passes. Only the
+// envelope is special; the trust model is not.
 package planio
 
 import (
@@ -29,9 +27,8 @@ import (
 )
 
 const (
-	// PlanStreamPath is the HTTP path a peer upgrades on; a node that
-	// predates the stream protocol answers it 404 and the client falls
-	// back to per-request GETs for good.
+	// PlanStreamPath is the HTTP path a peer upgrades on; it is the
+	// only way a node fetches plan bytes from a peer.
 	PlanStreamPath = "/plans.stream"
 	// PlanStreamProto names the protocol in the Upgrade header.
 	PlanStreamProto = "switchsynth-plan-stream/1"

@@ -34,7 +34,7 @@ type cacheEntry struct {
 	key string
 	res *spec.Result
 	// wire is the plan's already-encoded frame, kept alongside the decoded
-	// result so serving GET /plans/{key} and replication pushes reuse the
+	// result so plan-stream fetches and replication pushes reuse the
 	// bytes that were verified (or produced) once instead of re-encoding
 	// per request. Nil when no frame is available (e.g. the injected
 	// cache-corruption fault, whose entry must not vouch for any bytes).

@@ -698,8 +698,8 @@ func (e *Engine) ImportPlan(key string, data []byte) error {
 }
 
 // PlanBytes returns the planio-encoded plan stored under key, serving
-// the memory tier first and the durable store second. This is what GET
-// /plans/{key} hands to peers; absent keys report ok == false. The
+// the memory tier first and the durable store second. This is what the
+// plan stream hands to peers; absent keys report ok == false. The
 // memory tier serves the frame cached next to the plan — the bytes the
 // engine encoded or verified exactly once — and only falls back to a
 // fresh compact encode for entries that carry no frame.
@@ -887,7 +887,7 @@ func (e *Engine) runJob(j job) {
 		if res.Proven {
 			// Encode the frame exactly once; the same bytes serve the
 			// memory tier, the durable tier, the replication hook and every
-			// GET /plans/{key} response. The engine's own encoding of its
+			// plan-stream fetch. The engine's own encoding of its
 			// own proof is as verified as bytes get, so its digest enters
 			// the verified-bytes cache — a replica receiving this push can
 			// skip the redundant re-decode, while any corruption in transit

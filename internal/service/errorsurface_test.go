@@ -220,9 +220,9 @@ func TestPlansEndpoints(t *testing.T) {
 	if presp.StatusCode != http.StatusOK {
 		t.Fatalf("/plans/{key} = %d, want 200", presp.StatusCode)
 	}
-	// A client with no Accept header (curl, verifyplan over HTTP) gets
-	// the JSON transcode of the stored frame; the raw bytes go only to
-	// clients that explicitly accept the binary content type.
+	// The endpoint serves curl and verifyplan over HTTP: the JSON
+	// transcode of the stored frame (peers fetch frames over the plan
+	// stream).
 	want, _ := e.PlanBytes(resp.Key)
 	wantJSON, err := planio.ToJSON(want)
 	if err != nil {
@@ -234,24 +234,6 @@ func TestPlansEndpoints(t *testing.T) {
 	}
 	if string(got) != string(wantJSON) {
 		t.Error("/plans/{key} bytes differ from the JSON transcode of PlanBytes")
-	}
-
-	breq, err := http.NewRequest(http.MethodGet, srv.URL+"/plans/"+resp.Key, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	breq.Header.Set("Accept", planio.ContentTypeBinary)
-	bresp, err := http.DefaultClient.Do(breq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bresp.Body.Close()
-	bgot, err := io.ReadAll(bresp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(bgot) != string(want) {
-		t.Error("binary-accepting /plans/{key} bytes differ from PlanBytes")
 	}
 
 	nresp, err := http.Get(srv.URL + "/plans/deadbeef")

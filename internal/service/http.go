@@ -20,9 +20,11 @@
 //	GET  /metrics                 Snapshot as JSON (plus a "cluster" section
 //	                              when a cluster status hook is configured)
 //	GET  /plans                   manifest of locally held canonical plan keys
-//	GET  /plans/{key}             the stored planio-encoded plan, 404 when
-//	                              absent — the peer cache-fill and anti-entropy
-//	                              endpoints
+//	GET  /plans/{key}             the stored plan in the JSON file format, 404
+//	                              when absent
+//	GET  /plans.stream            upgrade to the plan stream: the persistent
+//	                              channel peers fetch plan frames over for
+//	                              cache fill and anti-entropy
 //	PUT  /plans/{key}             receive a replication / read-repair push from
 //	                              a peer; the body is re-verified end to end
 //	                              (Engine.ImportPlan) before it is stored — 204
@@ -89,14 +91,6 @@ const (
 	TenantHeader   = "X-Synthd-Tenant"
 	PriorityHeader = "X-Synthd-Priority"
 )
-
-// acceptsBinaryPlan reports whether the client explicitly listed the
-// binary plan content type in its Accept header. A wildcard is not
-// enough — JSON stays the answer for every caller that does not name
-// the binary format, so curl and humans never see frames.
-func acceptsBinaryPlan(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), planio.ContentTypeBinary)
-}
 
 // SynthesizeRequest is the POST /synthesize payload.
 type SynthesizeRequest struct {
@@ -327,11 +321,11 @@ func NewHandlerWith(e *Engine, hc HandlerConfig) http.Handler {
 			writeError(w, http.StatusNotFound, "not-found", fmt.Errorf("no plan for key %q", key))
 			return
 		}
-		// Peers name the binary content type and get the frame as-is;
-		// everyone else — curl, humans, verifyplan over HTTP — gets the
-		// JSON file format, transcoded through full decode validation.
-		// Plans from an old JSON store serve verbatim either way.
-		if planio.IsBinary(data) && !acceptsBinaryPlan(r) {
+		// Peers fetch frames over the plan stream; this endpoint serves
+		// curl, humans and verifyplan over HTTP the JSON file format,
+		// transcoded through full decode validation. Plans from an old
+		// JSON store serve verbatim.
+		if planio.IsBinary(data) {
 			jd, err := planio.ToJSON(data)
 			if err != nil {
 				writeError(w, http.StatusInternalServerError, "internal",
@@ -345,9 +339,8 @@ func NewHandlerWith(e *Engine, hc HandlerConfig) http.Handler {
 	}
 	mux.HandleFunc("/plans", plans)
 	mux.HandleFunc("/plans/", plans)
-	// The persistent fetch channel: same plans, no per-request HTTP
-	// envelope. A pre-stream node 404s this path and peers fall back to
-	// the GETs above.
+	// The peer fetch channel: the stored frames, without the
+	// per-request HTTP envelope (planstream.go).
 	mux.HandleFunc(planio.PlanStreamPath, func(w http.ResponseWriter, r *http.Request) {
 		handlePlanStream(e, w, r)
 	})

@@ -1,12 +1,13 @@
 // The engine's plan bytes and the verified-bytes digest cache: every
 // tier holds one binary frame per plan, GET /plans/{key} answers
-// JSON to callers that do not name the binary type, and the digest cache
+// JSON to every caller, and the digest cache
 // only ever skips re-verification for bytes this process has already
 // fully verified.
 package service
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/url"
 	"testing"
@@ -46,14 +47,25 @@ func TestPlanBytesAreBinaryByDefault(t *testing.T) {
 	}
 }
 
-func TestPlanEndpointNegotiatesFormat(t *testing.T) {
+// TestPlanEndpointServesJSON: GET /plans/{key} is for curl, humans and
+// verifyplan over HTTP, so every caller gets the JSON file format — a
+// client naming the binary content type included (peers fetch frames
+// over the plan stream) — and it decodes to the plan PlanBytes holds.
+func TestPlanEndpointServesJSON(t *testing.T) {
 	srv, e := newTestServer(t)
-	resp, err := e.Do(context.Background(), serviceSpec("wf-nego"), switchsynth.Options{})
+	resp, err := e.Do(context.Background(), serviceSpec("wf-json"), switchsynth.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	get := func(accept string) (*http.Response, []byte) {
-		t.Helper()
+	frame, ok := e.PlanBytes(resp.Key)
+	if !ok {
+		t.Fatal("engine holds no plan bytes")
+	}
+	want, err := planio.ToJSON(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, accept := range []string{"", "*/*", planio.ContentTypeBinary + ", application/json"} {
 		req, err := http.NewRequest(http.MethodGet, srv.URL+"/plans/"+url.PathEscape(resp.Key), nil)
 		if err != nil {
 			t.Fatal(err)
@@ -65,62 +77,20 @@ func TestPlanEndpointNegotiatesFormat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer r.Body.Close()
-		body := make([]byte, 0, 4096)
-		buf := make([]byte, 4096)
-		for {
-			n, err := r.Body.Read(buf)
-			body = append(body, buf[:n]...)
-			if err != nil {
-				break
-			}
+		body, err := io.ReadAll(r.Body)
+		r.Body.Close()
+		if err != nil {
+			t.Fatal(err)
 		}
-		return r, body
-	}
-
-	// No Accept header: a plain client gets validated JSON, never frames.
-	r, body := get("")
-	if r.StatusCode != http.StatusOK {
-		t.Fatalf("GET = %d, want 200", r.StatusCode)
-	}
-	if ct := r.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("default Content-Type = %q, want application/json", ct)
-	}
-	if planio.IsBinary(body) {
-		t.Fatal("client without Accept received a binary frame")
-	}
-	jsonRes, err := planio.Decode(body)
-	if err != nil {
-		t.Fatalf("transcoded JSON does not decode: %v", err)
-	}
-
-	// A wildcard Accept is not an opt-in to the binary format either.
-	if _, body := get("*/*"); planio.IsBinary(body) {
-		t.Fatal("wildcard Accept received a binary frame")
-	}
-
-	// Naming the binary content type gets the stored frame verbatim.
-	r, body = get(planio.ContentTypeBinary + ", application/json")
-	if ct := r.Header.Get("Content-Type"); ct != planio.ContentTypeBinary {
-		t.Errorf("binary Content-Type = %q, want %q", ct, planio.ContentTypeBinary)
-	}
-	if !planio.IsBinary(body) {
-		t.Fatal("binary-accepting client did not receive a frame")
-	}
-	binRes, err := planio.DecodeAny(body)
-	if err != nil {
-		t.Fatalf("served frame does not decode: %v", err)
-	}
-	ja, err := jsonRes.Spec.CanonicalKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	jb, err := binRes.Spec.CanonicalKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ja != jb || jsonRes.NumSets != binRes.NumSets || jsonRes.Length != binRes.Length {
-		t.Error("JSON and binary views of the same plan disagree")
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("Accept %q: GET = %d, want 200", accept, r.StatusCode)
+		}
+		if ct := r.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("Accept %q: Content-Type = %q, want application/json", accept, ct)
+		}
+		if string(body) != string(want) {
+			t.Errorf("Accept %q: body is not the JSON transcode of the stored frame", accept)
+		}
 	}
 }
 

@@ -57,10 +57,9 @@ func upgradesToPlanStream(r *http.Request) bool {
 
 // handlePlanStream upgrades the connection and serves fetch exchanges
 // until the peer hangs up, the idle timeout fires, or a malformed
-// request arrives. It serves stored plan bytes verbatim — exactly what
-// GET /plans/{key} hands a binary-accepting peer — so no transcoding
-// happens here: a peer that speaks the stream protocol by definition
-// decodes every planio format.
+// request arrives. It serves stored plan bytes verbatim (PlanBytes), so
+// no transcoding happens here: a peer that speaks the stream protocol
+// by definition decodes every planio format.
 func handlePlanStream(e *Engine, w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
