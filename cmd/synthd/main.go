@@ -5,14 +5,18 @@
 //
 // Usage:
 //
-//	synthd [-addr :8471] [-workers N] [-solver-workers N] [-queue N] [-cache N]
-//	       [-timelimit 30s] [-max-queue-wait 30s] [-drain-timeout 30s]
-//	       [-breaker-threshold 3] [-breaker-cooldown 5s] [-negcache 256]
-//	       [-store-dir DIR] [-store-flush-interval 5ms] [-store-max-wal-bytes N]
-//	       [-export-plans DIR] [-pprof-addr 127.0.0.1:6060]
-//	       [-simindex-size 512]
-//	       [-node-id ID -peers ID=URL,ID=URL,...] [-replication 2]
-//	       [-cluster-probe-interval 2s] [-cluster-sync-interval 15s]
+//	synthd [-addr :8471] [-workers N] [-solver-workers N] [-cache N]
+//	       [-timelimit 30s] [-drain-timeout 30s]
+//	       [-store-dir DIR] [-export-plans DIR] [-pprof-addr 127.0.0.1:6060]
+//	       [-node-id ID -peers ID=URL,ID=URL,...]
+//
+// The flags are deployment settings only. Tuning values are constants:
+// the job queue holds 4×workers, the admission wait watermark is 30s, a
+// key's breaker opens after 3 consecutive timeouts for 5s, the negative
+// cache holds 256 proofs and the similarity index 512 plans, the store
+// group-commits every 5ms and compacts at 8 MiB of WAL, and the cluster
+// probes peers every 2s, runs anti-entropy every 15s and keeps 2
+// replicas of each plan (1 on a single-node cluster).
 //
 // -workers sizes the job pool (how many specs solve at once);
 // -solver-workers sizes each solve (how many branch-and-bound goroutines
@@ -27,9 +31,9 @@
 // X-Synthd-Tenant / X-Synthd-Priority headers, classes share the workers
 // by deficit round-robin, and under load the lower classes are shed
 // early with 429s whose Retry-After is measured from the observed
-// dequeue rate. -max-queue-wait sets the global wait watermark: when the
-// queue's predicted wait for a new arrival exceeds it, every class —
-// interactive included — is shed rather than queued beyond use.
+// dequeue rate. Past the global wait watermark — the queue's predicted
+// wait for a new arrival exceeds 30s — every class, interactive
+// included, is shed rather than queued beyond use.
 //
 // With -store-dir the result cache gains a durable tier: solved proven
 // plans are persisted to a WAL-backed, content-addressed store in DIR,
@@ -39,25 +43,25 @@
 // -store-dir as planio JSON files into DIR (for cmd/verifyplan audit)
 // and exits without serving.
 //
-// The similarity warm-start index (on by default; -simindex-size to
-// resize or disable) seeds cold solves of specs one edit away — a module
-// or flow added or removed, a conflict toggled — from an adapted
-// previously-proven neighbor plan; seeds only tighten the initial bound
-// and plans stay bit-identical. Its counters are the portfolio_* and
-// simindex_* fields of GET /metrics; see DESIGN.md §10.
+// The similarity warm-start index (512 plans) seeds cold solves of
+// specs one edit away — a module or flow added or removed, a conflict
+// toggled — from an adapted previously-proven neighbor plan; seeds only
+// tighten the initial bound and plans stay bit-identical. Its counters
+// are the portfolio_* and simindex_* fields of GET /metrics; see
+// DESIGN.md §10.
 //
 // With -peers (and a -node-id naming this instance's entry in the
 // list) the daemon joins a consistent-hash sharded cluster: each spec's
-// canonical key has one owning node and -replication minus one
-// successors forming its replica set. Non-owners proxy /synthesize to
-// the owner, failing over to successors when the owner is down and
-// falling back to a local solve when no replica answers; local cache
-// misses try the replica set's plans before solving; freshly proven
-// plans are pushed asynchronously to the key's replica set; and a
-// background anti-entropy loop pulls plans this node replicates but
-// lacks, so a killed-and-restarted node re-converges. The peer list is
-// static and must be identical on every node, and each URL must be
-// exactly http://host:port; see DESIGN.md §8.
+// canonical key has one owning node and one successor forming its
+// replica set. Non-owners proxy /synthesize to the owner, failing over
+// to the successor when the owner is down and falling back to a local
+// solve when no replica answers; local cache misses try the replica
+// set's plans before solving; freshly proven plans are pushed
+// asynchronously to the key's replica set; and a background
+// anti-entropy loop pulls plans this node replicates but lacks, so a
+// killed-and-restarted node re-converges. The peer list is static and
+// must be identical on every node, and each URL must be exactly
+// http://host:port; see DESIGN.md §8.
 //
 // Plans sit on disk and travel between nodes in one format, the binary
 // planio frame; JSON is only for export and humans. Every plan the
@@ -119,34 +123,6 @@ import (
 	"switchsynth/internal/store"
 )
 
-// storeFlags carries the durable-tier configuration out of parseFlags.
-type storeFlags struct {
-	// Dir enables the store when non-empty.
-	Dir string
-	// FlushInterval is the group-commit window (negative = fsync every
-	// put); MaxWALBytes the compaction threshold (negative disables).
-	FlushInterval time.Duration
-	MaxWALBytes   int64
-	// ExportDir, when non-empty, dumps the store and exits.
-	ExportDir string
-}
-
-// clusterFlags carries the sharding configuration out of parseFlags.
-type clusterFlags struct {
-	// Peers is the raw -peers list ("id=url,..."); empty disables
-	// clustering entirely.
-	Peers string
-	// NodeID names this instance's entry in Peers.
-	NodeID string
-	// ProbeInterval paces the peer health probes; SyncInterval the
-	// anti-entropy rounds (negative disables sync).
-	ProbeInterval time.Duration
-	SyncInterval  time.Duration
-	// Replication is the replica-set size R (0 = default 2, clamped to
-	// the cluster size; 1 disables replication).
-	Replication int
-}
-
 // serverFlags carries the daemon-level (non-engine) configuration out of
 // parseFlags.
 type serverFlags struct {
@@ -157,15 +133,18 @@ type serverFlags struct {
 	// PprofAddr, when non-empty, serves net/http/pprof on a second
 	// listener. Loopback only — validatePprofAddr rejects anything else.
 	PprofAddr string
-	// Store is the durable-tier configuration.
-	Store storeFlags
-	// Cluster is the sharding configuration.
-	Cluster clusterFlags
+	// StoreDir enables the durable plan store when non-empty; ExportDir,
+	// when non-empty, dumps the store and exits.
+	StoreDir  string
+	ExportDir string
+	// Peers is the raw -peers list ("id=url,..."); empty disables
+	// clustering entirely. NodeID names this instance's entry in it.
+	Peers  string
+	NodeID string
 }
 
 func main() {
-	cfg, srvf := parseFlags(os.Args[1:])
-	sf := srvf.Store
+	cfg, srvf := parseFlags(flag.NewFlagSet("synthd", flag.ExitOnError), os.Args[1:])
 
 	if srvf.PprofAddr != "" {
 		if err := validatePprofAddr(srvf.PprofAddr); err != nil {
@@ -181,33 +160,30 @@ func main() {
 	}
 
 	var st *store.Store
-	if sf.Dir != "" {
+	if srvf.StoreDir != "" {
 		var err error
-		st, err = store.Open(sf.Dir, store.Options{
-			FlushInterval: sf.FlushInterval,
-			MaxWALBytes:   sf.MaxWALBytes,
-		})
+		st, err = store.Open(srvf.StoreDir, store.Options{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "synthd:", err)
 			os.Exit(1)
 		}
 		stats := st.Stats()
 		fmt.Printf("synthd: plan store %s: %d plans (%d bytes), %d records replayed, %d torn bytes truncated\n",
-			sf.Dir, stats.Entries, stats.DiskBytes, stats.Recovered, stats.TruncatedBytes)
+			srvf.StoreDir, stats.Entries, stats.DiskBytes, stats.Recovered, stats.TruncatedBytes)
 		cfg.Store = st
 	}
-	if sf.ExportDir != "" {
+	if srvf.ExportDir != "" {
 		if st == nil {
 			fmt.Fprintln(os.Stderr, "synthd: -export-plans requires -store-dir")
 			os.Exit(2)
 		}
-		n, err := st.Export(sf.ExportDir)
+		n, err := st.Export(srvf.ExportDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "synthd:", err)
 			os.Exit(1)
 		}
 		_ = st.Close()
-		fmt.Printf("synthd: exported %d plans to %s (verify with: verifyplan %s)\n", n, sf.ExportDir, sf.ExportDir)
+		fmt.Printf("synthd: exported %d plans to %s (verify with: verifyplan %s)\n", n, srvf.ExportDir, srvf.ExportDir)
 		return
 	}
 
@@ -216,9 +192,9 @@ func main() {
 	// through the engine variable, so construction order works out.
 	var engine *service.Engine
 	var cl *cluster.Cluster
-	if srvf.Cluster.Peers != "" {
+	if srvf.Peers != "" {
 		var err error
-		cl, err = buildCluster(srvf.Cluster, &engine)
+		cl, err = buildCluster(srvf.Peers, srvf.NodeID, &engine)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "synthd:", err)
 			closeStore(st)
@@ -246,9 +222,8 @@ func main() {
 	fmt.Printf("synthd: listening on %s (%d workers, cache %d, default time limit %s)\n",
 		srvf.Addr, engine.Snapshot().Workers, cfg.CacheSize, cfg.DefaultTimeLimit)
 	if cl != nil {
-		fmt.Printf("synthd: cluster node %q (%s), %d peers, replication %d, probe %s, sync %s\n",
-			srvf.Cluster.NodeID, cluster.HashScheme, len(cl.Ring().Members()),
-			cl.Status().Replication, srvf.Cluster.ProbeInterval, srvf.Cluster.SyncInterval)
+		fmt.Printf("synthd: cluster node %q (%s), %d peers, replication %d\n",
+			srvf.NodeID, cluster.HashScheme, len(cl.Ring().Members()), cl.Status().Replication)
 	}
 
 	sigc := make(chan os.Signal, 1)
@@ -298,22 +273,19 @@ func main() {
 // callbacks through eng, which main assigns after service.New — the
 // cluster never performs engine calls before Start, so the late binding
 // is safe.
-func buildCluster(cf clusterFlags, eng **service.Engine) (*cluster.Cluster, error) {
-	if cf.NodeID == "" {
+func buildCluster(peerList, nodeID string, eng **service.Engine) (*cluster.Cluster, error) {
+	if nodeID == "" {
 		return nil, fmt.Errorf("-peers requires -node-id")
 	}
-	peers, err := cluster.ParsePeers(cf.Peers)
+	peers, err := cluster.ParsePeers(peerList)
 	if err != nil {
 		return nil, err
 	}
 	return cluster.New(cluster.Config{
-		SelfID:        cf.NodeID,
-		Peers:         peers,
-		ProbeInterval: cf.ProbeInterval,
-		SyncInterval:  cf.SyncInterval,
-		Replication:   cf.Replication,
-		LocalKeys:     func() []string { return (*eng).PlanKeys() },
-		LocalImport:   func(key string, data []byte) error { return (*eng).ImportPlan(key, data) },
+		SelfID:      nodeID,
+		Peers:       peers,
+		LocalKeys:   func() []string { return (*eng).PlanKeys() },
+		LocalImport: func(key string, data []byte) error { return (*eng).ImportPlan(key, data) },
 	})
 }
 
@@ -334,62 +306,38 @@ func closeStore(st *store.Store) {
 	}
 }
 
-// parseFlags builds the engine config from argv (split out for tests).
-func parseFlags(args []string) (service.Config, serverFlags) {
-	fs := flag.NewFlagSet("synthd", flag.ExitOnError)
+// parseFlags defines synthd's flags on fs and builds the engine config
+// from argv (split out for tests). Only deployment settings are flags;
+// every tuning value is a constant in the package that owns it (see
+// DESIGN.md).
+func parseFlags(fs *flag.FlagSet, args []string) (service.Config, serverFlags) {
 	var (
-		addr       = fs.String("addr", ":8471", "listen address")
-		workers    = fs.Int("workers", 0, "concurrent solve jobs (0 = GOMAXPROCS)")
-		solverWrk  = fs.Int("solver-workers", 0, "branch-and-bound goroutines per solve (0 = default 1; plans are identical at any value)")
-		queue      = fs.Int("queue", 0, "job queue depth (0 = 4x workers)")
-		cacheSize  = fs.Int("cache", 1024, "result cache entries (negative disables the memory tier)")
-		timeLimit  = fs.Duration("timelimit", 30*time.Second, "default per-solve time limit")
-		maxWait    = fs.Duration("max-queue-wait", 0, "shed any request whose predicted queue wait exceeds this (0 = default 30s)")
-		drain      = fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown window before in-flight solves are cancelled")
-		brkThresh  = fs.Int("breaker-threshold", 0, "consecutive timeouts before a spec's circuit breaker opens (0 = default 3, negative disables)")
-		brkCool    = fs.Duration("breaker-cooldown", 0, "how long an open breaker fast-fails before probing (0 = default 5s)")
-		negEntries = fs.Int("negcache", 0, "infeasibility-proof cache entries (0 = default 256, negative disables)")
-		simSize    = fs.Int("simindex-size", 0, "similarity warm-start index entries (0 = default 512, negative disables)")
-		storeDir   = fs.String("store-dir", "", "durable plan store directory (empty disables the disk tier)")
-		storeFlush = fs.Duration("store-flush-interval", 0, "store group-commit window (0 = default 5ms, negative fsyncs every put)")
-		storeWAL   = fs.Int64("store-max-wal-bytes", 0, "WAL size that triggers store compaction (0 = default 8MiB, negative disables)")
-		exportDir  = fs.String("export-plans", "", "with -store-dir: dump persisted plans as planio JSON into this directory and exit")
-		pprofAddr  = fs.String("pprof-addr", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060; empty disables)")
-		peersList  = fs.String("peers", "", "static cluster peer list as id=http://host:port,... including this node (empty disables clustering)")
-		nodeID     = fs.String("node-id", "", "this node's id in -peers (required with -peers)")
-		probeInt   = fs.Duration("cluster-probe-interval", 0, "peer health-probe period (0 = default 2s)")
-		syncInt    = fs.Duration("cluster-sync-interval", 0, "anti-entropy sync period (0 = default 15s, negative disables)")
-		replicas   = fs.Int("replication", 0, "replica-set size per plan (0 = default 2, clamped to cluster size; 1 disables replication)")
+		addr      = fs.String("addr", ":8471", "listen address")
+		workers   = fs.Int("workers", 0, "concurrent solve jobs (0 = GOMAXPROCS; the job queue holds 4x this)")
+		solverWrk = fs.Int("solver-workers", 0, "branch-and-bound goroutines per solve (0 = default 1; plans are identical at any value)")
+		cacheSize = fs.Int("cache", 1024, "result cache entries (negative disables the memory tier)")
+		timeLimit = fs.Duration("timelimit", 30*time.Second, "default per-solve time limit")
+		drain     = fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown window before in-flight solves are cancelled")
+		storeDir  = fs.String("store-dir", "", "durable plan store directory (empty disables the disk tier)")
+		exportDir = fs.String("export-plans", "", "with -store-dir: dump persisted plans as planio JSON into this directory and exit")
+		pprofAddr = fs.String("pprof-addr", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060; empty disables)")
+		peersList = fs.String("peers", "", "static cluster peer list as id=http://host:port,... including this node (empty disables clustering)")
+		nodeID    = fs.String("node-id", "", "this node's id in -peers (required with -peers)")
 	)
 	_ = fs.Parse(args)
 	return service.Config{
-			Workers:           *workers,
-			SolverWorkers:     *solverWrk,
-			QueueDepth:        *queue,
-			CacheSize:         *cacheSize,
-			DefaultTimeLimit:  *timeLimit,
-			MaxQueueWait:      *maxWait,
-			BreakerThreshold:  *brkThresh,
-			BreakerCooldown:   *brkCool,
-			NegativeCacheSize: *negEntries,
-			SimIndexSize:      *simSize,
+			Workers:          *workers,
+			SolverWorkers:    *solverWrk,
+			CacheSize:        *cacheSize,
+			DefaultTimeLimit: *timeLimit,
 		}, serverFlags{
 			Addr:      *addr,
 			Drain:     *drain,
 			PprofAddr: *pprofAddr,
-			Store: storeFlags{
-				Dir:           *storeDir,
-				FlushInterval: *storeFlush,
-				MaxWALBytes:   *storeWAL,
-				ExportDir:     *exportDir,
-			},
-			Cluster: clusterFlags{
-				Peers:         *peersList,
-				NodeID:        *nodeID,
-				ProbeInterval: *probeInt,
-				SyncInterval:  *syncInt,
-				Replication:   *replicas,
-			},
+			StoreDir:  *storeDir,
+			ExportDir: *exportDir,
+			Peers:     *peersList,
+			NodeID:    *nodeID,
 		}
 }
 

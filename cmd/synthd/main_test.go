@@ -1,29 +1,39 @@
 package main
 
 import (
+	"flag"
+	"slices"
 	"testing"
 	"time"
 
 	"switchsynth/internal/service"
 )
 
+// synthdFlags is synthd's complete flag surface: deployment settings
+// only. A new flag must be added here, on purpose.
+var synthdFlags = []string{
+	"addr", "cache", "drain-timeout", "export-plans", "node-id", "peers",
+	"pprof-addr", "solver-workers", "store-dir", "timelimit", "workers",
+}
+
 func TestParseFlags(t *testing.T) {
-	cfg, srvf := parseFlags([]string{
+	fs := flag.NewFlagSet("synthd", flag.ContinueOnError)
+	cfg, srvf := parseFlags(fs, []string{
 		"-addr", "127.0.0.1:9000", "-workers", "3", "-solver-workers", "4",
-		"-queue", "7", "-cache", "99", "-timelimit", "5s", "-max-queue-wait", "12s",
-		"-drain-timeout", "2s",
-		"-breaker-threshold", "5", "-breaker-cooldown", "10s",
-		"-negcache", "64",
-		"-store-dir", "/tmp/plans", "-store-flush-interval", "25ms",
-		"-store-max-wal-bytes", "4096", "-export-plans", "/tmp/dump",
+		"-cache", "99", "-timelimit", "5s", "-drain-timeout", "2s",
+		"-store-dir", "/tmp/plans", "-export-plans", "/tmp/dump",
 		"-pprof-addr", "127.0.0.1:6060",
 		"-node-id", "a", "-peers", "a=http://h1:1,b=http://h2:1",
-		"-cluster-probe-interval", "500ms", "-cluster-sync-interval", "3s",
 	})
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	if !slices.Equal(names, synthdFlags) {
+		t.Errorf("flags = %v, want exactly %v", names, synthdFlags)
+	}
 	if srvf.Addr != "127.0.0.1:9000" {
 		t.Errorf("addr = %q", srvf.Addr)
 	}
-	if cfg.Workers != 3 || cfg.QueueDepth != 7 || cfg.CacheSize != 99 {
+	if cfg.Workers != 3 || cfg.CacheSize != 99 {
 		t.Errorf("cfg = %+v", cfg)
 	}
 	if cfg.SolverWorkers != 4 {
@@ -32,22 +42,11 @@ func TestParseFlags(t *testing.T) {
 	if cfg.DefaultTimeLimit != 5*time.Second {
 		t.Errorf("time limit = %v", cfg.DefaultTimeLimit)
 	}
-	if cfg.MaxQueueWait != 12*time.Second {
-		t.Errorf("max queue wait = %v, want 12s", cfg.MaxQueueWait)
-	}
 	if srvf.Drain != 2*time.Second {
 		t.Errorf("drain = %v", srvf.Drain)
 	}
-	if cfg.BreakerThreshold != 5 || cfg.BreakerCooldown != 10*time.Second {
-		t.Errorf("breaker cfg = %+v", cfg)
-	}
-	if cfg.NegativeCacheSize != 64 {
-		t.Errorf("negcache = %d", cfg.NegativeCacheSize)
-	}
-	sf := srvf.Store
-	if sf.Dir != "/tmp/plans" || sf.FlushInterval != 25*time.Millisecond ||
-		sf.MaxWALBytes != 4096 || sf.ExportDir != "/tmp/dump" {
-		t.Errorf("store flags = %+v", sf)
+	if srvf.StoreDir != "/tmp/plans" || srvf.ExportDir != "/tmp/dump" {
+		t.Errorf("store flags = %q, %q", srvf.StoreDir, srvf.ExportDir)
 	}
 	if srvf.PprofAddr != "127.0.0.1:6060" {
 		t.Errorf("pprof addr = %q", srvf.PprofAddr)
@@ -57,10 +56,8 @@ func TestParseFlags(t *testing.T) {
 	if cfg.Store != nil {
 		t.Error("parseFlags should not open the store")
 	}
-	cf := srvf.Cluster
-	if cf.NodeID != "a" || cf.Peers != "a=http://h1:1,b=http://h2:1" ||
-		cf.ProbeInterval != 500*time.Millisecond || cf.SyncInterval != 3*time.Second {
-		t.Errorf("cluster flags = %+v", cf)
+	if srvf.NodeID != "a" || srvf.Peers != "a=http://h1:1,b=http://h2:1" {
+		t.Errorf("cluster flags = %q, %q", srvf.NodeID, srvf.Peers)
 	}
 	// parseFlags only carries the configuration; the cluster (and the
 	// engine's fill hook) are built by main.
@@ -71,10 +68,7 @@ func TestParseFlags(t *testing.T) {
 
 func TestBuildCluster(t *testing.T) {
 	var eng *service.Engine
-	cl, err := buildCluster(clusterFlags{
-		NodeID: "a",
-		Peers:  "a=http://h1:1,b=http://h2:1",
-	}, &eng)
+	cl, err := buildCluster("a=http://h1:1,b=http://h2:1", "a", &eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,19 +78,19 @@ func TestBuildCluster(t *testing.T) {
 
 	// A node id missing from the list, or no id at all, is a config
 	// error the daemon must refuse to boot with.
-	if _, err := buildCluster(clusterFlags{Peers: "a=http://h1:1"}, &eng); err == nil {
+	if _, err := buildCluster("a=http://h1:1", "", &eng); err == nil {
 		t.Error("missing -node-id accepted")
 	}
-	if _, err := buildCluster(clusterFlags{NodeID: "z", Peers: "a=http://h1:1"}, &eng); err == nil {
+	if _, err := buildCluster("a=http://h1:1", "z", &eng); err == nil {
 		t.Error("-node-id absent from -peers accepted")
 	}
-	if _, err := buildCluster(clusterFlags{NodeID: "a", Peers: "garbage"}, &eng); err == nil {
+	if _, err := buildCluster("garbage", "a", &eng); err == nil {
 		t.Error("malformed -peers accepted")
 	}
 }
 
 func TestParseFlagsDefaults(t *testing.T) {
-	cfg, srvf := parseFlags(nil)
+	cfg, srvf := parseFlags(flag.NewFlagSet("synthd", flag.ContinueOnError), nil)
 	if srvf.Addr != ":8471" {
 		t.Errorf("addr = %q", srvf.Addr)
 	}
@@ -106,19 +100,19 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if srvf.Drain != 30*time.Second {
 		t.Errorf("drain = %v, want 30s default", srvf.Drain)
 	}
-	// Zero values defer to the service defaults (breaker on, negcache on,
-	// sequential solver, 30s wait watermark).
-	if cfg.BreakerThreshold != 0 || cfg.NegativeCacheSize != 0 || cfg.SolverWorkers != 0 || cfg.MaxQueueWait != 0 {
-		t.Errorf("resilience cfg should default to zero: %+v", cfg)
+	// Zero values defer to the service defaults (sequential solver, a
+	// queue of 4x workers, the breaker and similarity index on).
+	if cfg.Workers != 0 || cfg.SolverWorkers != 0 || cfg.QueueDepth != 0 ||
+		cfg.BreakerThreshold != 0 || cfg.BreakerCooldown != 0 || cfg.SimIndexSize != 0 {
+		t.Errorf("tuning cfg should default to zero: %+v", cfg)
 	}
 	// Profiling is opt-in and off by default.
 	if srvf.PprofAddr != "" {
 		t.Errorf("pprof addr should default empty, got %q", srvf.PprofAddr)
 	}
-	// The durable tier is opt-in: no directory, store defaults deferred.
-	sf := srvf.Store
-	if sf.Dir != "" || sf.ExportDir != "" || sf.FlushInterval != 0 || sf.MaxWALBytes != 0 {
-		t.Errorf("store flags should default to zero: %+v", sf)
+	// The durable tier and clustering are opt-in.
+	if srvf.StoreDir != "" || srvf.ExportDir != "" || srvf.Peers != "" || srvf.NodeID != "" {
+		t.Errorf("store and cluster flags should default empty: %+v", srvf)
 	}
 }
 

@@ -10,8 +10,8 @@
 //     solve gets faster, the plan bytes stay exactly what a cold solve
 //     returns;
 //
-//  3. the warm-start counters and similarity-index gauges from
-//     GET /metrics showing the hit.
+//  3. the similarity-index gauges and seed counters from GET /metrics
+//     showing the hit: two lookups (one per cold solve), one hit.
 //
 //     go run ./examples/portfoliowarmstart
 package main
@@ -59,7 +59,7 @@ func neighbor(name string) *switchsynth.Spec {
 func main() {
 	// A real daemon would be `go run ./cmd/synthd`; here the engine and
 	// its HTTP surface run in-process so the example is self-contained.
-	// The similarity index is on by default (-simindex-size resizes it).
+	// The similarity index is on by default (512 plans).
 	eng := service.New(service.Config{Workers: 2})
 	defer eng.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -98,8 +98,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nGET /metrics (warm-start fields):\n")
-	fmt.Printf("  portfolio_warmstart_hits %d, portfolio_warmstart_misses %d\n",
-		m.WarmStartHits, m.WarmStartMisses)
 	fmt.Printf("  portfolio_seeds_adopted %d, portfolio_seeds_rejected %d, portfolio_seed_tightened %d\n",
 		m.SeedsAdopted, m.SeedsRejected, m.SeedTightened)
 	fmt.Printf("  simindex_entries %d/%d, simindex_lookups %d, simindex_hits %d\n",

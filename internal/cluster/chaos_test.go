@@ -22,12 +22,8 @@ func replicaSet(t *testing.T, nodes []*testNode, key string) []*testNode {
 	t.Helper()
 	cl := nodes[0].cl
 	rank := cl.Ring().Rank(key)
-	r := cl.cfg.Replication
-	if r > len(rank) {
-		r = len(rank)
-	}
-	set := make([]*testNode, 0, r)
-	for _, n := range rank[:r] {
+	set := make([]*testNode, 0, cl.replicas)
+	for _, n := range rank[:cl.replicas] {
 		set = append(set, nodeByID(t, nodes, n.ID))
 	}
 	return set

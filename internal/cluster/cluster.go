@@ -39,14 +39,23 @@ import (
 	"switchsynth/internal/faultinject"
 )
 
-// Defaults; each is overridable via Config.
+// Defaults for the Config fields that leave them zero.
 const (
 	defaultProbeInterval = 2 * time.Second
-	defaultProbeTimeout  = 1 * time.Second
 	defaultSyncInterval  = 15 * time.Second
 	defaultFetchTimeout  = 5 * time.Second
-	defaultMaxHops       = 2
-	defaultReplication   = 2
+)
+
+const (
+	// probeTimeout bounds each health-probe round trip.
+	probeTimeout = 1 * time.Second
+	// maxHops caps forwarding chains (see proxy.go).
+	maxHops = 2
+	// replication is the replica-set size R: every plan lives on the
+	// first R nodes of its key's rendezvous ranking (replicate.go),
+	// clamped to the cluster size — a single-node cluster has R = 1 and
+	// never replicates.
+	replication = 2
 
 	// maxPlanBytes bounds a fetched plan; real plans are tens of KB.
 	maxPlanBytes = 8 << 20
@@ -64,23 +73,13 @@ type Config struct {
 	// Peers is the full static member list, self included.
 	Peers []Node
 
-	// ProbeInterval is the period of the /readyz health-probe loop;
-	// ProbeTimeout bounds each probe round trip.
+	// ProbeInterval is the period of the /readyz health-probe loop.
 	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
 	// SyncInterval is the period of the anti-entropy loop; < 0 disables
 	// it (0 means default).
 	SyncInterval time.Duration
 	// FetchTimeout bounds one peer plan fetch.
 	FetchTimeout time.Duration
-	// MaxHops caps forwarding chains (see proxy.go); 0 means default.
-	MaxHops int
-	// Replication is the replica-set size R: every plan lives on the
-	// first R nodes of its key's rendezvous ranking (replicate.go).
-	// 0 means default (2); values above the cluster size are clamped to
-	// it; 1 disables replication and reproduces the single-owner
-	// behaviour.
-	Replication int
 	// UpAfter/DownAfter are the flap-damping streak thresholds
 	// (membership.go); 0 means default.
 	UpAfter   int
@@ -110,6 +109,9 @@ type Cluster struct {
 	streamHC *http.Client
 	inj      *faultinject.Injector
 	cfg      Config
+	// replicas is the replica-set size: replication clamped to the
+	// cluster size.
+	replicas int
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -173,23 +175,11 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = defaultProbeInterval
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = defaultProbeTimeout
-	}
 	if cfg.SyncInterval == 0 {
 		cfg.SyncInterval = defaultSyncInterval
 	}
 	if cfg.FetchTimeout <= 0 {
 		cfg.FetchTimeout = defaultFetchTimeout
-	}
-	if cfg.MaxHops <= 0 {
-		cfg.MaxHops = defaultMaxHops
-	}
-	if cfg.Replication <= 0 {
-		cfg.Replication = defaultReplication
-	}
-	if cfg.Replication > len(cfg.Peers) {
-		cfg.Replication = len(cfg.Peers)
 	}
 	return &Cluster{
 		self:     *self,
@@ -199,6 +189,7 @@ func New(cfg Config) (*Cluster, error) {
 		streamHC: &http.Client{},
 		inj:      cfg.FaultInjector,
 		cfg:      cfg,
+		replicas: min(replication, len(cfg.Peers)),
 		replq:    make(chan replTask, replQueueDepth),
 		streams:  newPlanStreams(),
 		stop:     make(chan struct{}),
@@ -279,7 +270,7 @@ func jitterInterval(d time.Duration) time.Duration {
 }
 
 // probeOnce probes every non-self peer concurrently with a bounded
-// fan-out, so one hung peer costs ProbeTimeout for its slot, not for
+// fan-out, so one hung peer costs probeTimeout for its slot, not for
 // the whole round.
 func (c *Cluster) probeOnce() {
 	sem := make(chan struct{}, probeFanout)
@@ -341,7 +332,7 @@ func (c *Cluster) peerCall(n Node, rt func() (status int, err error)) error {
 // probe performs one /readyz round trip.
 func (c *Cluster) probe(n Node) error {
 	return c.peerCall(n, func() (int, error) {
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 		defer cancel()
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.URL+"/readyz", nil)
 		if err != nil {
@@ -366,14 +357,14 @@ func (c *Cluster) probe(n Node) error {
 // walkReplicas offers key's candidates to try in rank order — owner
 // first, then successors — until try reports success, the walk reaches
 // the local node (everything ranked below it would hold the plan only
-// by accident), or Replication live candidates were tried. Candidates
+// by accident), or replicas live candidates were tried. Candidates
 // that membership marks down are skipped without using a slot.
 // failover tells try that an earlier candidate was skipped or failed.
 // It returns the number of candidates tried.
 func (c *Cluster) walkReplicas(key string, try func(n Node, failover bool) bool) (tried int) {
 	failover := false
 	for _, n := range c.ring.Rank(key) {
-		if n.ID == c.self.ID || tried >= c.cfg.Replication {
+		if n.ID == c.self.ID || tried >= c.replicas {
 			break
 		}
 		if !c.mem.alive(n.ID) {
@@ -389,11 +380,10 @@ func (c *Cluster) walkReplicas(key string, try func(n Node, failover bool) bool)
 	return tried
 }
 
-// replicaSet returns key's replica set: the first Replication nodes of
-// its rendezvous ranking.
+// replicaSet returns key's replica set: the first replicas nodes of its
+// rendezvous ranking.
 func (c *Cluster) replicaSet(key string) []Node {
-	rank := c.ring.Rank(key)
-	return rank[:min(c.cfg.Replication, len(rank))]
+	return c.ring.Rank(key)[:c.replicas]
 }
 
 // FetchPlan is the engine's peer-fill hook (service.Config.PeerFill):
@@ -524,8 +514,8 @@ func (c *Cluster) Status() Status {
 	return Status{
 		Self:             c.self.ID,
 		Hash:             HashScheme,
-		MaxHops:          c.cfg.MaxHops,
-		Replication:      c.cfg.Replication,
+		MaxHops:          maxHops,
+		Replication:      c.replicas,
 		Peers:            peers,
 		Forwards:         c.forwards.Load(),
 		ForwardFallbacks: c.forwardFallbacks.Load(),

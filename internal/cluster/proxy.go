@@ -17,12 +17,12 @@
 //     or keyed is handed to the local handler, which owns error
 //     reporting. The stream endpoint carries its key in the path.
 //   - A request is forwarded only when the owner is a live peer and the
-//     X-Synthd-Hop count is below MaxHops. The hop limit makes routing
+//     X-Synthd-Hop count is below maxHops. The hop limit makes routing
 //     loops (possible transiently when two nodes disagree about
 //     liveness) terminate at a node that solves locally.
 //   - Failover: a candidate that is down by membership is skipped, and
 //     one that fails in transit is retried against the next node in the
-//     key's rank order — up to Replication live candidates — before the
+//     key's rank order — up to replicas live candidates — before the
 //     local fallback. A successor almost certainly holds the owner's
 //     replicated plans, so failing over beats re-solving locally.
 //   - The query string and the admission identity headers
@@ -52,7 +52,7 @@ import (
 
 // Forwarding headers.
 const (
-	// HopHeader counts forwards; a request above MaxHops is served
+	// HopHeader counts forwards; a request above maxHops is served
 	// locally no matter who owns it.
 	HopHeader = "X-Synthd-Hop"
 	// NodeHeader names the node whose engine produced the response.
@@ -133,7 +133,7 @@ func (c *Cluster) routeStreamKey(w http.ResponseWriter, r *http.Request, next ht
 // (invariant 1).
 func (c *Cluster) routeKey(w http.ResponseWriter, r *http.Request, next http.Handler, key string, body []byte) {
 	hop, _ := strconv.Atoi(r.Header.Get(HopHeader))
-	if hop >= c.cfg.MaxHops {
+	if hop >= maxHops {
 		c.serveLocal(w, r, next, body)
 		return
 	}

@@ -1,7 +1,7 @@
 // Write-time plan replication and read-repair: the push half of the
 // replica-set design (the pull half is anti-entropy, sync.go).
 //
-// A key's replica set is the first Replication nodes of its rendezvous
+// A key's replica set is the first replicas nodes of its rendezvous
 // ranking. When the local engine proves and stores a plan, it calls
 // ReplicatePlan (wired as service.Config.OnPlanStored), which enqueues
 // one push per live replica-set member. Pushes are asynchronous — the
@@ -57,7 +57,7 @@ type replTask struct {
 // membership are skipped silently; anti-entropy converges them after
 // they rejoin.
 func (c *Cluster) ReplicatePlan(key string, data []byte) {
-	if c.cfg.Replication <= 1 {
+	if c.replicas <= 1 {
 		return
 	}
 	for _, n := range c.replicaSet(key) {

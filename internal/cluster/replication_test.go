@@ -1,5 +1,5 @@
 // Write-time replication, successor failover and read-repair: every
-// proven plan must end up on Replication nodes, reads must walk the
+// proven plan must end up on R = 2 nodes, reads must walk the
 // replica set instead of giving up at a dead owner, and a replica that
 // missed its push must be healed by the read path.
 package cluster
@@ -63,9 +63,11 @@ func TestWriteTimeReplicationPushesToSuccessor(t *testing.T) {
 	}
 }
 
+// TestReplicationDisabledAtROne checks the clamp of R to the cluster
+// size: a single-node cluster has R = 1 and keeps single-owner
+// behaviour, storing its plans locally and pushing nothing.
 func TestReplicationDisabledAtROne(t *testing.T) {
-	nodes := startReplNodes(t, 2, func(i int, ccfg *Config, scfg *service.Config) {
-		ccfg.Replication = 1
+	nodes := startReplNodes(t, 1, func(i int, ccfg *Config, scfg *service.Config) {
 		ccfg.ProbeInterval = time.Hour
 	})
 	sp, key := specOwnedBy(t, nodes[0].cl.Ring(), "n0")
@@ -73,11 +75,11 @@ func TestReplicationDisabledAtROne(t *testing.T) {
 		t.Fatal(err)
 	}
 	settleRepl(t, nodes)
-	if _, ok := nodes[1].eng.PlanBytes(key); ok {
-		t.Error("R=1 must reproduce single-owner behaviour, but the plan was pushed")
+	if _, ok := nodes[0].eng.PlanBytes(key); !ok {
+		t.Error("plan not held locally")
 	}
-	if st := nodes[0].cl.Status(); st.ReplPushes != 0 {
-		t.Errorf("replPushes = %d, want 0 at R=1", st.ReplPushes)
+	if st := nodes[0].cl.Status(); st.Replication != 1 || st.ReplPushes != 0 {
+		t.Errorf("replication=%d replPushes=%d, want 1/0 on a single-node cluster", st.Replication, st.ReplPushes)
 	}
 }
 

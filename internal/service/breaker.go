@@ -23,6 +23,10 @@ import (
 // package's type, where the breaker now lives.
 type ErrOverloaded = admission.ErrOverloaded
 
+// negCacheSize bounds the negative cache in entries. Only proven
+// ErrNoSolution outcomes are stored, never timeouts.
+const negCacheSize = 256
+
 // negCache is a bounded LRU of canonical key → infeasibility proof.
 type negCache struct {
 	mu  sync.Mutex
@@ -36,15 +40,12 @@ type negEntry struct {
 	err *spec.ErrNoSolution
 }
 
-// newNegCache creates the negative cache; capacity <= 0 disables it.
+// newNegCache creates a negative cache holding up to capacity proofs.
 func newNegCache(capacity int) *negCache {
 	return &negCache{cap: capacity, ll: list.New(), byK: make(map[string]*list.Element)}
 }
 
 func (c *negCache) get(key string) (*spec.ErrNoSolution, bool) {
-	if c.cap <= 0 {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byK[key]
@@ -56,9 +57,6 @@ func (c *negCache) get(key string) (*spec.ErrNoSolution, bool) {
 }
 
 func (c *negCache) put(key string, err *spec.ErrNoSolution) {
-	if c.cap <= 0 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byK[key]; ok {

@@ -36,8 +36,9 @@ type cacheEntry struct {
 	// wire is the plan's already-encoded frame, kept alongside the decoded
 	// result so plan-stream fetches and replication pushes reuse the
 	// bytes that were verified (or produced) once instead of re-encoding
-	// per request. Nil when no frame is available (e.g. the injected
-	// cache-corruption fault, whose entry must not vouch for any bytes).
+	// per request. Nil when no frame is available — the injected
+	// cache-corruption fault, or a plan that failed to encode — and then
+	// the entry vouches for no bytes: PlanBytes falls through to the store.
 	wire []byte
 }
 

@@ -53,13 +53,9 @@ type Config struct {
 	// QueueDepth bounds the job queue (default 4×Workers). Interactive
 	// submission blocks — respecting the caller's context — when the
 	// queue is full; batch and background submissions shed earlier at
-	// their depth watermarks (see internal/admission).
+	// their depth watermarks, and every class sheds once the predicted
+	// wait passes admission.DefaultMaxWait (see internal/admission).
 	QueueDepth int
-	// MaxQueueWait is the admission queue's wait watermark: once the
-	// measured dequeue rate predicts a queue wait beyond it, new
-	// submissions of every class are shed with *admission.ErrShed
-	// (default 30s; negative disables the wait watermark).
-	MaxQueueWait time.Duration
 	// CacheSize bounds the result LRU in entries (default 1024; negative
 	// disables caching).
 	CacheSize int
@@ -74,10 +70,6 @@ type Config struct {
 	// BreakerCooldown is how long an open breaker sheds load before
 	// admitting a half-open probe (default 5s).
 	BreakerCooldown time.Duration
-	// NegativeCacheSize bounds the known-infeasible LRU in entries
-	// (default 256; negative disables it). Only proven ErrNoSolution
-	// outcomes are stored, never timeouts.
-	NegativeCacheSize int
 	// FaultInjector, when non-nil, enables deterministic fault injection
 	// at the engine's chaos points (see internal/faultinject). Nil — the
 	// default — makes every injection point a nop.
@@ -183,17 +175,6 @@ func (c Config) breakerCooldown() time.Duration {
 		return c.BreakerCooldown
 	}
 	return 5 * time.Second
-}
-
-func (c Config) negativeCacheSize() int {
-	switch {
-	case c.NegativeCacheSize > 0:
-		return c.NegativeCacheSize
-	case c.NegativeCacheSize < 0:
-		return 0
-	default:
-		return 256
-	}
 }
 
 func (c Config) simIndexSize() int {
@@ -319,16 +300,13 @@ type Engine struct {
 func New(cfg Config) *Engine {
 	ctx, cancel := context.WithCancel(context.Background())
 	e := &Engine{
-		cfg: cfg,
-		queue: admission.NewQueue(admission.QueueConfig{
-			Capacity: cfg.queueDepth(),
-			MaxWait:  cfg.MaxQueueWait,
-		}),
+		cfg:      cfg,
+		queue:    admission.NewQueue(admission.QueueConfig{Capacity: cfg.queueDepth()}),
 		cache:    newCache(cfg.cacheSize()),
 		store:    cfg.Store,
 		fill:     cfg.PeerFill,
 		onStored: cfg.OnPlanStored,
-		neg:      newNegCache(cfg.negativeCacheSize()),
+		neg:      newNegCache(negCacheSize),
 		verified: planio.SharedVerified,
 		inj:      cfg.FaultInjector,
 		flights:  newFlightGroup(),
@@ -701,18 +679,11 @@ func (e *Engine) ImportPlan(key string, data []byte) error {
 // the memory tier first and the durable store second. This is what the
 // plan stream hands to peers; absent keys report ok == false. The
 // memory tier serves the frame cached next to the plan — the bytes the
-// engine encoded or verified exactly once — and only falls back to a
-// fresh compact encode for entries that carry no frame.
+// engine encoded or verified exactly once; an entry without a frame
+// vouches for no bytes, so the lookup falls through to the store.
 func (e *Engine) PlanBytes(key string) ([]byte, bool) {
-	if e.cache.enabled() {
-		if data, ok := e.cache.getWire(key); ok {
-			return data, true
-		}
-		if res, ok := e.cache.get(key); ok {
-			if data, err := planio.EncodeBinary(res); err == nil {
-				return data, true
-			}
-		}
+	if data, ok := e.cache.getWire(key); ok {
+		return data, true
 	}
 	if e.store != nil {
 		if data, _, ok := e.store.Get(key); ok {
@@ -939,10 +910,7 @@ func (e *Engine) solveCanonical(canon *spec.Spec, opts switchsynth.Options) (*sp
 	var seed *spec.Result
 	if engineName(opts) == switchsynth.EngineSearch && e.simIndex != nil {
 		if seed = e.simIndex.Lookup(canon); seed != nil {
-			e.metrics.warmStartHits.Add(1)
 			opts.SeedIncumbent = seed
-		} else {
-			e.metrics.warmStartMisses.Add(1)
 		}
 	}
 	res, err := e.solve(e.baseCtx, canon, opts)
@@ -988,7 +956,6 @@ func (e *Engine) Snapshot() Snapshot {
 	s.CacheEntries = e.cache.len()
 	s.NegCacheSize = e.neg.len()
 	s.Admission = e.queue.Stats()
-	s.QueueDepth = s.Admission.Depth
 	s.Workers = e.cfg.workers()
 	s.BreakersOpen = e.breakers.OpenCount()
 	s.PeerFillEnabled = e.fill != nil

@@ -272,7 +272,7 @@ func NewHandlerWith(e *Engine, hc HandlerConfig) http.Handler {
 		writeJSON(w, http.StatusOK, map[string]any{
 			"status":     "ok",
 			"workers":    snap.Workers,
-			"queueDepth": snap.QueueDepth,
+			"queueDepth": snap.Admission.Depth,
 		})
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {

@@ -87,13 +87,10 @@ type Metrics struct {
 	incumbentsPublished atomic.Int64
 	streamWatches       atomic.Int64
 
-	// Warm-start counters. warmStartHits/warmStartMisses count similarity
-	// index probes on cold search-engine solves; seedTightened counts
-	// proven solves whose optimum strictly beat their adapted seed (the
-	// seed bounded the search but was not itself optimal).
-	warmStartHits   atomic.Int64
-	warmStartMisses atomic.Int64
-	seedTightened   atomic.Int64
+	// seedTightened counts proven solves whose optimum strictly beat
+	// their adapted warm-start seed (the seed bounded the search but was
+	// not itself optimal).
+	seedTightened atomic.Int64
 
 	solveCount   atomic.Int64
 	solveNanos   atomic.Int64
@@ -209,7 +206,6 @@ type Snapshot struct {
 	// shedding load (open or probing half-open). Admission is the fair
 	// queue's own gauge block: per-class depths, sheds, measured dequeue
 	// gap and the current Retry-After hint.
-	QueueDepth   int             `json:"queueDepth"`
 	Workers      int             `json:"workers"`
 	BreakersOpen int             `json:"breakersOpen"`
 	Admission    admission.Stats `json:"admission"`
@@ -224,14 +220,14 @@ type Snapshot struct {
 	SolverNodesTotal  int64 `json:"solver_nodes_total"`
 	SolverStealsTotal int64 `json:"solver_steals_total"`
 
-	// Warm-start effectiveness. Hits/Misses count similarity index probes
-	// on cold search-engine solves; SeedTightened counts proven solves
-	// that strictly beat their seed. SeedsAdopted/SeedsRejected are the
+	// Warm-start effectiveness. SeedTightened counts proven solves that
+	// strictly beat their seed. SeedsAdopted/SeedsRejected are the
 	// optimizer's own seed-validation counters (process-wide, like the
-	// solver internals below): a rejected seed was stale or infeasible and
-	// was ignored, never trusted.
-	WarmStartHits    int64 `json:"portfolio_warmstart_hits"`
-	WarmStartMisses  int64 `json:"portfolio_warmstart_misses"`
+	// solver internals above): a rejected seed was stale or infeasible and
+	// was ignored, never trusted. The SimIndex* fields are the similarity
+	// index's own gauges; cold search-engine solves are its only lookups,
+	// so SimIndexHits counts warm starts and SimIndexLookups minus
+	// SimIndexHits counts cold solves that found no seed.
 	SeedTightened    int64 `json:"portfolio_seed_tightened"`
 	SeedsAdopted     int64 `json:"portfolio_seeds_adopted"`
 	SeedsRejected    int64 `json:"portfolio_seeds_rejected"`
@@ -281,9 +277,7 @@ func (m *Metrics) snapshot() Snapshot {
 		IncumbentsPublished: m.incumbentsPublished.Load(),
 		StreamWatches:       m.streamWatches.Load(),
 
-		WarmStartHits:   m.warmStartHits.Load(),
-		WarmStartMisses: m.warmStartMisses.Load(),
-		SeedTightened:   m.seedTightened.Load(),
+		SeedTightened: m.seedTightened.Load(),
 
 		SolveCount: m.solveCount.Load(),
 		SolveMaxSeconds: time.Duration(

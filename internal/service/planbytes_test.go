@@ -6,6 +6,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"switchsynth"
+	"switchsynth/internal/faultinject"
 	"switchsynth/internal/planio"
 )
 
@@ -44,6 +46,39 @@ func TestPlanBytesAreBinaryByDefault(t *testing.T) {
 	}
 	if string(data) != string(want) {
 		t.Error("served frame differs from the canonical encoding of its own plan")
+	}
+}
+
+// TestPlanBytesFramelessEntryFallsThroughToStore: a memory entry with no
+// frame (the cache-corruption fault stores one) vouches for no bytes, so
+// PlanBytes serves the store's frame unchanged, or nothing without one.
+func TestPlanBytesFramelessEntryFallsThroughToStore(t *testing.T) {
+	corrupting := func() *faultinject.Injector {
+		return faultinject.New(1).Set(faultinject.CacheCorrupt, faultinject.Rule{Probability: 1})
+	}
+
+	st := openStoreT(t, t.TempDir())
+	e := newTestEngine(t, Config{Workers: 1, Store: st, FaultInjector: corrupting()})
+	resp, err := e.Do(context.Background(), serviceSpec("frameless"), switchsynth.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, ok := st.Get(resp.Key)
+	if !ok {
+		t.Fatal("proven plan was not written through to the store")
+	}
+	got, ok := e.PlanBytes(resp.Key)
+	if !ok || !bytes.Equal(got, want) {
+		t.Errorf("PlanBytes = (%d bytes, %v), want the store's %d bytes unchanged", len(got), ok, len(want))
+	}
+
+	bare := newTestEngine(t, Config{Workers: 1, FaultInjector: corrupting()})
+	resp, err = bare.Do(context.Background(), serviceSpec("frameless"), switchsynth.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, ok := bare.PlanBytes(resp.Key); ok {
+		t.Errorf("PlanBytes served %d bytes for a frameless entry with no store", len(data))
 	}
 }
 

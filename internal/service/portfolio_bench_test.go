@@ -105,9 +105,9 @@ func TestPortfolioBenchReport(t *testing.T) {
 			t.Errorf("neighbor %d: warm-started plan differs from cold", d)
 		}
 	}
-	warmHits := warm.Snapshot().WarmStartHits
+	warmHits := warm.Snapshot().SimIndexHits
 	if warmHits != int64(len(neighborDrops)) {
-		t.Errorf("warm-start hits = %d, want %d (every neighbor solve)", warmHits, len(neighborDrops))
+		t.Errorf("simindex hits = %d, want %d (every neighbor solve)", warmHits, len(neighborDrops))
 	}
 
 	var coldSum, warmSum float64

@@ -60,11 +60,11 @@ func TestWarmStartAcrossNeighborSolves(t *testing.T) {
 	}
 
 	snap := warm.Snapshot()
-	if snap.WarmStartHits != 1 {
-		t.Errorf("warm-start hits = %d, want 1 (the neighbor solve)", snap.WarmStartHits)
+	if snap.SimIndexHits != 1 {
+		t.Errorf("simindex hits = %d, want 1 (the neighbor solve)", snap.SimIndexHits)
 	}
-	if snap.WarmStartMisses != 1 {
-		t.Errorf("warm-start misses = %d, want 1 (the cold base solve)", snap.WarmStartMisses)
+	if misses := snap.SimIndexLookups - snap.SimIndexHits; misses != 1 {
+		t.Errorf("simindex misses = %d, want 1 (the cold base solve)", misses)
 	}
 	if snap.SimIndexEntries != 2 {
 		t.Errorf("simindex entries = %d, want 2", snap.SimIndexEntries)
@@ -72,9 +72,9 @@ func TestWarmStartAcrossNeighborSolves(t *testing.T) {
 	if snap.SeedsRejected != 0 && snap.SeedsAdopted == 0 {
 		t.Errorf("seeds: adopted=%d rejected=%d — adapted neighbor seed should adopt", snap.SeedsAdopted, snap.SeedsRejected)
 	}
-	if cs := coldEng.Snapshot(); cs.WarmStartHits != 0 || cs.WarmStartMisses != 0 || cs.SimIndexCapacity != 0 {
-		t.Errorf("disabled simindex still counting: hits=%d misses=%d capacity=%d",
-			cs.WarmStartHits, cs.WarmStartMisses, cs.SimIndexCapacity)
+	if cs := coldEng.Snapshot(); cs.SimIndexHits != 0 || cs.SimIndexLookups != 0 || cs.SimIndexCapacity != 0 {
+		t.Errorf("disabled simindex still counting: hits=%d lookups=%d capacity=%d",
+			cs.SimIndexHits, cs.SimIndexLookups, cs.SimIndexCapacity)
 	}
 
 	// The warm-start counters keep their /metrics names.
@@ -86,8 +86,7 @@ func TestWarmStartAcrossNeighborSolves(t *testing.T) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"portfolio_warmstart_hits", "portfolio_warmstart_misses",
-		"portfolio_seed_tightened", "portfolio_seeds_adopted", "portfolio_seeds_rejected",
+	for _, key := range []string{"portfolio_seed_tightened", "portfolio_seeds_adopted", "portfolio_seeds_rejected",
 		"simindex_entries", "simindex_capacity", "simindex_lookups", "simindex_hits"} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("/metrics snapshot missing %q", key)

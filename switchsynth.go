@@ -142,9 +142,6 @@ type Options struct {
 	// throughput knob and never partitions result caches. Ignored by the
 	// IQP engine.
 	SolverWorkers int
-	// SkipVerify disables the internal contamination re-check (used only
-	// by benchmarks; plans are always safe to verify).
-	SkipVerify bool
 	// SeedIncumbent, when non-nil, warm-starts the search engine with a
 	// previously proven plan for an equivalent spec (typically the
 	// adapted nearest neighbor from a similarity index): the seed is
@@ -280,15 +277,13 @@ func SolvePlan(ctx context.Context, sp *Spec, opts Options) (*Result, error) {
 	}
 }
 
-// Analyze derives the control layer for a solved plan: verification
-// (unless opts.SkipVerify), valve status/essentiality analysis, and the
+// Analyze derives the control layer for a solved plan: contamination
+// verification, valve status/essentiality analysis, and the
 // optional pressure-sharing cover and control routing. It accepts plans
 // from SolvePlan as well as externally deserialized ones (internal/planio).
 func Analyze(res *Result, opts Options) (*Synthesis, error) {
-	if !opts.SkipVerify {
-		if verr := contam.Verify(res); verr != nil {
-			return nil, fmt.Errorf("switchsynth: internal error, plan failed verification: %w", verr)
-		}
+	if verr := contam.Verify(res); verr != nil {
+		return nil, fmt.Errorf("switchsynth: internal error, plan failed verification: %w", verr)
 	}
 	va, err := valve.Analyze(res)
 	if err != nil {
