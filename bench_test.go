@@ -35,6 +35,7 @@ import (
 	"switchsynth/internal/fpva"
 	"switchsynth/internal/lp"
 	"switchsynth/internal/milp"
+	"switchsynth/internal/model"
 	"switchsynth/internal/planio"
 	"switchsynth/internal/render"
 	"switchsynth/internal/search"
@@ -250,7 +251,7 @@ func symSpec() *spec.Spec {
 func BenchmarkAblation_Engine_Search(b *testing.B) {
 	sp := engineSpec()
 	for i := 0; i < b.N; i++ {
-		if _, err := switchsynth.Synthesize(sp, switchsynth.Options{Engine: switchsynth.EngineSearch}); err != nil {
+		if _, err := switchsynth.Synthesize(sp, switchsynth.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -261,9 +262,11 @@ func BenchmarkAblation_Engine_IQP(b *testing.B) {
 	// faithfulness (Gurobi substitute) versus the dedicated search.
 	sp := engineSpec()
 	for i := 0; i < b.N; i++ {
-		if _, err := switchsynth.Synthesize(sp, switchsynth.Options{
-			Engine: switchsynth.EngineIQP, TimeLimit: 2 * time.Minute,
-		}); err != nil {
+		res, err := model.Solve(sp, model.Options{TimeLimit: 2 * time.Minute})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := switchsynth.Analyze(res, switchsynth.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -300,7 +303,7 @@ func BenchmarkAblation_PressureSharing_ILP(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := clique.MinCoverILP(comp, clique.ILPOptions{TimeLimit: time.Minute}); err != nil {
+		if _, err := model.MinCoverILP(comp, time.Minute); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -884,7 +887,7 @@ func clusterBenchPeer(b *testing.B) *cluster.Cluster {
 	srv := httptest.NewServer(service.NewHandler(owner))
 	b.Cleanup(srv.Close)
 	sp := serviceBenchSpec()
-	key, err := service.JobKey(sp, serviceBenchOpts)
+	key, err := service.JobKey(sp)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1116,7 +1119,7 @@ func BenchmarkCluster_FailoverRead(b *testing.B) {
 	b.Cleanup(srvS.Close)
 
 	sp := serviceBenchSpec()
-	key, err := service.JobKey(sp, serviceBenchOpts)
+	key, err := service.JobKey(sp)
 	if err != nil {
 		b.Fatal(err)
 	}

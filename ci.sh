@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# CI gate, in order: gofmt, vet, build, tier-1 tests, race-checked
-# service layer, parallel solver, solver kernel (golden tree), warm start,
-# campaign determinism, FPVA, FPVA determinism, service chaos, store
-# crash recovery, cluster, plan bytes, replication chaos, admission, and
-# the benchmark tiers (every record and gate in Go, appended to
-# BENCH.jsonl). Each step's comment says what it checks.
+# CI gate, in order: gofmt, vet, build, synthd dependencies (no IQP in
+# the daemon), tier-1 tests, race-checked service layer, parallel
+# solver, solver kernel (golden tree), warm start, campaign determinism,
+# FPVA, FPVA determinism, service chaos, store crash recovery, cluster,
+# plan bytes, replication chaos, admission, and the benchmark tiers
+# (every record and gate in Go, appended to BENCH.jsonl). Each step's
+# comment says what it checks.
 #
 # Usage: ./ci.sh            (full gate)
 #        BENCHTIME=5s ./ci.sh  (longer benchmark runs)
@@ -26,6 +27,16 @@ go vet ./...
 
 echo "== go build =="
 go build ./...
+
+echo "== synthd dependency gate: no IQP in the daemon =="
+# The branch and bound is synthd's one engine. The paper's IQP encoding
+# (internal/model) and its MILP substrate (internal/milp, internal/lp)
+# stay reachable from cmd/switchsynth and cmd/experiments only.
+synthd_deps=$(go list -deps ./cmd/synthd)
+if grep -E '^switchsynth/internal/(lp|milp|model)$' <<<"$synthd_deps"; then
+  echo "ci.sh: cmd/synthd links the IQP packages listed above" >&2
+  exit 1
+fi
 
 echo "== go test (tier 1) =="
 go test ./...

@@ -198,7 +198,7 @@ func (c *Client) Synthesize(ctx context.Context, sp *switchsynth.Spec, opts serv
 	if err != nil {
 		return nil, err
 	}
-	targets := c.targets(sp, opts)
+	targets := c.targets(sp)
 
 	var lastErr error
 	for attempt := 0; attempt < c.maxAttempts; attempt++ {
@@ -230,11 +230,11 @@ func (c *Client) Synthesize(ctx context.Context, sp *switchsynth.Spec, opts serv
 // the owner (same cache-locality win as the server-side proxy, minus
 // the extra hop), and each retry moves to the next-ranked node so a
 // dead owner costs one attempt, not all of them.
-func (c *Client) targets(sp *switchsynth.Spec, opts service.RequestOptions) []string {
+func (c *Client) targets(sp *switchsynth.Spec) []string {
 	if c.ring == nil {
 		return []string{c.base}
 	}
-	jobKey, err := service.JobKey(sp, switchsynth.Options{Engine: opts.Engine})
+	jobKey, err := service.JobKey(sp)
 	if err != nil {
 		// The spec failed canonicalization; let the daemon report it.
 		return []string{c.base}
@@ -420,7 +420,7 @@ func (c *Client) Stream(ctx context.Context, sp *switchsynth.Spec, opts service.
 	if err != nil {
 		return nil, err
 	}
-	targets := c.targets(sp, opts)
+	targets := c.targets(sp)
 
 	var lastErr error
 	for attempt := 0; attempt < c.maxAttempts; attempt++ {

@@ -317,7 +317,7 @@ func TestRetryAfterHTTPDateForm(t *testing.T) {
 // backoff the dead node will never benefit from.
 func TestFailoverSkipsBackoffOnTransportError(t *testing.T) {
 	sp := clientSpec("client-fast-failover")
-	jobKey, err := service.JobKey(sp, switchsynth.Options{})
+	jobKey, err := service.JobKey(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestFailoverSkipsBackoffOnTransportError(t *testing.T) {
 // whichever URL is listed first.
 func TestOwnerFirstRouting(t *testing.T) {
 	sp := clientSpec("client-owner")
-	jobKey, err := service.JobKey(sp, switchsynth.Options{})
+	jobKey, err := service.JobKey(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestOwnerFirstRouting(t *testing.T) {
 // retry walks to the next-ranked node instead of hammering the corpse.
 func TestOwnerRoutingFailsOverOnRetry(t *testing.T) {
 	sp := clientSpec("client-failover")
-	jobKey, err := service.JobKey(sp, switchsynth.Options{})
+	jobKey, err := service.JobKey(sp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@
 //	experiments [-out results] [-timelimit 30s] [-campaign 90] [-seed 42]
 //	            [-only table4.1|table4.2|table4.3|campaign|fpva|spine|stress|figures]
 //	            [-workers N] [-solver-workers N] [-daemon http://host:8080]
-//	            [-fpva-campaign 30]
+//	            [-fpva-campaign 30] [-engine search|iqp]
 //
 // -workers bounds how many campaign cases solve concurrently;
 // -solver-workers parallelizes the branch and bound inside each solve.
@@ -16,6 +16,10 @@
 // With -daemon the campaign's solves are submitted to a remote synthd
 // daemon through the retrying client; every returned plan is re-verified
 // locally before it counts as solved.
+//
+// -engine iqp solves with the paper's IQP encoding (internal/model)
+// instead of the branch and bound, one direct solve per case; it cannot
+// be combined with -daemon, which serves only the branch and bound.
 //
 // Output goes to stdout; figures (SVG) and table text files are written to
 // the -out directory. Runtimes marked with '*' hit the time limit and
@@ -50,8 +54,12 @@ func main() {
 		daemon    = flag.String("daemon", "", "synthd base URL; campaign solves go through the remote daemon")
 	)
 	flag.Parse()
+	if (*engine != "" && *engine != "search" && *engine != "iqp") || (*engine == "iqp" && *daemon != "") {
+		fmt.Fprintln(os.Stderr, "experiments: -engine is search or iqp, and iqp cannot be combined with -daemon (synthd serves only the branch and bound)")
+		os.Exit(2)
+	}
 
-	cfg := exp.Config{TimeLimit: *timeLimit, OutDir: *out, Engine: *engine, Workers: *workers, SolverWorkers: *solverWrk, DaemonURL: *daemon}
+	cfg := exp.Config{TimeLimit: *timeLimit, OutDir: *out, IQP: *engine == "iqp", Workers: *workers, SolverWorkers: *solverWrk, DaemonURL: *daemon}
 	want := func(name string) bool { return *only == "" || *only == name }
 	var files []string
 

@@ -6,6 +6,11 @@
 //	switchsynth [-svg out.svg] [-ascii] [-pressure] [-engine search|iqp]
 //	            [-timelimit 30s] case.json
 //
+// -engine iqp solves the paper's IQP encoding (internal/model) instead of
+// the branch and bound: exact, but tractable only for small specs, and
+// its time limit does not bound its memory. synthd serves only the
+// branch and bound.
+//
 // The input file is a spec.Spec in JSON, e.g.:
 //
 //	{
@@ -31,6 +36,7 @@ import (
 	"time"
 
 	"switchsynth"
+	"switchsynth/internal/model"
 	"switchsynth/internal/planio"
 )
 
@@ -39,7 +45,7 @@ func main() {
 		svgOut    = flag.String("svg", "", "write the synthesized switch as SVG to this file")
 		ascii     = flag.Bool("ascii", false, "print an ASCII rendering")
 		pressure  = flag.Bool("pressure", true, "run pressure sharing")
-		engine    = flag.String("engine", "", "optimizer engine: search (default) or iqp")
+		engine    = flag.String("engine", "", "optimizer: search (branch and bound, default) or iqp (the paper's IQP, small specs only)")
 		timeLimit = flag.Duration("timelimit", 30*time.Second, "optimization time limit")
 		verbose   = flag.Bool("v", false, "print routes, valve sequences and pressure groups")
 		planOut   = flag.String("plan", "", "write the synthesized plan as JSON to this file (re-checkable with verifyplan)")
@@ -60,11 +66,20 @@ func main() {
 		fatal(fmt.Errorf("parsing %s: %w", flag.Arg(0), err))
 	}
 
-	syn, err := switchsynth.Synthesize(&sp, switchsynth.Options{
-		Engine:          *engine,
-		TimeLimit:       *timeLimit,
-		PressureSharing: *pressure,
-	})
+	opts := switchsynth.Options{TimeLimit: *timeLimit, PressureSharing: *pressure}
+	var syn *switchsynth.Synthesis
+	switch *engine {
+	case "", "search":
+		syn, err = switchsynth.Synthesize(&sp, opts)
+	case "iqp":
+		var res *switchsynth.Result
+		if res, err = model.Solve(&sp, model.Options{TimeLimit: *timeLimit}); err == nil {
+			syn, err = switchsynth.Analyze(res, opts)
+		}
+	default:
+		fmt.Fprintf(os.Stderr, "switchsynth: unknown -engine %q (want search or iqp)\n", *engine)
+		os.Exit(2)
+	}
 	if err != nil {
 		fatal(err)
 	}

@@ -110,36 +110,6 @@ func TestGroupOf(t *testing.T) {
 	}
 }
 
-func TestILPAgreesWithSearch(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(6)
-		var inc [][2]int
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if rng.Intn(3) == 0 {
-					inc = append(inc, [2]int{i, j})
-				}
-			}
-		}
-		comp := compFrom(n, inc)
-		exact := MinCover(comp)
-		checkCover(t, comp, exact)
-		ilp, err := MinCoverILP(comp, ILPOptions{TimeLimit: 30 * time.Second})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		checkCover(t, comp, ilp)
-		if !ilp.Proven {
-			continue // timeout: counts may differ
-		}
-		if exact.NumGroups() != ilp.NumGroups() {
-			t.Errorf("trial %d (n=%d): search %d groups, ILP %d groups",
-				trial, n, exact.NumGroups(), ilp.NumGroups())
-		}
-	}
-}
-
 func TestBruteForceAgreement(t *testing.T) {
 	// For tiny instances, compare with exhaustive partition search.
 	rng := rand.New(rand.NewSource(11))

@@ -73,7 +73,7 @@ func TestChaosPartitionHealAntiEntropyConverges(t *testing.T) {
 	keys := make([]string, 6)
 	for i := range keys {
 		sp := clusterSpecVariant(i)
-		key, err := service.JobKey(sp, switchsynth.Options{})
+		key, err := service.JobKey(sp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestChaosKillRestartRejoinConverges(t *testing.T) {
 	keys := make([]string, 5)
 	for i := 0; i < 4; i++ {
 		sp := clusterSpecVariant(i)
-		key, err := service.JobKey(sp, switchsynth.Options{})
+		key, err := service.JobKey(sp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestChaosKillRestartRejoinConverges(t *testing.T) {
 	// The survivor keeps serving fresh solves; its push to the corpse
 	// fails and is counted, not retried inline.
 	sp := clusterSpecVariant(4)
-	key4, err := service.JobKey(sp, switchsynth.Options{})
+	key4, err := service.JobKey(sp)
 	if err != nil {
 		t.Fatal(err)
 	}

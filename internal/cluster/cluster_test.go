@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"switchsynth"
 	"switchsynth/internal/service"
 	"switchsynth/internal/spec"
 )
@@ -50,7 +49,7 @@ func specOwnedBy(t *testing.T, r *Ring, ownerID string) (*spec.Spec, string) {
 	t.Helper()
 	for i := 0; i < 20; i++ {
 		sp := clusterSpecVariant(i)
-		key, err := service.JobKey(sp, switchsynth.Options{})
+		key, err := service.JobKey(sp)
 		if err != nil {
 			t.Fatalf("JobKey(variant %d): %v", i, err)
 		}

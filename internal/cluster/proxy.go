@@ -46,7 +46,6 @@ import (
 	"strconv"
 	"strings"
 
-	"switchsynth"
 	"switchsynth/internal/service"
 )
 
@@ -255,7 +254,7 @@ func jobKeyOf(body []byte) (string, bool) {
 	if err := json.Unmarshal(body, &req); err != nil || req.Spec == nil {
 		return "", false
 	}
-	key, err := service.JobKey(req.Spec, switchsynth.Options{Engine: req.Options.Engine})
+	key, err := service.JobKey(req.Spec)
 	if err != nil {
 		return "", false
 	}

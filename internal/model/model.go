@@ -13,10 +13,13 @@
 //	clockwise binding with pin_m and q_m      (3.12)–(3.13)
 //
 // The quadratic terms (path-choice × set-choice) are linearized exactly by
-// milp.Product, so the solved MILP is equivalent to the paper's IQP. This
-// engine is exponentially slower than internal/search and exists for
-// cross-validation (property tests check both engines agree on optima) and
-// for the ablation experiments; use internal/search for real workloads.
+// milp.Product, so the solved MILP is equivalent to the paper's IQP. The
+// package also holds the paper's pressure-sharing ILP (3.14)–(3.17),
+// MinCoverILP. Both are exponentially slower than the dedicated solvers
+// (internal/search, clique.MinCover) and exist as the paper's reproduction
+// and as their oracles: property tests check the optima agree, and
+// cmd/switchsynth and cmd/experiments run the IQP with -engine iqp. The
+// serving stack never links this package (ci.sh checks cmd/synthd).
 package model
 
 import (
@@ -26,6 +29,7 @@ import (
 
 	"switchsynth/internal/lp"
 	"switchsynth/internal/milp"
+	"switchsynth/internal/search"
 	"switchsynth/internal/spec"
 	"switchsynth/internal/topo"
 )
@@ -34,58 +38,44 @@ import (
 type Options struct {
 	// TimeLimit bounds the underlying branch & bound (0 = none).
 	TimeLimit time.Duration
-	// MaxNodes bounds the explored nodes (0 = none).
-	MaxNodes int
 	// Ctx, when non-nil, cancels the underlying branch & bound promptly
-	// (polled once per node); a cancelled solve surfaces as ErrLimit
-	// wrapping Ctx.Err().
+	// (polled once per node), and its deadline, if earlier, replaces
+	// TimeLimit.
 	Ctx context.Context
 }
 
-// ErrLimit is returned when the MILP search hit its node or time limit —
-// or was cancelled — before proving optimality or infeasibility. Cause
-// carries the cancellation error (context.Canceled or
-// context.DeadlineExceeded) when the cut-off was external, so
-// errors.Is(err, context.Canceled) works through the chain.
-type ErrLimit struct {
-	SpecName string
-	Cause    error
-}
-
-// Error implements error.
-func (e *ErrLimit) Error() string {
-	if e.Cause != nil {
-		return fmt.Sprintf("model: limit hit before solving %q: %v", e.SpecName, e.Cause)
-	}
-	return fmt.Sprintf("model: limit hit before solving %q", e.SpecName)
-}
-
-// Unwrap exposes the cancellation cause to errors.Is/As.
-func (e *ErrLimit) Unwrap() error { return e.Cause }
-
-// Solve builds the paper's IQP for sp and solves it exactly.
+// Solve builds the paper's IQP for sp and solves it exactly. A limit or
+// cancellation hit before any plan was found is reported as
+// *search.ErrTimeout (switchsynth.ErrTimeout), the branch and bound's
+// own timeout type, carrying the context's error when the cut-off was
+// external.
 func Solve(sp *spec.Spec, opts Options) (*spec.Result, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
+	}
+	if opts.Ctx != nil {
+		if err := opts.Ctx.Err(); err != nil {
+			return nil, &search.ErrTimeout{SpecName: sp.Name, Cause: err}
+		}
+		if dl, ok := opts.Ctx.Deadline(); ok {
+			if rem := time.Until(dl); opts.TimeLimit <= 0 || rem < opts.TimeLimit {
+				opts.TimeLimit = rem
+			}
+		}
 	}
 	sw, pt, err := sp.SharedTopology()
 	if err != nil {
 		return nil, err
 	}
-	return SolveOn(sp, sw, pt, opts)
-}
-
-// SolveOn builds and solves the IQP on a prebuilt switch and path table.
-func SolveOn(sp *spec.Spec, sw *topo.Switch, pt *topo.PathTable, opts Options) (*spec.Result, error) {
 	start := time.Now()
 	b := build(sp, sw, pt)
-	sol := b.m.Solve(milp.Options{TimeLimit: opts.TimeLimit, MaxNodes: opts.MaxNodes, Ctx: opts.Ctx})
+	sol := b.m.Solve(milp.Options{TimeLimit: opts.TimeLimit, Ctx: opts.Ctx})
 	switch sol.Status {
 	case milp.Infeasible:
 		return nil, &spec.ErrNoSolution{SpecName: sp.Name, Policy: sp.Binding}
 	case milp.Limit:
 		if !sol.HasSolution {
-			return nil, &ErrLimit{SpecName: sp.Name, Cause: sol.Err}
+			return nil, &search.ErrTimeout{SpecName: sp.Name, Cause: sol.Err}
 		}
 	}
 	res, err := b.extract(&sol)

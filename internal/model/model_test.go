@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"switchsynth"
 	"switchsynth/internal/contam"
 	"switchsynth/internal/search"
 	"switchsynth/internal/spec"
@@ -142,6 +144,61 @@ func TestIQPPlanStructure(t *testing.T) {
 	}
 	if res.NumSets != 1 || len(res.Routes) != 1 {
 		t.Errorf("sets=%d routes=%d", res.NumSets, len(res.Routes))
+	}
+}
+
+// TestIQPSynthesize is the path cmd/switchsynth and cmd/experiments take
+// for -engine iqp: an IQP plan goes through switchsynth.Analyze like a
+// branch-and-bound one.
+func TestIQPSynthesize(t *testing.T) {
+	sp := &spec.Spec{
+		Name:       "iqp-engine",
+		SwitchPins: 8,
+		Modules:    []string{"in", "out"},
+		Flows:      []spec.Flow{{From: "in", To: "out"}},
+		Binding:    spec.Fixed,
+		FixedPins:  map[string]int{"in": 0, "out": 1},
+	}
+	res, err := Solve(sp, Options{TimeLimit: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	syn, err := switchsynth.Analyze(res, switchsynth.Options{PressureSharing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if syn.Engine != "iqp" {
+		t.Errorf("engine = %q", syn.Engine)
+	}
+}
+
+// TestIQPContextCancelled: a cancelled or expired context surfaces as
+// the branch and bound's timeout type, with the spec name carried.
+func TestIQPContextCancelled(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancel2 := context.WithTimeout(context.Background(), -time.Second)
+	defer cancel2()
+	sp := &spec.Spec{
+		Name:       "demo",
+		SwitchPins: 8,
+		Modules:    []string{"sample", "buffer", "mix1", "mix2"},
+		Flows:      []spec.Flow{{From: "sample", To: "mix1"}, {From: "buffer", To: "mix2"}},
+		Conflicts:  [][2]int{{0, 1}},
+		Binding:    spec.Unfixed,
+	}
+	for _, tc := range []struct {
+		ctx   context.Context
+		cause error
+	}{{cancelled, context.Canceled}, {expired, context.DeadlineExceeded}} {
+		_, err := Solve(sp, Options{Ctx: tc.ctx})
+		if !errors.Is(err, &switchsynth.ErrTimeout{}) || !errors.Is(err, tc.cause) {
+			t.Errorf("err = %v, want *switchsynth.ErrTimeout wrapping %v", err, tc.cause)
+		}
+		var te *switchsynth.ErrTimeout
+		if !errors.As(err, &te) || te.SpecName != "demo" {
+			t.Errorf("spec name not carried: %+v", te)
+		}
 	}
 }
 

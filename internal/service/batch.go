@@ -74,7 +74,7 @@ func (e *Engine) DoBatch(ctx context.Context, items []BatchSpec) []BatchOutcome 
 			out[i].Err = errNilBatchSpec
 			continue
 		}
-		key, err := canonicalJobKey(it.Spec, it.Opts)
+		key, err := JobKey(it.Spec)
 		if err != nil {
 			e.metrics.jobsSubmitted.Add(1)
 			e.classifyFailure(err)

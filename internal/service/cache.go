@@ -1,7 +1,7 @@
 // Result cache and in-flight deduplication.
 //
 // The cache is a bounded LRU keyed by the canonical spec key
-// (spec.CanonicalKey plus the engine name): every spec in one
+// (spec.CanonicalKey plus "|search", see JobKey): every spec in one
 // presentation-equivalence class maps to one entry, so a rotated or
 // permuted resubmission of an already-solved spec is a hit. Stored
 // Results are treated as immutable — readers adapt them onto their own

@@ -31,6 +31,7 @@ import (
 	"net"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,7 +110,7 @@ type Config struct {
 	// (default 512; negative disables it). The index is populated with
 	// every proven plan solved here or admitted from elsewhere (filled,
 	// imported or read from disk, on its first full verification) and
-	// consulted on cold search-engine solves: a stored plan for the same
+	// consulted on every cold solve: a stored plan for the same
 	// spec family (one module/flow removed or added, one conflict
 	// toggled) is adapted into a starting incumbent. Warm starts only tighten the initial
 	// bound; plans stay bit-identical to a cold solve.
@@ -263,8 +264,8 @@ type Engine struct {
 	flights  *flightGroup
 	metrics  *Metrics
 	// simIndex is the spec-similarity warm-start index (nil when
-	// disabled): proven plans are added as they land, cold search-engine
-	// solves probe it for an adapted starting incumbent.
+	// disabled): proven plans are added as they land, cold solves probe
+	// it for an adapted starting incumbent.
 	simIndex *portfolio.SimIndex
 
 	// draining is set by StartDrain (graceful shutdown has begun):
@@ -322,6 +323,17 @@ func New(cfg Config) *Engine {
 	if size := cfg.simIndexSize(); size > 0 {
 		e.simIndex = portfolio.NewSimIndex(size)
 	}
+	if e.store != nil {
+		// Records filed under another engine's suffix are never read
+		// again, but PlanKeys would advertise them to anti-entropy peers,
+		// which would pull and refuse them at every sync. Drop them once.
+		for _, key := range e.store.Keys() {
+			if !strings.HasSuffix(key, "|"+searchEngine) {
+				_ = e.store.Delete(key)
+				e.metrics.storeHealed.Add(1)
+			}
+		}
+	}
 	workers := cfg.workers()
 	done := make(chan struct{}, workers)
 	for i := 0; i < workers; i++ {
@@ -356,7 +368,7 @@ func (e *Engine) Do(ctx context.Context, sp *spec.Spec, opts switchsynth.Options
 // anytime incumbents of the flight the request waits on (DoStream).
 func (e *Engine) do(ctx context.Context, sp *spec.Spec, opts switchsynth.Options, emit func(*Response, bool) error) (*Response, error) {
 	e.metrics.jobsSubmitted.Add(1)
-	key, err := canonicalJobKey(sp, opts)
+	key, err := JobKey(sp)
 	if err != nil {
 		e.classifyFailure(err)
 		return nil, err
@@ -574,7 +586,10 @@ func (e *Engine) admitPlan(key string, data []byte) (*spec.Result, error) {
 	if !res.Proven {
 		return reject(errors.New("plan is degraded (unproven plans never enter a tier)"))
 	}
-	derived, err := canonicalJobKey(res.Spec, switchsynth.Options{Engine: res.Engine})
+	if res.Engine != searchEngine {
+		return reject(fmt.Errorf("plan is from engine %q, not %q", res.Engine, searchEngine))
+	}
+	derived, err := JobKey(res.Spec)
 	if err != nil {
 		return reject(err)
 	}
@@ -767,7 +782,7 @@ func (e *Engine) enqueue(ctx context.Context, j job) error {
 // heal, not a job failure.
 func (e *Engine) assemble(resp *Response, shared *spec.Result, sp *spec.Spec, opts switchsynth.Options) (*Response, error) {
 	if sp == nil {
-		sp, opts = shared.Spec, switchsynth.Options{Engine: shared.Engine}
+		sp = shared.Spec
 	}
 	adapted, err := adaptResult(shared, sp)
 	if err != nil {
@@ -901,14 +916,14 @@ func (e *Engine) runJob(j job) {
 const seedTightenEps = 1e-9
 
 // solveCanonical runs the optimizer on the canonical spec through the
-// injectable e.solve, the one solve path. Search-engine solves probe the
+// injectable e.solve, the one solve path. Every solve probes the
 // similarity index for a warm-start seed; the seed only tightens the
 // initial bound, so plans are byte-identical with or without it and the
 // index never partitions the cache. Proven plans feed back into the
 // index for future neighbors.
 func (e *Engine) solveCanonical(canon *spec.Spec, opts switchsynth.Options) (*spec.Result, error) {
 	var seed *spec.Result
-	if engineName(opts) == switchsynth.EngineSearch && e.simIndex != nil {
+	if e.simIndex != nil {
 		if seed = e.simIndex.Lookup(canon); seed != nil {
 			opts.SeedIncumbent = seed
 		}
@@ -1015,31 +1030,23 @@ func (e *Engine) CloseNow() {
 	e.Close()
 }
 
-// JobKey is the exported form of canonicalJobKey: the canonical cache
-// key the engine files sp's plan under when solved with opts. The
-// cluster tier (internal/cluster) and clients use it to pick the key's
-// owning node consistently with the engine's own cache.
-func JobKey(sp *spec.Spec, opts switchsynth.Options) (string, error) {
-	return canonicalJobKey(sp, opts)
-}
+// searchEngine names the one engine whose plans the service holds: the
+// branch and bound. Every job key ends in "|" + searchEngine, a suffix
+// kept so that every key, store record, ring position and golden digest
+// stays byte-identical with those filed when a second engine existed;
+// New deletes persisted records under any other suffix.
+const searchEngine = "search"
 
-// canonicalJobKey extends the spec's canonical key with the options that
-// select a different plan (the engine choice). Analysis-only options
-// (pressure sharing, control routing, SVG) run per request and do not
-// partition the cache.
-func canonicalJobKey(sp *spec.Spec, opts switchsynth.Options) (string, error) {
+// JobKey is the canonical cache key the engine files sp's plan under:
+// the spec's canonical key plus "|" + searchEngine. Analysis-only
+// options (pressure sharing, control routing, SVG) run per request and
+// do not partition the cache. The cluster tier (internal/cluster) and
+// clients use it to pick the key's owning node consistently with the
+// engine's own cache.
+func JobKey(sp *spec.Spec) (string, error) {
 	base, err := sp.CanonicalKey()
 	if err != nil {
 		return "", err
 	}
-	return base + "|" + engineName(opts), nil
-}
-
-// engineName resolves the effective engine for opts (the key suffix and
-// the provenance recorded alongside persisted plans).
-func engineName(opts switchsynth.Options) string {
-	if opts.Engine != "" {
-		return opts.Engine
-	}
-	return switchsynth.EngineSearch
+	return base + "|" + searchEngine, nil
 }

@@ -124,6 +124,28 @@ func TestErrorKindStatusTable(t *testing.T) {
 	if err := json.Unmarshal(raw, &env); err != nil || env.Kind != "invalid" {
 		t.Errorf("invalid envelope = %+v (err %v), want kind invalid", env, err)
 	}
+
+	// The branch and bound is the only engine, so an engine choice — on
+	// one request or on one batch member — is an unknown field: refused
+	// at decode, before the engine counts a job.
+	spJSON, err := json.Marshal(serviceSpec("surface"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, e := newTestServer(t)
+	for _, tc := range []struct{ path, body string }{
+		{"/synthesize", `{"spec": ` + string(spJSON) + `, "options": {"engine": "iqp"}}`},
+		{"/synthesize/batch", `{"specs": [{"spec": ` + string(spJSON) + `}, {"spec": ` + string(spJSON) + `, "options": {"engine": "quantum"}}]}`},
+	} {
+		resp, raw := postJSON(t, srv.URL+tc.path, tc.body)
+		var env errorResponse
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(raw, &env) != nil || env.Kind != "invalid" {
+			t.Errorf("%s with an engine: status %d, body %s; want 400 invalid", tc.path, resp.StatusCode, raw)
+		}
+	}
+	if snap := e.Snapshot(); snap.JobsSubmitted != 0 || snap.JobsFailed != 0 {
+		t.Errorf("engine field reached the engine: jobsSubmitted %d, jobsFailed %d", snap.JobsSubmitted, snap.JobsFailed)
+	}
 }
 
 // TestOversizedRequestBodyCleanJSON: a body over MaxRequestBody must

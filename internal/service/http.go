@@ -103,8 +103,6 @@ type SynthesizeRequest struct {
 // RequestOptions is the wire form of switchsynth.Options plus response
 // shaping.
 type RequestOptions struct {
-	// Engine selects the optimizer: "search" (default) or "iqp".
-	Engine string `json:"engine,omitempty"`
 	// TimeLimitMS bounds the solve in milliseconds; 0 inherits the
 	// daemon's default limit.
 	TimeLimitMS int64 `json:"timeLimitMs,omitempty"`
@@ -122,7 +120,6 @@ type RequestOptions struct {
 
 func (ro RequestOptions) toOptions() switchsynth.Options {
 	return switchsynth.Options{
-		Engine:          ro.Engine,
 		TimeLimit:       time.Duration(ro.TimeLimitMS) * time.Millisecond,
 		PressureSharing: ro.PressureSharing,
 		RouteControl:    ro.RouteControl,

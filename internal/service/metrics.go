@@ -55,7 +55,8 @@ type Metrics struct {
 	// Durable-tier counters (all zero when no store is configured).
 	// storeHits/storeMisses count engine-level lookups that reached the
 	// disk tier; storeHealed counts persisted entries that read back but
-	// failed to decode, adapt or verify and were evicted and re-solved.
+	// failed to decode, adapt or verify and were evicted and re-solved,
+	// plus records under a foreign engine suffix deleted at boot.
 	storeHits   atomic.Int64
 	storeMisses atomic.Int64
 	storeHealed atomic.Int64
@@ -225,7 +226,7 @@ type Snapshot struct {
 	// optimizer's own seed-validation counters (process-wide, like the
 	// solver internals above): a rejected seed was stale or infeasible and
 	// was ignored, never trusted. The SimIndex* fields are the similarity
-	// index's own gauges; cold search-engine solves are its only lookups,
+	// index's own gauges; cold solves are its only lookups,
 	// so SimIndexHits counts warm starts and SimIndexLookups minus
 	// SimIndexHits counts cold solves that found no seed.
 	SeedTightened    int64 `json:"portfolio_seed_tightened"`

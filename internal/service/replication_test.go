@@ -135,8 +135,22 @@ func TestPlanPushEndpoint(t *testing.T) {
 	if _, ok := e.PlanBytes(key); ok {
 		t.Fatal("corrupt push reached the store")
 	}
-	if snap := e.Snapshot(); snap.PeerRejected != 1 {
-		t.Errorf("peerRejected = %d, want 1", snap.PeerRejected)
+	// A proven plan from another engine is refused even under the key
+	// its spec derives: only branch-and-bound plans enter a tier.
+	iqp := *dresp.Synthesis.Result
+	iqp.Engine = "iqp"
+	foreign, err := planio.EncodeWire(&iqp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := put(key, foreign); resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("iqp plan push status = %d, want 422", resp.StatusCode)
+	}
+	if _, ok := e.PlanBytes(key); ok {
+		t.Fatal("iqp plan push reached a tier")
+	}
+	if snap := e.Snapshot(); snap.PeerRejected != 2 {
+		t.Errorf("peerRejected = %d, want 2", snap.PeerRejected)
 	}
 
 	// A valid push is verified, stored and then served.

@@ -6,6 +6,8 @@ package service
 
 import (
 	"context"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -125,7 +127,7 @@ func TestEngineHealsUndecodablePersistedPlan(t *testing.T) {
 	e, solves := countingEngine(t, Config{Workers: 2, Store: st})
 
 	sp := serviceSpec("a")
-	key, err := canonicalJobKey(sp, switchsynth.Options{})
+	key, err := JobKey(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +198,8 @@ func TestEngineNeverPersistsDegradedPlans(t *testing.T) {
 // plan stored under the unfixed spec's key. The store read must refuse
 // it at admission (the key does not re-derive), heal the record and
 // re-solve, so the request is served the true unfixed optimum rather
-// than the costlier fixed-binding plan.
+// than the costlier fixed-binding plan. A record under an "|iqp" key is
+// swept at boot.
 func TestEngineHealsPersistedPlanUnderWrongKey(t *testing.T) {
 	fixed := serviceSpec("fixed")
 	fixed.Conflicts = nil
@@ -214,7 +217,7 @@ func TestEngineHealsPersistedPlanUnderWrongKey(t *testing.T) {
 	if !ok {
 		t.Fatal("donor holds no plan bytes")
 	}
-	wrongKey, err := canonicalJobKey(unfixed, switchsynth.Options{})
+	wrongKey, err := JobKey(unfixed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +229,23 @@ func TestEngineHealsPersistedPlanUnderWrongKey(t *testing.T) {
 		t.Fatal("fixed and unfixed optima coincide; the wrong plan would go unnoticed")
 	}
 
+	// A record under another engine's suffix is never read again, so
+	// the engine drops it at boot rather than advertise it to peers.
+	iqpKey := strings.TrimSuffix(wrongKey, "|search") + "|iqp"
 	st := openStoreT(t, t.TempDir())
 	if err := st.Put(wrongKey, "search", data); err != nil {
 		t.Fatal(err)
 	}
+	if err := st.Put(iqpKey, "iqp", data); err != nil {
+		t.Fatal(err)
+	}
 	e, solves := countingEngine(t, Config{Workers: 2, Store: st})
+	if slices.Contains(e.PlanKeys(), iqpKey) || st.Has(iqpKey) {
+		t.Fatal("|iqp record survived the boot sweep")
+	}
+	if got := e.Snapshot().StoreHealed; got != 1 {
+		t.Errorf("storeHealed after boot = %d, want 1", got)
+	}
 	resp, err := e.Do(context.Background(), unfixed, switchsynth.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -238,8 +253,8 @@ func TestEngineHealsPersistedPlanUnderWrongKey(t *testing.T) {
 	if resp.DiskHit {
 		t.Fatalf("misfiled plan served as a disk hit (objective %v)", resp.Synthesis.Result.Objective)
 	}
-	if got := e.Snapshot().StoreHealed; got != 1 {
-		t.Errorf("storeHealed = %d, want 1", got)
+	if got := e.Snapshot().StoreHealed; got != 2 {
+		t.Errorf("storeHealed = %d, want 2", got)
 	}
 	if got := solves.Load(); got != 1 {
 		t.Errorf("solves = %d, want 1 re-solve", got)

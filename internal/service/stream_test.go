@@ -104,7 +104,7 @@ func TestDoStreamCacheHitHasNoFrames(t *testing.T) {
 func TestWatchKeyAttachesToInFlightSolve(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1})
 	sp := stream16("watch")
-	key, err := JobKey(sp, switchsynth.Options{})
+	key, err := JobKey(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestWatchKeyAttachesToInFlightSolve(t *testing.T) {
 func TestDoStreamCancelMidSolveKeepsFeedAliveForWatchers(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1})
 	sp := stream16("cancelkeep")
-	key, err := JobKey(sp, switchsynth.Options{})
+	key, err := JobKey(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestWatchKeyAndDoStreamGetShedLeadersError(t *testing.T) {
 	saturate(t, e, 1) // backlog 1 of 2: the background depth watermark sheds
 	sp := serviceSpec("shed")
 	sp.Alpha = 3
-	key, err := JobKey(sp, switchsynth.Options{})
+	key, err := JobKey(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestWatchKeyRetriesLeadersPrivateCancel(t *testing.T) {
 	saturate(t, e, 1) // queue full: an interactive leader blocks for a slot
 	sp := serviceSpec("cancelled")
 	sp.Alpha = 3
-	key, err := JobKey(sp, switchsynth.Options{})
+	key, err := JobKey(sp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,14 +38,14 @@
 //	fmt.Println(syn.Summary())
 //	os.WriteFile("switch.svg", []byte(syn.SVG()), 0o644)
 //
-// The two engines — the scalable branch-and-bound search (default) and the
-// paper-faithful IQP-as-MILP encoding — optimize the same model; see
+// The optimizer is the dedicated branch-and-bound search. The paper's IQP,
+// encoded as a MILP in internal/model, optimizes the same model and stays a
+// reproduction and correctness oracle (cmd/switchsynth -engine iqp); see
 // DESIGN.md for the substitution notes.
 package switchsynth
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -53,7 +53,6 @@ import (
 	"switchsynth/internal/clique"
 	"switchsynth/internal/contam"
 	"switchsynth/internal/ctrl"
-	"switchsynth/internal/model"
 	"switchsynth/internal/render"
 	"switchsynth/internal/search"
 	"switchsynth/internal/sim"
@@ -79,8 +78,7 @@ type (
 	// ErrNoSolution reports proven infeasibility under the chosen policy.
 	ErrNoSolution = spec.ErrNoSolution
 	// ErrTimeout reports that the time limit (or context) expired before
-	// any feasible plan was found. Synthesize returns it for every
-	// engine, so callers classify timeouts with
+	// any feasible plan was found, so callers classify timeouts with
 	// errors.Is(err, &switchsynth.ErrTimeout{}) or errors.As — never by
 	// matching error strings. It unwraps to context.DeadlineExceeded (or
 	// the cancelled context's error).
@@ -111,19 +109,8 @@ const (
 	TopologyFPVA     = spec.TopologyFPVA
 )
 
-// Engine names accepted by Options.Engine.
-const (
-	// EngineSearch is the scalable dedicated branch & bound (default).
-	EngineSearch = "search"
-	// EngineIQP is the paper-faithful IQP encoding solved as a MILP. It is
-	// exact but only tractable for small instances.
-	EngineIQP = "iqp"
-)
-
 // Options control synthesis.
 type Options struct {
-	// Engine selects the optimizer: EngineSearch (default) or EngineIQP.
-	Engine string
 	// TimeLimit bounds the optimization; on expiry the best plan found so
 	// far is returned with Result.Proven == false (or an error if none).
 	// Zero means no limit.
@@ -139,8 +126,7 @@ type Options struct {
 	// SolverWorkers is the number of branch-and-bound goroutines the
 	// search engine explores the tree with (0 or 1 = sequential). The
 	// plan is bit-identical for every value — the worker count is a pure
-	// throughput knob and never partitions result caches. Ignored by the
-	// IQP engine.
+	// throughput knob and never partitions result caches.
 	SolverWorkers int
 	// SeedIncumbent, when non-nil, warm-starts the search engine with a
 	// previously proven plan for an equivalent spec (typically the
@@ -149,15 +135,14 @@ type Options struct {
 	// and bound opens with a tight upper bound. Seeding never changes
 	// the answer — a seeded solve that completes emits a byte-identical
 	// proven plan to a cold one — and an invalid seed is counted and
-	// ignored, never fatal. Ignored by the IQP engine.
+	// ignored, never fatal.
 	SeedIncumbent *Result
 	// OnIncumbent, when non-nil, receives each successively better
 	// anytime incumbent while the solve is still running: a degraded
 	// snapshot Result with LowerBound and Gap filled. This powers the
 	// service layer's streaming-refinement mode. The callback may fire
 	// concurrently from multiple solver goroutines (see
-	// search.Options.OnIncumbent for the exact contract); it is ignored
-	// by the IQP engine.
+	// search.Options.OnIncumbent for the exact contract).
 	OnIncumbent func(*Result)
 }
 
@@ -241,8 +226,8 @@ func SynthesizeContext(ctx context.Context, sp *Spec, opts Options) (*Synthesis,
 
 // SolvePlan runs only the optimizer: routing, scheduling and binding,
 // without the control-layer analyses. Long-running services cache the
-// returned plan and run Analyze per request. Timeouts surface as
-// *ErrTimeout for both engines.
+// returned plan and run Analyze per request. Timeouts and cancellations
+// surface as *ErrTimeout.
 func SolvePlan(ctx context.Context, sp *Spec, opts Options) (*Result, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
@@ -250,31 +235,13 @@ func SolvePlan(ctx context.Context, sp *Spec, opts Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, &ErrTimeout{SpecName: sp.Name, Cause: err}
 	}
-	switch opts.Engine {
-	case "", EngineSearch:
-		return search.Solve(sp, search.Options{
-			TimeLimit:     opts.TimeLimit,
-			Ctx:           ctx,
-			Workers:       opts.SolverWorkers,
-			SeedIncumbent: opts.SeedIncumbent,
-			OnIncumbent:   opts.OnIncumbent,
-		})
-	case EngineIQP:
-		res, err := model.Solve(sp, model.Options{TimeLimit: iqpTimeLimit(ctx, opts.TimeLimit), Ctx: ctx})
-		// Translate the MILP limit error so both engines report
-		// timeouts and cancellations as the one public type.
-		var lim *model.ErrLimit
-		if errors.As(err, &lim) {
-			cause := lim.Cause
-			if cause == nil {
-				cause = ctx.Err()
-			}
-			err = &ErrTimeout{SpecName: lim.SpecName, Cause: cause}
-		}
-		return res, err
-	default:
-		return nil, fmt.Errorf("switchsynth: unknown engine %q", opts.Engine)
-	}
+	return search.Solve(sp, search.Options{
+		TimeLimit:     opts.TimeLimit,
+		Ctx:           ctx,
+		Workers:       opts.SolverWorkers,
+		SeedIncumbent: opts.SeedIncumbent,
+		OnIncumbent:   opts.OnIncumbent,
+	})
 }
 
 // Analyze derives the control layer for a solved plan: contamination
@@ -305,17 +272,6 @@ func Analyze(res *Result, opts Options) (*Synthesis, error) {
 		syn.Control = plan
 	}
 	return syn, nil
-}
-
-// iqpTimeLimit folds a context deadline into the IQP engine's wall-clock
-// limit (the MILP substrate has no context plumbing).
-func iqpTimeLimit(ctx context.Context, limit time.Duration) time.Duration {
-	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); limit <= 0 || rem < limit {
-			return rem
-		}
-	}
-	return limit
 }
 
 // Verify re-checks a plan against every contamination, collision, binding

@@ -47,30 +47,6 @@ func TestSynthesizeEndToEnd(t *testing.T) {
 	}
 }
 
-func TestSynthesizeIQPEngine(t *testing.T) {
-	sp := &Spec{
-		Name:       "iqp-engine",
-		SwitchPins: 8,
-		Modules:    []string{"in", "out"},
-		Flows:      []Flow{{From: "in", To: "out"}},
-		Binding:    Fixed,
-		FixedPins:  map[string]int{"in": 0, "out": 1},
-	}
-	syn, err := Synthesize(sp, Options{Engine: EngineIQP, TimeLimit: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if syn.Engine != "iqp" {
-		t.Errorf("engine = %q", syn.Engine)
-	}
-}
-
-func TestSynthesizeUnknownEngine(t *testing.T) {
-	if _, err := Synthesize(demoSpec(), Options{Engine: "quantum"}); err == nil {
-		t.Fatal("unknown engine accepted")
-	}
-}
-
 func TestSynthesizeInvalidSpec(t *testing.T) {
 	sp := demoSpec()
 	sp.SwitchPins = 9
@@ -308,18 +284,16 @@ func TestTwentyFourPinEndToEnd(t *testing.T) {
 	}
 }
 
-func TestSynthesizeContextCancelledBothEngines(t *testing.T) {
+func TestSynthesizeContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, engine := range []string{EngineSearch, EngineIQP} {
-		_, err := SynthesizeContext(ctx, demoSpec(), Options{Engine: engine})
-		if !errors.Is(err, &ErrTimeout{}) {
-			t.Errorf("engine %s: err = %v, want *ErrTimeout", engine, err)
-		}
-		var te *ErrTimeout
-		if !errors.As(err, &te) || te.SpecName != "demo" {
-			t.Errorf("engine %s: spec name not carried: %+v", engine, te)
-		}
+	_, err := SynthesizeContext(ctx, demoSpec(), Options{})
+	if !errors.Is(err, &ErrTimeout{}) {
+		t.Errorf("err = %v, want *ErrTimeout", err)
+	}
+	var te *ErrTimeout
+	if !errors.As(err, &te) || te.SpecName != "demo" {
+		t.Errorf("spec name not carried: %+v", te)
 	}
 }
 
