@@ -64,8 +64,11 @@ echo "== warm-start gate: -race -count=2 =="
 # The similarity index's adaptation paths and the seeded-solve
 # determinism suite, twice under the race detector. -short skips only
 # the 200-spec property sweep, which tier 1 above already ran once at
-# full size.
+# full size. The engine side follows: a neighbor of a plan learned from
+# a local solve, an import, a peer fill or a disk read warm-starts, and
+# its plan is byte-identical to a cold engine's.
 go test -race -count=2 -short ./internal/portfolio/
+go test -race -count=2 -run 'TestWarmStart' ./internal/service/
 
 echo "== determinism gate: campaign at -solver-workers 1/2/8 =="
 # Plans must be bit-identical at every worker count: run the seeded

@@ -188,8 +188,8 @@ func (c *Client) setIdentity(req *http.Request) {
 // Synthesize submits sp and returns the daemon's response, retrying
 // transient failures until ctx is done or MaxAttempts is exhausted.
 func (c *Client) Synthesize(ctx context.Context, sp *switchsynth.Spec, opts service.RequestOptions) (*service.SynthesizeResponse, error) {
-	// The canonical key both validates the spec locally (no round trip
-	// for garbage) and keys idempotent retries.
+	// The canonical key validates the spec locally (no round trip for
+	// garbage), keys idempotent retries and, as a job key, ranks peers.
 	key, err := switchsynth.CanonicalKey(sp)
 	if err != nil {
 		return nil, err
@@ -198,7 +198,7 @@ func (c *Client) Synthesize(ctx context.Context, sp *switchsynth.Spec, opts serv
 	if err != nil {
 		return nil, err
 	}
-	targets := c.targets(sp)
+	targets := c.targets(key)
 
 	var lastErr error
 	for attempt := 0; attempt < c.maxAttempts; attempt++ {
@@ -224,22 +224,18 @@ func (c *Client) Synthesize(ctx context.Context, sp *switchsynth.Spec, opts serv
 	return nil, lastErr
 }
 
-// targets returns the bases to try, in attempt order. Without a peer
-// ring there is one: BaseURL. With one, the ring's full preference
-// order for the spec's job key — the first attempt goes straight to
+// targets returns the bases to try, in attempt order, for the spec
+// whose canonical key is key. Without a peer ring there is one: BaseURL.
+// With one, the ring's full preference order for the spec's job key
+// (built from key, not re-derived) — the first attempt goes straight to
 // the owner (same cache-locality win as the server-side proxy, minus
 // the extra hop), and each retry moves to the next-ranked node so a
 // dead owner costs one attempt, not all of them.
-func (c *Client) targets(sp *switchsynth.Spec) []string {
+func (c *Client) targets(key string) []string {
 	if c.ring == nil {
 		return []string{c.base}
 	}
-	jobKey, err := service.JobKey(sp)
-	if err != nil {
-		// The spec failed canonicalization; let the daemon report it.
-		return []string{c.base}
-	}
-	rank := c.ring.Rank(jobKey)
+	rank := c.ring.Rank(service.JobKeyOf(key))
 	targets := make([]string, len(rank))
 	for i, n := range rank {
 		targets[i] = strings.TrimRight(n.URL, "/")
@@ -420,7 +416,7 @@ func (c *Client) Stream(ctx context.Context, sp *switchsynth.Spec, opts service.
 	if err != nil {
 		return nil, err
 	}
-	targets := c.targets(sp)
+	targets := c.targets(key)
 
 	var lastErr error
 	for attempt := 0; attempt < c.maxAttempts; attempt++ {

@@ -101,9 +101,9 @@ func TestParseFlagsDefaults(t *testing.T) {
 		t.Errorf("drain = %v, want 30s default", srvf.Drain)
 	}
 	// Zero values defer to the service defaults (sequential solver, a
-	// queue of 4x workers, the breaker and similarity index on).
+	// queue of 4x workers, the breaker on).
 	if cfg.Workers != 0 || cfg.SolverWorkers != 0 || cfg.QueueDepth != 0 ||
-		cfg.BreakerThreshold != 0 || cfg.BreakerCooldown != 0 || cfg.SimIndexSize != 0 {
+		cfg.BreakerThreshold != 0 || cfg.BreakerCooldown != 0 {
 		t.Errorf("tuning cfg should default to zero: %+v", cfg)
 	}
 	// Profiling is opt-in and off by default.

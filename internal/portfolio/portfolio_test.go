@@ -3,6 +3,7 @@ package portfolio
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
 	"switchsynth/internal/contam"
@@ -44,8 +45,45 @@ func encode(t *testing.T, res *spec.Result) []byte {
 	return data
 }
 
+// newIndex is an index keyed by the bare canonical key.
+func newIndex(capacity int) *SimIndex {
+	return NewSimIndex(capacity, (*spec.Spec).CanonicalKey)
+}
+
+// keyed derives sp's canonical spec, key and signatures under idx once,
+// the way a caller hands them to Lookup and Add.
+func keyed(t *testing.T, idx *SimIndex, sp *spec.Spec) (string, *spec.Spec, Signatures) {
+	t.Helper()
+	canon, err := sp.CanonicalSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := canon.CanonicalKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key, canon, idx.Signatures(canon)
+}
+
+func lookup(t *testing.T, idx *SimIndex, sp *spec.Spec) *spec.Result {
+	t.Helper()
+	key, canon, sigs := keyed(t, idx, sp)
+	return idx.Lookup(key, canon, sigs)
+}
+
+// add indexes a plan under its own spec's key, deriving its signatures
+// inside Add like a tier feed does.
+func add(t *testing.T, idx *SimIndex, res *spec.Result) {
+	t.Helper()
+	key, err := res.Spec.CanonicalKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx.Add(key, res, nil)
+}
+
 func TestSimIndexExactAndRestriction(t *testing.T) {
-	idx := NewSimIndex(0)
+	idx := newIndex(0)
 	if idx.Stats().Capacity != DefaultSimIndexCapacity {
 		t.Fatalf("default capacity = %d", idx.Stats().Capacity)
 	}
@@ -55,13 +93,13 @@ func TestSimIndexExactAndRestriction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx.Add(big, bigPlan)
+	add(t, idx, bigPlan)
 	if idx.Len() != 1 {
 		t.Fatalf("Len = %d", idx.Len())
 	}
 
 	// Exact hit.
-	if seed := idx.Lookup(biggerSpec()); seed == nil {
+	if seed := lookup(t, idx, biggerSpec()); seed == nil {
 		t.Error("exact lookup missed")
 	} else if verr := contam.Verify(seed); verr != nil {
 		t.Errorf("exact seed failed verification: %v", verr)
@@ -69,7 +107,7 @@ func TestSimIndexExactAndRestriction(t *testing.T) {
 
 	// Restriction hit: baseSpec = biggerSpec minus one flow (and the
 	// module that flow freed).
-	seed := idx.Lookup(baseSpec())
+	seed := lookup(t, idx, baseSpec())
 	if seed == nil {
 		t.Fatal("restriction lookup missed")
 	}
@@ -96,15 +134,15 @@ func TestSimIndexExactAndRestriction(t *testing.T) {
 }
 
 func TestSimIndexCompletion(t *testing.T) {
-	idx := NewSimIndex(16)
+	idx := newIndex(16)
 	basePlan, err := search.Solve(baseSpec(), search.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx.Add(baseSpec(), basePlan)
+	add(t, idx, basePlan)
 
 	// biggerSpec = baseSpec plus one flow: the completion direction.
-	seed := idx.Lookup(biggerSpec())
+	seed := lookup(t, idx, biggerSpec())
 	if seed == nil {
 		t.Fatal("completion lookup missed")
 	}
@@ -128,19 +166,19 @@ func TestSimIndexCompletion(t *testing.T) {
 }
 
 func TestSimIndexConflictToggle(t *testing.T) {
-	idx := NewSimIndex(16)
+	idx := newIndex(16)
 	withConf := baseSpec()
 	plan, err := search.Solve(withConf, search.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx.Add(withConf, plan)
+	add(t, idx, plan)
 
 	// Minus one conflict: the stored plan serves directly.
 	fewer := baseSpec()
 	fewer.Name = "pf-fewer-conf"
 	fewer.Conflicts = [][2]int{{0, 2}}
-	if seed := idx.Lookup(fewer); seed == nil {
+	if seed := lookup(t, idx, fewer); seed == nil {
 		t.Error("minus-conflict lookup missed")
 	} else if verr := contam.Verify(seed); verr != nil {
 		t.Errorf("minus-conflict seed failed verification: %v", verr)
@@ -152,7 +190,7 @@ func TestSimIndexConflictToggle(t *testing.T) {
 	more := baseSpec()
 	more.Name = "pf-more-conf"
 	more.Conflicts = append(more.Conflicts, [2]int{0, 3})
-	if seed := idx.Lookup(more); seed != nil {
+	if seed := lookup(t, idx, more); seed != nil {
 		if verr := contam.Verify(seed); verr != nil {
 			t.Errorf("plus-conflict seed failed verification: %v", verr)
 		}
@@ -160,7 +198,7 @@ func TestSimIndexConflictToggle(t *testing.T) {
 }
 
 func TestSimIndexEviction(t *testing.T) {
-	idx := NewSimIndex(2)
+	idx := newIndex(2)
 	specs := make([]*spec.Spec, 3)
 	for i := range specs {
 		sp := baseSpec()
@@ -172,7 +210,7 @@ func TestSimIndexEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx.Add(sp, plan)
+		add(t, idx, plan)
 	}
 	if idx.Len() != 2 {
 		t.Fatalf("Len = %d after overflow, want 2", idx.Len())
@@ -185,13 +223,119 @@ func TestSimIndexEviction(t *testing.T) {
 }
 
 func TestSimIndexIgnoresUnproven(t *testing.T) {
-	idx := NewSimIndex(4)
+	idx := newIndex(4)
 	plan, err := search.GreedyFirstFit(baseSpec(), search.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx.Add(baseSpec(), plan)
+	add(t, idx, plan)
 	if idx.Len() != 0 {
 		t.Errorf("unproven plan was indexed (Len = %d)", idx.Len())
+	}
+}
+
+// TestSimIndexRepeatAddAllocatesNothing re-adds a key already indexed:
+// Add checks membership by key before any derivation, so the repeat
+// feeds of the tiers (disk re-reads with no memory tier, repeat imports)
+// cost a map probe, not a signature derivation.
+func TestSimIndexRepeatAddAllocatesNothing(t *testing.T) {
+	idx := newIndex(4)
+	plan, err := search.Solve(baseSpec(), search.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := plan.Spec.CanonicalKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx.Add(key, plan, nil)
+	if allocs := testing.AllocsPerRun(100, func() { idx.Add(key, plan, nil) }); allocs != 0 {
+		t.Errorf("re-adding an indexed key allocates %.0f times, want 0", allocs)
+	}
+	if idx.Len() != 1 {
+		t.Errorf("Len = %d after repeat adds, want 1", idx.Len())
+	}
+}
+
+// TestSimIndexLookupThenAddDerivesSignaturesOnce follows a first-seen
+// solve: the caller derives the signatures once and hands them to the
+// Lookup before the solve and the Add after it. The key function runs
+// only on the reduced specs of that one derivation — never on the whole
+// spec, and not again inside Lookup or Add.
+func TestSimIndexLookupThenAddDerivesSignaturesOnce(t *testing.T) {
+	var calls int
+	idx := NewSimIndex(4, func(sp *spec.Spec) (string, error) {
+		calls++
+		return sp.CanonicalKey()
+	})
+	prior, err := search.Solve(baseSpec(), search.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	add(t, idx, prior)
+
+	calls = 0
+	key, canon, sigs := keyed(t, idx, biggerSpec())
+	if calls == 0 || calls != len(sigs) {
+		t.Fatalf("Signatures called the key function %d times for %d signatures", calls, len(sigs))
+	}
+	derived := calls
+	seed := idx.Lookup(key, canon, sigs)
+	if seed == nil {
+		t.Fatal("completion lookup missed")
+	}
+	plan, err := search.Solve(canon, search.Options{SeedIncumbent: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx.Add(key, plan, sigs)
+	if calls != derived {
+		t.Errorf("Lookup and Add called the key function %d more times, want 0", calls-derived)
+	}
+	if idx.Len() != 2 {
+		t.Errorf("Len = %d, want 2", idx.Len())
+	}
+}
+
+// TestSimIndexConcurrentFeeds mirrors the engine, whose workers add and
+// probe while request goroutines add disk reads: concurrent Adds and
+// Lookups over a one-entry index, so every Add also evicts.
+func TestSimIndexConcurrentFeeds(t *testing.T) {
+	idx := newIndex(1)
+	var plans []*spec.Result
+	for _, sp := range []*spec.Spec{baseSpec(), biggerSpec()} {
+		plan, err := search.Solve(sp, search.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, plan)
+	}
+	type query struct {
+		key   string
+		canon *spec.Spec
+		sigs  Signatures
+	}
+	var queries []query
+	for _, plan := range plans {
+		key, canon, sigs := keyed(t, idx, plan.Spec)
+		queries = append(queries, query{key, canon, sigs})
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				q := queries[(g+i)%len(queries)]
+				idx.Add(q.key, plans[(g+i)%len(plans)], q.sigs)
+				if seed := idx.Lookup(q.key, q.canon, q.sigs); seed != nil && contam.Verify(seed) != nil {
+					t.Error("concurrent lookup returned an unverified seed")
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if idx.Len() != 1 {
+		t.Errorf("Len = %d, want 1", idx.Len())
 	}
 }

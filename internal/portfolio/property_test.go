@@ -26,7 +26,7 @@ func TestPropertyWarmStartMatchesCold(t *testing.T) {
 		t.Skip("200-spec property sweep")
 	}
 	const timeLimit = 10 * time.Second
-	idx := NewSimIndex(0)
+	idx := newIndex(0)
 	cs := cases.Artificial(200, 20260808)
 	var proven, warmHits, infeasible int
 	for _, c := range cs {
@@ -61,8 +61,8 @@ func TestPropertyWarmStartMatchesCold(t *testing.T) {
 		// Property 2: similarity-index-seeded solve is byte-identical.
 		// The index accumulates every proven plan as the sweep goes, so
 		// later specs hit both exact and adapted-neighbor entries.
-		idx.Add(sp, cold)
-		if seed := idx.Lookup(sp); seed != nil {
+		add(t, idx, cold)
+		if seed := lookup(t, idx, sp); seed != nil {
 			warmHits++
 			warm, err := search.Solve(sp, search.Options{TimeLimit: timeLimit, SeedIncumbent: seed})
 			if err != nil {

@@ -27,14 +27,14 @@ const costEps = 1e-6
 // given a non-positive capacity.
 const DefaultSimIndexCapacity = 512
 
-// SimIndex is an LRU index of proven plans keyed by the canonical key of
-// their spec AND by the canonical keys of the spec's one-edit deletion
-// neighbors: the spec minus one flow (with the modules that become
-// unused dropped — removing a flow always frees its outlet module, so
-// "minus one module" rides on "minus one flow") and the spec minus one
-// conflict. A cold lookup that lands exactly one edit away from a stored
-// spec — in either direction — adapts the stored plan into a verified
-// starting incumbent for the branch-and-bound:
+// SimIndex is an LRU index of proven plans keyed by their spec's key
+// AND by the keys of the spec's one-edit deletion neighbors: the spec
+// minus one flow (with the modules that become unused dropped —
+// removing a flow always frees its outlet module, so "minus one module"
+// rides on "minus one flow") and the spec minus one conflict. A cold
+// lookup that lands exactly one edit away from a stored spec — in
+// either direction — adapts the stored plan into a verified starting
+// incumbent for the branch-and-bound:
 //
 //   - stored = query + one flow  → drop the extra route, renumber.
 //   - stored = query + one conflict → reuse the plan as-is.
@@ -48,6 +48,12 @@ const DefaultSimIndexCapacity = 512
 // intersection: "nearest neighbor" here means exactly one edit away,
 // which keeps adaptation exact and cheap.
 //
+// The index never keys a whole spec itself: callers hand it the key
+// they already derived (for the service, the job key) together with the
+// canonical spec or the plan, and the signatures they computed once with
+// Signatures. keyOf — the caller's own key function — runs only on the
+// reduced specs inside the signatures, so both live in one key space.
+//
 // Every adapted plan is renumbered, recomputed against the target's
 // geometry and weights, and contamination-verified before it is handed
 // out; internal/search re-validates the seed once more on adoption, so
@@ -55,7 +61,8 @@ const DefaultSimIndexCapacity = 512
 type SimIndex struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[string]*simEntry            // canonical key -> entry
+	keyOf   func(*spec.Spec) (string, error)
+	entries map[string]*simEntry            // key -> entry
 	bySig   map[string]map[string]*simEntry // neighbor sig -> entries by key
 	order   *list.List                      // LRU, front = most recent
 	lookups int64
@@ -64,11 +71,16 @@ type SimIndex struct {
 
 type simEntry struct {
 	key  string
-	sp   *spec.Spec   // canonical spec the plan proves
+	sp   *spec.Spec   // the spec the plan proves (the plan's own)
 	res  *spec.Result // proven plan for sp
-	sigs []simSig
+	sigs Signatures
 	elem *list.Element
 }
+
+// Signatures is the deletion-neighbor signature set of one spec, from
+// SimIndex.Signatures. A first-seen solve derives it once and hands the
+// same value to Lookup and Add; it is never nil once derived.
+type Signatures []simSig
 
 // simSig is one deletion-neighbor signature of a spec.
 type simSig struct {
@@ -86,13 +98,15 @@ type SimStats struct {
 }
 
 // NewSimIndex creates an index holding at most capacity proven plans
-// (non-positive capacity = DefaultSimIndexCapacity).
-func NewSimIndex(capacity int) *SimIndex {
+// (non-positive capacity = DefaultSimIndexCapacity) under keys computed
+// by keyOf, the caller's key function for a spec.
+func NewSimIndex(capacity int, keyOf func(*spec.Spec) (string, error)) *SimIndex {
 	if capacity <= 0 {
 		capacity = DefaultSimIndexCapacity
 	}
 	return &SimIndex{
 		cap:     capacity,
+		keyOf:   keyOf,
 		entries: make(map[string]*simEntry),
 		bySig:   make(map[string]map[string]*simEntry),
 		order:   list.New(),
@@ -113,24 +127,15 @@ func (x *SimIndex) Len() int {
 	return len(x.entries)
 }
 
-// Add indexes a proven plan under its spec's canonical key and neighbor
-// signatures. Unproven plans and specs that fail validation are ignored.
-func (x *SimIndex) Add(sp *spec.Spec, res *spec.Result) {
+// Add indexes a proven plan under key — keyOf of the plan's spec — and
+// under its spec's neighbor signatures. A nil sigs is derived here from
+// res.Spec, but only for a key not yet indexed: plans are deterministic
+// per key, so a repeat add just refreshes recency without allocating.
+// Unproven plans are ignored.
+func (x *SimIndex) Add(key string, res *spec.Result, sigs Signatures) {
 	if res == nil || !res.Proven || res.Spec == nil {
 		return
 	}
-	canon, err := sp.CanonicalSpec()
-	if err != nil {
-		return
-	}
-	key, err := canon.CanonicalKey()
-	if err != nil {
-		return
-	}
-	// Membership check before signature derivation: plans are
-	// deterministic per canonical key, so a repeat add only refreshes
-	// recency — paying neighborSigs for it would dominate warm paths
-	// (replica re-imports, repeat peer fills) that add mostly-known keys.
 	x.mu.Lock()
 	if e, ok := x.entries[key]; ok {
 		x.order.MoveToFront(e.elem)
@@ -138,15 +143,17 @@ func (x *SimIndex) Add(sp *spec.Spec, res *spec.Result) {
 		return
 	}
 	x.mu.Unlock()
-	sigs := neighborSigs(canon)
+	if sigs == nil {
+		sigs = x.Signatures(res.Spec)
+	}
 
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if e, ok := x.entries[key]; ok {
 		x.order.MoveToFront(e.elem)
-		return // plans are deterministic per canonical key; nothing to update
+		return
 	}
-	e := &simEntry{key: key, sp: canon, res: res, sigs: sigs}
+	e := &simEntry{key: key, sp: res.Spec, res: res, sigs: sigs}
 	e.elem = x.order.PushFront(e)
 	x.entries[key] = e
 	for _, sg := range sigs {
@@ -180,18 +187,11 @@ func (x *SimIndex) evictOldest() {
 	}
 }
 
-// Lookup returns a verified warm-start seed for sp, or nil when no
-// stored plan is within one edit. The returned Result targets sp's
-// canonical spec and is safe to pass as search.Options.SeedIncumbent.
-func (x *SimIndex) Lookup(sp *spec.Spec) *spec.Result {
-	canon, err := sp.CanonicalSpec()
-	if err != nil {
-		return nil
-	}
-	key, err := canon.CanonicalKey()
-	if err != nil {
-		return nil
-	}
+// Lookup returns a verified warm-start seed for canon — a canonical spec
+// whose key is key and whose signatures are sigs — or nil when no stored
+// plan is within one edit. The returned Result targets canon and is safe
+// to pass as search.Options.SeedIncumbent.
+func (x *SimIndex) Lookup(key string, canon *spec.Spec, sigs Signatures) *spec.Result {
 	sw, pt, err := canon.SharedTopology()
 	if err != nil {
 		return nil
@@ -229,7 +229,7 @@ func (x *SimIndex) Lookup(sp *spec.Spec) *spec.Result {
 		}
 	}
 	// Stored specs the query reduces to by one deletion.
-	for _, sg := range neighborSigs(canon) {
+	for _, sg := range sigs {
 		if e, ok := x.entries[sg.key]; ok {
 			cands = append(cands, candidate{entry: e, sig: sg, dir: -1})
 		}
@@ -269,23 +269,24 @@ func (x *SimIndex) Lookup(sp *spec.Spec) *spec.Result {
 	return nil
 }
 
-// neighborSigs computes the deletion signatures of a canonical spec:
-// one per removable flow (dropping the flow, the conflicts touching it,
-// and the modules left unused — always at least its outlet) and one per
-// conflict. Reductions that fail validation (e.g. the last flow) are
-// skipped.
-func neighborSigs(canon *spec.Spec) []simSig {
-	var sigs []simSig
-	for fi := range canon.Flows {
-		if red := dropFlow(canon, fi); red != nil {
-			if k, err := red.CanonicalKey(); err == nil {
+// Signatures computes the deletion signatures of sp: one per removable
+// flow (dropping the flow, the conflicts touching it, and the modules
+// left unused — always at least its outlet) and one per conflict, each
+// keyed by keyOf of the reduced spec. Flow and conflict indices refer to
+// sp's own order. Reductions that fail validation (e.g. the last flow)
+// are skipped.
+func (x *SimIndex) Signatures(sp *spec.Spec) Signatures {
+	sigs := make(Signatures, 0, len(sp.Flows)+len(sp.Conflicts))
+	for fi := range sp.Flows {
+		if red := dropFlow(sp, fi); red != nil {
+			if k, err := x.keyOf(red); err == nil {
 				sigs = append(sigs, simSig{key: k, flow: fi, conflict: -1})
 			}
 		}
 	}
-	for ci := range canon.Conflicts {
-		if red := dropConflict(canon, ci); red != nil {
-			if k, err := red.CanonicalKey(); err == nil {
+	for ci := range sp.Conflicts {
+		if red := dropConflict(sp, ci); red != nil {
+			if k, err := x.keyOf(red); err == nil {
 				sigs = append(sigs, simSig{key: k, flow: -1, conflict: ci})
 			}
 		}

@@ -7,9 +7,10 @@
 // other members of each group are answered by adapting the shared plan
 // onto their own flow indexing — the same adaptation every cache hit
 // performs — so a 100-spec batch with 7 distinct keys costs 7 solves.
-// Cross-batch dedup is free: each group's representative goes through
-// Do, which consults the memory, disk and peer cache tiers and attaches
-// to any in-flight solve of the same key.
+// Cross-batch dedup is free: each group's representative takes Do's
+// path under the key the grouping derived, which consults the memory,
+// disk and peer cache tiers and attaches to any in-flight solve of the
+// same key.
 //
 // Failure is per-item: an invalid member, or a representative shed by
 // the breaker or the admission queue, fails only its own group, and the
@@ -56,7 +57,7 @@ type BatchOutcome struct {
 
 // DoBatch synthesizes every item, solving each distinct canonical key
 // exactly once. Groups run concurrently; within a group the first member
-// is the representative whose Do call admits, solves (or hits a cache
+// is the representative whose request admits, solves (or hits a cache
 // tier) and pays the queue wait, and the rest adapt its plan. The
 // returned slice has one outcome per input item, in input order.
 func (e *Engine) DoBatch(ctx context.Context, items []BatchSpec) []BatchOutcome {
@@ -91,10 +92,11 @@ func (e *Engine) DoBatch(ctx context.Context, items []BatchSpec) []BatchOutcome 
 	for _, key := range order {
 		members := groups[key]
 		wg.Add(1)
-		go func(members []int) {
+		go func(key string, members []int) {
 			defer wg.Done()
 			rep := members[0]
-			resp, err := e.Do(ctx, items[rep].Spec, items[rep].Opts)
+			e.metrics.jobsSubmitted.Add(1)
+			resp, err := e.doKeyed(ctx, key, items[rep].Spec, items[rep].Opts, nil)
 			out[rep].Resp, out[rep].Err = resp, err
 			for _, i := range members[1:] {
 				e.metrics.jobsSubmitted.Add(1)
@@ -121,7 +123,7 @@ func (e *Engine) DoBatch(ctx context.Context, items []BatchSpec) []BatchOutcome 
 				e.metrics.batchDeduped.Add(1)
 				out[i].Resp = mresp
 			}
-		}(members)
+		}(key, members)
 	}
 	wg.Wait()
 	return out

@@ -46,7 +46,14 @@ import (
 	"switchsynth/internal/store"
 )
 
-// Config sizes the engine.
+// Config sizes the engine. The spec-similarity warm-start index is not
+// configurable: every engine holds one of
+// portfolio.DefaultSimIndexCapacity plans. It learns each proven plan
+// where the plan enters the memory tier — a fresh solve, a peer fill or
+// import (install), a disk read (fromTiers), the last even with a
+// disabled memory tier — and every solve probes it for a starting
+// incumbent adapted from a one-edit neighbor. Warm starts only tighten
+// the initial bound; plans stay bit-identical to a cold solve.
 type Config struct {
 	// Workers is the number of concurrent solver goroutines
 	// (default runtime.GOMAXPROCS(0)).
@@ -106,15 +113,6 @@ type Config struct {
 	// (fill, import) are already replicating and are not re-pushed, so
 	// replication cannot amplify into a loop.
 	OnPlanStored func(key string, data []byte)
-	// SimIndexSize bounds the spec-similarity warm-start index in entries
-	// (default 512; negative disables it). The index is populated with
-	// every proven plan solved here or admitted from elsewhere (filled,
-	// imported or read from disk, on its first full verification) and
-	// consulted on every cold solve: a stored plan for the same
-	// spec family (one module/flow removed or added, one conflict
-	// toggled) is adapted into a starting incumbent. Warm starts only tighten the initial
-	// bound; plans stay bit-identical to a cold solve.
-	SimIndexSize int
 }
 
 func (c Config) workers() int {
@@ -176,17 +174,6 @@ func (c Config) breakerCooldown() time.Duration {
 		return c.BreakerCooldown
 	}
 	return 5 * time.Second
-}
-
-func (c Config) simIndexSize() int {
-	switch {
-	case c.SimIndexSize > 0:
-		return c.SimIndexSize
-	case c.SimIndexSize < 0:
-		return 0
-	default:
-		return portfolio.DefaultSimIndexCapacity
-	}
 }
 
 // Response is the outcome of one synthesis request.
@@ -263,9 +250,9 @@ type Engine struct {
 	inj      *faultinject.Injector
 	flights  *flightGroup
 	metrics  *Metrics
-	// simIndex is the spec-similarity warm-start index (nil when
-	// disabled): proven plans are added as they land, cold solves probe
-	// it for an adapted starting incumbent.
+	// simIndex is the spec-similarity warm-start index, keyed by job
+	// key: proven plans are added as they enter the memory tier, solves
+	// probe it for an adapted starting incumbent.
 	simIndex *portfolio.SimIndex
 
 	// draining is set by StartDrain (graceful shutdown has begun):
@@ -308,6 +295,7 @@ func New(cfg Config) *Engine {
 		fill:     cfg.PeerFill,
 		onStored: cfg.OnPlanStored,
 		neg:      newNegCache(negCacheSize),
+		simIndex: portfolio.NewSimIndex(portfolio.DefaultSimIndexCapacity, JobKey),
 		verified: planio.SharedVerified,
 		inj:      cfg.FaultInjector,
 		flights:  newFlightGroup(),
@@ -319,9 +307,6 @@ func New(cfg Config) *Engine {
 	}
 	if th := cfg.breakerThreshold(); th > 0 {
 		e.breakers = admission.NewBreakers(th, cfg.breakerCooldown())
-	}
-	if size := cfg.simIndexSize(); size > 0 {
-		e.simIndex = portfolio.NewSimIndex(size)
 	}
 	if e.store != nil {
 		// Records filed under another engine's suffix are never read
@@ -373,6 +358,12 @@ func (e *Engine) do(ctx context.Context, sp *spec.Spec, opts switchsynth.Options
 		e.classifyFailure(err)
 		return nil, err
 	}
+	return e.doKeyed(ctx, key, sp, opts, emit)
+}
+
+// doKeyed is do for a submission already counted whose job key the
+// caller derived (DoBatch keys every member while grouping).
+func (e *Engine) doKeyed(ctx context.Context, key string, sp *spec.Spec, opts switchsynth.Options, emit func(*Response, bool) error) (*Response, error) {
 	if opts.TimeLimit == 0 {
 		opts.TimeLimit = e.cfg.defaultTimeLimit()
 	}
@@ -411,7 +402,7 @@ func (e *Engine) do(ctx context.Context, sp *spec.Spec, opts switchsynth.Options
 					e.metrics.peerHits.Add(1)
 					// A store failure only costs a later re-fill; the
 					// store's own error counters surface it.
-					_ = e.install(key, res, data)
+					_ = e.install(key, res, data, nil)
 					e.metrics.jobsCompleted.Add(1)
 					return resp, nil
 				}
@@ -470,7 +461,8 @@ func (e *Engine) do(ctx context.Context, sp *spec.Spec, opts switchsynth.Options
 // not belong to — is healed (dropped from its tier, so the caller
 // re-solves), never served. A disk hit is promoted to the memory tier
 // with its stored frame, so the next hit skips the disk read and peers
-// get the exact bytes without a re-encode. A disabled memory tier
+// get the exact bytes without a re-encode, and the similarity index
+// learns it — with or without a memory tier. A disabled memory tier
 // (capacity <= 0) is skipped here and in runJob: requests still
 // coalesce through the flight group and, in a disk-only configuration,
 // are served from the store.
@@ -496,6 +488,7 @@ func (e *Engine) fromTiers(key string, sp *spec.Spec, opts switchsynth.Options) 
 			if e.cache.enabled() {
 				e.cache.put(key, res, data)
 			}
+			e.simIndex.Add(key, res, nil)
 			return resp, true
 		}
 	}
@@ -569,9 +562,8 @@ func (e *ErrPlanRejected) Unwrap() error { return e.Err }
 // check under key return at once. Anything else is decoded, must carry
 // an optimality proof, must re-derive exactly key as its canonical job
 // key, and must pass the full contamination verifier; only then is its
-// digest recorded and the similarity index taught the plan — once per
-// byte string, never on a digest hit. Callers keep their own counters
-// and heal actions.
+// digest recorded. Callers keep their own counters and heal actions, and
+// the tier that takes the plan in also teaches the similarity index.
 func (e *Engine) admitPlan(key string, data []byte) (*spec.Result, error) {
 	if res, ok := e.verified.Lookup(data, key); ok {
 		return res, nil
@@ -600,20 +592,20 @@ func (e *Engine) admitPlan(key string, data []byte) (*spec.Result, error) {
 		return reject(err)
 	}
 	e.verified.Add(data, key, res)
-	if e.simIndex != nil {
-		e.simIndex.Add(res.Spec, res)
-	}
 	return res, nil
 }
 
 // install puts a proven plan and its frame into the memory tier and the
-// durable store: plans admitted from a peer (fill, import) and fresh
-// solves alike. A store failure is returned; the store is a cache, so
-// most callers absorb it.
-func (e *Engine) install(key string, res *spec.Result, data []byte) error {
+// durable store, and teaches the similarity index the plan: plans
+// admitted from a peer (fill, import) and fresh solves alike. sigs are
+// the plan's neighbor signatures when the caller already derived them
+// (a solve), else nil. A store failure is returned; the store is a
+// cache, so most callers absorb it.
+func (e *Engine) install(key string, res *spec.Result, data []byte, sigs portfolio.Signatures) error {
 	if e.cache.enabled() {
 		e.cache.put(key, res, data)
 	}
+	e.simIndex.Add(key, res, sigs)
 	if e.store != nil && data != nil {
 		return e.store.Put(key, res.Engine, data)
 	}
@@ -683,7 +675,7 @@ func (e *Engine) ImportPlan(key string, data []byte) error {
 		e.metrics.peerRejected.Add(1)
 		return err
 	}
-	if err := e.install(key, res, data); err != nil {
+	if err := e.install(key, res, data, nil); err != nil {
 		return err
 	}
 	e.metrics.peerImported.Add(1)
@@ -832,8 +824,9 @@ func (e *Engine) classifyFailure(err error) {
 // are what make cmd/experiments' parallel campaign byte-reproducible.
 func (e *Engine) runJob(j job) {
 	var (
-		res *spec.Result
-		err error
+		res  *spec.Result
+		sigs portfolio.Signatures
+		err  error
 	)
 	e.inj.Fire(faultinject.QueueStall)
 	// Publish every anytime improvement the optimizer installs on the
@@ -860,7 +853,7 @@ func (e *Engine) runJob(j job) {
 		var canon *spec.Spec
 		canon, err = j.sp.CanonicalSpec()
 		if err == nil {
-			res, err = e.solveCanonical(canon, opts)
+			res, sigs, err = e.solveCanonical(j.key, canon, opts)
 		}
 	}()
 	e.metrics.observeSolve(time.Since(start))
@@ -885,7 +878,7 @@ func (e *Engine) runJob(j job) {
 			// Store write-through failures are absorbed: the store is a
 			// cache, not a system of record, and its error counters surface
 			// in the metrics.
-			_ = e.install(j.key, res, wire)
+			_ = e.install(j.key, res, wire, sigs)
 			// The cache-corruption fault overwrites the memory entry only;
 			// the store and the flight keep the pristine plan (the store has
 			// its own disk fault points).
@@ -915,29 +908,24 @@ func (e *Engine) runJob(j job) {
 // merely matching its warm-start seed rather than tightening it.
 const seedTightenEps = 1e-9
 
-// solveCanonical runs the optimizer on the canonical spec through the
-// injectable e.solve, the one solve path. Every solve probes the
-// similarity index for a warm-start seed; the seed only tightens the
-// initial bound, so plans are byte-identical with or without it and the
-// index never partitions the cache. Proven plans feed back into the
-// index for future neighbors.
-func (e *Engine) solveCanonical(canon *spec.Spec, opts switchsynth.Options) (*spec.Result, error) {
-	var seed *spec.Result
-	if e.simIndex != nil {
-		if seed = e.simIndex.Lookup(canon); seed != nil {
-			opts.SeedIncumbent = seed
-		}
+// solveCanonical runs the optimizer on canon, the canonical spec of job
+// key, through the injectable e.solve, the one solve path. Every solve
+// probes the similarity index for a warm-start seed; the seed only
+// tightens the initial bound, so plans are byte-identical with or
+// without it and the index never partitions the cache. The neighbor
+// signatures derived for the probe are returned, so that install teaches
+// the index a proven plan without deriving them again.
+func (e *Engine) solveCanonical(key string, canon *spec.Spec, opts switchsynth.Options) (*spec.Result, portfolio.Signatures, error) {
+	sigs := e.simIndex.Signatures(canon)
+	seed := e.simIndex.Lookup(key, canon, sigs)
+	if seed != nil {
+		opts.SeedIncumbent = seed
 	}
 	res, err := e.solve(e.baseCtx, canon, opts)
-	if err == nil && res != nil && res.Proven {
-		if seed != nil && res.Objective < seed.Objective-seedTightenEps {
-			e.metrics.seedTightened.Add(1)
-		}
-		if e.simIndex != nil {
-			e.simIndex.Add(canon, res)
-		}
+	if err == nil && res != nil && res.Proven && seed != nil && res.Objective < seed.Objective-seedTightenEps {
+		e.metrics.seedTightened.Add(1)
 	}
-	return res, err
+	return res, sigs, err
 }
 
 // recordBreaker feeds a solve outcome into the key's circuit breaker:
@@ -983,13 +971,11 @@ func (e *Engine) Snapshot() Snapshot {
 	s.SolverWorkers = e.cfg.solverWorkers()
 	s.SolverNodesTotal, s.SolverStealsTotal = search.Counters()
 	s.SeedsAdopted, s.SeedsRejected = search.SeedCounters()
-	if e.simIndex != nil {
-		st := e.simIndex.Stats()
-		s.SimIndexEntries = st.Entries
-		s.SimIndexCapacity = st.Capacity
-		s.SimIndexLookups = st.Lookups
-		s.SimIndexHits = st.Hits
-	}
+	sim := e.simIndex.Stats()
+	s.SimIndexEntries = sim.Entries
+	s.SimIndexCapacity = sim.Capacity
+	s.SimIndexLookups = sim.Lookups
+	s.SimIndexHits = sim.Hits
 	if e.store != nil {
 		st := e.store.Stats()
 		s.StoreEnabled = true
@@ -1048,5 +1034,12 @@ func JobKey(sp *spec.Spec) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return base + "|" + searchEngine, nil
+	return JobKeyOf(base), nil
+}
+
+// JobKeyOf is JobKey for a spec whose canonical key the caller already
+// derived: the client keys idempotent retries by the canonical key and
+// ranks peers by the job key, from one derivation.
+func JobKeyOf(canonicalKey string) string {
+	return canonicalKey + "|" + searchEngine
 }

@@ -83,13 +83,13 @@ func TestPortfolioBenchReport(t *testing.T) {
 	}
 	neighborDrops := []int{1, 5, 9}
 
-	// Cold reference: no similarity index.
-	cold := newTestEngine(t, Config{Workers: 1, SimIndexSize: -1})
-	_, coldBaseSec := timed(cold, benchRing16("ring16"))
+	// Cold reference: a fresh engine per solve, so its similarity index
+	// is empty and nothing warm-starts.
+	_, coldBaseSec := timed(newTestEngine(t, Config{Workers: 1}), benchRing16("ring16"))
 	coldNeighbor := make([]float64, len(neighborDrops))
 	coldRes := make([]*Response, len(neighborDrops))
 	for i, d := range neighborDrops {
-		coldRes[i], coldNeighbor[i] = timed(cold, ringNeighbor("ring16-n"+strconv.Itoa(d), d))
+		coldRes[i], coldNeighbor[i] = timed(newTestEngine(t, Config{Workers: 1}), ringNeighbor("ring16-n"+strconv.Itoa(d), d))
 	}
 
 	// Warm: the base solve populates the index; every neighbor solve

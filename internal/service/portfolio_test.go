@@ -39,10 +39,10 @@ func planBytes(t *testing.T, res *spec.Result) []byte {
 
 // TestWarmStartAcrossNeighborSolves solves a spec, then its one-edit
 // neighbor, and expects the second solve to warm-start from the first —
-// with the warm plan byte-identical to a cold engine's.
+// with the warm plan byte-identical to a fresh engine's cold solve.
 func TestWarmStartAcrossNeighborSolves(t *testing.T) {
 	warm := newTestEngine(t, Config{Workers: 1})
-	coldEng := newTestEngine(t, Config{Workers: 1, SimIndexSize: -1})
+	coldEng := newTestEngine(t, Config{Workers: 1})
 
 	if _, err := warm.Do(context.Background(), serviceSpec("base"), switchsynth.Options{}); err != nil {
 		t.Fatal(err)
@@ -72,9 +72,8 @@ func TestWarmStartAcrossNeighborSolves(t *testing.T) {
 	if snap.SeedsRejected != 0 && snap.SeedsAdopted == 0 {
 		t.Errorf("seeds: adopted=%d rejected=%d — adapted neighbor seed should adopt", snap.SeedsAdopted, snap.SeedsRejected)
 	}
-	if cs := coldEng.Snapshot(); cs.SimIndexHits != 0 || cs.SimIndexLookups != 0 || cs.SimIndexCapacity != 0 {
-		t.Errorf("disabled simindex still counting: hits=%d lookups=%d capacity=%d",
-			cs.SimIndexHits, cs.SimIndexLookups, cs.SimIndexCapacity)
+	if hits := coldEng.Snapshot().SimIndexHits; hits != 0 {
+		t.Errorf("fresh engine: simindex hits = %d, want 0 (a cold solve)", hits)
 	}
 
 	// The warm-start counters keep their /metrics names.
@@ -91,5 +90,84 @@ func TestWarmStartAcrossNeighborSolves(t *testing.T) {
 		if _, ok := m[key]; !ok {
 			t.Errorf("/metrics snapshot missing %q", key)
 		}
+	}
+}
+
+// TestWarmStartFromEveryTierFeed teaches the similarity index through
+// each door a plan enters the memory tier by other than a local solve —
+// an ImportPlan, a peer fill, and a disk read with the memory tier
+// disabled — and expects the one-edit neighbor solved next to
+// warm-start from it, byte-identical to a fresh engine's cold solve.
+func TestWarmStartFromEveryTierFeed(t *testing.T) {
+	ctx := context.Background()
+	src := newTestEngine(t, Config{Workers: 1})
+	resp, err := src.Do(ctx, serviceSpec("base"), switchsynth.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := resp.Key
+	data, ok := src.PlanBytes(key)
+	if !ok {
+		t.Fatal("source engine holds no plan bytes for the base key")
+	}
+	cold, err := newTestEngine(t, Config{Workers: 1}).Do(ctx, neighborServiceSpec("neighbor"), switchsynth.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldBytes := planBytes(t, cold.Synthesis.Result)
+
+	arms := []struct {
+		name string
+		// feed returns an engine that took the base plan in through its door.
+		feed func(t *testing.T) *Engine
+	}{
+		{"import", func(t *testing.T) *Engine {
+			e := newTestEngine(t, Config{Workers: 1})
+			if err := e.ImportPlan(key, data); err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}},
+		{"peer-fill", func(t *testing.T) *Engine {
+			e := newTestEngine(t, Config{Workers: 1, PeerFill: func(_ context.Context, k string) ([]byte, error) {
+				if k == key {
+					return data, nil
+				}
+				return nil, nil
+			}})
+			if r, err := e.Do(ctx, serviceSpec("base"), switchsynth.Options{}); err != nil || !r.PeerHit {
+				t.Fatalf("base request: err=%v, want a peer hit", err)
+			}
+			return e
+		}},
+		{"disk-only", func(t *testing.T) *Engine {
+			st := openStoreT(t, t.TempDir())
+			if err := st.Put(key, searchEngine, data); err != nil {
+				t.Fatal(err)
+			}
+			e := newTestEngine(t, Config{Workers: 1, CacheSize: -1, Store: st})
+			if r, err := e.Do(ctx, serviceSpec("base"), switchsynth.Options{}); err != nil || !r.DiskHit {
+				t.Fatalf("base request: err=%v, want a disk hit", err)
+			}
+			return e
+		}},
+	}
+	for _, arm := range arms {
+		t.Run(arm.name, func(t *testing.T) {
+			e := arm.feed(t)
+			if n := e.Snapshot().SimIndexEntries; n != 1 {
+				t.Fatalf("simindex entries = %d after the feed, want 1", n)
+			}
+			warm, err := e.Do(ctx, neighborServiceSpec("neighbor"), switchsynth.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hits := e.Snapshot().SimIndexHits; hits != 1 {
+				t.Errorf("simindex hits = %d, want 1 (the neighbor warm-starts)", hits)
+			}
+			if !bytes.Equal(planBytes(t, warm.Synthesis.Result), coldBytes) {
+				t.Error("warm-started plan differs from the cold solve")
+			}
+		})
 	}
 }
