@@ -144,14 +144,14 @@ func main() {
 		fmt.Println("== Columba spine baseline pollution (Figures 4.1(d), 4.2(c)(d)) ==")
 		t := report.NewTable("case", "polluted conflict pairs", "contaminated nodes", "contaminated segments")
 		for _, c := range []cases.Case{cases.NucleicAcid(), cases.MRNAIsolation(), cases.ChIPSw1()} {
-			cmp, err := exp.RunSpineBaseline(c)
+			rep, err := switchsynth.SpineBaseline(c.Spec)
 			if err != nil {
 				fatal(err)
 			}
-			t.AddRow(cmp.Case,
-				fmt.Sprint(cmp.Report.ConflictPairsPolluted),
-				fmt.Sprint(len(cmp.Report.ContaminatedVertices)),
-				fmt.Sprint(len(cmp.Report.ContaminatedEdges)))
+			t.AddRow(c.Spec.Name,
+				fmt.Sprint(rep.PollutedPairs),
+				fmt.Sprint(rep.ContaminatedNodes),
+				fmt.Sprint(rep.ContaminatedSegments))
 		}
 		fmt.Println(t.String())
 		save("spine-baseline.txt", t.String())

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"switchsynth/internal/cases"
 	"switchsynth/internal/planio"
 	"switchsynth/internal/search"
 	"switchsynth/internal/spec"
@@ -100,6 +101,39 @@ func TestVerifyFileCrossbarRegression(t *testing.T) {
 	p := writePlan(t, t.TempDir(), "xbar.json", data)
 	if err := verifyFile(p, true); err != nil {
 		t.Errorf("valid crossbar plan failed the audit: %v", err)
+	}
+}
+
+// TestVerifyFileAcceptsFlowLevelConflicts: five seed-42 campaign plans
+// route a flow over the residue of a sibling of a conflicting flow — the
+// same inlet, but not the conflicting flow itself. Contamination is a
+// relation between flows (constraint 3.3), so the audit accepts them.
+func TestVerifyFileAcceptsFlowLevelConflicts(t *testing.T) {
+	named := map[string]bool{
+		"artificial-28": true, "artificial-60": true,
+		"fpva-47": true, "fpva-63": true, "fpva-82": true,
+	}
+	dir := t.TempDir()
+	for _, c := range append(cases.Artificial(90, 42), cases.ArtificialFPVA(90, 42)...) {
+		if !named[c.Spec.Name] {
+			continue
+		}
+		res, err := search.Solve(c.Spec, search.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.Spec.Name, err)
+		}
+		frame, err := planio.EncodeBinary(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := writePlan(t, dir, c.Spec.Name+".plan", frame)
+		if err := verifyFile(p, true); err != nil {
+			t.Errorf("%s: %v", c.Spec.Name, err)
+		}
+		delete(named, c.Spec.Name)
+	}
+	if len(named) > 0 {
+		t.Errorf("cases not generated: %v", named)
 	}
 }
 

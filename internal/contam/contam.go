@@ -16,7 +16,6 @@ package contam
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"switchsynth/internal/spec"
 	"switchsynth/internal/topo"
@@ -104,17 +103,14 @@ func Verify(res *spec.Result) error {
 		return fmt.Errorf("contam: Length=%v but used channels sum to %v", res.Length, wantLen)
 	}
 
-	// Contamination: conflicting flows must be fully node- (hence segment-)
-	// disjoint across all time.
-	for _, c := range sp.Conflicts {
-		a, b := res.Routes[c[0]], res.Routes[c[1]]
-		if a.Path.VertMask.Intersects(b.Path.VertMask) {
-			return fmt.Errorf("contam: conflicting flows %d and %d share a node", c[0], c[1])
-		}
-	}
-
-	// Collision: per set, one inlet per node and per segment.
+	// Contamination (3.3): conflicting flows share no node, hence no
+	// segment, at any time. Collision (3.4–3.6): per set, one inlet per
+	// node.
 	rep := Analyze(sp, sw, res.Routes)
+	if len(rep.PollutedPairs) > 0 {
+		c := rep.PollutedPairs[0]
+		return fmt.Errorf("contam: conflicting flows %d and %d share a node", c[0], c[1])
+	}
 	if len(rep.CollidingVertices) > 0 {
 		v := rep.CollidingVertices[0]
 		return fmt.Errorf("contam: node %s used by multiple inlets in one set", sw.Vertices[v].Name)
@@ -175,14 +171,16 @@ func verifyClockwise(sp *spec.Spec, pinOf map[string]int) error {
 // meaningful for baselines that cannot satisfy the rules (e.g. spine
 // switches); for verified plans all slices are empty.
 type Report struct {
+	// PollutedPairs lists, in spec order, the conflicting flow pairs that
+	// share a node or segment anywhere.
+	PollutedPairs [][2]int
 	// ContaminatedVertices are nodes shared by at least one conflicting
 	// flow pair.
 	ContaminatedVertices []int
 	// ContaminatedEdges are segments shared by at least one conflicting
 	// flow pair.
 	ContaminatedEdges []int
-	// ConflictPairsPolluted counts the conflicting pairs that share a node
-	// or segment anywhere.
+	// ConflictPairsPolluted is len(PollutedPairs).
 	ConflictPairsPolluted int
 	// CollidingVertices are nodes used, within one set, by flows of more
 	// than one inlet module.
@@ -191,66 +189,52 @@ type Report struct {
 
 // Clean reports whether no contamination and no collisions were found.
 func (r Report) Clean() bool {
-	return len(r.ContaminatedVertices) == 0 && len(r.ContaminatedEdges) == 0 &&
-		r.ConflictPairsPolluted == 0 && len(r.CollidingVertices) == 0
+	return len(r.PollutedPairs) == 0 && len(r.CollidingVertices) == 0
 }
 
-// Analyze computes the pollution report for routes on sw under sp.
+// Analyze computes the pollution report for routes on sw under sp. It is
+// the one place that decides whether two routes share geometry: Verify
+// rejects a plan with a polluted pair, and wash scheduling separates each
+// polluted pair by a wash.
 func Analyze(sp *spec.Spec, sw *topo.Switch, routes []spec.Route) Report {
 	var rep Report
-	vSet := map[int]bool{}
-	eSet := map[int]bool{}
+	var verts, edges topo.Bits
 	for _, c := range sp.Conflicts {
 		if c[0] >= len(routes) || c[1] >= len(routes) {
 			continue
 		}
 		a, b := routes[c[0]].Path, routes[c[1]].Path
-		shared := a.VertMask.And(b.VertMask)
-		sharedE := a.EdgeMask.And(b.EdgeMask)
-		if !shared.IsZero() || !sharedE.IsZero() {
-			rep.ConflictPairsPolluted++
+		shared, sharedE := a.VertMask.And(b.VertMask), a.EdgeMask.And(b.EdgeMask)
+		if shared.IsZero() && sharedE.IsZero() {
+			continue
 		}
-		for _, v := range shared.Indices() {
-			vSet[v] = true
-		}
-		for _, e := range sharedE.Indices() {
-			eSet[e] = true
-		}
+		rep.PollutedPairs = append(rep.PollutedPairs, c)
+		verts, edges = verts.Or(shared), edges.Or(sharedE)
 	}
-	rep.ContaminatedVertices = sortedKeys(vSet)
-	rep.ContaminatedEdges = sortedKeys(eSet)
+	rep.ConflictPairsPolluted = len(rep.PollutedPairs)
+	rep.ContaminatedVertices = verts.Indices()
+	rep.ContaminatedEdges = edges.Indices()
 
-	// Collisions: group routes by set; within a set, each interior vertex
-	// must be used by flows from one inlet module only.
-	bySet := map[int][]spec.Route{}
-	for _, rt := range routes {
-		bySet[rt.Set] = append(bySet[rt.Set], rt)
-	}
-	collide := map[int]bool{}
-	for _, rts := range bySet {
-		ownerOf := map[int]string{}
-		for _, rt := range rts {
-			inlet := sp.Flows[rt.Flow].From
-			for _, v := range rt.Path.Verts[1 : len(rt.Path.Verts)-1] {
-				if o, ok := ownerOf[v]; ok && o != inlet {
-					collide[v] = true
-				} else {
-					ownerOf[v] = inlet
-				}
+	// Collisions: within one set, each interior vertex must be used by
+	// flows from one inlet module only.
+	var collide topo.Bits
+	for i, a := range routes {
+		for _, b := range routes[i+1:] {
+			if a.Set == b.Set && sp.Flows[a.Flow].From != sp.Flows[b.Flow].From {
+				collide = collide.Or(interior(a.Path).And(interior(b.Path)))
 			}
 		}
 	}
-	rep.CollidingVertices = sortedKeys(collide)
+	rep.CollidingVertices = collide.Indices()
 	return rep
 }
 
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
+// interior returns the vertices of p without its two pin endpoints.
+func interior(p topo.Path) topo.Bits {
+	m := p.VertMask
+	m.Clear(p.Verts[0])
+	m.Clear(p.Verts[len(p.Verts)-1])
+	return m
 }
 
 // BaselineRoutes routes every flow of sp on sw along the lexicographically

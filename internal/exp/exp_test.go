@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"switchsynth/internal/cases"
 	"switchsynth/internal/report"
 )
 
@@ -110,21 +109,6 @@ func TestRunCampaign(t *testing.T) {
 	// cases; no-solutions only occur under fixed/clockwise binding.
 	if res.Stats.NoSolutionByPolicy["unfixed"] != 0 {
 		t.Errorf("unfixed produced %d no-solutions", res.Stats.NoSolutionByPolicy["unfixed"])
-	}
-}
-
-func TestRunSpineBaselinePollution(t *testing.T) {
-	for _, c := range []cases.Case{cases.NucleicAcid(), cases.MRNAIsolation()} {
-		cmp, err := RunSpineBaseline(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cmp.Report.ConflictPairsPolluted == 0 {
-			t.Errorf("%s: spine baseline should pollute conflicting pairs", cmp.Case)
-		}
-		if !strings.Contains(cmp.SVG, "</svg>") {
-			t.Errorf("%s: baseline SVG malformed", cmp.Case)
-		}
 	}
 }
 

@@ -16,8 +16,12 @@
 //   - Collision: two different inlets' fluids meeting in the same flow set.
 //   - Unreached: a scheduled flow whose outlet its fluid cannot reach
 //     (an over-closed valve).
-//   - Contamination: fluid touching the residue of a conflicting fluid.
-//     Residue persists on every channel and junction a fluid ever touched.
+//   - Contamination: a flow touching the residue of a flow it conflicts
+//     with (constraint 3.3, stated over flows, as contam.Verify checks it).
+//     Residue persists on every channel and junction a fluid ever wetted
+//     and belongs to the inlet's active flows routed through it, or to all
+//     of them where the wetting is off every route (dead ends, channels
+//     behind removed valves).
 //
 // A verified synthesis must simulate with a clean report; the baselines
 // must not. Both facts are asserted in the test suites.
@@ -29,6 +33,7 @@ import (
 
 	"switchsynth/internal/clique"
 	"switchsynth/internal/spec"
+	"switchsynth/internal/topo"
 	"switchsynth/internal/valve"
 )
 
@@ -147,37 +152,63 @@ func Run(res *spec.Result, opts Options) (*Report, error) {
 	for m, p := range res.PinOf {
 		moduleAtPin[sw.PinVertex(p)] = m
 	}
-	// Conflicting fluid pairs (by inlet module).
-	conflictFluid := map[[2]string]bool{}
-	for _, c := range res.Spec.Conflicts {
-		a := res.Spec.Flows[c[0]].From
-		b := res.Spec.Flows[c[1]].From
-		conflictFluid[[2]string{a, b}] = true
-		conflictFluid[[2]string{b, a}] = true
+	// The flows whose route passes each vertex and edge, and each flow's
+	// conflict partners (the paper's set CF), as bitsets over flow indices
+	// (a valid spec has at most one flow per outlet pin).
+	flows := res.Spec.Flows
+	routeV := make([]topo.Bits, len(sw.Vertices))
+	routeE := make([]topo.Bits, len(sw.Edges))
+	for _, rt := range res.Routes {
+		for _, v := range rt.Path.Verts {
+			routeV[v].Set(rt.Flow)
+		}
+		for _, e := range rt.Path.EdgeIDs {
+			routeE[e].Set(rt.Flow)
+		}
+	}
+	conflicts := make([]topo.Bits, len(flows))
+	for f, others := range res.Spec.ConflictsWith() {
+		for _, g := range others {
+			conflicts[f].Set(g)
+		}
 	}
 
 	rep := &Report{FluidReach: make([]map[string][]int, nSets)}
-	// Residues on vertices and edges: fluid name → touched.
-	vertResidue := make([]map[string]bool, len(sw.Vertices))
-	edgeResidue := make([]map[string]bool, len(sw.Edges))
-	for i := range vertResidue {
-		vertResidue[i] = map[string]bool{}
-	}
-	for i := range edgeResidue {
-		edgeResidue[i] = map[string]bool{}
+	// Residue on vertices and edges: the flows whose fluid was left there.
+	vertResidue := make([]topo.Bits, len(sw.Vertices))
+	edgeResidue := make([]topo.Bits, len(sw.Edges))
+	// contaminate reports every fluid whose older residue at an element
+	// conflicts with a flow charged there.
+	contaminate := func(set int, fluid string, charged, residue topo.Bits, where string) {
+		var hit topo.Bits
+		for _, f := range charged.Indices() {
+			hit = hit.Or(residue.And(conflicts[f]))
+		}
+		seen := map[string]bool{}
+		for _, g := range hit.Indices() {
+			if other := flows[g].From; !seen[other] {
+				seen[other] = true
+				rep.Events = append(rep.Events, Event{
+					Kind: Contamination, Set: set, Fluid: fluid, Other: other, Where: where,
+				})
+			}
+		}
 	}
 
 	for pos, set := range order {
 		closed := closedInSet[set]
-		// Which fluids are active, and which outlets they expect this set.
-		active := map[string]bool{}
+		// Which flows of each fluid are active, and which outlets they
+		// expect this set.
+		active := map[string]topo.Bits{}
 		expect := map[string]map[int]bool{} // fluid → outlet pin vertices
 		for _, rt := range res.Routes {
 			if rt.Set != set {
 				continue
 			}
-			f := res.Spec.Flows[rt.Flow]
-			active[f.From] = true
+			f := flows[rt.Flow]
+			fs := active[f.From]
+			fs.Set(rt.Flow)
+			active[f.From] = fs
 			if expect[f.From] == nil {
 				expect[f.From] = map[int]bool{}
 			}
@@ -221,27 +252,13 @@ func Run(res *spec.Result, opts Options) (*Report, error) {
 					})
 				}
 			}
-			// Contamination by older residue of a conflicting fluid: any
+			// Contamination by older residue of a conflicting flow: any
 			// wetted channel counts, dead ends included.
 			for _, v := range wetV {
-				for other := range vertResidue[v] {
-					if conflictFluid[[2]string{fluid, other}] {
-						rep.Events = append(rep.Events, Event{
-							Kind: Contamination, Set: set, Fluid: fluid, Other: other,
-							Where: sw.Vertices[v].Name,
-						})
-					}
-				}
+				contaminate(set, fluid, charge(active[fluid], routeV[v]), vertResidue[v], sw.Vertices[v].Name)
 			}
 			for _, e := range wetE {
-				for other := range edgeResidue[e] {
-					if conflictFluid[[2]string{fluid, other}] {
-						rep.Events = append(rep.Events, Event{
-							Kind: Contamination, Set: set, Fluid: fluid, Other: other,
-							Where: sw.Edges[e].Name,
-						})
-					}
-				}
+				contaminate(set, fluid, charge(active[fluid], routeE[e]), edgeResidue[e], sw.Edges[e].Name)
 			}
 			// Unreached outlets.
 			reached := map[int]bool{}
@@ -276,26 +293,34 @@ func Run(res *spec.Result, opts Options) (*Report, error) {
 		// Deposit residue on everything wetted.
 		for fluid, verts := range reach {
 			for _, v := range verts {
-				vertResidue[v][fluid] = true
+				vertResidue[v] = vertResidue[v].Or(charge(active[fluid], routeV[v]))
 			}
 			for _, e := range reachE[fluid] {
-				edgeResidue[e][fluid] = true
+				edgeResidue[e] = edgeResidue[e].Or(charge(active[fluid], routeE[e]))
 			}
 		}
 		rep.FluidReach[set] = reach
 
 		// Wash flush.
 		if opts.WashAfter != nil && pos < len(opts.WashAfter) && opts.WashAfter[pos] {
-			for i := range vertResidue {
-				vertResidue[i] = map[string]bool{}
-			}
-			for i := range edgeResidue {
-				edgeResidue[i] = map[string]bool{}
-			}
+			clear(vertResidue)
+			clear(edgeResidue)
 		}
 	}
 	sortEvents(rep.Events)
 	return rep, nil
+}
+
+// charge names the flows that own the residue a fluid leaves on a wetted
+// vertex or edge: of the fluid's active flows, those whose route passes it
+// (pressure-driven flow carries residue downstream along its route), or
+// all of them where no route does (dead ends, channels behind removed
+// valves).
+func charge(active, onRoute topo.Bits) topo.Bits {
+	if c := active.And(onRoute); !c.IsZero() {
+		return c
+	}
+	return active
 }
 
 // effectiveClosures derives, per flow set, the set of closed edges.
@@ -459,6 +484,9 @@ func sortEvents(evts []Event) {
 		if evts[a].Fluid != evts[b].Fluid {
 			return evts[a].Fluid < evts[b].Fluid
 		}
-		return evts[a].Where < evts[b].Where
+		if evts[a].Where != evts[b].Where {
+			return evts[a].Where < evts[b].Where
+		}
+		return evts[a].Other < evts[b].Other
 	})
 }

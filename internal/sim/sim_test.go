@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -381,6 +382,109 @@ func TestArtificialCampaignSimulatesClean(t *testing.T) {
 		}
 		for _, e := range rep.Events {
 			t.Errorf("%s: %v", c.Spec.Name, e)
+		}
+	}
+}
+
+// TestSeed42CampaignsSimulateClean is the oracle for the flow-level
+// contamination model: every proven plan of the 90-case crossbar and FPVA
+// campaigns at seed 42 simulates clean with its valve analysis and the
+// minimum pressure cover, exactly as verifyplan audits it. The five named
+// plans pin the model: lifting conflicts to whole inlet modules rejects
+// all five, and charging every wetted element to all of an inlet's active
+// flows (instead of the flows routed through it) rejects fpva-47 and
+// fpva-63.
+func TestSeed42CampaignsSimulateClean(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves 180 campaign cases")
+	}
+	named := map[string]bool{
+		"artificial-28": false, "artificial-60": false,
+		"fpva-47": false, "fpva-63": false, "fpva-82": false,
+	}
+	proven := 0
+	for _, c := range append(cases.Artificial(90, 42), cases.ArtificialFPVA(90, 42)...) {
+		// No time limit, so the proven count does not depend on the
+		// host's speed; the slowest case takes ~4 s on 2 vCPUs.
+		res, err := search.Solve(c.Spec, search.Options{})
+		if err != nil {
+			continue // infeasible under the case's binding policy
+		}
+		proven++
+		if _, ok := named[c.Spec.Name]; ok {
+			named[c.Spec.Name] = true
+		}
+		va, err := valve.Analyze(res)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Spec.Name, err)
+		}
+		cover := clique.MinCover(valve.CompatibilityMatrix(va.EssentialValves()))
+		rep, err := Run(res, Options{Valves: va, Pressure: &cover})
+		if err != nil {
+			t.Fatalf("%s: %v", c.Spec.Name, err)
+		}
+		for _, e := range rep.Events {
+			t.Errorf("%s: %v", c.Spec.Name, e)
+		}
+	}
+	if proven != 158 {
+		t.Errorf("%d proven plans, want 158", proven)
+	}
+	for name, seen := range named {
+		if !seen {
+			t.Errorf("%s is not among the proven plans", name)
+		}
+	}
+}
+
+// TestContaminationEventOrderIsDeterministic: one flow meets the residue
+// of two conflicting inlets at the same junctions; the report must list
+// the events in the same order on every run.
+func TestContaminationEventOrderIsDeterministic(t *testing.T) {
+	sp := &spec.Spec{
+		Name:       "sim-order",
+		SwitchPins: 8,
+		Modules:    []string{"M1", "M2", "M3", "RC1", "RC2", "RC3"},
+		Flows: []spec.Flow{
+			{From: "M1", To: "RC1"},
+			{From: "M2", To: "RC2"},
+			{From: "M3", To: "RC3"},
+		},
+		Conflicts: [][2]int{{0, 2}, {1, 2}},
+		Binding:   spec.Unfixed,
+	}
+	spine, err := topo.NewSpine(len(sp.Modules))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinOf := contam.SourceFirstBinding(sp, spine)
+	routes, err := contam.BaselineRoutes(sp, spine, pinOf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &spec.Result{Spec: sp, Switch: spine, PinOf: pinOf, Routes: routes, NumSets: len(routes)}
+	for _, rt := range routes {
+		res.UsedEdgeMask = res.UsedEdgeMask.Or(rt.Path.EdgeMask)
+	}
+	events := func() []string {
+		rep, err := Run(res, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, e := range rep.Events {
+			out = append(out, e.String())
+		}
+		return out
+	}
+	want := events()
+	if !slices.Contains(want, "set 3: contamination of M3 vs M1 at J2") ||
+		!slices.Contains(want, "set 3: contamination of M3 vs M2 at J2") {
+		t.Fatalf("junction J2 should hold residue of both M1 and M2: %v", want)
+	}
+	for i := 0; i < 50; i++ {
+		if got := events(); !slices.Equal(got, want) {
+			t.Fatalf("run %d: events\n%v\nwant\n%v", i, got, want)
 		}
 	}
 }

@@ -65,20 +65,16 @@ func Schedule(sp *spec.Spec, opts Options) (*Plan, error) {
 	res.Spec = &full
 
 	plan := &Plan{Result: res}
-	// Which conflicting pairs share geometry? Those need wash separation.
+	// The conflicting pairs that share geometry need wash separation.
+	plan.SharedPairs = contam.Analyze(sp, res.Switch, res.Routes).PollutedPairs
 	var needs []need
-	for _, c := range sp.Conflicts {
-		pa, pb := res.Routes[c[0]].Path, res.Routes[c[1]].Path
-		if !pa.VertMask.Intersects(pb.VertMask) && !pa.EdgeMask.Intersects(pb.EdgeMask) {
-			continue // routed apart: no residue interaction
-		}
+	for _, c := range plan.SharedPairs {
 		sa, sb := res.Routes[c[0]].Set, res.Routes[c[1]].Set
 		if sa == sb {
 			// Cannot happen for different inlets (collision rule), and
 			// conflicts between same-inlet flows are rejected by Validate.
 			return nil, fmt.Errorf("wash: conflicting flows %d and %d share a set", c[0], c[1])
 		}
-		plan.SharedPairs = append(plan.SharedPairs, c)
 		needs = append(needs, need{sa, sb})
 	}
 

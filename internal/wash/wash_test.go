@@ -5,7 +5,9 @@ import (
 	"time"
 
 	"switchsynth/internal/cases"
+	"switchsynth/internal/sim"
 	"switchsynth/internal/spec"
+	"switchsynth/internal/valve"
 )
 
 func TestWashRecoversInfeasibleFixedCase(t *testing.T) {
@@ -140,6 +142,41 @@ func TestWashDeterministic(t *testing.T) {
 	for i := range p1.SetOrder {
 		if p1.SetOrder[i] != p2.SetOrder[i] {
 			t.Fatal("set order differs")
+		}
+	}
+}
+
+// TestWashPlansSimulateClean: the scheduler and the fluidic simulator
+// agree. Each paper case without a contamination-free plan under the
+// fixed or clockwise binding simulates clean in its scheduled order with
+// its washes, and contaminates without them.
+func TestWashPlansSimulateClean(t *testing.T) {
+	for _, c := range []cases.Case{cases.NucleicAcid(), cases.MRNAIsolation()} {
+		for _, b := range []spec.BindingPolicy{spec.Fixed, spec.Clockwise} {
+			sp := c.WithBinding(b)
+			plan, err := Schedule(sp, Options{TimeLimit: 30 * time.Second})
+			if err != nil {
+				t.Fatalf("%s/%v: %v", sp.Name, b, err)
+			}
+			va, err := valve.Analyze(plan.Result)
+			if err != nil {
+				t.Fatal(err)
+			}
+			washed, err := sim.Run(plan.Result, sim.Options{Valves: va, SetOrder: plan.SetOrder, WashAfter: plan.WashAfter})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range washed.Events {
+				t.Errorf("%s/%v with washes: %v", sp.Name, b, e)
+			}
+			dirty, err := sim.Run(plan.Result, sim.Options{Valves: va, SetOrder: plan.SetOrder})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dirty.Count(sim.Contamination) == 0 {
+				t.Errorf("%s/%v: the plan contaminates nothing without its %d washes", sp.Name, b, plan.NumWashes)
+			}
+			t.Logf("%s/%v: %d washes; %d contamination events without them", sp.Name, b, plan.NumWashes, dirty.Count(sim.Contamination))
 		}
 	}
 }

@@ -334,7 +334,7 @@ func SpineBaseline(sp *Spec) (*BaselineReport, error) {
 	}
 	svg := render.SVG(res, nil, nil, render.SVGOptions{
 		ShowRemoved: true,
-		Title:       fmt.Sprintf("%s on Columba-style spine (%d polluted conflict pairs)", sp.Name, rep.ConflictPairsPolluted),
+		Title:       fmt.Sprintf("%s on Columba-style spine (%d polluted pairs)", sp.Name, rep.ConflictPairsPolluted),
 	})
 	return &BaselineReport{
 		PollutedPairs:        rep.ConflictPairsPolluted,

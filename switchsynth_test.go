@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"switchsynth/internal/cases"
 )
 
 func demoSpec() *Spec {
@@ -132,6 +134,21 @@ func TestSpineBaseline(t *testing.T) {
 	bad.SwitchPins = 9
 	if _, err := SpineBaseline(bad); err == nil {
 		t.Error("invalid spec accepted")
+	}
+}
+
+func TestSpineBaselinePollutesPaperCases(t *testing.T) {
+	for _, c := range []cases.Case{cases.NucleicAcid(), cases.MRNAIsolation()} {
+		rep, err := SpineBaseline(c.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.PollutedPairs == 0 {
+			t.Errorf("%s: spine baseline should pollute conflicting pairs", c.Spec.Name)
+		}
+		if !strings.Contains(rep.SVG, "</svg>") {
+			t.Errorf("%s: baseline SVG malformed", c.Spec.Name)
+		}
 	}
 }
 
