@@ -847,7 +847,7 @@ func BenchmarkStore_DiskHit(b *testing.B) {
 }
 
 // BenchmarkStore_WarmBoot measures the restart path end to end: every
-// iteration opens the store directory (WAL/segment replay), builds a
+// iteration opens the store directory (WAL replay), builds a
 // fresh engine with an empty memory cache, and answers the previously
 // solved spec from disk.
 func BenchmarkStore_WarmBoot(b *testing.B) {

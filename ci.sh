@@ -118,7 +118,7 @@ go test -race -count=2 -run 'TestChaos' ./internal/service/
 
 echo "== store crash-recovery gate: 25 seeded schedules, -race -count=2 =="
 # Full store suite under the race detector, every crash schedule twice:
-# torn tails, corrupt records, failed fsyncs, abandoned compactions.
+# torn tails, corrupt records, failed fsyncs.
 go test -race -count=2 ./internal/store/...
 
 echo "== cluster gate: -race -count=2, four-topology determinism =="

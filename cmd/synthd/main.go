@@ -14,7 +14,7 @@
 // the job queue holds 4×workers, the admission wait watermark is 30s, a
 // key's breaker opens after 3 consecutive timeouts for 5s, the negative
 // cache holds 256 proofs and the similarity index 512 plans, the store
-// group-commits every 5ms and compacts at 8 MiB of WAL, and the cluster
+// group-commits every 5ms to its one append-only log, and the cluster
 // probes peers every 2s, runs anti-entropy every 15s and keeps 2
 // replicas of each plan (1 on a single-node cluster).
 //

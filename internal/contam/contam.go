@@ -180,8 +180,6 @@ type Report struct {
 	// ContaminatedEdges are segments shared by at least one conflicting
 	// flow pair.
 	ContaminatedEdges []int
-	// ConflictPairsPolluted is len(PollutedPairs).
-	ConflictPairsPolluted int
 	// CollidingVertices are nodes used, within one set, by flows of more
 	// than one inlet module.
 	CollidingVertices []int
@@ -211,7 +209,6 @@ func Analyze(sp *spec.Spec, sw *topo.Switch, routes []spec.Route) Report {
 		rep.PollutedPairs = append(rep.PollutedPairs, c)
 		verts, edges = verts.Or(shared), edges.Or(sharedE)
 	}
-	rep.ConflictPairsPolluted = len(rep.PollutedPairs)
 	rep.ContaminatedVertices = verts.Indices()
 	rep.ContaminatedEdges = edges.Indices()
 

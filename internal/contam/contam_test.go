@@ -156,7 +156,7 @@ func TestSpineBaselineIsPolluted(t *testing.T) {
 	if rep.Clean() {
 		t.Fatal("spine baseline should be polluted")
 	}
-	if rep.ConflictPairsPolluted == 0 {
+	if len(rep.PollutedPairs) == 0 {
 		t.Error("no polluted conflict pairs reported")
 	}
 	if len(rep.ContaminatedVertices) == 0 {
@@ -245,7 +245,7 @@ func TestSpineBaselineChIPLikePollution(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := contam.Analyze(sp, spine, routes)
-	if rep.ConflictPairsPolluted == 0 {
+	if len(rep.PollutedPairs) == 0 {
 		t.Error("inlet-clustered spine should pollute the ChIP-like conflicts")
 	}
 }

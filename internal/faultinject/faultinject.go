@@ -66,10 +66,6 @@ const (
 	// DiskFsyncErr fails a group-commit fsync: the flush is skipped and
 	// the durable offset does not advance.
 	DiskFsyncErr Point = "disk.fsyncerr"
-	// DiskCrashBeforeRename aborts a compaction after the new segment is
-	// fully written but before the atomic rename, leaving a stray .tmp
-	// file exactly as a crash at that instant would.
-	DiskCrashBeforeRename Point = "disk.crashbeforerename"
 )
 
 // Rule configures one injection point.

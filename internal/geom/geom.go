@@ -87,11 +87,6 @@ func (s Segment) Length() float64 { return s.A.Dist(s.B) }
 // Mid returns the midpoint of s.
 func (s Segment) Mid() Point { return s.A.Mid(s.B) }
 
-// IsAxisAligned reports whether s is horizontal or vertical within eps.
-func (s Segment) IsAxisAligned(eps float64) bool {
-	return math.Abs(s.A.X-s.B.X) <= eps || math.Abs(s.A.Y-s.B.Y) <= eps
-}
-
 // Horizontal reports whether s is horizontal within eps.
 func (s Segment) Horizontal(eps float64) bool {
 	return math.Abs(s.A.Y-s.B.Y) <= eps && math.Abs(s.A.X-s.B.X) > eps
@@ -128,30 +123,6 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 
 // Height returns the vertical extent of r.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
-
-// Area returns the area of r.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
-// Inset returns r shrunk by d on every side (grown for negative d).
-func (r Rect) Inset(d float64) Rect {
-	return Rect{
-		Min: Point{r.Min.X + d, r.Min.Y + d},
-		Max: Point{r.Max.X - d, r.Max.Y - d},
-	}
-}
-
-// Contains reports whether p lies inside r (inclusive).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
-// Union returns the smallest rectangle containing both r and s.
-func (r Rect) Union(s Rect) Rect {
-	return Rect{
-		Min: Point{math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y)},
-		Max: Point{math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y)},
-	}
-}
 
 // ChannelSpacing returns the clear space between two parallel axis-aligned
 // segments of channels with the given width, or +Inf if they are not

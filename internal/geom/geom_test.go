@@ -102,13 +102,6 @@ func TestSegment(t *testing.T) {
 	if !h.Horizontal(1e-9) || h.Vertical(1e-9) {
 		t.Error("segment should be horizontal, not vertical")
 	}
-	if !h.IsAxisAligned(1e-9) {
-		t.Error("horizontal segment should be axis aligned")
-	}
-	d := Seg(Pt(0, 0), Pt(1, 1))
-	if d.IsAxisAligned(1e-9) {
-		t.Error("diagonal segment should not be axis aligned")
-	}
 }
 
 func TestBounds(t *testing.T) {
@@ -119,29 +112,8 @@ func TestBounds(t *testing.T) {
 	if !almostEqual(r.Width(), 6) || !almostEqual(r.Height(), 6) {
 		t.Errorf("Width/Height = %v/%v, want 6/6", r.Width(), r.Height())
 	}
-	if !almostEqual(r.Area(), 36) {
-		t.Errorf("Area = %v, want 36", r.Area())
-	}
 	if got := Bounds(nil); got != (Rect{}) {
 		t.Errorf("Bounds(nil) = %+v, want zero", got)
-	}
-}
-
-func TestRectContainsInsetUnion(t *testing.T) {
-	r := Rect{Min: Pt(0, 0), Max: Pt(4, 4)}
-	if !r.Contains(Pt(2, 2)) || !r.Contains(Pt(0, 0)) || !r.Contains(Pt(4, 4)) {
-		t.Error("Contains failed on interior/boundary points")
-	}
-	if r.Contains(Pt(5, 2)) || r.Contains(Pt(2, -0.1)) {
-		t.Error("Contains accepted exterior point")
-	}
-	in := r.Inset(1)
-	if in.Min != Pt(1, 1) || in.Max != Pt(3, 3) {
-		t.Errorf("Inset = %+v", in)
-	}
-	u := r.Union(Rect{Min: Pt(-1, 2), Max: Pt(2, 6)})
-	if u.Min != Pt(-1, 0) || u.Max != Pt(4, 6) {
-		t.Errorf("Union = %+v", u)
 	}
 }
 

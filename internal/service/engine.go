@@ -983,7 +983,6 @@ func (e *Engine) Snapshot() Snapshot {
 		s.StoreDiskBytes = st.DiskBytes
 		s.StoreDiskHits = st.Hits
 		s.StoreDiskMisses = st.Misses
-		s.StoreCompactions = st.Compactions
 		s.StoreRecovered = st.Recovered
 		s.StoreTruncatedBytes = st.TruncatedBytes
 		s.StoreCorruptEvicted = st.CorruptEvicted

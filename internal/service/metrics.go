@@ -160,8 +160,8 @@ type Snapshot struct {
 	// reports whether a store is configured; the engine-level counters
 	// (Hits/Misses/Healed) count two-tier lookups that reached disk,
 	// the gauges mirror the store's own accounting — entries and bytes
-	// on disk, completed compactions, and the recovery outcome of the
-	// last open (records replayed, torn-tail bytes truncated).
+	// on disk, and the recovery outcome of the last open (records
+	// replayed, torn-tail bytes truncated).
 	StoreEnabled        bool  `json:"storeEnabled"`
 	StoreHits           int64 `json:"storeHits"`
 	StoreMisses         int64 `json:"storeMisses"`
@@ -170,7 +170,6 @@ type Snapshot struct {
 	StoreDiskBytes      int64 `json:"storeDiskBytes"`
 	StoreDiskHits       int64 `json:"storeDiskHits"`
 	StoreDiskMisses     int64 `json:"storeDiskMisses"`
-	StoreCompactions    int64 `json:"storeCompactions"`
 	StoreRecovered      int64 `json:"storeRecoveredRecords"`
 	StoreTruncatedBytes int64 `json:"storeTruncatedBytes"`
 	StoreCorruptEvicted int64 `json:"storeCorruptEvicted"`

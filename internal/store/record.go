@@ -1,7 +1,6 @@
 // On-disk record codec for the durable plan store.
 //
-// Both the WAL and the immutable segments are sequences of the same
-// length-prefixed, CRC-trailed record:
+// The WAL is a sequence of length-prefixed, CRC-trailed records:
 //
 //	byte    0      record type (recPut | recDelete)
 //	bytes  1-4     key length   (uint32 LE)
@@ -11,9 +10,9 @@
 //	last 4 bytes   CRC32C (Castagnoli) of everything before it
 //
 // The CRC covers the header too, so a flipped length byte is detected
-// exactly like a flipped payload byte: the reader treats any record whose
-// lengths are implausible or whose CRC mismatches as the start of a torn
-// tail (WAL) or disk rot (segment) and stops.
+// exactly like a flipped payload byte. Replay skips a complete record
+// whose CRC mismatches when a valid record follows it (disk rot) and
+// treats any other bad record as the start of the torn tail.
 package store
 
 import (
@@ -46,7 +45,7 @@ const recTrailerLen = 4
 // castagnoli is the CRC32C table shared by writers and readers.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// record is one decoded WAL/segment entry.
+// record is one decoded WAL entry.
 type record struct {
 	typ    byte
 	key    string
@@ -73,13 +72,13 @@ func (r *record) encode(buf []byte) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc)
 }
 
-// errBadRecord marks a record that failed structural or CRC validation;
-// readers stop scanning (and WAL recovery truncates) at the first one.
+// errBadRecord marks a record that failed structural or CRC validation.
 var errBadRecord = fmt.Errorf("store: bad record")
 
 // decodeRecord parses the record starting at data[0]. It returns the
 // record and its encoded size, or errBadRecord when the bytes cannot be a
-// complete, checksummed record (torn tail, corruption, or garbage).
+// complete, checksummed record (torn tail, corruption, or garbage). A
+// record that is complete but fails its CRC still reports its size.
 func decodeRecord(data []byte) (record, int, error) {
 	if len(data) < recHeaderLen+recTrailerLen {
 		return record{}, 0, errBadRecord
@@ -102,7 +101,7 @@ func decodeRecord(data []byte) (record, int, error) {
 	body := data[:n-recTrailerLen]
 	want := binary.LittleEndian.Uint32(data[n-recTrailerLen : n])
 	if crc32.Checksum(body, castagnoli) != want {
-		return record{}, 0, errBadRecord
+		return record{}, n, errBadRecord
 	}
 	off := recHeaderLen
 	rec := record{

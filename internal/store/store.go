@@ -5,11 +5,9 @@
 // class maps to one stored plan and a restarted daemon serves previously
 // solved specs without re-running the optimizer (warm boot).
 //
-// Layout of a store directory:
-//
-//	wal.log          append-only write-ahead log of put/delete records
-//	seg-%08d.log     at most one immutable, compacted segment
-//	seg-%08d.tmp     transient compaction output, removed at open
+// A store directory holds one file, wal.log: an append-only log of put
+// and delete records. Files of any other name are neither read nor
+// removed.
 //
 // Durability is batched: Put appends to the WAL immediately (readable at
 // once) and a background flusher fsyncs the file at most once per
@@ -17,19 +15,22 @@
 // Records written but not yet fsynced may be lost in a crash; everything
 // before the last successful fsync is guaranteed to survive.
 //
-// Recovery tolerates a torn tail: the open-time scan applies records
-// until the first structurally invalid or CRC-mismatching one, truncates
-// the WAL there, and keeps everything before it. Reopen is idempotent —
-// a second open of a recovered directory recovers the same contents and
-// truncates nothing. Get re-verifies the record CRC on every read, so a
-// corrupted record is never returned: it is evicted and reported as a
-// miss, and the caller re-solves.
+// Recovery replays the WAL into an in-memory index. A complete record
+// that fails its CRC is disk rot when the bytes right after it decode as
+// a valid record: it is skipped (CorruptEvicted) and replay goes on.
+// Any other bad record starts the torn tail, which is truncated; every
+// record before it is kept. Reopen is idempotent — a second open of a
+// recovered directory recovers the same contents and truncates nothing.
+// Get re-verifies the record CRC on every read, so a corrupted record is
+// never returned: it is evicted and reported as a miss, and the caller
+// re-solves.
 //
-// Once the WAL exceeds MaxWALBytes a background compaction snapshots the
-// live entries into a fresh segment (written to a temp file, fsynced,
-// atomically renamed) and resets the WAL. A crash at any point of the
-// compaction leaves a recoverable directory: stray temp files are
-// ignored, and the WAL is only reset after the new segment is durable.
+// There is no compaction. The service writes a key only after a store
+// miss, so the log only grows; superseded records and tombstones come
+// only from heals (a stored plan that fails its checks is deleted and
+// re-solved) and from the boot-time drop of records filed under a retired
+// engine. Rewriting the live set would reclaim next to nothing, so the
+// WAL size is the live size plus those few dead records.
 package store
 
 import (
@@ -53,9 +54,6 @@ type Options struct {
 	// Zero means the 5ms default; negative fsyncs every put (synchronous
 	// durability, one fsync per write).
 	FlushInterval time.Duration
-	// MaxWALBytes triggers compaction once the WAL grows past it. Zero
-	// means the 8 MiB default; negative disables compaction.
-	MaxWALBytes int64
 	// FaultInjector, when non-nil, enables the disk fault points (see
 	// internal/faultinject). Nil makes every probe a nop.
 	FaultInjector *faultinject.Injector
@@ -68,19 +66,11 @@ func (o Options) flushInterval() time.Duration {
 	return 5 * time.Millisecond
 }
 
-func (o Options) maxWALBytes() int64 {
-	if o.MaxWALBytes != 0 {
-		return o.MaxWALBytes
-	}
-	return 8 << 20
-}
-
 // Stats is a point-in-time copy of the store's gauges and counters.
 // Counters reset at Open (they describe this process's store lifetime,
 // except Recovered/TruncatedBytes which describe the open itself).
 type Stats struct {
-	// Entries is the number of live keys; DiskBytes the WAL + segment
-	// footprint.
+	// Entries is the number of live keys; DiskBytes the WAL size.
 	Entries   int   `json:"entries"`
 	DiskBytes int64 `json:"diskBytes"`
 	// Hits/Misses count Get outcomes; a CRC-failed read is a miss and a
@@ -94,26 +84,21 @@ type Stats struct {
 	// (the durable offset does not advance on failure).
 	Flushes     int64 `json:"flushes"`
 	FsyncErrors int64 `json:"fsyncErrors"`
-	// Compactions counts completed compactions; CompactionsAborted ones
-	// abandoned by a fault or error before the atomic rename.
-	Compactions        int64 `json:"compactions"`
-	CompactionsAborted int64 `json:"compactionsAborted"`
 	// Recovered is the number of records applied by the open-time scan;
 	// TruncatedBytes how much torn tail the open cut off the WAL.
 	Recovered      int64 `json:"recovered"`
 	TruncatedBytes int64 `json:"truncatedBytes"`
 	// CorruptEvicted counts records dropped because their CRC failed on
-	// read (Get, compaction, or the segment scan at open).
+	// read (Get or Export) or at open (a rotten record replay skipped).
 	CorruptEvicted int64 `json:"corruptEvicted"`
 	// TornRepaired counts short-write tails truncated by a later append.
 	TornRepaired int64 `json:"tornRepaired"`
 }
 
-// loc addresses one live record inside the WAL or the segment.
+// loc addresses one live record inside the WAL.
 type loc struct {
-	inSeg bool
-	off   int64
-	size  int
+	off  int64
+	size int
 }
 
 // Store is the durable plan store. All methods are safe for concurrent
@@ -129,11 +114,7 @@ type Store struct {
 	walDurable int64 // fsynced prefix of the WAL
 	walDirty   bool  // bytes written since the last fsync
 	torn       bool  // a short write left garbage at walSize
-	seg        *os.File
-	segID      int64
-	segSize    int64
 	index      map[string]loc
-	compacting bool
 	closed     bool
 	stats      Stats
 
@@ -144,13 +125,9 @@ type Store struct {
 // walName is the WAL file name inside a store directory.
 const walName = "wal.log"
 
-// segName formats the immutable segment file name for id.
-func segName(id int64) string { return fmt.Sprintf("seg-%08d.log", id) }
-
 // Open creates (or recovers) the store in dir. The directory is created
-// if missing. Recovery applies the newest segment, then the WAL up to
-// the first bad record (truncating the torn tail), removing stray temp
-// files and superseded segments.
+// if missing. Recovery replays the WAL, skipping rotten records and
+// truncating the torn tail.
 func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -160,9 +137,11 @@ func Open(dir string, opts Options) (*Store, error) {
 		opts:  opts,
 		inj:   opts.FaultInjector,
 		index: make(map[string]loc),
-		segID: -1,
 	}
 	if err := s.recover(); err != nil {
+		if s.wal != nil {
+			s.wal.Close()
+		}
 		return nil, err
 	}
 	if opts.flushInterval() > 0 {
@@ -173,60 +152,20 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// recover scans the directory into a fresh index: stray .tmp files and
-// superseded segments are deleted, the newest segment is replayed, then
-// the WAL is replayed and truncated at its first bad record.
+// recover opens the WAL, replays it into a fresh index and truncates
+// the torn tail.
 func (s *Store) recover() error {
-	names, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	var segs []int64
-	for _, de := range names {
-		name := de.Name()
-		switch {
-		case strings.HasSuffix(name, ".tmp"):
-			_ = os.Remove(filepath.Join(s.dir, name))
-		case strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".log"):
-			var id int64
-			if _, err := fmt.Sscanf(name, "seg-%08d.log", &id); err == nil {
-				segs = append(segs, id)
-			}
-		}
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	// A crash between segment rename and old-segment removal can leave
-	// two segments; the newest wins (it contains a superset of the live
-	// entries at its compaction) and older ones are deleted.
-	for _, id := range segs[:max(0, len(segs)-1)] {
-		_ = os.Remove(filepath.Join(s.dir, segName(id)))
-	}
-	if len(segs) > 0 {
-		s.segID = segs[len(segs)-1]
-		seg, err := os.OpenFile(filepath.Join(s.dir, segName(s.segID)), os.O_RDONLY, 0)
-		if err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		s.seg = seg
-		s.segSize, err = s.replay(seg, true)
-		if err != nil {
-			return err
-		}
-	}
 	wal, err := os.OpenFile(filepath.Join(s.dir, walName), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.wal = wal
-	good, err := s.replay(wal, false)
-	if err != nil {
-		return err
-	}
-	fi, err := wal.Stat()
+	data, err := io.ReadAll(wal)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if torn := fi.Size() - good; torn > 0 {
+	good := s.replay(data)
+	if torn := int64(len(data)) - good; torn > 0 {
 		if err := wal.Truncate(good); err != nil {
 			return fmt.Errorf("store: truncating torn tail: %w", err)
 		}
@@ -240,34 +179,35 @@ func (s *Store) recover() error {
 	return nil
 }
 
-// replay applies f's records to the index and returns the offset just
-// past the last good record. In a segment (inSeg) a bad record means
-// disk rot in an immutable file: the remainder is ignored and counted as
-// CorruptEvicted. In the WAL it is the torn tail; the caller truncates.
-func (s *Store) replay(f *os.File, inSeg bool) (int64, error) {
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
+// replay applies the WAL's records to the index and returns the offset
+// where the torn tail starts. A complete record that fails its CRC is
+// rot, skipped and counted, when the bytes right after it decode as a
+// valid record; any other bad record is the start of the torn tail.
+func (s *Store) replay(data []byte) int64 {
 	var off int64
 	for int(off) < len(data) {
 		rec, n, err := decodeRecord(data[off:])
 		if err != nil {
-			if inSeg {
-				s.stats.CorruptEvicted++
+			if n == 0 {
+				return off
 			}
-			return off, nil
+			if _, _, err := decodeRecord(data[off+int64(n):]); err != nil {
+				return off
+			}
+			s.stats.CorruptEvicted++
+			off += int64(n)
+			continue
 		}
 		switch rec.typ {
 		case recPut:
-			s.index[rec.key] = loc{inSeg: inSeg, off: off, size: n}
+			s.index[rec.key] = loc{off: off, size: n}
 		case recDelete:
 			delete(s.index, rec.key)
 		}
 		s.stats.Recovered++
 		off += int64(n)
 	}
-	return off, nil
+	return off
 }
 
 // Get returns the stored plan bytes and engine name for key. The record
@@ -297,12 +237,8 @@ func (s *Store) Get(key string) (value []byte, engine string, ok bool) {
 
 // readRecord fetches and validates the record at l.
 func (s *Store) readRecord(l loc) (record, error) {
-	f := s.wal
-	if l.inSeg {
-		f = s.seg
-	}
 	buf := make([]byte, l.size)
-	if _, err := f.ReadAt(buf, l.off); err != nil {
+	if _, err := s.wal.ReadAt(buf, l.off); err != nil {
 		return record{}, err
 	}
 	rec, _, err := decodeRecord(buf)
@@ -327,7 +263,6 @@ func (s *Store) Put(key, engine string, value []byte) error {
 	}
 	s.index[key] = loc{off: off, size: rec.size()}
 	s.stats.Puts++
-	s.maybeCompactLocked()
 	if s.opts.flushInterval() < 0 {
 		return s.syncLocked()
 	}
@@ -439,109 +374,6 @@ func (s *Store) flusher(interval time.Duration) {
 	}
 }
 
-// maybeCompactLocked starts a background compaction when the WAL has
-// outgrown its threshold and none is running.
-func (s *Store) maybeCompactLocked() {
-	if max := s.opts.maxWALBytes(); max < 0 || s.walSize <= max || s.compacting {
-		return
-	}
-	s.compacting = true
-	go s.compact()
-}
-
-// compact snapshots the live entries into a new immutable segment and
-// resets the WAL. The segment is written to a temp file, fsynced, and
-// atomically renamed before the WAL is touched, so a crash at any point
-// leaves either the old state or the new one, never a mix that loses a
-// durable record. Entries whose record no longer CRC-verifies are
-// dropped (and counted) rather than carried into the new segment.
-func (s *Store) compact() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer func() { s.compacting = false }()
-	if s.closed {
-		return
-	}
-	keys := make([]string, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	newID := s.segID + 1
-	tmpPath := filepath.Join(s.dir, fmt.Sprintf("seg-%08d.tmp", newID))
-	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		s.stats.CompactionsAborted++
-		return
-	}
-	abort := func() {
-		tmp.Close()
-		_ = os.Remove(tmpPath)
-		s.stats.CompactionsAborted++
-	}
-	var (
-		buf    []byte
-		offset int64
-		newIdx = make(map[string]loc, len(keys))
-	)
-	for _, k := range keys {
-		rec, err := s.readRecord(s.index[k])
-		if err != nil || rec.typ != recPut || rec.key != k {
-			delete(s.index, k)
-			s.stats.CorruptEvicted++
-			continue
-		}
-		buf = rec.encode(buf[:0])
-		if _, err := tmp.WriteAt(buf, offset); err != nil {
-			abort()
-			return
-		}
-		newIdx[k] = loc{inSeg: true, off: offset, size: len(buf)}
-		offset += int64(len(buf))
-	}
-	if err := tmp.Sync(); err != nil {
-		abort()
-		return
-	}
-	if s.inj.Fire(faultinject.DiskCrashBeforeRename) {
-		// Simulated crash: the fully written temp file stays behind (a
-		// real crash could not remove it) and the store keeps running on
-		// its current WAL + segment; reopen ignores the stray .tmp.
-		tmp.Close()
-		s.stats.CompactionsAborted++
-		return
-	}
-	if err := os.Rename(tmpPath, filepath.Join(s.dir, segName(newID))); err != nil {
-		abort()
-		return
-	}
-	syncDir(s.dir)
-	// The new segment is durable: swap it in, then reset the WAL. A
-	// crash between these steps replays WAL records that also live in
-	// the segment — identical values, so recovery stays idempotent.
-	oldSeg, oldID := s.seg, s.segID
-	s.seg, s.segID, s.segSize = tmp, newID, offset
-	s.index = newIdx
-	if err := s.wal.Truncate(0); err == nil {
-		_ = s.wal.Sync()
-		s.walSize, s.walDurable, s.walDirty, s.torn = 0, 0, false, false
-	}
-	if oldSeg != nil {
-		oldSeg.Close()
-		_ = os.Remove(filepath.Join(s.dir, segName(oldID)))
-	}
-	s.stats.Compactions++
-}
-
-// syncDir fsyncs a directory so a rename inside it is durable.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
-}
-
 // Len reports the number of live entries.
 func (s *Store) Len() int {
 	s.mu.Lock()
@@ -576,7 +408,7 @@ func (s *Store) Stats() Stats {
 	defer s.mu.Unlock()
 	st := s.stats
 	st.Entries = len(s.index)
-	st.DiskBytes = s.walSize + s.segSize
+	st.DiskBytes = s.walSize
 	return st
 }
 
@@ -671,9 +503,6 @@ func (s *Store) Close() error {
 	defer s.mu.Unlock()
 	if s.wal != nil {
 		s.wal.Close()
-	}
-	if s.seg != nil {
-		s.seg.Close()
 	}
 	return err
 }

@@ -153,56 +153,6 @@ func TestTornTailTruncatedAndReopenIdempotent(t *testing.T) {
 	}
 }
 
-func TestCompactionKeepsContentsAndShrinksWAL(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, dir, Options{FlushInterval: -1, MaxWALBytes: 2048})
-	// Overwrite a small key set until the WAL crosses the threshold
-	// several times; compaction must preserve exactly the latest values.
-	for round := 0; round < 20; round++ {
-		for i := 0; i < 4; i++ {
-			if err := s.Put(fmt.Sprintf("k%d", i), "search", val(round*10+i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	waitFor(t, "compaction", func() bool { return s.Stats().Compactions >= 1 && !s.compactingNow() })
-	st := s.Stats()
-	if st.Entries != 4 {
-		t.Fatalf("entries = %d, want 4", st.Entries)
-	}
-	for i := 0; i < 4; i++ {
-		got, _, ok := s.Get(fmt.Sprintf("k%d", i))
-		if !ok || !bytes.Equal(got, val(190+i)) {
-			t.Fatalf("k%d = %q, %v; want %q", i, got, ok, val(190+i))
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Exactly one live segment, no temp litter, and a reopen sees the
-	// same four entries.
-	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
-	tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
-	if len(segs) != 1 || len(tmps) != 0 {
-		t.Fatalf("segments = %v, tmps = %v", segs, tmps)
-	}
-	r := openT(t, dir, syncOpts)
-	if r.Len() != 4 {
-		t.Fatalf("reopened entries = %d", r.Len())
-	}
-	got, _, ok := r.Get("k2")
-	if !ok || !bytes.Equal(got, val(192)) {
-		t.Fatalf("k2 after reopen = %q, %v", got, ok)
-	}
-}
-
-// compactingNow reports whether a background compaction is running.
-func (s *Store) compactingNow() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.compacting
-}
-
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -211,6 +161,89 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRottenRecordCostsOneRecord flips a payload byte of the first of
+// four fsynced records: reopen skips that record and keeps the three
+// after it, instead of truncating the log at the rot.
+func TestRottenRecordCostsOneRecord(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, syncOpts)
+	for i := 0; i < 4; i++ {
+		if err := s.Put(fmt.Sprintf("k%d", i), "search", val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wal := filepath.Join(dir, walName)
+	data, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[recHeaderLen+len("k0")+len("search")] ^= 0xFF
+	if err := os.WriteFile(wal, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for pass := 0; pass < 2; pass++ { // the second open must see the same
+		r := openT(t, dir, syncOpts)
+		st := r.Stats()
+		if st.Entries != 3 || st.Recovered != 3 || st.CorruptEvicted != 1 || st.TruncatedBytes != 0 {
+			t.Fatalf("pass %d: stats = %+v, want 3 entries, 1 skipped, 0 truncated", pass, st)
+		}
+		if st.DiskBytes != int64(len(data)) {
+			t.Fatalf("pass %d: DiskBytes = %d, want %d", pass, st.DiskBytes, len(data))
+		}
+		if _, _, ok := r.Get("k0"); ok {
+			t.Fatalf("pass %d: rotten record served", pass)
+		}
+		for i := 1; i < 4; i++ {
+			if got, _, ok := r.Get(fmt.Sprintf("k%d", i)); !ok || !bytes.Equal(got, val(i)) {
+				t.Fatalf("pass %d: k%d = %q, %v", pass, i, got, ok)
+			}
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestStoreStaysOneLog writes more than 8 MiB of distinct plans under the
+// default options: the directory holds only the WAL, and its size is
+// exactly the bytes appended.
+func TestStoreStaysOneLog(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, Options{})
+	var appended int64
+	for i := 0; appended <= 9<<20; i++ {
+		rec := record{typ: recPut, key: fmt.Sprintf("%064x|search", i), engine: "search", value: val(i)}
+		if err := s.Put(rec.key, rec.engine, rec.value); err != nil {
+			t.Fatal(err)
+		}
+		appended += int64(rec.size())
+	}
+	if got := s.Stats().DiskBytes; got != appended {
+		t.Fatalf("DiskBytes = %d, want %d appended", got, appended)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != walName {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("store directory holds %v, want only %s", names, walName)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, walName)); err != nil || fi.Size() != appended {
+		t.Fatalf("wal.log = %v, %v; want %d bytes", fi, err, appended)
 	}
 }
 
@@ -299,34 +332,6 @@ func TestFsyncErrorDoesNotAdvanceDurableOffset(t *testing.T) {
 	s.mu.Unlock()
 	if durable != size {
 		t.Fatalf("durable %d != size %d after successful sync", durable, size)
-	}
-}
-
-func TestCrashBeforeRenameLeavesRecoverableDir(t *testing.T) {
-	dir := t.TempDir()
-	inj := faultinject.New(1).Set(faultinject.DiskCrashBeforeRename, faultinject.Rule{Probability: 1})
-	s := openT(t, dir, Options{FlushInterval: -1, MaxWALBytes: 512, FaultInjector: inj})
-	for i := 0; i < 8; i++ {
-		if err := s.Put(fmt.Sprintf("k%d", i), "search", val(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, "aborted compaction", func() bool { return s.Stats().CompactionsAborted >= 1 })
-	s.crash() // the simulated process death right after the fault
-	tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
-	if len(tmps) == 0 {
-		t.Fatal("crash-before-rename left no temp file; fault not exercised")
-	}
-	r := openT(t, dir, syncOpts)
-	if r.Len() != 8 {
-		t.Fatalf("reopened entries = %d, want 8", r.Len())
-	}
-	tmps, _ = filepath.Glob(filepath.Join(dir, "*.tmp"))
-	if len(tmps) != 0 {
-		t.Fatalf("open did not clean temp files: %v", tmps)
-	}
-	if r.Stats().Compactions != 0 {
-		t.Fatalf("stats = %+v", r.Stats())
 	}
 }
 

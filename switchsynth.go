@@ -334,10 +334,10 @@ func SpineBaseline(sp *Spec) (*BaselineReport, error) {
 	}
 	svg := render.SVG(res, nil, nil, render.SVGOptions{
 		ShowRemoved: true,
-		Title:       fmt.Sprintf("%s on Columba-style spine (%d polluted pairs)", sp.Name, rep.ConflictPairsPolluted),
+		Title:       fmt.Sprintf("%s on Columba-style spine (%d polluted pairs)", sp.Name, len(rep.PollutedPairs)),
 	})
 	return &BaselineReport{
-		PollutedPairs:        rep.ConflictPairsPolluted,
+		PollutedPairs:        len(rep.PollutedPairs),
 		ContaminatedNodes:    len(rep.ContaminatedVertices),
 		ContaminatedSegments: len(rep.ContaminatedEdges),
 		SVG:                  svg,

@@ -3,6 +3,8 @@ package switchsynth
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -148,6 +150,26 @@ func TestSpineBaselinePollutesPaperCases(t *testing.T) {
 		}
 		if !strings.Contains(rep.SVG, "</svg>") {
 			t.Errorf("%s: baseline SVG malformed", c.Spec.Name)
+		}
+	}
+}
+
+// TestSpineFiguresMatchResults renders the spine baselines of Figure
+// 4.2(c)(d) and compares them byte for byte with the committed figures,
+// which `go run ./cmd/experiments -only figures -out results` rewrites.
+func TestSpineFiguresMatchResults(t *testing.T) {
+	for _, c := range []cases.Case{cases.ChIPSw1(), cases.MRNAIsolation(), cases.NucleicAcid()} {
+		rep, err := SpineBaseline(c.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := filepath.Join("results", "fig4.2-spine-"+c.Spec.Name+".svg")
+		want, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.SVG != string(want) {
+			t.Errorf("%s differs from the rendered spine baseline (%d polluted pairs)", name, rep.PollutedPairs)
 		}
 	}
 }
