@@ -56,8 +56,12 @@ echo "== solver kernel gate: golden tree + kernel oracles under -race =="
 # recorded values and plans must be byte-identical at 1/2/8 workers. The
 # incremental clockwise check, the per-node winding arcs, the presorted
 # candidate tables and the bitset set ownership are diffed against their
-# full-rescan, sort-per-node and owner-scan oracles.
-go test -race -run 'TestGoldenTree|TestClockwiseAdmitsMatchesFullCheck|TestClockwiseArcMatchesFullCheck|TestCandTableOrder|TestSetOwnershipMatchesOwnerScan|TestBitsRange' \
+# full-rescan, sort-per-node and owner-scan oracles. The node bound is
+# checked against exhaustive subtrees: at random reachable states of every
+# golden instance it never exceeds the cheapest leaf below, is +inf only
+# over a subtree without leaves, and its early exits prune exactly when
+# the full bound does.
+go test -race -run 'TestGoldenTree|TestBoundAdmissible|TestClockwiseAdmitsMatchesFullCheck|TestClockwiseArcMatchesFullCheck|TestCandTableOrder|TestSetOwnershipMatchesOwnerScan|TestBitsRange' \
   ./internal/search/ ./internal/topo/
 
 echo "== warm-start gate: -race -count=2 =="

@@ -1,0 +1,164 @@
+package search
+
+import (
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"switchsynth/internal/topo"
+)
+
+// branch is one child of a search node: flow order[pos] takes candidate
+// c in set.
+type branch struct {
+	c   *topo.Cand
+	set int
+}
+
+// branches lists the children dfs would try at pos, in its order.
+func branches(s *solver, pos int) []branch {
+	f := s.order[pos]
+	ms := s.srcs[f]
+	cands, flt := s.candTable(pos)
+	var out []branch
+	for i := range cands {
+		c := &cands[i]
+		if !flt.admits(c) {
+			continue
+		}
+		boundIn, boundOut, ok := s.bindCand(f, c)
+		if !ok {
+			continue
+		}
+		for set := range s.setChoices() {
+			if s.setFits(set, ms, c.Path) {
+				out = append(out, branch{c, set})
+			}
+		}
+		s.unbindCand(f, c, boundIn, boundOut)
+	}
+	return out
+}
+
+// descend applies one branch and returns its undo.
+func descend(s *solver, pos int, b branch) func() {
+	f := s.order[pos]
+	ms := s.srcs[f]
+	boundIn, boundOut, _ := s.bindCand(f, b.c)
+	s.place(f, ms, b.set, b.c.Path)
+	return func() {
+		s.unplace(f, b.set)
+		s.unbindCand(f, b.c, boundIn, boundOut)
+	}
+}
+
+// leastLeaf exhausts the subtree at pos with no incumbent and no bound and
+// returns its cheapest leaf cost (+inf when it has no leaf); ok is false
+// when the subtree has more than *budget nodes.
+func leastLeaf(s *solver, pos int, budget *int) (float64, bool) {
+	if pos == len(s.order) {
+		return s.cost(), true
+	}
+	if *budget--; *budget < 0 {
+		return 0, false
+	}
+	least := math.Inf(1)
+	for _, b := range branches(s, pos) {
+		undo := descend(s, pos, b)
+		c, ok := leastLeaf(s, pos+1, budget)
+		undo()
+		if !ok {
+			return 0, false
+		}
+		least = min(least, c)
+	}
+	return least, true
+}
+
+// exactBound evaluates prunes' bound at pos in full, with none of its
+// early exits: +inf when some unplaced flow has no admissible candidate.
+func exactBound(s *solver, pos int) float64 {
+	lb := s.cost() + s.remainingLB(pos)
+	minus := s.usedEdges.Or(s.pt.Cands.StubEdges)
+	var worst float64
+	for k := pos; k < len(s.order); k++ {
+		least, ok := s.leastFresh(s.order[k], &minus, -1, false)
+		if !ok {
+			return math.Inf(1)
+		}
+		worst = max(worst, least)
+	}
+	return lb + s.beta*worst
+}
+
+// TestBoundAdmissible drives the search to random reachable partial states
+// of every golden instance — crossbar and FPVA, under every binding
+// policy — and exhausts the subtree below each one. The node bound must
+// not exceed the subtree's cheapest leaf, must be +inf only when the
+// subtree has no leaf, and prunes, with its early exits, must decide
+// exactly as the full bound does against an incumbent at, just above and
+// far above that leaf.
+func TestBoundAdmissible(t *testing.T) {
+	const statesPerInstance = 6
+	specs := goldenSpecs()
+	names := make([]string, 0, len(specs))
+	for name := range specs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	rng := rand.New(rand.NewSource(26))
+	var checked, leafless, tight int
+	for _, name := range names {
+		sp := specs[name]
+		sw, pt, err := sp.SharedTopology()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range statesPerInstance {
+			s := newSolver(sp, sw, pt, Options{})
+			s.bindFixed()
+			var undos []func()
+			pos, depth := 0, rng.Intn(len(s.order))
+			for ; pos < depth; pos++ {
+				bs := branches(s, pos)
+				if len(bs) == 0 {
+					break
+				}
+				undos = append(undos, descend(s, pos, bs[rng.Intn(len(bs))]))
+			}
+			budget := 3000
+			leaf, ok := leastLeaf(s, pos, &budget)
+			if ok {
+				checked++
+				bound := exactBound(s, pos)
+				switch {
+				case math.IsInf(leaf, 1):
+					leafless++
+				case math.IsInf(bound, 1):
+					t.Errorf("%s at depth %d: bound is +inf, subtree has a leaf of cost %v", name, pos, leaf)
+				case bound > leaf+eps:
+					t.Errorf("%s at depth %d: bound %v exceeds the cheapest leaf %v", name, pos, bound, leaf)
+				case bound > leaf-eps:
+					tight++
+				}
+				for _, incumbent := range []float64{leaf, leaf + s.beta*0.05, inf} {
+					s.bestCost = incumbent
+					if got, want := s.prunes(pos), bound >= s.pruneBound(); got != want {
+						t.Errorf("%s at depth %d: prunes = %v against incumbent %v, full bound %v says %v",
+							name, pos, got, incumbent, bound, want)
+					}
+				}
+			}
+			for i := len(undos) - 1; i >= 0; i-- {
+				undos[i]()
+			}
+			s.release()
+		}
+	}
+	if checked < len(names)*statesPerInstance/2 || leafless == 0 || tight == 0 {
+		t.Fatalf("checked %d states (%d without a leaf, %d with a tight bound); the sample is too thin",
+			checked, leafless, tight)
+	}
+	t.Logf("checked %d states: %d without a leaf, %d with a tight bound", checked, leafless, tight)
+}

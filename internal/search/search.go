@@ -10,6 +10,14 @@
 // faithful encoding, kept in internal/model — does not scale past toy sizes.
 // Property tests cross-check the two engines' optima on small instances.
 //
+// Every node is bounded by its cost, the pin stubs the unplaced flows must
+// still add, and the longest of their least fresh interiors over the
+// candidates they may still take; a flow with no such candidate prunes
+// the node (forward checking). The bound is admissible, so it only removes
+// subtrees without a leaf the search would accept: the plan, and the first
+// optimal leaf in canonical DFS order, are those of the unbounded tree
+// (see prunes and DESIGN.md §5).
+//
 // With Options.Workers > 1 the DFS runs on a parallel driver (parallel.go):
 // the canonical search-tree frontier is split into work units consumed by a
 // pool of workers that share one incumbent bound. Results are bit-identical
@@ -390,9 +398,14 @@ func (s *solver) run() (*spec.Result, error) {
 		}
 	}
 
-	if s.opts.Workers > 1 && !s.stopAtFirst && len(s.order) > 0 {
+	// A stop source that has already fired ends the solve before the
+	// search: a small tree could otherwise finish before the first
+	// periodic poll and ignore a dead context.
+	switch {
+	case s.poll():
+	case s.opts.Workers > 1 && !s.stopAtFirst && len(s.order) > 0:
 		s.runParallel()
-	} else {
+	default:
 		s.dfs(0)
 	}
 	return s.finish(start)
@@ -535,6 +548,12 @@ func (s *solver) expired() bool {
 			runtime.Gosched()
 		}
 	}
+	return s.poll()
+}
+
+// poll checks the context and the deadline, halting the solver when
+// either has fired.
+func (s *solver) poll() bool {
 	if s.ctx != nil {
 		if err := s.ctx.Err(); err != nil {
 			s.halt(err)
@@ -568,10 +587,12 @@ func (s *solver) costOf(sets int, length float64) float64 {
 	return s.alpha*float64(sets) + s.beta*length
 }
 
-// remainingLB is an admissible lower bound on the extra cost the unassigned
-// flows must add: every unassigned flow ends at a distinct outlet pin whose
-// stub cannot be in use yet, and each distinct unassigned inlet module whose
-// stub is unused adds its stub too.
+// remainingLB is an admissible lower bound on the extra stub length the
+// unassigned flows must add: every unassigned flow ends at a distinct
+// outlet pin whose stub cannot be in use yet, and each distinct unassigned
+// inlet module whose stub is unused adds its stub too. It prices stub
+// edges only; prunes adds the interior edges on top of it, and
+// Result.LowerBound of a degraded plan is the root's stub bound.
 func (s *solver) remainingLB(pos int) float64 {
 	var extra float64
 	s.gen++
@@ -593,6 +614,113 @@ func (s *solver) remainingLB(pos int) float64 {
 		}
 	}
 	return s.beta * extra
+}
+
+// prunes reports whether the node at pos can hold no leaf the acceptance
+// rule would take. Its bound adds to cost + remainingLB the β-weighted
+// largest, over the unplaced flows, of the least fresh interior length —
+// path edges neither in use nor pin stubs — among each flow's admissible
+// candidates, and is +inf when some flow has none (forward checking). A
+// candidate is admissible when its pins pass the node's pin filter
+// without the root symmetry cut, it clashes with no routed conflicting
+// flow, and some set can take it. Every test only fails more often down
+// the subtree, so the path a flow finally takes is admissible here and
+// adds at least its fresh interior; interior and stub edges are disjoint,
+// so those lengths add to the stubs remainingLB counts.
+//
+// The evaluation stops as soon as the outcome is known: when even the
+// longest interior cannot reach the prune bound only the feasibility exit
+// can prune, so each flow stops at its first admissible candidate; a
+// flow's scan stops once its least value cannot raise the running
+// maximum; and the node is pruned as soon as the bound reaches the prune
+// bound.
+func (s *solver) prunes(pos int) bool {
+	lb := s.cost() + s.remainingLB(pos)
+	cut := s.pruneBound()
+	if lb >= cut {
+		return true
+	}
+	ct := &s.pt.Cands
+	first := lb+s.beta*ct.MaxInterior < cut
+	minus := s.usedEdges.Or(ct.StubEdges)
+	var worst float64
+	for k := pos; k < len(s.order); k++ {
+		least, ok := s.leastFresh(s.order[k], &minus, worst, first)
+		if !ok {
+			return true
+		}
+		if least > worst {
+			worst = least
+			if lb+s.beta*worst >= cut {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// leastFresh returns the least length outside minus of flow f's
+// admissible candidates (see prunes), and false when f has none. It walks
+// the pin-pair tables of the pins the flow's modules may take, so pins the
+// filter rejects cost nothing. With first it returns 0 at the first
+// admissible candidate; otherwise it stops once the least value is at
+// most floor.
+func (s *solver) leastFresh(f int, minus *topo.Bits, floor float64, first bool) (float64, bool) {
+	ms := s.srcs[f]
+	ins, outs := s.pinChoices(ms), s.pinChoices(s.dsts[f])
+	var least float64
+	found := false
+	for wi := range ins {
+		for w := ins[wi]; w != 0; w &= w - 1 {
+			byOut := s.pt.Cands.ByPair[wi*64+mathbits.TrailingZeros64(w)]
+			for wo := range outs {
+				for v := outs[wo]; v != 0; v &= v - 1 {
+					cands := byOut[wo*64+mathbits.TrailingZeros64(v)]
+					for i := range cands {
+						path := cands[i].Path
+						var fresh float64
+						if !first {
+							fresh = s.edgeMaskLen(&path.EdgeMask, minus)
+							if found && fresh >= least {
+								continue
+							}
+						}
+						if s.conflictClash(f, path) || !s.fitsSomeSet(ms, path) {
+							continue
+						}
+						least, found = fresh, true
+						if first || least <= floor {
+							return least, true
+						}
+					}
+				}
+			}
+		}
+	}
+	return least, found
+}
+
+// pinChoices returns the pins module m may take: its own when bound, its
+// landing pins otherwise.
+func (s *solver) pinChoices(m int) topo.Bits {
+	if p := s.pinOf[m]; p >= 0 {
+		return topo.BitsOf(p)
+	}
+	return s.landing(m)
+}
+
+// fitsSomeSet reports whether some set can take a placement of path for
+// inletModule: an empty one, or an open one setFits admits.
+func (s *solver) fitsSomeSet(inletModule int, path *topo.Path) bool {
+	if s.usedSets < s.maxSets {
+		return true
+	}
+	for set := range s.usedSets {
+		if s.setFits(set, inletModule, path) {
+			return true
+		}
+	}
+	return false
 }
 
 // acceptLeaf records the complete assignment at the current leaf if it
@@ -717,7 +845,7 @@ func (s *solver) dfs(pos int) {
 	if s.expired() {
 		return
 	}
-	if s.cost()+s.remainingLB(pos) >= s.pruneBound() {
+	if s.prunes(pos) {
 		return
 	}
 

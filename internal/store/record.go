@@ -16,9 +16,12 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"slices"
 )
 
 // Record types.
@@ -75,6 +78,19 @@ func (r *record) encode(buf []byte) []byte {
 // errBadRecord marks a record that failed structural or CRC validation.
 var errBadRecord = fmt.Errorf("store: bad record")
 
+// parseHeader validates a record header and returns the record's type
+// and field lengths; ok is false when the header cannot start a record.
+func parseHeader(h []byte) (typ byte, keyLen, engLen, valLen int, ok bool) {
+	typ = h[0]
+	keyLen = int(binary.LittleEndian.Uint32(h[1:5]))
+	engLen = int(binary.LittleEndian.Uint32(h[5:9]))
+	valLen = int(binary.LittleEndian.Uint32(h[9:13]))
+	ok = (typ == recPut || typ == recDelete) &&
+		keyLen > 0 && keyLen <= maxKeyLen && engLen >= 0 && engLen <= maxEngLen &&
+		valLen >= 0 && valLen <= maxValLen
+	return typ, keyLen, engLen, valLen, ok
+}
+
 // decodeRecord parses the record starting at data[0]. It returns the
 // record and its encoded size, or errBadRecord when the bytes cannot be a
 // complete, checksummed record (torn tail, corruption, or garbage). A
@@ -83,15 +99,8 @@ func decodeRecord(data []byte) (record, int, error) {
 	if len(data) < recHeaderLen+recTrailerLen {
 		return record{}, 0, errBadRecord
 	}
-	typ := data[0]
-	if typ != recPut && typ != recDelete {
-		return record{}, 0, errBadRecord
-	}
-	keyLen := int(binary.LittleEndian.Uint32(data[1:5]))
-	engLen := int(binary.LittleEndian.Uint32(data[5:9]))
-	valLen := int(binary.LittleEndian.Uint32(data[9:13]))
-	if keyLen <= 0 || keyLen > maxKeyLen || engLen < 0 || engLen > maxEngLen ||
-		valLen < 0 || valLen > maxValLen {
+	typ, keyLen, engLen, valLen, ok := parseHeader(data)
+	if !ok {
 		return record{}, 0, errBadRecord
 	}
 	n := recHeaderLen + keyLen + engLen + valLen + recTrailerLen
@@ -111,4 +120,68 @@ func decodeRecord(data []byte) (record, int, error) {
 		value:  append([]byte(nil), data[off+keyLen+engLen:off+keyLen+engLen+valLen]...),
 	}
 	return rec, n, nil
+}
+
+// walReader streams the WAL's records for replay. Each record's CRC is
+// computed as its bytes pass; the engine and value are never kept and the
+// key lands in a scratch buffer the next record reuses, so replay holds
+// one read buffer and one key at a time, whatever the size of the log.
+type walReader struct {
+	r   *bufio.Reader
+	hdr [recHeaderLen + recTrailerLen]byte
+	key []byte // the last record's key; overwritten by the next call
+}
+
+func newWALReader(r io.Reader) *walReader {
+	return &walReader{r: bufio.NewReaderSize(r, 64<<10)}
+}
+
+// next reads the record at the reader's position with decodeRecord's
+// rules: err is nil for a complete, checksummed record, whose key is then
+// w.key; a complete record that fails its CRC reports its size with
+// errBadRecord; a short or implausible record, or the end of the log,
+// reports size 0 and errBadRecord. Any other error is the file's, and
+// replay must not take it for a torn tail.
+func (w *walReader) next() (typ byte, n int, err error) {
+	h := w.hdr[:recHeaderLen]
+	if _, err := io.ReadFull(w.r, h); err != nil {
+		return 0, 0, readErr(err)
+	}
+	typ, keyLen, engLen, valLen, ok := parseHeader(h)
+	if !ok {
+		return 0, 0, errBadRecord
+	}
+	crc := crc32.Update(0, castagnoli, h)
+	w.key = slices.Grow(w.key[:0], keyLen)[:keyLen]
+	if _, err := io.ReadFull(w.r, w.key); err != nil {
+		return 0, 0, readErr(err)
+	}
+	crc = crc32.Update(crc, castagnoli, w.key)
+	for rest := engLen + valLen; rest > 0; {
+		chunk, err := w.r.Peek(min(rest, w.r.Size()))
+		crc = crc32.Update(crc, castagnoli, chunk)
+		_, _ = w.r.Discard(len(chunk)) // cannot fail: the bytes are buffered
+		rest -= len(chunk)
+		if err != nil && rest > 0 {
+			return 0, 0, readErr(err)
+		}
+	}
+	trailer := w.hdr[recHeaderLen:]
+	if _, err := io.ReadFull(w.r, trailer); err != nil {
+		return 0, 0, readErr(err)
+	}
+	n = recHeaderLen + keyLen + engLen + valLen + recTrailerLen
+	if binary.LittleEndian.Uint32(trailer) != crc {
+		return typ, n, errBadRecord
+	}
+	return typ, n, nil
+}
+
+// readErr maps the end of the file inside a record to errBadRecord and
+// passes any other read error on.
+func readErr(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return errBadRecord
+	}
+	return err
 }

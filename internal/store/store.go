@@ -15,11 +15,13 @@
 // Records written but not yet fsynced may be lost in a crash; everything
 // before the last successful fsync is guaranteed to survive.
 //
-// Recovery replays the WAL into an in-memory index. A complete record
-// that fails its CRC is disk rot when the bytes right after it decode as
-// a valid record: it is skipped (CorruptEvicted) and replay goes on.
-// Any other bad record starts the torn tail, which is truncated; every
-// record before it is kept. Reopen is idempotent — a second open of a
+// Recovery streams the WAL into an in-memory index, keeping only the
+// keys it indexes, so boot memory follows the live index, not the log
+// (see walReader). A complete record that fails its CRC is disk rot when
+// the bytes right after it decode as a valid record: it is skipped
+// (CorruptEvicted) and replay goes on. Any other bad record starts the
+// torn tail, which is truncated; every record before it is kept. A read
+// error fails Open. Reopen is idempotent — a second open of a
 // recovered directory recovers the same contents and truncates nothing.
 // Get re-verifies the record CRC on every read, so a corrupted record is
 // never returned: it is evicted and reported as a miss, and the caller
@@ -35,7 +37,6 @@ package store
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -160,12 +161,15 @@ func (s *Store) recover() error {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.wal = wal
-	data, err := io.ReadAll(wal)
+	fi, err := wal.Stat()
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	good := s.replay(data)
-	if torn := int64(len(data)) - good; torn > 0 {
+	good, err := s.replay(newWALReader(wal))
+	if err != nil {
+		return fmt.Errorf("store: replaying %s: %w", walName, err)
+	}
+	if torn := fi.Size() - good; torn > 0 {
 		if err := wal.Truncate(good); err != nil {
 			return fmt.Errorf("store: truncating torn tail: %w", err)
 		}
@@ -182,32 +186,38 @@ func (s *Store) recover() error {
 // replay applies the WAL's records to the index and returns the offset
 // where the torn tail starts. A complete record that fails its CRC is
 // rot, skipped and counted, when the bytes right after it decode as a
-// valid record; any other bad record is the start of the torn tail.
-func (s *Store) replay(data []byte) int64 {
+// valid record; any other bad record is the start of the torn tail. Only
+// a key that enters the index is copied. A read error fails the replay:
+// it says nothing about the bytes on disk.
+func (s *Store) replay(w *walReader) (int64, error) {
 	var off int64
-	for int(off) < len(data) {
-		rec, n, err := decodeRecord(data[off:])
-		if err != nil {
+	typ, n, err := w.next()
+	for {
+		if err == errBadRecord {
 			if n == 0 {
-				return off
+				return off, nil
 			}
-			if _, _, err := decodeRecord(data[off+int64(n):]); err != nil {
-				return off
+			next, m, nextErr := w.next()
+			if nextErr == errBadRecord {
+				return off, nil
 			}
 			s.stats.CorruptEvicted++
 			off += int64(n)
-			continue
+			typ, n, err = next, m, nextErr
 		}
-		switch rec.typ {
+		if err != nil {
+			return 0, err
+		}
+		switch typ {
 		case recPut:
-			s.index[rec.key] = loc{off: off, size: n}
+			s.index[string(w.key)] = loc{off: off, size: n}
 		case recDelete:
-			delete(s.index, rec.key)
+			delete(s.index, string(w.key))
 		}
 		s.stats.Recovered++
 		off += int64(n)
+		typ, n, err = w.next()
 	}
-	return off
 }
 
 // Get returns the stored plan bytes and engine name for key. The record

@@ -2,10 +2,14 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"switchsynth/internal/faultinject"
@@ -385,5 +389,89 @@ func TestClosedStoreRejectsWrites(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal("second close should be a nop")
+	}
+}
+
+// TestOpenAllocatesForLiveKeysOnly reopens a log of 2,000 distinct 4 KiB
+// plans, a rewrite of every tenth and a delete of every seventh. Replay
+// streams the log: Open may allocate the live index — each live key's
+// bytes plus a fixed per-entry map cost — one maximum-size record and a
+// constant, never the log itself (about 8 MiB here).
+func TestOpenAllocatesForLiveKeysOnly(t *testing.T) {
+	const (
+		plans      = 2000
+		perEntry   = 256 // index map slot and growth, per live key
+		constBytes = 256 << 10
+	)
+	dir := t.TempDir()
+	s := openT(t, dir, Options{})
+	value := bytes.Repeat([]byte{'p'}, 4<<10)
+	key := func(i int) string { return fmt.Sprintf("%064x|search", i) }
+	for i := 0; i < plans; i++ {
+		if err := s.Put(key(i), "search", value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < plans; i += 10 {
+		if err := s.Put(key(i), "search", value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < plans; i += 7 {
+		if err := s.Delete(key(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	liveKeyBytes := 0
+	for _, k := range s.Keys() {
+		liveKeyBytes += len(k)
+	}
+	live, walBytes := s.Len(), s.Stats().DiskBytes
+	maxRecord := (&record{typ: recPut, key: key(0), engine: "search", value: value}).size()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := Open(dir, syncOpts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.Len() != live {
+		t.Fatalf("reopened %d entries, want %d", r.Len(), live)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	limit := uint64(liveKeyBytes + perEntry*live + maxRecord + constBytes)
+	t.Logf("Open of a %d-byte log with %d live keys (%d key bytes) allocated %d bytes, limit %d",
+		walBytes, live, liveKeyBytes, alloc, limit)
+	if alloc > limit {
+		t.Fatalf("Open allocated %d bytes, more than the live index + one record + a constant (%d)", alloc, limit)
+	}
+}
+
+// TestReplayTellsReadErrorsFromTornTails cuts the last of three records
+// short: ending there is a torn tail after two records, while a read
+// error at the same place fails the replay, so recover never truncates
+// a log it could not read.
+func TestReplayTellsReadErrorsFromTornTails(t *testing.T) {
+	var log []byte
+	for i := 0; i < 3; i++ {
+		rec := record{typ: recPut, key: fmt.Sprintf("k%d", i), engine: "search", value: val(i)}
+		log = rec.encode(log)
+	}
+	cut := log[:len(log)-5]
+	good := int64(2 * (&record{typ: recPut, key: "k0", engine: "search", value: val(0)}).size())
+
+	s := &Store{index: map[string]loc{}}
+	if off, err := s.replay(newWALReader(bytes.NewReader(cut))); err != nil || off != good || len(s.index) != 2 {
+		t.Fatalf("torn tail: replay = %d, %v with %d keys; want %d, nil with 2", off, err, len(s.index), good)
+	}
+	boom := errors.New("disk gone")
+	s = &Store{index: map[string]loc{}}
+	if _, err := s.replay(newWALReader(io.MultiReader(bytes.NewReader(cut), iotest.ErrReader(boom)))); !errors.Is(err, boom) {
+		t.Fatalf("read error: replay error = %v, want %v", err, boom)
 	}
 }

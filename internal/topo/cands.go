@@ -39,6 +39,13 @@ type CandTable struct {
 	ByIn   [][]Cand   // [inlet pin order]
 	ByOut  [][]Cand   // [outlet pin order]
 	ByPair [][][]Cand // [inlet pin order][outlet pin order]
+
+	// StubEdges holds every pin's stub edge. A path's interior is its
+	// edge mask without them; interior and stub edges are disjoint.
+	StubEdges Bits
+	// MaxInterior is the largest interior length of any candidate, each
+	// summed over its edges in ascending ID order.
+	MaxInterior float64
 }
 
 // buildCandTable sorts pt's candidates once; BuildPathTable calls it, so
@@ -64,6 +71,17 @@ func buildCandTable(pt *PathTable) CandTable {
 		ct.ByIn[c.In] = append(ct.ByIn[c.In], c)
 		ct.ByOut[c.Out] = append(ct.ByOut[c.Out], c)
 		ct.ByPair[c.In][c.Out] = append(ct.ByPair[c.In][c.Out], c)
+	}
+	sw := pt.Switch
+	for p := range n {
+		ct.StubEdges.Set(sw.PinStubEdge(p))
+	}
+	for _, c := range ct.All {
+		var interior float64
+		for _, e := range c.Path.EdgeMask.AndNot(ct.StubEdges).Indices() {
+			interior += sw.Edges[e].Length
+		}
+		ct.MaxInterior = max(ct.MaxInterior, interior)
 	}
 	return ct
 }
