@@ -60,8 +60,9 @@ echo "== solver kernel gate: golden tree + kernel oracles under -race =="
 # checked against exhaustive subtrees: at random reachable states of every
 # golden instance it never exceeds the cheapest leaf below, is +inf only
 # over a subtree without leaves, and its early exits prune exactly when
-# the full bound does.
-go test -race -run 'TestGoldenTree|TestBoundAdmissible|TestClockwiseAdmitsMatchesFullCheck|TestClockwiseArcMatchesFullCheck|TestCandTableOrder|TestSetOwnershipMatchesOwnerScan|TestBitsRange' \
+# the full bound does. A degraded plan reports the full root bound (plus
+# one set) as its LowerBound, not its stub part.
+go test -race -run 'TestGoldenTree|TestBoundAdmissible|TestDegradedLowerBoundIsRootBound|TestClockwiseAdmitsMatchesFullCheck|TestClockwiseArcMatchesFullCheck|TestCandTableOrder|TestSetOwnershipMatchesOwnerScan|TestBitsRange' \
   ./internal/search/ ./internal/topo/
 
 echo "== warm-start gate: -race -count=2 =="
@@ -153,13 +154,16 @@ echo "== plan-bytes gate: fuzz + one admission door + plan stream =="
 # the only way a node fetches plan bytes from a peer — serves
 # byte-identical frames, reports a refused upgrade as a fill error,
 # re-dials a dead pooled stream once, and hangs up when its engine
-# retires; GET /plans/{key} serves every caller JSON. The byte-diff of the
-# replicating binary 3-node campaign is the replicating arm of the
-# four-topology determinism test in the cluster gate above.
+# retires; GET /plans/{key} serves every caller JSON. A plan whose set
+# labels leave a gap below NumSets is refused by the verifier, by
+# verifyplan (an error, not a panic) and at every door, and a plan
+# relabeled onto a permuted spec and back encodes to its own bytes. The
+# byte-diff of the replicating binary 3-node campaign is the replicating
+# arm of the four-topology determinism test in the cluster gate above.
 go test -fuzz '^FuzzDecodeBinary$' -fuzztime 15s -run '^$' ./internal/planio/
 go test -fuzz '^FuzzCrossFormat$' -fuzztime 15s -run '^$' ./internal/planio/
-go test -race -run 'TestTamperedPlanBytesRejectedAtEveryDoor|TestEngineHealsPersistedPlanUnderWrongKey|TestDigestCache|TestPlanBytes|TestPlanEndpointServesJSON|TestPlanStream|TestStreamFetch' \
-  ./internal/cluster/ ./internal/service/ ./internal/planio/
+go test -race -run 'TestTamperedPlanBytesRejectedAtEveryDoor|TestEngineHealsPersistedPlanUnderWrongKey|TestDigestCache|TestPlanBytes|TestPlanEndpointServesJSON|TestPlanStream|TestStreamFetch|TestVerifyDetectsTampering|TestVerifyFileRejectsGappedSetLabels|TestRelabelRoundTripProperty' \
+  ./internal/cluster/ ./internal/service/ ./internal/planio/ ./internal/contam/ ./cmd/verifyplan/ ./internal/spec/
 
 echo "== replication chaos gate: kill any node mid-campaign, zero re-solves =="
 # For every choice of victim in a replicated 3-node cluster: warm a

@@ -1,17 +1,16 @@
 // Package client is the Go client for a synthd daemon
 // (cmd/synthd): it submits synthesis requests over HTTP with
-// context-aware retries, exponential backoff with full jitter, and
-// idempotency keyed on the spec's canonical key.
+// context-aware retries and exponential backoff with full jitter.
 //
 // Retry policy: network errors and the shed-load statuses (429, 502,
 // 503, 504) are retried up to Config.MaxAttempts times; a Retry-After
 // header from the daemon's circuit breaker or drain window — either the
 // delay-seconds or the HTTP-date form — overrides the computed backoff.
 // All other statuses — including 422 no-solution, which is an
-// infeasibility proof — fail immediately. Requests carry an
-// Idempotency-Key header equal to spec.CanonicalKey, so retries of the
-// same spec land on the daemon's result cache (or coalesce onto an
-// in-flight solve) instead of repeating work.
+// infeasibility proof — fail immediately. Retrying is safe because the
+// daemon derives each spec's canonical key itself: a retry of the same
+// spec lands on its result cache (or coalesces onto an in-flight solve)
+// instead of repeating work.
 //
 // Against a sharded deployment (Config.Peers), the client computes each
 // spec's owning node with the same rendezvous ring the daemons use and
@@ -189,7 +188,7 @@ func (c *Client) setIdentity(req *http.Request) {
 // transient failures until ctx is done or MaxAttempts is exhausted.
 func (c *Client) Synthesize(ctx context.Context, sp *switchsynth.Spec, opts service.RequestOptions) (*service.SynthesizeResponse, error) {
 	// The canonical key validates the spec locally (no round trip for
-	// garbage), keys idempotent retries and, as a job key, ranks peers.
+	// garbage) and, as a job key, ranks peers.
 	key, err := switchsynth.CanonicalKey(sp)
 	if err != nil {
 		return nil, err
@@ -207,7 +206,7 @@ func (c *Client) Synthesize(ctx context.Context, sp *switchsynth.Spec, opts serv
 				return nil, err
 			}
 		}
-		out, err := c.once(ctx, targets[attempt%len(targets)], key, body)
+		out, err := c.once(ctx, targets[attempt%len(targets)], body)
 		if err == nil {
 			return out, nil
 		}
@@ -244,13 +243,12 @@ func (c *Client) targets(key string) []string {
 }
 
 // once performs a single POST /synthesize round trip against base.
-func (c *Client) once(ctx context.Context, base, key string, body []byte) (*service.SynthesizeResponse, error) {
+func (c *Client) once(ctx context.Context, base string, body []byte) (*service.SynthesizeResponse, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/synthesize", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Idempotency-Key", key)
 	c.setIdentity(req)
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -425,7 +423,7 @@ func (c *Client) Stream(ctx context.Context, sp *switchsynth.Spec, opts service.
 				return nil, err
 			}
 		}
-		out, started, err := c.streamOnce(ctx, targets[attempt%len(targets)], key, body, onFrame)
+		out, started, err := c.streamOnce(ctx, targets[attempt%len(targets)], body, onFrame)
 		if err == nil {
 			return out, nil
 		}
@@ -445,13 +443,12 @@ func (c *Client) Stream(ctx context.Context, sp *switchsynth.Spec, opts service.
 
 // streamOnce performs one ?wait=proof round trip; started reports
 // whether the response stream was entered (no retries past that point).
-func (c *Client) streamOnce(ctx context.Context, base, key string, body []byte, onFrame func(*service.SynthesizeResponse) error) (_ *service.SynthesizeResponse, started bool, _ error) {
+func (c *Client) streamOnce(ctx context.Context, base string, body []byte, onFrame func(*service.SynthesizeResponse) error) (_ *service.SynthesizeResponse, started bool, _ error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/synthesize?wait=proof", bytes.NewReader(body))
 	if err != nil {
 		return nil, false, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Idempotency-Key", key)
 	c.setIdentity(req)
 	resp, err := c.hc.Do(req)
 	if err != nil {

@@ -50,7 +50,7 @@ func newTestClient(t *testing.T, url string, cfg Config) *Client {
 
 // TestSynthesizeAgainstRealDaemonHandler round-trips a spec through the
 // actual service handler: the client must surface the plan metadata and
-// the daemon must see the idempotency key.
+// the daemon's canonical job key.
 func TestSynthesizeAgainstRealDaemonHandler(t *testing.T) {
 	eng := service.New(service.Config{Workers: 2})
 	defer eng.Close()
@@ -89,20 +89,11 @@ func TestSynthesizeAgainstRealDaemonHandler(t *testing.T) {
 }
 
 // TestRetriesTransientStatusesThenSucceeds fails twice with retryable
-// statuses before serving; the client must retry through both and attach
-// the idempotency key on every attempt.
+// statuses before serving; the client must retry through both.
 func TestRetriesTransientStatusesThenSucceeds(t *testing.T) {
 	var calls atomic.Int64
-	var keys atomic.Int64
 	sp := clientSpec("client-retry")
-	wantKey, err := switchsynth.CanonicalKey(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("Idempotency-Key") == wantKey {
-			keys.Add(1)
-		}
 		switch calls.Add(1) {
 		case 1:
 			w.WriteHeader(http.StatusServiceUnavailable)
@@ -127,8 +118,40 @@ func TestRetriesTransientStatusesThenSucceeds(t *testing.T) {
 	if got := calls.Load(); got != 3 {
 		t.Errorf("server saw %d calls, want 3", got)
 	}
-	if got := keys.Load(); got != 3 {
-		t.Errorf("idempotency key present on %d/3 attempts", got)
+}
+
+// TestRetryLandsOnDaemonCache: the daemon solves and caches the first
+// attempt, but the answer is lost to a 503 on the way back; the retry
+// carries nothing but the spec and is served from the cache, because the
+// daemon derives the canonical key itself.
+func TestRetryLandsOnDaemonCache(t *testing.T) {
+	eng := service.New(service.Config{Workers: 2})
+	defer eng.Close()
+	h := service.NewHandler(eng)
+	var calls atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			h.ServeHTTP(httptest.NewRecorder(), r)
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	c := newTestClient(t, srv.URL, Config{MaxAttempts: 3})
+
+	resp, err := c.Synthesize(context.Background(), clientSpec("client-retry-cache"), service.RequestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := calls.Load(); got != 2 {
+		t.Errorf("server saw %d calls, want 2", got)
+	}
+	if !resp.CacheHit {
+		t.Error("the retry was solved again instead of served from the cache")
+	}
+	if snap := eng.Snapshot(); snap.CacheHits != 1 {
+		t.Errorf("engine cache hits = %d, want 1", snap.CacheHits)
 	}
 }
 

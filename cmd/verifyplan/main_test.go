@@ -104,6 +104,37 @@ func TestVerifyFileCrossbarRegression(t *testing.T) {
 	}
 }
 
+// TestVerifyFileRejectsGappedSetLabels: a plan whose one set is labeled
+// 1 instead of 0 keeps its set count but indexes past it; the audit must
+// refuse it with an error before any analysis indexes sets by label.
+func TestVerifyFileRejectsGappedSetLabels(t *testing.T) {
+	sp := &spec.Spec{
+		Name:       "xbar-gapped",
+		SwitchPins: 8,
+		Modules:    []string{"a", "b", "x", "y"},
+		Flows:      []spec.Flow{{From: "a", To: "x"}, {From: "b", To: "y"}},
+		Binding:    spec.Unfixed,
+	}
+	res, err := search.Solve(sp, search.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NumSets != 1 {
+		t.Fatalf("NumSets = %d, want 1 (the gap must stay below MaxSets)", res.NumSets)
+	}
+	for i := range res.Routes {
+		res.Routes[i].Set = 1
+	}
+	frame, err := planio.EncodeBinary(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := writePlan(t, t.TempDir(), "gapped.plan", frame)
+	if err := verifyFile(p, true); err == nil {
+		t.Error("plan with gapped set labels passed the audit")
+	}
+}
+
 // TestVerifyFileAcceptsFlowLevelConflicts: five seed-42 campaign plans
 // route a flow over the residue of a sibling of a conflicting flow — the
 // same inlet, but not the conflicting flow itself. Contamination is a

@@ -12,11 +12,13 @@
 //     cluster path — forwarding, peer fill, sync — degrades to "solve
 //     it locally" on any error. A fully partitioned node behaves
 //     exactly like a single-node synthd.
-//  2. Only proven plans propagate. Every plan that crosses a node
-//     boundary is re-verified by the receiver (decode, Proven flag,
+//  2. Only plans flagged proven propagate. Every plan that crosses a
+//     node boundary is re-verified by the receiver (decode, Proven flag,
 //     canonical-key re-derivation, full contamination verification)
 //     before it is served or stored. A corrupt or malicious peer can
-//     cost a redundant solve, never a wrong answer.
+//     cost a redundant solve, never a contaminated or mis-keyed plan;
+//     peers are trusted for optimality, which the receiver does not
+//     re-prove.
 //  3. Determinism is topology-independent. The solver produces
 //     bit-identical plans at any worker count, so a plan is the same
 //     bytes whether solved locally, by the owner, or recovered from a

@@ -185,7 +185,7 @@ func (c *Cluster) forward(w http.ResponseWriter, r *http.Request, owner Node, bo
 		req.Header.Set("Content-Type", "application/json")
 	}
 	req.Header.Set(HopHeader, strconv.Itoa(hop+1))
-	for _, k := range []string{"Idempotency-Key", service.TenantHeader, service.PriorityHeader} {
+	for _, k := range []string{service.TenantHeader, service.PriorityHeader} {
 		if v := r.Header.Get(k); v != "" {
 			req.Header.Set(k, v)
 		}

@@ -14,8 +14,11 @@
 // The receiving side is PUT /plans/{key} (service layer), which funnels
 // into Engine.ImportPlan and through the engine's one admission door:
 // decode, Proven check, canonical-key re-derivation and full
-// contamination verification before any tier is touched. A corrupted or malicious push costs the sender a rejected
-// request, never the receiver a wrong plan (invariant 2).
+// contamination verification before any tier is touched. A corrupted or
+// malicious push costs the sender a rejected request, never the receiver
+// a contaminated or mis-keyed plan; a contamination-free but suboptimal
+// plan flagged proven is admitted, since peers are trusted for
+// optimality (invariant 2).
 package cluster
 
 import (

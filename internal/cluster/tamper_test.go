@@ -1,10 +1,10 @@
 // One table for every door plan bytes can enter a node through: the
 // durable store read, the peer fill, the PUT /plans/{key} push, the
 // anti-entropy import and read-repair. Each door is driven with a
-// one-byte-flipped frame and with a valid frame filed under the wrong
-// key; every door must refuse both through the engine's single
-// admission check, and the receiving node must hold nothing under the
-// key afterwards.
+// one-byte-flipped frame, with a valid frame filed under the wrong key
+// and with a well-formed frame whose set labels leave a gap; every door
+// must refuse all three through the engine's single admission check,
+// and the receiving node must hold nothing under the key afterwards.
 package cluster
 
 import (
@@ -19,6 +19,7 @@ import (
 
 	"switchsynth"
 	"switchsynth/internal/admission"
+	"switchsynth/internal/planio"
 	"switchsynth/internal/service"
 	"switchsynth/internal/spec"
 	"switchsynth/internal/store"
@@ -60,6 +61,27 @@ func (tp *tamperedPlans) misfiled(t *testing.T, sp *spec.Spec, key string) []byt
 	}
 	t.Fatal("no variant with a different key")
 	return nil
+}
+
+// gapped is sp's valid frame, re-encoded with the flows of its last set
+// moved to label NumSets: the set count still matches, but a label
+// indexes past it.
+func (tp *tamperedPlans) gapped(t *testing.T, sp *spec.Spec, key string) []byte {
+	_, good := tp.plan(t, sp)
+	res, err := planio.DecodeAny(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range res.Routes {
+		if res.Routes[i].Set == res.NumSets-1 {
+			res.Routes[i].Set = res.NumSets
+		}
+	}
+	bad, err := planio.EncodeBinary(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bad
 }
 
 // withStores gives every node a durable tier, recorded in stores by
@@ -136,6 +158,7 @@ func TestTamperedPlanBytesRejectedAtEveryDoor(t *testing.T) {
 	}{
 		{"flipped-byte", tp.flipped},
 		{"wrong-key", tp.misfiled},
+		{"gapped-sets", tp.gapped},
 	}
 	doors := []struct {
 		name string
@@ -234,4 +257,41 @@ func TestTamperedPlanBytesRejectedAtEveryDoor(t *testing.T) {
 		}
 	}
 
+}
+
+// TestNonOptimalProvenPlanPassesTheDoor pins what the door does not
+// check: optimality. A pushed plan that is contamination-free and marked
+// Proven but spends one flow set more than the optimum is admitted and
+// then served as proven; peers are trusted for optimality. An audit of
+// admitted plans would turn this row into a refusal.
+func TestNonOptimalProvenPlanPassesTheDoor(t *testing.T) {
+	tp := &tamperedPlans{donor: service.New(service.Config{Workers: 2})}
+	defer tp.donor.CloseNow()
+	n := startNodes(t, 1, withStores(t, map[string]*store.Store{}))[0]
+	sp, key := specOwnedBy(t, n.cl.Ring(), "n0")
+	_, good := tp.plan(t, sp)
+	res, err := planio.DecodeAny(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NumSets != 1 || len(res.Routes) < 2 {
+		t.Fatalf("optimum has %d sets for %d flows, want one shared set", res.NumSets, len(res.Routes))
+	}
+	res.Routes[len(res.Routes)-1].Set = 1 // a set of its own: one set more
+	res.NumSets = 2
+	worse, err := planio.EncodeBinary(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := putPlan(t, n, key, worse); code != http.StatusNoContent {
+		t.Fatalf("PUT /plans/{key} = %d, want 204 (the door admits it)", code)
+	}
+	resp, err := n.eng.Do(context.Background(), sp, switchsynth.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resp.Synthesis.Result; !resp.CacheHit || !got.Proven || got.NumSets != 2 {
+		t.Errorf("served cacheHit=%v proven=%v sets=%d, want the pushed 2-set plan served as proven",
+			resp.CacheHit, got.Proven, got.NumSets)
+	}
 }

@@ -75,6 +75,9 @@ func Verify(res *spec.Result) error {
 		if rt.Set < 0 || rt.Set >= sp.EffectiveMaxSets() {
 			return fmt.Errorf("contam: flow %d scheduled in set %d beyond MaxSets %d", i, rt.Set, sp.EffectiveMaxSets())
 		}
+		if rt.Set >= res.NumSets {
+			return fmt.Errorf("contam: flow %d scheduled in set %d outside [0,%d)", i, rt.Set, res.NumSets)
+		}
 		usedSets[rt.Set] = true
 		if err := verifyPath(sw, rt.Path); err != nil {
 			return fmt.Errorf("contam: flow %d: %w", i, err)
@@ -95,10 +98,7 @@ func Verify(res *spec.Result) error {
 	if unionEdges != res.UsedEdgeMask {
 		return fmt.Errorf("contam: used-edge mask mismatch")
 	}
-	var wantLen float64
-	for _, e := range unionEdges.Indices() {
-		wantLen += sw.Edges[e].Length
-	}
+	wantLen := sw.MaskLength(&unionEdges, &topo.Bits{})
 	if math.Abs(wantLen-res.Length) > 1e-6 {
 		return fmt.Errorf("contam: Length=%v but used channels sum to %v", res.Length, wantLen)
 	}

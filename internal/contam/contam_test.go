@@ -46,6 +46,7 @@ func TestVerifyDetectsTampering(t *testing.T) {
 		{"wrong flow id", func(r *spec.Result) { r.Routes[0].Flow = 1 }, "is for flow"},
 		{"bad set", func(r *spec.Result) { r.Routes[0].Set = 99 }, "beyond MaxSets"},
 		{"wrong set count", func(r *spec.Result) { r.NumSets++ }, "sets in use"},
+		{"gapped set labels", gapSets, "outside [0,"},
 		{"edge mask tampered", func(r *spec.Result) { r.UsedEdgeMask.Set(63) }, "mask mismatch"},
 		{"length tampered", func(r *spec.Result) { r.Length += 1 }, "used channels sum"},
 		{"unbound module", func(r *spec.Result) { delete(r.PinOf, "a") }, "unbound"},
@@ -67,6 +68,16 @@ func TestVerifyDetectsTampering(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// gapSets moves the flows of the last set to label NumSets: the set count
+// is unchanged, but the labels leave a gap below it.
+func gapSets(r *spec.Result) {
+	for i := range r.Routes {
+		if r.Routes[i].Set == r.NumSets-1 {
+			r.Routes[i].Set = r.NumSets
+		}
 	}
 }
 

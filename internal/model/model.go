@@ -398,25 +398,7 @@ func (b *builder) extract(sol *milp.Solution) (*spec.Result, error) {
 			return nil, fmt.Errorf("model: flow %d has no set in solution", i)
 		}
 		res.Routes[i] = spec.Route{Flow: i, Set: set, Path: b.cands[i][ki].path}
-		res.UsedEdgeMask = res.UsedEdgeMask.Or(b.cands[i][ki].path.EdgeMask)
 	}
-	for e := range b.sw.Edges {
-		if res.UsedEdgeMask.Has(e) {
-			res.Length += b.sw.Edges[e].Length
-		}
-	}
-	// Renumber sets contiguously by first use.
-	next := 0
-	remap := map[int]int{}
-	for i := range res.Routes {
-		old := res.Routes[i].Set
-		if _, ok := remap[old]; !ok {
-			remap[old] = next
-			next++
-		}
-		res.Routes[i].Set = remap[old]
-	}
-	res.NumSets = next
-	res.Objective = sp.EffectiveAlpha()*float64(res.NumSets) + sp.EffectiveBeta()*res.Length
+	res.Normalize()
 	return res, nil
 }

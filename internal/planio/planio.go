@@ -207,11 +207,13 @@ func prepare(sp *spec.Spec, pinOf map[string]int, nRoutes int) (*topo.Switch, er
 	return sw, nil
 }
 
-// finalize recomputes every derived field from the rebuilt routes and
-// cross-checks each path's endpoints against the binding: flow i must
-// run from its source module's bound pin to its destination module's
-// bound pin, so a tampered file cannot pair a consistent-looking binding
-// with routes that ignore it.
+// finalize counts the file's sets, derives mask, length and objective
+// (spec.Result.DeriveCost) and cross-checks each path's endpoints against
+// the binding: flow i must run from its source module's bound pin to its
+// destination module's bound pin, so a tampered file cannot pair a
+// consistent-looking binding with routes that ignore it. The file's own
+// set labels are kept, so contam.Verify judges them rather than a
+// renumbering hiding them.
 func finalize(res *spec.Result) error {
 	sw := res.Switch
 	sets := map[int]bool{}
@@ -224,16 +226,10 @@ func finalize(res *spec.Result) error {
 		if rt.Path.In != sw.PinVertex(res.PinOf[f.From]) || rt.Path.Out != sw.PinVertex(res.PinOf[f.To]) {
 			return fmt.Errorf("planio: flow %d path endpoints do not match the %s→%s pin binding", rt.Flow, f.From, f.To)
 		}
-		res.UsedEdgeMask = res.UsedEdgeMask.Or(rt.Path.EdgeMask)
 		sets[rt.Set] = true
 	}
 	res.NumSets = len(sets)
-	for e := range sw.Edges {
-		if res.UsedEdgeMask.Has(e) {
-			res.Length += sw.Edges[e].Length
-		}
-	}
-	res.Objective = res.Spec.EffectiveAlpha()*float64(res.NumSets) + res.Spec.EffectiveBeta()*res.Length
+	res.DeriveCost()
 	return nil
 }
 

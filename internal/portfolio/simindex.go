@@ -9,7 +9,6 @@ package portfolio
 
 import (
 	"container/list"
-	"math/bits"
 	"sort"
 	"sync"
 
@@ -36,7 +35,7 @@ const DefaultSimIndexCapacity = 512
 // either direction — adapts the stored plan into a verified starting
 // incumbent for the branch-and-bound:
 //
-//   - stored = query + one flow  → drop the extra route, renumber.
+//   - stored = query + one flow  → drop the extra route.
 //   - stored = query + one conflict → reuse the plan as-is.
 //   - query = stored + one flow  → complete the plan with a bounded
 //     enumeration of pin/set/path choices for the new flow.
@@ -54,10 +53,10 @@ const DefaultSimIndexCapacity = 512
 // Signatures. keyOf — the caller's own key function — runs only on the
 // reduced specs inside the signatures, so both live in one key space.
 //
-// Every adapted plan is renumbered, recomputed against the target's
-// geometry and weights, and contamination-verified before it is handed
-// out; internal/search re-validates the seed once more on adoption, so
-// a stale or corrupt entry can only cost time, never correctness.
+// Every adapted plan is relabeled onto the query (spec.Result.Relabel)
+// and contamination-verified before it is handed out; internal/search
+// re-validates the seed once more on adoption, so a stale or corrupt
+// entry can only cost time, never correctness.
 type SimIndex struct {
 	mu      sync.Mutex
 	cap     int
@@ -192,7 +191,7 @@ func (x *SimIndex) evictOldest() {
 // plan is within one edit. The returned Result targets canon and is safe
 // to pass as search.Options.SeedIncumbent.
 func (x *SimIndex) Lookup(key string, canon *spec.Spec, sigs Signatures) *spec.Result {
-	sw, pt, err := canon.SharedTopology()
+	_, pt, err := canon.SharedTopology()
 	if err != nil {
 		return nil
 	}
@@ -238,23 +237,12 @@ func (x *SimIndex) Lookup(key string, canon *spec.Spec, sigs Signatures) *spec.R
 
 	for _, c := range cands {
 		var seed *spec.Result
-		switch c.dir {
-		case 0:
-			seed = reindexPlan(c.entry, canon, sw, pt)
-		case +1:
-			if c.sig.flow >= 0 {
-				seed = restrictPlan(c.entry, c.sig.flow, canon, sw)
-			} else {
-				seed = reindexPlan(c.entry, canon, sw, pt)
-			}
-		case -1:
-			if c.sig.flow >= 0 {
-				seed = completePlan(c.entry, c.sig.flow, canon, sw, pt)
-			} else {
-				// Query added a conflict; the stored plan may or may
-				// not respect it — reindex and let Verify decide.
-				seed = reindexPlan(c.entry, canon, sw, pt)
-			}
+		if c.dir == -1 && c.sig.flow >= 0 {
+			seed = completePlan(c.entry, c.sig.flow, canon, pt)
+		} else {
+			// The query has the stored plan's flows or one fewer; a
+			// conflict the query adds is left to the verifier.
+			seed = seedOf(c.entry.res.Relabel(canon))
 		}
 		if seed != nil {
 			x.mu.Lock()
@@ -365,37 +353,12 @@ func dropConflict(sp *spec.Spec, ci int) *spec.Spec {
 	return &red
 }
 
-// maskLen sums edge lengths over a mask in ascending-bit order, matching
-// the solver's own float summation order so recomputed objectives agree
-// bit-for-bit with what seed adoption recomputes.
-func maskLen(sw *topo.Switch, mask topo.Bits) float64 {
-	var sum float64
-	for wi, w := range mask {
-		base := wi * 64
-		for w != 0 {
-			sum += sw.Edges[base+bits.TrailingZeros64(w)].Length
-			w &= w - 1
-		}
-	}
-	return sum
-}
-
-// finalizePlan fills the derived fields of an adapted plan (set
-// renumbering, edge union, length, objective) and verifies it. Returns
-// nil unless the plan fully checks out against the target spec.
-func finalizePlan(res *spec.Result, sw *topo.Switch) *spec.Result {
-	sp := res.Spec
-	var edges topo.Bits
-	for _, rt := range res.Routes {
-		edges = edges.Or(rt.Path.EdgeMask)
-	}
-	res.UsedEdgeMask = edges
-	res.Length = maskLen(sw, edges)
-	renumberRoutes(res)
-	if res.NumSets > sp.EffectiveMaxSets() {
+// seedOf turns a plan relabeled onto the query spec into a warm-start
+// seed: unproven, and only if it passes the contamination verifier.
+func seedOf(res *spec.Result, err error) *spec.Result {
+	if err != nil {
 		return nil
 	}
-	res.Objective = sp.EffectiveAlpha()*float64(res.NumSets) + sp.EffectiveBeta()*res.Length
 	res.Proven = false
 	res.Degraded = true
 	if contam.Verify(res) != nil {
@@ -404,138 +367,22 @@ func finalizePlan(res *spec.Result, sw *topo.Switch) *spec.Result {
 	return res
 }
 
-// renumberRoutes compacts set numbers in first-use order.
-func renumberRoutes(res *spec.Result) {
-	next := 0
-	remap := map[int]int{}
-	for i := range res.Routes {
-		old := res.Routes[i].Set
-		if _, ok := remap[old]; !ok {
-			remap[old] = next
-			next++
-		}
-		res.Routes[i].Set = remap[old]
-	}
-	res.NumSets = next
-}
-
-// reindexPlan maps a stored plan onto the target spec's flow order (the
-// specs have identical flow sets; conflicts may differ). Used for exact
-// hits and conflict-toggle neighbors.
-func reindexPlan(e *simEntry, target *spec.Spec, sw *topo.Switch, _ *topo.PathTable) *spec.Result {
-	if len(e.sp.Flows) != len(target.Flows) {
-		return nil
-	}
-	routes, ok := reindexRoutes(e, target, -1)
-	if !ok {
-		return nil
-	}
-	pins := make(map[string]int, len(target.Modules))
-	for _, m := range target.Modules {
-		p, ok := e.res.PinOf[m]
-		if !ok {
-			return nil
-		}
-		pins[m] = p
-	}
-	return finalizePlan(&spec.Result{
-		Spec:   target,
-		Switch: sw,
-		PinOf:  pins,
-		Routes: routes,
-		Engine: e.res.Engine,
-	}, sw)
-}
-
-// reindexRoutes maps the stored entry's routes onto target flow indices
-// by (From, To) — To is unique per flow by the outlet-once rule. Flows
-// of the stored spec absent from the target are only tolerated when
-// skipFlow names them (the restriction case). Routes are returned
-// indexed by target flow; missing target flows leave ok == false unless
-// the caller fills them (the completion case marks them Set: -1).
-func reindexRoutes(e *simEntry, target *spec.Spec, skipFlow int) ([]spec.Route, bool) {
-	byTo := make(map[string]int, len(target.Flows))
-	for fi, f := range target.Flows {
-		byTo[f.To] = fi
-	}
-	routes := make([]spec.Route, len(target.Flows))
-	covered := make([]bool, len(target.Flows))
-	for i := range routes {
-		routes[i].Set = -1
-	}
-	for _, rt := range e.res.Routes {
-		if rt.Flow < 0 || rt.Flow >= len(e.sp.Flows) {
-			return nil, false
-		}
-		if rt.Flow == skipFlow {
-			continue
-		}
-		sf := e.sp.Flows[rt.Flow]
-		ti, ok := byTo[sf.To]
-		if !ok || target.Flows[ti].From != sf.From || covered[ti] {
-			return nil, false
-		}
-		covered[ti] = true
-		routes[ti] = spec.Route{Flow: ti, Set: rt.Set, Path: rt.Path}
-	}
-	return routes, true
-}
-
-// restrictPlan adapts a stored plan to a query that equals the stored
-// spec minus flow dropIdx: the extra route is dropped, pin bindings for
-// vanished modules are dropped, and everything is recomputed against
-// the target.
-func restrictPlan(e *simEntry, dropIdx int, target *spec.Spec, sw *topo.Switch) *spec.Result {
-	if len(e.sp.Flows) != len(target.Flows)+1 {
-		return nil
-	}
-	routes, ok := reindexRoutes(e, target, dropIdx)
-	if !ok {
-		return nil
-	}
-	for _, rt := range routes {
-		if rt.Set < 0 {
-			return nil
-		}
-	}
-	pins := make(map[string]int, len(target.Modules))
-	for _, m := range target.Modules {
-		p, ok := e.res.PinOf[m]
-		if !ok {
-			return nil
-		}
-		pins[m] = p
-	}
-	return finalizePlan(&spec.Result{
-		Spec:   target,
-		Switch: sw,
-		PinOf:  pins,
-		Routes: routes,
-		Engine: e.res.Engine,
-	}, sw)
-}
-
 // completePlan adapts a stored plan to a query that equals the stored
 // spec plus one flow (target index newFlow, per the query's own
 // deletion signature): the existing routes and bindings carry over and
 // the new flow's pin(s), set and path are found by bounded deterministic
 // enumeration — free pins in ascending order, existing sets plus one
 // fresh set, shortest-path alternatives in table order — keeping the
-// cheapest candidate that verifies.
-func completePlan(e *simEntry, newFlow int, target *spec.Spec, sw *topo.Switch, pt *topo.PathTable) *spec.Result {
+// cheapest candidate that verifies. Each candidate is a plan for the
+// stored spec plus the new flow, relabeled onto the query.
+func completePlan(e *simEntry, newFlow int, target *spec.Spec, pt *topo.PathTable) *spec.Result {
 	if len(target.Flows) != len(e.sp.Flows)+1 {
 		return nil
 	}
-	base, ok := reindexRoutes(e, target, -1)
-	if !ok {
-		return nil
-	}
-	for fi, rt := range base {
-		if fi != newFlow && rt.Set < 0 {
-			return nil
-		}
-	}
 	f := target.Flows[newFlow]
+	ext := *e.sp
+	ext.Flows = append(ext.Flows[:len(ext.Flows):len(ext.Flows)], f)
+	routes := append(e.res.Routes[:len(e.res.Routes):len(e.res.Routes)], spec.Route{Flow: len(e.sp.Flows)})
 
 	pins := make(map[string]int, len(target.Modules))
 	usedPin := make(map[int]bool, len(target.Modules))
@@ -551,37 +398,22 @@ func completePlan(e *simEntry, newFlow int, target *spec.Spec, sw *topo.Switch, 
 		usedPin[p] = true
 	}
 	numSets := 0
-	for fi, rt := range base {
-		if fi != newFlow && rt.Set+1 > numSets {
-			numSets = rt.Set + 1
-		}
+	for _, rt := range e.res.Routes {
+		numSets = max(numSets, rt.Set+1)
 	}
 
-	fromPins := candidatePins(e, target, f.From, usedPin)
 	var best *spec.Result
-	for _, pf := range fromPins {
-		toPins := candidatePins(e, target, f.To, usedPin)
-		for _, pto := range toPins {
+	for _, pf := range candidatePins(e, target, f.From, usedPin) {
+		for _, pto := range candidatePins(e, target, f.To, usedPin) {
 			if pto == pf {
 				continue
 			}
+			pins[f.From], pins[f.To] = pf, pto
 			for set := 0; set <= numSets; set++ {
 				for _, path := range pt.PathsBetween(pf, pto) {
-					routes := append([]spec.Route(nil), base...)
-					routes[newFlow] = spec.Route{Flow: newFlow, Set: set, Path: path}
-					cpins := make(map[string]int, len(pins)+2)
-					for m, p := range pins {
-						cpins[m] = p
-					}
-					cpins[f.From] = pf
-					cpins[f.To] = pto
-					cand := finalizePlan(&spec.Result{
-						Spec:   target,
-						Switch: sw,
-						PinOf:  cpins,
-						Routes: routes,
-						Engine: e.res.Engine,
-					}, sw)
+					routes[len(routes)-1].Set, routes[len(routes)-1].Path = set, path
+					plan := &spec.Result{Spec: &ext, Switch: e.res.Switch, PinOf: pins, Routes: routes, Engine: e.res.Engine}
+					cand := seedOf(plan.Relabel(target))
 					if cand != nil && (best == nil || cand.Objective < best.Objective-costEps) {
 						best = cand
 					}

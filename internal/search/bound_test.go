@@ -76,7 +76,7 @@ func leastLeaf(s *solver, pos int, budget *int) (float64, bool) {
 	return least, true
 }
 
-// exactBound evaluates prunes' bound at pos in full, with none of its
+// exactBound evaluates the node bound at pos in full, with none of its
 // early exits: +inf when some unplaced flow has no admissible candidate.
 func exactBound(s *solver, pos int) float64 {
 	lb := s.cost() + s.remainingLB(pos)
@@ -96,7 +96,7 @@ func exactBound(s *solver, pos int) float64 {
 // of every golden instance — crossbar and FPVA, under every binding
 // policy — and exhausts the subtree below each one. The node bound must
 // not exceed the subtree's cheapest leaf, must be +inf only when the
-// subtree has no leaf, and prunes, with its early exits, must decide
+// subtree has no leaf, and the bound with its early exits must decide
 // exactly as the full bound does against an incumbent at, just above and
 // far above that leaf.
 func TestBoundAdmissible(t *testing.T) {
@@ -144,8 +144,8 @@ func TestBoundAdmissible(t *testing.T) {
 				}
 				for _, incumbent := range []float64{leaf, leaf + s.beta*0.05, inf} {
 					s.bestCost = incumbent
-					if got, want := s.prunes(pos), bound >= s.pruneBound(); got != want {
-						t.Errorf("%s at depth %d: prunes = %v against incumbent %v, full bound %v says %v",
+					if got, want := s.bound(pos, s.pruneBound()) >= s.pruneBound(), bound >= s.pruneBound(); got != want {
+						t.Errorf("%s at depth %d: cut = %v against incumbent %v, full bound %v says %v",
 							name, pos, got, incumbent, bound, want)
 					}
 				}
@@ -161,4 +161,51 @@ func TestBoundAdmissible(t *testing.T) {
 			checked, leafless, tight)
 	}
 	t.Logf("checked %d states: %d without a leaf, %d with a tight bound", checked, leafless, tight)
+}
+
+// TestDegradedLowerBoundIsRootBound: a degraded plan reports as its
+// LowerBound the full node bound at the root plus one set, capped at its
+// objective — not the stub-only part of the bound. The first-fit search
+// stops at its first leaf, so every feasible golden instance yields a
+// degraded plan deterministically.
+func TestDegradedLowerBoundIsRootBound(t *testing.T) {
+	specs := goldenSpecs()
+	names := make([]string, 0, len(specs))
+	for name := range specs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var degraded, tighter int
+	for _, name := range names {
+		sp := specs[name]
+		sw, pt, err := sp.SharedTopology()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := GreedyFirstFitOn(sp, sw, pt, Options{})
+		if err != nil {
+			continue // infeasible under its binding policy
+		}
+		s := newSolver(sp, sw, pt, Options{})
+		s.bindFixed()
+		root := s.alpha + exactBound(s, 0)
+		stubs := s.alpha + s.remainingLB(0)
+		s.release()
+		want := min(res.Objective, root)
+		if !res.Degraded || res.LowerBound != want {
+			t.Errorf("%s: degraded=%v LowerBound = %v, want min(objective %v, root bound %v)",
+				name, res.Degraded, res.LowerBound, res.Objective, root)
+		}
+		if gap := (res.Objective - want) / res.Objective; res.Gap != gap {
+			t.Errorf("%s: Gap = %v, want %v", name, res.Gap, gap)
+		}
+		degraded++
+		if want > stubs+eps {
+			tighter++
+		}
+	}
+	if degraded == 0 || tighter == 0 {
+		t.Fatalf("%d degraded plans, %d with a bound above the stub bound; the sample is too thin", degraded, tighter)
+	}
+	t.Logf("%d degraded plans, %d with a bound above the stub bound", degraded, tighter)
 }

@@ -16,8 +16,8 @@ import (
 // sequential DFS visits on each instance. Bookkeeping changes (the
 // presorted candidate tables, the LIFO undo log, the incremental
 // clockwise check) kept every count exactly; a change that means to alter
-// the tree must re-record them. The forward-checking length bound in
-// prunes re-recorded them last: an admissible bound only removes subtrees
+// the tree must re-record them. The forward-checking length bound
+// re-recorded them last: an admissible bound only removes subtrees
 // without a leaf the search would take, so no count may rise and
 // goldenPlans must not move.
 //

@@ -16,7 +16,7 @@
 // the node (forward checking). The bound is admissible, so it only removes
 // subtrees without a leaf the search would accept: the plan, and the first
 // optimal leaf in canonical DFS order, are those of the unbounded tree
-// (see prunes and DESIGN.md §5).
+// (see bound and DESIGN.md §5).
 //
 // With Options.Workers > 1 the DFS runs on a parallel driver (parallel.go):
 // the canonical search-tree frontier is split into work units consumed by a
@@ -28,6 +28,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	mathbits "math/bits"
 	"runtime"
 	"sort"
@@ -193,9 +194,6 @@ type incumbent struct {
 	routes []spec.Route
 	pinOf  []int
 	cost   float64
-	sets   int
-	length float64
-	edges  topo.Bits
 }
 
 // undoRec is one placement's entry in the LIFO undo log: the used-edge
@@ -382,9 +380,9 @@ func (s *solver) run() (*spec.Result, error) {
 	s.startClock(start)
 	s.bindFixed()
 
-	// Admissible root bound: at least one flow set, plus the stub length
-	// every flow must add. Reported as LowerBound on degraded plans.
-	s.rootLB = s.alpha + s.remainingLB(0)
+	// Admissible root bound: at least one flow set plus the node bound at
+	// the root. Reported as LowerBound on degraded plans.
+	s.rootLB = s.alpha + s.bound(0, math.Inf(1))
 
 	// Adopt the external seed (root solver only — parallel workers
 	// inherit it through the shared incumbent, never re-adopt). Greedy
@@ -445,43 +443,30 @@ func (s *solver) finish(start time.Time) (*spec.Result, error) {
 		return nil, &ErrTimeout{SpecName: s.sp.Name, Cause: s.stopErr}
 	}
 	proven := !s.timedOut && !s.stopAtFirst
+	return s.result(s.best, s.best.routes, proven, rt), nil
+}
+
+// result builds the Result of incumbent inc over routes, normalized
+// (spec.Result.Normalize) and with its bound metadata filled in.
+func (s *solver) result(inc *incumbent, routes []spec.Route, proven bool, rt time.Duration) *spec.Result {
 	res := &spec.Result{
-		Spec:         s.sp,
-		Switch:       s.sw,
-		PinOf:        make(map[string]int, len(s.sp.Modules)),
-		Routes:       s.best.routes,
-		NumSets:      s.best.sets,
-		UsedEdgeMask: s.best.edges,
-		Length:       s.best.length,
-		Objective:    s.best.cost,
-		Proven:       proven,
-		Degraded:     !proven,
-		Runtime:      rt,
-		Engine:       "search",
+		Spec:     s.sp,
+		Switch:   s.sw,
+		PinOf:    make(map[string]int, len(s.sp.Modules)),
+		Routes:   routes,
+		Proven:   proven,
+		Degraded: !proven,
+		Runtime:  rt,
+		Engine:   "search",
 	}
 	for mi, name := range s.sp.Modules {
-		if p := s.best.pinOf[mi]; p >= 0 {
+		if p := inc.pinOf[mi]; p >= 0 {
 			res.PinOf[name] = p
 		}
 	}
-	// Compact set numbering in first-use order (already contiguous by
-	// construction, but renumber defensively).
-	renumberSets(res)
-	s.normalizeDerived(res)
+	res.Normalize()
 	s.fillBound(res)
-	return res, nil
-}
-
-// normalizeDerived recomputes Length and Objective from the union edge
-// mask in one flat ascending-bit pass. The search tracks length
-// incrementally (curLen adds each placement's new edges as they come),
-// which can differ from a flat pass by an ulp; every downstream
-// recompute — plan decoding, seed adoption, the similarity index — uses
-// the flat order, so the emitted Result is normalized to it and a
-// decoded round trip reproduces Length and Objective bit-for-bit.
-func (s *solver) normalizeDerived(res *spec.Result) {
-	res.Length = s.edgeMaskLen(&res.UsedEdgeMask, &topo.Bits{})
-	res.Objective = s.costOf(res.NumSets, res.Length)
+	return res
 }
 
 // release returns the solver's pooled state. The Result never aliases
@@ -511,22 +496,6 @@ func (s *solver) fillBound(res *spec.Result) {
 	if res.Objective > 0 {
 		res.Gap = (res.Objective - lb) / res.Objective
 	}
-}
-
-// renumberSets makes set indices contiguous starting at 0 in order of first
-// use by flow index, and recomputes NumSets.
-func renumberSets(res *spec.Result) {
-	next := 0
-	remap := map[int]int{}
-	for i := range res.Routes {
-		old := res.Routes[i].Set
-		if _, ok := remap[old]; !ok {
-			remap[old] = next
-			next++
-		}
-		res.Routes[i].Set = remap[old]
-	}
-	res.NumSets = next
 }
 
 // expired counts a search node and, every 256 nodes, polls the stop
@@ -591,8 +560,7 @@ func (s *solver) costOf(sets int, length float64) float64 {
 // unassigned flows must add: every unassigned flow ends at a distinct
 // outlet pin whose stub cannot be in use yet, and each distinct unassigned
 // inlet module whose stub is unused adds its stub too. It prices stub
-// edges only; prunes adds the interior edges on top of it, and
-// Result.LowerBound of a degraded plan is the root's stub bound.
+// edges only; bound adds the interior edges on top of it.
 func (s *solver) remainingLB(pos int) float64 {
 	var extra float64
 	s.gen++
@@ -616,8 +584,9 @@ func (s *solver) remainingLB(pos int) float64 {
 	return s.beta * extra
 }
 
-// prunes reports whether the node at pos can hold no leaf the acceptance
-// rule would take. Its bound adds to cost + remainingLB the β-weighted
+// bound is the one node bound: dfs cuts a node whose bound reaches the
+// prune bound, and run takes the root's, with no cut, for the LowerBound
+// of degraded plans. It is cost + remainingLB plus the β-weighted
 // largest, over the unplaced flows, of the least fresh interior length —
 // path edges neither in use nor pin stubs — among each flow's admissible
 // candidates, and is +inf when some flow has none (forward checking). A
@@ -628,39 +597,38 @@ func (s *solver) remainingLB(pos int) float64 {
 // adds at least its fresh interior; interior and stub edges are disjoint,
 // so those lengths add to the stubs remainingLB counts.
 //
-// The evaluation stops as soon as the outcome is known: when even the
-// longest interior cannot reach the prune bound only the feasibility exit
-// can prune, so each flow stops at its first admissible candidate; a
-// flow's scan stops once its least value cannot raise the running
-// maximum; and the node is pruned as soon as the bound reaches the prune
-// bound.
-func (s *solver) prunes(pos int) bool {
+// With a finite cut the evaluation stops as soon as its side of the cut
+// is known, so only that side is exact: when even the longest interior
+// cannot reach the cut only the feasibility exit can, so each flow stops
+// at its first admissible candidate; a flow's scan stops once its least
+// value cannot raise the running maximum; and the bound returns as soon
+// as it reaches the cut. With cut = +inf the value is exact.
+func (s *solver) bound(pos int, cut float64) float64 {
 	lb := s.cost() + s.remainingLB(pos)
-	cut := s.pruneBound()
 	if lb >= cut {
-		return true
+		return lb
 	}
 	ct := &s.pt.Cands
-	first := lb+s.beta*ct.MaxInterior < cut
+	first := !math.IsInf(cut, 1) && lb+s.beta*ct.MaxInterior < cut
 	minus := s.usedEdges.Or(ct.StubEdges)
 	var worst float64
 	for k := pos; k < len(s.order); k++ {
 		least, ok := s.leastFresh(s.order[k], &minus, worst, first)
 		if !ok {
-			return true
+			return math.Inf(1)
 		}
 		if least > worst {
 			worst = least
 			if lb+s.beta*worst >= cut {
-				return true
+				break
 			}
 		}
 	}
-	return false
+	return lb + s.beta*worst
 }
 
 // leastFresh returns the least length outside minus of flow f's
-// admissible candidates (see prunes), and false when f has none. It walks
+// admissible candidates (see bound), and false when f has none. It walks
 // the pin-pair tables of the pins the flow's modules may take, so pins the
 // filter rejects cost nothing. With first it returns 0 at the first
 // admissible candidate; otherwise it stops once the least value is at
@@ -680,7 +648,7 @@ func (s *solver) leastFresh(f int, minus *topo.Bits, floor float64, first bool) 
 						path := cands[i].Path
 						var fresh float64
 						if !first {
-							fresh = s.edgeMaskLen(&path.EdgeMask, minus)
+							fresh = s.sw.MaskLength(&path.EdgeMask, minus)
 							if found && fresh >= least {
 								continue
 							}
@@ -759,38 +727,16 @@ func (s *solver) takes(c float64) bool {
 
 // publishIncumbent hands a fresh incumbent snapshot to the OnIncumbent
 // hook as a self-contained degraded Result. The routes are copied —
-// renumberSets mutates Route.Set in place, and finish() will renumber
-// the same incumbent again for the final Result — so the published plan
-// never aliases solver state. Greedy first-fit runs never publish: the
-// deadline fallback is a fresh solver with its own Options and no hook.
+// normalization relabels sets in place, and finish normalizes the same
+// incumbent again — so the published plan never aliases solver state.
+// Greedy first-fit runs never publish: the deadline fallback is a fresh
+// solver with its own Options and no hook.
 func (s *solver) publishIncumbent(inc *incumbent) {
 	cb := s.opts.OnIncumbent
 	if cb == nil || s.stopAtFirst {
 		return
 	}
-	res := &spec.Result{
-		Spec:         s.sp,
-		Switch:       s.sw,
-		PinOf:        make(map[string]int, len(s.sp.Modules)),
-		Routes:       append([]spec.Route(nil), inc.routes...),
-		NumSets:      inc.sets,
-		UsedEdgeMask: inc.edges,
-		Length:       inc.length,
-		Objective:    inc.cost,
-		Proven:       false,
-		Degraded:     true,
-		Runtime:      time.Since(s.started),
-		Engine:       "search",
-	}
-	for mi, name := range s.sp.Modules {
-		if p := inc.pinOf[mi]; p >= 0 {
-			res.PinOf[name] = p
-		}
-	}
-	renumberSets(res)
-	s.normalizeDerived(res)
-	s.fillBound(res)
-	cb(res)
+	cb(s.result(inc, append([]spec.Route(nil), inc.routes...), false, time.Since(s.started)))
 }
 
 // snapshotIncumbent copies the current assignment out of the (pooled,
@@ -804,9 +750,6 @@ func (s *solver) snapshotIncumbent(c float64) *incumbent {
 		routes: routes,
 		pinOf:  append([]int(nil), s.pinOf...),
 		cost:   c,
-		sets:   s.usedSets,
-		length: s.curLen,
-		edges:  s.usedEdges,
 	}
 }
 
@@ -845,8 +788,8 @@ func (s *solver) dfs(pos int) {
 	if s.expired() {
 		return
 	}
-	if s.prunes(pos) {
-		return
+	if cut := s.pruneBound(); s.bound(pos, cut) >= cut {
+		return // no leaf below the acceptance rule would take
 	}
 
 	f := s.order[pos]
@@ -896,7 +839,7 @@ func (s *solver) leaf(f, inlet, set int, path *topo.Path) {
 	if s.setCount[set] == 0 {
 		sets++
 	}
-	length := s.curLen + s.edgeMaskLen(&path.EdgeMask, &s.usedEdges)
+	length := s.curLen + s.sw.MaskLength(&path.EdgeMask, &s.usedEdges)
 	if !s.takes(s.costOf(sets, length)) {
 		return
 	}
@@ -1075,7 +1018,7 @@ func (s *solver) place(f, inletModule, set int, path *topo.Path) {
 		s.usedSets++
 	}
 	s.setCount[set]++
-	s.curLen += s.edgeMaskLen(&path.EdgeMask, &s.usedEdges)
+	s.curLen += s.sw.MaskLength(&path.EdgeMask, &s.usedEdges)
 	for w := range path.EdgeMask {
 		s.usedEdges[w] |= path.EdgeMask[w]
 	}
@@ -1100,23 +1043,6 @@ func (s *solver) unplace(f, set int) {
 		s.usedSets--
 	}
 	s.pathOf[f] = nil
-}
-
-// edgeMaskLen sums the lengths of the edges in mask but not in minus,
-// iterating set bits in ascending order (the same order Bits.Indices
-// would produce, so float summation is bit-identical) without
-// materializing an index slice.
-func (s *solver) edgeMaskLen(mask, minus *topo.Bits) float64 {
-	var sum float64
-	for wi := range mask {
-		w := mask[wi] &^ minus[wi]
-		base := wi * 64
-		for w != 0 {
-			sum += s.sw.Edges[base+mathbits.TrailingZeros64(w)].Length
-			w &= w - 1
-		}
-	}
-	return sum
 }
 
 // clockwiseAdmits reports whether module m, just bound, keeps the partial

@@ -4,8 +4,8 @@
 // (spec.CanonicalKey plus "|search", see JobKey): every spec in one
 // presentation-equivalence class maps to one entry, so a rotated or
 // permuted resubmission of an already-solved spec is a hit. Stored
-// Results are treated as immutable — readers adapt them onto their own
-// spec (adaptResult) instead of mutating the shared plan.
+// Results are treated as immutable — readers relabel them onto their own
+// spec (spec.Result.Relabel) instead of mutating the shared plan.
 //
 // The flightGroup provides singleflight-style deduplication: of N
 // concurrent requests for the same canonical key, exactly one becomes

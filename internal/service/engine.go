@@ -559,11 +559,12 @@ func (e *ErrPlanRejected) Unwrap() error { return e.Err }
 // produce itself: store reads, peer fills, replication pushes,
 // read-repair and anti-entropy pulls all pass through it before any tier
 // holds them. Bytes digest-identical to a frame that already passed this
-// check under key return at once. Anything else is decoded, must carry
-// an optimality proof, must re-derive exactly key as its canonical job
-// key, and must pass the full contamination verifier; only then is its
-// digest recorded. Callers keep their own counters and heal actions, and
-// the tier that takes the plan in also teaches the similarity index.
+// check under key return at once. Anything else is decoded, must be
+// flagged proven, must re-derive exactly key as its canonical job key,
+// and must pass the full contamination verifier; only then is its digest
+// recorded. Optimality is not re-proven: the Proven flag is trusted.
+// Callers keep their own counters and heal actions, and the tier that
+// takes the plan in also teaches the similarity index.
 func (e *Engine) admitPlan(key string, data []byte) (*spec.Result, error) {
 	if res, ok := e.verified.Lookup(data, key); ok {
 		return res, nil
@@ -776,9 +777,9 @@ func (e *Engine) assemble(resp *Response, shared *spec.Result, sp *spec.Spec, op
 	if sp == nil {
 		sp = shared.Spec
 	}
-	adapted, err := adaptResult(shared, sp)
+	adapted, err := shared.Relabel(sp)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("service: cached plan does not fit the request: %w", err)
 	}
 	syn, err := switchsynth.Analyze(adapted, opts)
 	if err != nil {

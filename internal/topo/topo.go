@@ -16,6 +16,7 @@ package topo
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"switchsynth/internal/geom"
@@ -428,6 +429,22 @@ func (sw *Switch) TotalLength() float64 {
 	var sum float64
 	for _, e := range sw.Edges {
 		sum += e.Length
+	}
+	return sum
+}
+
+// MaskLength sums the lengths of the edges in mask but not in minus in
+// ascending edge-ID order. Every plan length is summed in this one order,
+// so a length recomputed anywhere is bit-identical to the solver's.
+func (sw *Switch) MaskLength(mask, minus *Bits) float64 {
+	var sum float64
+	for wi := range mask {
+		w := mask[wi] &^ minus[wi]
+		base := wi * 64
+		for w != 0 {
+			sum += sw.Edges[base+bits.TrailingZeros64(w)].Length
+			w &= w - 1
+		}
 	}
 	return sum
 }

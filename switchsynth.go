@@ -317,21 +317,13 @@ func SpineBaseline(sp *Spec) (*BaselineReport, error) {
 	}
 	rep := contam.Analyze(sp, spine, routes)
 	res := &Result{
-		Spec:    sp,
-		Switch:  spine,
-		PinOf:   pinOf,
-		Routes:  routes,
-		NumSets: len(routes),
-		Engine:  "spine-baseline",
+		Spec:   sp,
+		Switch: spine,
+		PinOf:  pinOf,
+		Routes: routes,
+		Engine: "spine-baseline",
 	}
-	for _, rt := range routes {
-		res.UsedEdgeMask = res.UsedEdgeMask.Or(rt.Path.EdgeMask)
-	}
-	for e := range spine.Edges {
-		if res.UsedEdgeMask.Has(e) {
-			res.Length += spine.Edges[e].Length
-		}
-	}
+	res.Normalize()
 	svg := render.SVG(res, nil, nil, render.SVGOptions{
 		ShowRemoved: true,
 		Title:       fmt.Sprintf("%s on Columba-style spine (%d polluted pairs)", sp.Name, len(rep.PollutedPairs)),
