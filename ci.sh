@@ -42,7 +42,7 @@ echo "== go test (tier 1) =="
 go test ./...
 
 echo "== go test -race (service layer) =="
-go test -race ./internal/service/... ./cmd/synthd/... ./internal/search/ ./internal/topo/ ./client/
+go test -race ./internal/service/... ./internal/lru/ ./cmd/synthd/... ./internal/search/ ./internal/topo/ ./client/
 
 echo "== parallel solver gate: -race -count=2 =="
 # The parallel branch-and-bound suite twice under the race detector:

@@ -13,7 +13,15 @@ package admission
 import (
 	"sync"
 	"time"
+
+	"switchsynth/internal/lru"
 )
+
+// maxBreakers bounds the keys with breaker state. A key enters on its
+// first failure and leaves on a success, so keys that fail and are never
+// solved again would otherwise accumulate without limit; past the bound
+// the least recently seen key's state is dropped.
+const maxBreakers = 1024
 
 type breakerState int
 
@@ -30,21 +38,21 @@ type breaker struct {
 	probeStart time.Time // when the current half-open probe was admitted
 }
 
-// Breakers tracks one circuit breaker per canonical job key. A nil
-// *Breakers is the disabled breaker: every method is a safe no-op that
-// admits everything.
+// Breakers tracks one circuit breaker per canonical job key, for at
+// most maxBreakers keys. A nil *Breakers is the disabled breaker: every
+// method is a safe no-op that admits everything.
 type Breakers struct {
 	threshold int
 	cooldown  time.Duration
 
-	mu sync.Mutex
-	m  map[string]*breaker
+	mu sync.Mutex // guards the breakers' fields
+	m  *lru.Cache[string, *breaker]
 }
 
 // NewBreakers creates a breaker group opening after threshold
 // consecutive failures and admitting a half-open probe after cooldown.
 func NewBreakers(threshold int, cooldown time.Duration) *Breakers {
-	return &Breakers{threshold: threshold, cooldown: cooldown, m: make(map[string]*breaker)}
+	return &Breakers{threshold: threshold, cooldown: cooldown, m: lru.New[string, *breaker](maxBreakers, nil)}
 }
 
 // Allow reports whether a request for key may proceed; when it may not,
@@ -55,8 +63,8 @@ func (g *Breakers) Allow(key string) (ok bool, retryAfter time.Duration) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	b := g.m[key]
-	if b == nil {
+	b, ok := g.m.Get(key)
+	if !ok {
 		return true, 0
 	}
 	now := time.Now()
@@ -90,10 +98,10 @@ func (g *Breakers) RecordFailure(key string) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	b := g.m[key]
-	if b == nil {
+	b, ok := g.m.Get(key)
+	if !ok {
 		b = &breaker{}
-		g.m[key] = b
+		g.m.Put(key, b)
 	}
 	b.fails++
 	if b.state == breakerHalfOpen || b.fails >= g.threshold {
@@ -110,7 +118,7 @@ func (g *Breakers) RecordSuccess(key string) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	delete(g.m, key)
+	g.m.Delete(key)
 }
 
 // OpenCount reports how many breakers are currently open or half-open
@@ -122,8 +130,8 @@ func (g *Breakers) OpenCount() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	n := 0
-	for _, b := range g.m {
-		if b.state != breakerClosed {
+	for _, key := range g.m.Keys() {
+		if b, ok := g.m.Peek(key); ok && b.state != breakerClosed {
 			n++
 		}
 	}

@@ -1,10 +1,10 @@
 package planio
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"sync"
 
+	"switchsynth/internal/lru"
 	"switchsynth/internal/spec"
 )
 
@@ -24,18 +24,16 @@ import (
 // canonical key miss, so a cache entry can never vouch for bytes under
 // the wrong key.
 type VerifiedCache struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recent
-	byDig map[[sha256.Size]byte]*list.Element
+	cap     int
+	entries *lru.Cache[[sha256.Size]byte, verifiedEntry]
 
+	mu     sync.Mutex // guards the counters, and each Lookup or Add as a whole
 	hits   uint64
 	misses uint64
 	adds   uint64
 }
 
 type verifiedEntry struct {
-	dig [sha256.Size]byte
 	key string
 	res *spec.Result
 }
@@ -54,11 +52,7 @@ func NewVerifiedCache(n int) *VerifiedCache {
 	if n <= 0 {
 		n = DefaultVerifiedCapacity
 	}
-	return &VerifiedCache{
-		cap:   n,
-		order: list.New(),
-		byDig: make(map[[sha256.Size]byte]*list.Element, n),
-	}
+	return &VerifiedCache{cap: n, entries: lru.New[[sha256.Size]byte, verifiedEntry](n, nil)}
 }
 
 // Lookup reports whether data is byte-identical to bytes previously
@@ -68,14 +62,15 @@ func (c *VerifiedCache) Lookup(data []byte, key string) (*spec.Result, bool) {
 	dig := sha256.Sum256(data)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byDig[dig]
-	if !ok || el.Value.(*verifiedEntry).key != key {
+	// Peek first: bytes verified under another key are a miss and keep
+	// their recency.
+	if ent, ok := c.entries.Peek(dig); !ok || ent.key != key {
 		c.misses++
 		return nil, false
 	}
-	c.order.MoveToFront(el)
+	ent, _ := c.entries.Get(dig)
 	c.hits++
-	return el.Value.(*verifiedEntry).res, true
+	return ent.res, true
 }
 
 // Add records that data passed a full verification under key, decoding
@@ -88,19 +83,10 @@ func (c *VerifiedCache) Add(data []byte, key string, res *spec.Result) {
 	dig := sha256.Sum256(data)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byDig[dig]; ok {
-		el.Value.(*verifiedEntry).key = key
-		el.Value.(*verifiedEntry).res = res
-		c.order.MoveToFront(el)
-		return
+	if _, ok := c.entries.Peek(dig); !ok {
+		c.adds++
 	}
-	c.adds++
-	c.byDig[dig] = c.order.PushFront(&verifiedEntry{dig: dig, key: key, res: res})
-	for c.order.Len() > c.cap {
-		last := c.order.Back()
-		delete(c.byDig, last.Value.(*verifiedEntry).dig)
-		c.order.Remove(last)
-	}
+	c.entries.Put(dig, verifiedEntry{key: key, res: res})
 }
 
 // VerifiedStats is a point-in-time snapshot of a VerifiedCache.
@@ -117,7 +103,7 @@ func (c *VerifiedCache) Stats() VerifiedStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return VerifiedStats{
-		Entries:  c.order.Len(),
+		Entries:  c.entries.Len(),
 		Capacity: c.cap,
 		Hits:     c.hits,
 		Misses:   c.misses,

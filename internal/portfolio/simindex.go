@@ -8,11 +8,11 @@
 package portfolio
 
 import (
-	"container/list"
 	"sort"
 	"sync"
 
 	"switchsynth/internal/contam"
+	"switchsynth/internal/lru"
 	"switchsynth/internal/spec"
 	"switchsynth/internal/topo"
 )
@@ -58,12 +58,13 @@ const DefaultSimIndexCapacity = 512
 // re-validates the seed once more on adoption, so a stale or corrupt
 // entry can only cost time, never correctness.
 type SimIndex struct {
-	mu      sync.Mutex
-	cap     int
-	keyOf   func(*spec.Spec) (string, error)
-	entries map[string]*simEntry            // key -> entry
+	mu    sync.Mutex // guards bySig and the counters, and keeps entries and bySig in step
+	cap   int
+	keyOf func(*spec.Spec) (string, error)
+	// entries holds the plans by key; evicting one unlinks its signatures
+	// from bySig.
+	entries *lru.Cache[string, *simEntry]
 	bySig   map[string]map[string]*simEntry // neighbor sig -> entries by key
-	order   *list.List                      // LRU, front = most recent
 	lookups int64
 	hits    int64
 }
@@ -73,7 +74,6 @@ type simEntry struct {
 	sp   *spec.Spec   // the spec the plan proves (the plan's own)
 	res  *spec.Result // proven plan for sp
 	sigs Signatures
-	elem *list.Element
 }
 
 // Signatures is the deletion-neighbor signature set of one spec, from
@@ -103,28 +103,20 @@ func NewSimIndex(capacity int, keyOf func(*spec.Spec) (string, error)) *SimIndex
 	if capacity <= 0 {
 		capacity = DefaultSimIndexCapacity
 	}
-	return &SimIndex{
-		cap:     capacity,
-		keyOf:   keyOf,
-		entries: make(map[string]*simEntry),
-		bySig:   make(map[string]map[string]*simEntry),
-		order:   list.New(),
-	}
+	x := &SimIndex{cap: capacity, keyOf: keyOf, bySig: make(map[string]map[string]*simEntry)}
+	x.entries = lru.New(capacity, x.unlink)
+	return x
 }
 
 // Stats returns current index counters.
 func (x *SimIndex) Stats() SimStats {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	return SimStats{Entries: len(x.entries), Capacity: x.cap, Lookups: x.lookups, Hits: x.hits}
+	return SimStats{Entries: x.entries.Len(), Capacity: x.cap, Lookups: x.lookups, Hits: x.hits}
 }
 
 // Len returns the number of stored plans.
-func (x *SimIndex) Len() int {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return len(x.entries)
-}
+func (x *SimIndex) Len() int { return x.entries.Len() }
 
 // Add indexes a proven plan under key — keyOf of the plan's spec — and
 // under its spec's neighbor signatures. A nil sigs is derived here from
@@ -135,26 +127,20 @@ func (x *SimIndex) Add(key string, res *spec.Result, sigs Signatures) {
 	if res == nil || !res.Proven || res.Spec == nil {
 		return
 	}
-	x.mu.Lock()
-	if e, ok := x.entries[key]; ok {
-		x.order.MoveToFront(e.elem)
-		x.mu.Unlock()
+	if _, ok := x.entries.Get(key); ok {
 		return
 	}
-	x.mu.Unlock()
 	if sigs == nil {
 		sigs = x.Signatures(res.Spec)
 	}
 
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if e, ok := x.entries[key]; ok {
-		x.order.MoveToFront(e.elem)
+	if _, ok := x.entries.Get(key); ok {
 		return
 	}
 	e := &simEntry{key: key, sp: res.Spec, res: res, sigs: sigs}
-	e.elem = x.order.PushFront(e)
-	x.entries[key] = e
+	x.entries.Put(key, e)
 	for _, sg := range sigs {
 		m := x.bySig[sg.key]
 		if m == nil {
@@ -163,19 +149,11 @@ func (x *SimIndex) Add(key string, res *spec.Result, sigs Signatures) {
 		}
 		m[key] = e
 	}
-	for len(x.entries) > x.cap {
-		x.evictOldest()
-	}
 }
 
-func (x *SimIndex) evictOldest() {
-	back := x.order.Back()
-	if back == nil {
-		return
-	}
-	e := back.Value.(*simEntry)
-	x.order.Remove(back)
-	delete(x.entries, e.key)
+// unlink is the entries LRU's eviction callback: it drops an evicted
+// entry's signatures from bySig. It runs inside Add's Put, under x.mu.
+func (x *SimIndex) unlink(_ string, e *simEntry) {
 	for _, sg := range e.sigs {
 		if m := x.bySig[sg.key]; m != nil {
 			delete(m, e.key)
@@ -206,8 +184,7 @@ func (x *SimIndex) Lookup(key string, canon *spec.Spec, sigs Signatures) *spec.R
 		dir   int    // +1: stored = query + edit; -1: query = stored + edit
 	}
 	var cands []candidate
-	if e, ok := x.entries[key]; ok {
-		x.order.MoveToFront(e.elem)
+	if e, ok := x.entries.Get(key); ok {
 		cands = append(cands, candidate{entry: e, dir: 0})
 	}
 	// Stored specs that reduce to the query by one deletion.
@@ -229,7 +206,7 @@ func (x *SimIndex) Lookup(key string, canon *spec.Spec, sigs Signatures) *spec.R
 	}
 	// Stored specs the query reduces to by one deletion.
 	for _, sg := range sigs {
-		if e, ok := x.entries[sg.key]; ok {
+		if e, ok := x.entries.Peek(sg.key); ok {
 			cands = append(cands, candidate{entry: e, sig: sg, dir: -1})
 		}
 	}
@@ -247,10 +224,8 @@ func (x *SimIndex) Lookup(key string, canon *spec.Spec, sigs Signatures) *spec.R
 		if seed != nil {
 			x.mu.Lock()
 			x.hits++
-			if e, ok := x.entries[c.entry.key]; ok {
-				x.order.MoveToFront(e.elem)
-			}
 			x.mu.Unlock()
+			x.entries.Get(c.entry.key)
 			return seed
 		}
 	}

@@ -19,9 +19,12 @@ const GreedyEngine = "search+greedy"
 // the exact search, so it passes contam.Verify) and is tagged
 // Degraded with Proven == false.
 //
-// Because branch & bound never prunes before an incumbent exists, an
-// exhausted tree here is a genuine infeasibility proof: GreedyFirstFit
-// returns *spec.ErrNoSolution exactly when no plan exists.
+// An exhausted tree here is still a genuine infeasibility proof, although
+// the forward-checking bound cuts nodes before any incumbent exists:
+// with no incumbent the cutoff is +inf, and the bound reaches +inf only
+// at a node where some unplaced flow has no admissible candidate, so it
+// cuts only subtrees that contain no leaf. GreedyFirstFit returns
+// *spec.ErrNoSolution exactly when no plan exists.
 func GreedyFirstFit(sp *spec.Spec, opts Options) (*spec.Result, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err

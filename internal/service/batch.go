@@ -103,7 +103,7 @@ func (e *Engine) DoBatch(ctx context.Context, items []BatchSpec) []BatchOutcome 
 				out[i].Dedup = true
 				if err != nil {
 					e.classifyDedupFailure(err)
-					out[i].Err = err
+					out[i].Err = onSpec(err, items[i].Spec)
 					continue
 				}
 				mresp, merr := e.assemble(&Response{

@@ -9,6 +9,7 @@ import (
 
 	"switchsynth"
 	"switchsynth/internal/faultinject"
+	"switchsynth/internal/lru"
 	"switchsynth/internal/search"
 	"switchsynth/internal/spec"
 )
@@ -156,18 +157,49 @@ func TestCacheCorruptionHeals(t *testing.T) {
 	}
 }
 
+// TestBreakerStateBoundedOverDistinctFailingKeys floods the breaker
+// with more distinct first-seen keys than it keeps state for, each
+// failing once and never solved again: the state stays within the bound
+// (1024 keys, internal/admission), and an open breaker inside it still
+// sheds with *ErrOverloaded.
+func TestBreakerStateBoundedOverDistinctFailingKeys(t *testing.T) {
+	const bound, keys = 1024, 1100
+	e := newTestEngine(t, Config{Workers: 2, BreakerThreshold: 1, BreakerCooldown: time.Minute})
+	e.solve = func(ctx context.Context, sp *spec.Spec, opts switchsynth.Options) (*spec.Result, error) {
+		return nil, &search.ErrTimeout{SpecName: sp.Name, Cause: context.DeadlineExceeded}
+	}
+	hard := func(i int) *spec.Spec {
+		sp := serviceSpec("hard")
+		sp.Alpha = float64(i + 1) // one canonical key per i
+		return sp
+	}
+	for i := 0; i < keys; i++ {
+		if _, err := e.Do(context.Background(), hard(i), switchsynth.Options{}); !errors.Is(err, &search.ErrTimeout{}) {
+			t.Fatalf("key %d: err = %v, want timeout", i, err)
+		}
+	}
+	if open := e.Snapshot().BreakersOpen; open > bound {
+		t.Errorf("BreakersOpen = %d after %d distinct failing keys, want <= %d", open, keys, bound)
+	}
+	_, err := e.Do(context.Background(), hard(keys-1), switchsynth.Options{})
+	var over *ErrOverloaded
+	if !errors.As(err, &over) || over.RetryAfter <= 0 {
+		t.Errorf("err = %v, want *ErrOverloaded with a RetryAfter from the open breaker", err)
+	}
+}
+
 func TestNegCacheBounded(t *testing.T) {
-	c := newNegCache(2)
+	c := lru.New[string, *spec.ErrNoSolution](2, nil)
 	for _, k := range []string{"a", "b", "c"} {
-		c.put(k, &spec.ErrNoSolution{SpecName: k})
+		c.Put(k, &spec.ErrNoSolution{SpecName: k})
 	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
+	if c.Len() != 2 {
+		t.Fatalf("len = %d, want 2", c.Len())
 	}
-	if _, ok := c.get("a"); ok {
+	if _, ok := c.Get("a"); ok {
 		t.Error("oldest entry not evicted")
 	}
-	if _, ok := c.get("c"); !ok {
+	if _, ok := c.Get("c"); !ok {
 		t.Error("newest entry missing")
 	}
 }

@@ -1,8 +1,8 @@
 // Result cache and in-flight deduplication.
 //
-// The cache is a bounded LRU keyed by the canonical spec key
-// (spec.CanonicalKey plus "|search", see JobKey): every spec in one
-// presentation-equivalence class maps to one entry, so a rotated or
+// The memory tier is a bounded LRU (internal/lru) keyed by the canonical
+// spec key (spec.CanonicalKey plus "|search", see JobKey): every spec in
+// one presentation-equivalence class maps to one entry, so a rotated or
 // permuted resubmission of an already-solved spec is a hit. Stored
 // Results are treated as immutable — readers relabel them onto their own
 // spec (spec.Result.Relabel) instead of mutating the shared plan.
@@ -16,22 +16,13 @@
 package service
 
 import (
-	"container/list"
 	"sync"
 
 	"switchsynth/internal/spec"
 )
 
-// cache is a mutex-guarded LRU of canonical key → solved plan.
-type cache struct {
-	mu  sync.Mutex
-	cap int
-	ll  *list.List // front = most recently used
-	byK map[string]*list.Element
-}
-
+// cacheEntry is one memory-tier plan.
 type cacheEntry struct {
-	key string
 	res *spec.Result
 	// wire is the plan's already-encoded frame, kept alongside the decoded
 	// result so plan-stream fetches and replication pushes reuse the
@@ -40,106 +31,6 @@ type cacheEntry struct {
 	// cache-corruption fault, or a plan that failed to encode — and then
 	// the entry vouches for no bytes: PlanBytes falls through to the store.
 	wire []byte
-}
-
-// newCache creates an LRU holding up to capacity results; capacity <= 0
-// disables the memory tier entirely — see enabled.
-func newCache(capacity int) *cache {
-	return &cache{cap: capacity, ll: list.New(), byK: make(map[string]*list.Element)}
-}
-
-// enabled reports whether the memory tier is on. With capacity <= 0 the
-// engine explicitly skips both lookups and stores (the methods below
-// also guard themselves, but the engine branches on this so the
-// disabled path is visible at the call sites): requests still coalesce
-// through the flight group, and a configured durable store still serves
-// disk hits — the supported disk-only configuration (memory off, store
-// on).
-func (c *cache) enabled() bool { return c.cap > 0 }
-
-// get returns the cached plan for key, marking it most recently used.
-func (c *cache) get(key string) (*spec.Result, bool) {
-	if c.cap <= 0 {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byK[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
-}
-
-// put stores a solved plan and (optionally) its encoded frame, evicting
-// the least recently used entry when over capacity.
-func (c *cache) put(key string, res *spec.Result, wire []byte) {
-	if c.cap <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byK[key]; ok {
-		e := el.Value.(*cacheEntry)
-		e.res, e.wire = res, wire
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.byK[key] = c.ll.PushFront(&cacheEntry{key: key, res: res, wire: wire})
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.byK, oldest.Value.(*cacheEntry).key)
-	}
-}
-
-// getWire returns the cached encoded frame for key, when one was stored
-// with the entry.
-func (c *cache) getWire(key string) ([]byte, bool) {
-	if c.cap <= 0 {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byK[key]
-	if !ok || el.Value.(*cacheEntry).wire == nil {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).wire, true
-}
-
-// invalidate drops key's entry (a corrupted-plan heal).
-func (c *cache) invalidate(key string) {
-	if c.cap <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byK[key]; ok {
-		c.ll.Remove(el)
-		delete(c.byK, key)
-	}
-}
-
-// keys returns the cached keys in LRU order (front = most recent). Used
-// by the cluster tier's plan manifest; order is not part of the contract.
-func (c *cache) keys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*cacheEntry).key)
-	}
-	return out
-}
-
-// len reports the current number of cached plans.
-func (c *cache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }
 
 // flight is one queued or running solve: the single in-flight record

@@ -6,50 +6,51 @@ import (
 	"testing"
 
 	"switchsynth"
+	"switchsynth/internal/lru"
 	"switchsynth/internal/spec"
 )
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := newCache(2)
+	c := lru.New[string, cacheEntry](2, nil)
 	a, b, d := &spec.Result{}, &spec.Result{}, &spec.Result{}
-	c.put("a", a, nil)
-	c.put("b", b, nil)
-	if _, ok := c.get("a"); !ok { // refresh a → b is now least recent
+	c.Put("a", cacheEntry{res: a})
+	c.Put("b", cacheEntry{res: b})
+	if _, ok := c.Get("a"); !ok { // refresh a → b is now least recent
 		t.Fatal("a missing before eviction")
 	}
-	c.put("d", d, nil)
-	if _, ok := c.get("b"); ok {
+	c.Put("d", cacheEntry{res: d})
+	if _, ok := c.Get("b"); ok {
 		t.Error("least-recently-used entry b survived eviction")
 	}
-	if got, ok := c.get("a"); !ok || got != a {
+	if got, ok := c.Get("a"); !ok || got.res != a {
 		t.Error("recently-used entry a evicted")
 	}
-	if got, ok := c.get("d"); !ok || got != d {
+	if got, ok := c.Get("d"); !ok || got.res != d {
 		t.Error("new entry d missing")
 	}
-	if c.len() != 2 {
-		t.Errorf("len = %d, want 2", c.len())
+	if c.Len() != 2 {
+		t.Errorf("len = %d, want 2", c.Len())
 	}
 
 	// Re-putting an existing key replaces in place, no eviction.
-	c.put("a", b, nil)
-	if got, _ := c.get("a"); got != b {
+	c.Put("a", cacheEntry{res: b})
+	if got, _ := c.Get("a"); got.res != b {
 		t.Error("re-put did not replace the value")
 	}
-	if c.len() != 2 {
-		t.Errorf("len after re-put = %d, want 2", c.len())
+	if c.Len() != 2 {
+		t.Errorf("len after re-put = %d, want 2", c.Len())
 	}
 }
 
 func TestCacheDisabled(t *testing.T) {
 	for _, capacity := range []int{0, -5} {
-		c := newCache(capacity)
-		c.put("k", &spec.Result{}, nil)
-		if _, ok := c.get("k"); ok {
+		c := lru.New[string, cacheEntry](capacity, nil)
+		c.Put("k", cacheEntry{res: &spec.Result{}})
+		if _, ok := c.Get("k"); ok {
 			t.Errorf("capacity %d cached anyway", capacity)
 		}
-		if c.len() != 0 {
-			t.Errorf("capacity %d len = %d", capacity, c.len())
+		if c.Len() != 0 {
+			t.Errorf("capacity %d len = %d", capacity, c.Len())
 		}
 	}
 }

@@ -39,6 +39,7 @@ import (
 	"switchsynth"
 	"switchsynth/internal/admission"
 	"switchsynth/internal/faultinject"
+	"switchsynth/internal/lru"
 	"switchsynth/internal/planio"
 	"switchsynth/internal/portfolio"
 	"switchsynth/internal/search"
@@ -233,13 +234,17 @@ type job struct {
 // Engine is the concurrent synthesis service. Create with New, serve
 // with Do, retire with Close (drain) or CloseNow (cancel).
 type Engine struct {
-	cfg      Config
-	queue    *admission.Queue // fair admission queue feeding the workers
-	cache    *cache
+	cfg   Config
+	queue *admission.Queue // fair admission queue feeding the workers
+	// cache is the memory tier, key → plan and frame. A capacity <= 0
+	// holds nothing: requests still coalesce through the flight group,
+	// and a configured durable store still serves disk hits — the
+	// supported disk-only configuration (memory off, store on).
+	cache    *lru.Cache[string, cacheEntry]
 	store    *store.Store // nil when no durable tier is configured
 	fill     func(ctx context.Context, key string) ([]byte, error)
-	onStored func(key string, data []byte) // write-time replication hook
-	neg      *negCache
+	onStored func(key string, data []byte)           // write-time replication hook
+	neg      *lru.Cache[string, *spec.ErrNoSolution] // proven infeasibility
 	// verified is the verified-bytes digest cache (the process-wide
 	// planio.SharedVerified): SHA-256 of plan bytes that already passed
 	// admitPlan's full check, so identical bytes arriving again — repeat
@@ -290,11 +295,11 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg:      cfg,
 		queue:    admission.NewQueue(admission.QueueConfig{Capacity: cfg.queueDepth()}),
-		cache:    newCache(cfg.cacheSize()),
+		cache:    lru.New[string, cacheEntry](cfg.cacheSize(), nil),
 		store:    cfg.Store,
 		fill:     cfg.PeerFill,
 		onStored: cfg.OnPlanStored,
-		neg:      newNegCache(negCacheSize),
+		neg:      lru.New[string, *spec.ErrNoSolution](negCacheSize, nil),
 		simIndex: portfolio.NewSimIndex(portfolio.DefaultSimIndexCapacity, JobKey),
 		verified: planio.SharedVerified,
 		inj:      cfg.FaultInjector,
@@ -370,12 +375,12 @@ func (e *Engine) doKeyed(ctx context.Context, key string, sp *spec.Spec, opts sw
 	if opts.SolverWorkers == 0 {
 		opts.SolverWorkers = e.cfg.solverWorkers()
 	}
-	if nerr, ok := e.neg.get(key); ok {
+	if nerr, ok := e.neg.Get(key); ok {
 		// A stored ErrNoSolution is an exhaustive-search proof; replay it
 		// without burning a worker slot.
 		e.metrics.negCacheHits.Add(1)
 		e.classifyFailure(nerr)
-		return nil, nerr
+		return nil, onSpec(nerr, sp)
 	}
 
 	triedPeer := false
@@ -442,7 +447,7 @@ func (e *Engine) doKeyed(ctx context.Context, key string, sp *spec.Spec, opts sw
 		}
 		if err != nil {
 			e.classifyFailure(err)
-			return nil, err
+			return nil, onSpec(err, sp)
 		}
 		resp, ferr := e.assemble(&Response{Key: key, Coalesced: !leader, SolveTime: f.res.Runtime}, f.res, sp, opts)
 		if ferr != nil {
@@ -462,20 +467,15 @@ func (e *Engine) doKeyed(ctx context.Context, key string, sp *spec.Spec, opts sw
 // re-solves), never served. A disk hit is promoted to the memory tier
 // with its stored frame, so the next hit skips the disk read and peers
 // get the exact bytes without a re-encode, and the similarity index
-// learns it — with or without a memory tier. A disabled memory tier
-// (capacity <= 0) is skipped here and in runJob: requests still
-// coalesce through the flight group and, in a disk-only configuration,
-// are served from the store.
+// learns it — with or without a memory tier.
 func (e *Engine) fromTiers(key string, sp *spec.Spec, opts switchsynth.Options) (*Response, bool) {
-	if e.cache.enabled() {
-		if res, ok := e.cache.get(key); ok {
-			resp, err := e.assemble(&Response{Key: key, CacheHit: true, SolveTime: res.Runtime}, res, sp, opts)
-			if err == nil {
-				return resp, true
-			}
-			e.cache.invalidate(key)
-			e.metrics.cacheHealed.Add(1)
+	if ent, ok := e.cache.Get(key); ok {
+		resp, err := e.assemble(&Response{Key: key, CacheHit: true, SolveTime: ent.res.Runtime}, ent.res, sp, opts)
+		if err == nil {
+			return resp, true
 		}
+		e.cache.Delete(key)
+		e.metrics.cacheHealed.Add(1)
 	}
 	if e.store != nil {
 		if res, data, ok := e.loadFromStore(key); ok {
@@ -485,9 +485,7 @@ func (e *Engine) fromTiers(key string, sp *spec.Spec, opts switchsynth.Options) 
 				e.metrics.storeHealed.Add(1)
 				return nil, false
 			}
-			if e.cache.enabled() {
-				e.cache.put(key, res, data)
-			}
+			e.cache.Put(key, cacheEntry{res, data})
 			e.simIndex.Add(key, res, nil)
 			return resp, true
 		}
@@ -603,9 +601,7 @@ func (e *Engine) admitPlan(key string, data []byte) (*spec.Result, error) {
 // (a solve), else nil. A store failure is returned; the store is a
 // cache, so most callers absorb it.
 func (e *Engine) install(key string, res *spec.Result, data []byte, sigs portfolio.Signatures) error {
-	if e.cache.enabled() {
-		e.cache.put(key, res, data)
-	}
+	e.cache.Put(key, cacheEntry{res, data})
 	e.simIndex.Add(key, res, sigs)
 	if e.store != nil && data != nil {
 		return e.store.Put(key, res.Engine, data)
@@ -663,10 +659,8 @@ func (e *Engine) loadFromPeer(ctx context.Context, key string) (*spec.Result, []
 // *ErrPlanRejected, never as a stored entry. Importing an
 // already-present key is a cheap no-op.
 func (e *Engine) ImportPlan(key string, data []byte) error {
-	if e.cache.enabled() {
-		if _, ok := e.cache.get(key); ok {
-			return nil
-		}
+	if _, ok := e.cache.Get(key); ok {
+		return nil
 	}
 	if e.store != nil && e.store.Has(key) {
 		return nil
@@ -690,8 +684,10 @@ func (e *Engine) ImportPlan(key string, data []byte) error {
 // engine encoded or verified exactly once; an entry without a frame
 // vouches for no bytes, so the lookup falls through to the store.
 func (e *Engine) PlanBytes(key string) ([]byte, bool) {
-	if data, ok := e.cache.getWire(key); ok {
-		return data, true
+	// Peek first: an entry without a frame is a miss and keeps its recency.
+	if ent, ok := e.cache.Peek(key); ok && ent.wire != nil {
+		e.cache.Get(key)
+		return ent.wire, true
 	}
 	if e.store != nil {
 		if data, _, ok := e.store.Get(key); ok {
@@ -711,7 +707,7 @@ func (e *Engine) PlanKeys() []string {
 			seen[k] = struct{}{}
 		}
 	}
-	for _, k := range e.cache.keys() {
+	for _, k := range e.cache.Keys() {
 		seen[k] = struct{}{}
 	}
 	keys := make([]string, 0, len(seen))
@@ -787,6 +783,29 @@ func (e *Engine) assemble(resp *Response, shared *spec.Result, sp *spec.Spec, op
 	}
 	resp.Synthesis = syn
 	return resp, nil
+}
+
+// onSpec presents a failure shared under one canonical key — a replayed
+// infeasibility proof, a flight's error, a batch representative's error
+// — on the requesting spec sp, as assemble does for plans: the error
+// names sp, never the spec of the request that produced it. The error's
+// type, and with it errors.Is/As and the HTTP kind, is unchanged.
+func onSpec(err error, sp *spec.Spec) error {
+	switch e := err.(type) {
+	case *spec.ErrNoSolution:
+		c := *e
+		c.SpecName = sp.Name
+		return &c
+	case *search.ErrTimeout:
+		c := *e
+		c.SpecName = sp.Name
+		return &c
+	case *ErrSolvePanic:
+		c := *e
+		c.SpecName = sp.Name
+		return &c
+	}
+	return err
 }
 
 // classifyFailure counts a failed request, both in the aggregate
@@ -882,9 +901,11 @@ func (e *Engine) runJob(j job) {
 			_ = e.install(j.key, res, wire, sigs)
 			// The cache-corruption fault overwrites the memory entry only;
 			// the store and the flight keep the pristine plan (the store has
-			// its own disk fault points).
-			if e.cache.enabled() && e.inj.Fire(faultinject.CacheCorrupt) {
-				e.cache.put(j.key, corruptPlan(res), nil)
+			// its own disk fault points). Only an engine with a memory tier
+			// draws it: the injector's one seeded RNG must see the same draw
+			// order, or every chaos schedule shifts.
+			if e.cfg.cacheSize() > 0 && e.inj.Fire(faultinject.CacheCorrupt) {
+				e.cache.Put(j.key, cacheEntry{res: corruptPlan(res)})
 			}
 			// Replicate the freshly proven plan to the key's replica set
 			// (the hook only enqueues; pushes happen on the cluster's own
@@ -896,7 +917,7 @@ func (e *Engine) runJob(j job) {
 	} else {
 		var nosol *spec.ErrNoSolution
 		if errors.As(err, &nosol) {
-			e.neg.put(j.key, nosol)
+			e.neg.Put(j.key, nosol)
 		}
 	}
 	// Cache before completing the flight: a request arriving after it
@@ -957,8 +978,8 @@ func corruptPlan(res *spec.Result) *spec.Result {
 // Snapshot returns the current metrics, cache and queue gauges.
 func (e *Engine) Snapshot() Snapshot {
 	s := e.metrics.snapshot()
-	s.CacheEntries = e.cache.len()
-	s.NegCacheSize = e.neg.len()
+	s.CacheEntries = e.cache.Len()
+	s.NegCacheSize = e.neg.Len()
 	s.Admission = e.queue.Stats()
 	s.Workers = e.cfg.workers()
 	s.BreakersOpen = e.breakers.OpenCount()

@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"switchsynth"
 	"switchsynth/internal/planio"
@@ -270,4 +271,74 @@ func TestPlansEndpoints(t *testing.T) {
 	if err := json.NewDecoder(nresp.Body).Decode(&env); err != nil || env.Kind != "not-found" {
 		t.Errorf("404 envelope = %+v (err %v), want kind not-found", env, err)
 	}
+}
+
+// TestSharedFailureNamesTheRequestersSpec: requests under one canonical
+// key share one failure — a negative-cache proof, a coalesced flight's
+// error, a batch representative's error — but each sees it on its own
+// spec, so one tenant's spec name never reaches another.
+func TestSharedFailureNamesTheRequestersSpec(t *testing.T) {
+	infeasible := func(name string) *spec.Spec {
+		sp := serviceSpec(name)
+		sp.Binding = spec.Clockwise // this module order admits no conflict-free plan
+		return sp
+	}
+	check := func(what string, err error, target any) {
+		t.Helper()
+		if !errors.As(err, target) {
+			t.Fatalf("%s: err = %v, want %T", what, err, target)
+		}
+		if msg := err.Error(); !strings.Contains(msg, `"tenant-b"`) || strings.Contains(msg, "tenant-a-secret") {
+			t.Errorf("%s: error %q does not name the requester's spec alone", what, msg)
+		}
+	}
+	ctx := context.Background()
+
+	// A negative-cache hit.
+	e := newTestEngine(t, Config{Workers: 1})
+	if _, err := e.Do(ctx, infeasible("tenant-a-secret"), switchsynth.Options{}); !errors.As(err, new(*spec.ErrNoSolution)) {
+		t.Fatalf("first request: err = %v, want no solution", err)
+	}
+	_, err := e.Do(ctx, infeasible("tenant-b"), switchsynth.Options{})
+	check("negative-cache hit", err, new(*spec.ErrNoSolution))
+	if e.Snapshot().NegCacheHits != 1 {
+		t.Fatalf("negCacheHits = %d, want 1", e.Snapshot().NegCacheHits)
+	}
+
+	// A batch member answered from its representative's failure.
+	out := newTestEngine(t, Config{Workers: 1}).DoBatch(ctx, []BatchSpec{
+		{Spec: infeasible("tenant-a-secret")}, {Spec: infeasible("tenant-b")},
+	})
+	if !out[1].Dedup {
+		t.Fatal("second batch member was not deduplicated")
+	}
+	check("batch dedup member", out[1].Err, new(*spec.ErrNoSolution))
+
+	// A waiter coalesced onto another request's solve.
+	e = newTestEngine(t, Config{Workers: 1})
+	started, release := make(chan struct{}), make(chan struct{})
+	e.solve = func(ctx context.Context, sp *spec.Spec, opts switchsynth.Options) (*spec.Result, error) {
+		close(started)
+		<-release
+		return nil, &search.ErrTimeout{SpecName: sp.Name, Cause: context.DeadlineExceeded}
+	}
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, err := e.Do(ctx, serviceSpec("tenant-a-secret"), switchsynth.Options{})
+		leaderDone <- err
+	}()
+	<-started
+	followerDone := make(chan error, 1)
+	go func() {
+		_, err := e.Do(ctx, permutedServiceSpec("tenant-b"), switchsynth.Options{})
+		followerDone <- err
+	}()
+	for e.Snapshot().DedupCoalesced == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if err := <-leaderDone; !errors.Is(err, &search.ErrTimeout{}) {
+		t.Fatalf("leader: err = %v, want timeout", err)
+	}
+	check("coalesced waiter", <-followerDone, new(*search.ErrTimeout))
 }

@@ -386,9 +386,6 @@ func (sw *Switch) NodeIDs() []int {
 // PinVertex returns the vertex ID of the pin at the given clockwise order.
 func (sw *Switch) PinVertex(order int) int { return sw.pins[order] }
 
-// PinOrderOf returns the clockwise order of a pin vertex, or -1.
-func (sw *Switch) PinOrderOf(vertexID int) int { return sw.Vertices[vertexID].PinOrder }
-
 // VertexByName returns the vertex with the given name.
 func (sw *Switch) VertexByName(name string) (Vertex, bool) {
 	id, ok := sw.byName[name]
@@ -472,32 +469,14 @@ type Path struct {
 	VertMask, EdgeMask Bits
 }
 
-// InteriorNodes returns the junction vertices of p (all vertices except the
-// two pin endpoints).
-func (p Path) InteriorNodes() []int {
-	if len(p.Verts) <= 2 {
-		return nil
-	}
-	out := make([]int, len(p.Verts)-2)
-	copy(out, p.Verts[1:len(p.Verts)-1])
-	return out
-}
-
 // UsesVertex reports whether p passes through vertex v.
 func (p Path) UsesVertex(v int) bool { return p.VertMask.Has(v) }
 
 // UsesEdge reports whether p traverses edge e.
 func (p Path) UsesEdge(e int) bool { return p.EdgeMask.Has(e) }
 
-// SharesVertex reports whether p and q have any vertex in common other than
-// allowed shared pins (none by default).
-func (p Path) SharesVertex(q Path) bool { return p.VertMask.Intersects(q.VertMask) }
-
 // SharesEdge reports whether p and q traverse a common edge.
 func (p Path) SharesEdge(q Path) bool { return p.EdgeMask.Intersects(q.EdgeMask) }
-
-// NumVerts returns the number of vertices on the path.
-func (p Path) NumVerts() int { return len(p.Verts) }
 
 // String renders the path as a dash-separated vertex-name list.
 func (p Path) String() string { return fmt.Sprintf("path(%d verts, %.2fmm)", len(p.Verts), p.Length) }
