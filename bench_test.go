@@ -466,7 +466,7 @@ func hardInstances(t *testing.T) []hardInstance {
 		}
 	}
 	for _, drop := range []int{1, 5, 9} {
-		sp, err := ringNeighbor(drop).CanonicalSpec()
+		sp, _, err := ringNeighbor(drop).Canonical()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -540,11 +540,11 @@ const hardLimit = 10 * time.Second
 // count, seconds and error. The node count is the delta of the
 // process-wide search counter, so nothing else may solve meanwhile.
 func solveCounted(sp *spec.Spec, limit time.Duration) (*spec.Result, int64, float64, error) {
-	before, _ := search.Counters()
+	before := search.Counters()
 	start := time.Now()
 	res, err := search.Solve(sp, search.Options{TimeLimit: limit})
 	sec := time.Since(start).Seconds()
-	after, _ := search.Counters()
+	after := search.Counters()
 	return res, after - before, sec, err
 }
 
@@ -1160,7 +1160,7 @@ func BenchmarkCluster_ReplicaPush(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		req.Header.Set("Content-Type", planio.ContentTypeOf(wire))
+		req.Header.Set("Content-Type", planio.ContentTypeBinary)
 		pr, err := http.DefaultClient.Do(req)
 		if err != nil {
 			b.Fatal(err)

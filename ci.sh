@@ -144,10 +144,13 @@ echo "== plan-bytes gate: fuzz + one admission door + plan stream =="
 # The binary frame decoder must reject every malformed frame it is
 # fuzzed with, and any frame either decoder accepts must re-encode to a
 # byte-identical fixed point in both formats (JSON stays the export and
-# human format). The door suite, race-checked: a one-byte-flipped frame
-# and a valid frame filed under the wrong key are refused at the store
-# read, the peer fill, the PUT /plans/{key} push, the anti-entropy
-# import and read-repair, with nothing left behind in any tier; a
+# human format). The door suite, race-checked: a one-byte-flipped frame,
+# a valid frame filed under the wrong key and a valid plan in JSON (no
+# checksum) are refused at the store read, the peer fill, the
+# PUT /plans/{key} push, the anti-entropy import and read-repair, with
+# nothing left behind in any tier; nothing the engine keeps or hands
+# out under a key (watch frames, plan bytes, store record, replica
+# push) names the requester whose spec produced it; a
 # misfiled store record is healed and re-solved to the true optimum;
 # the digest cache only skips re-verification for bytes already
 # admitted. The plan-stream suite proves the persistent fetch channel —
@@ -162,7 +165,7 @@ echo "== plan-bytes gate: fuzz + one admission door + plan stream =="
 # arm of the four-topology determinism test in the cluster gate above.
 go test -fuzz '^FuzzDecodeBinary$' -fuzztime 15s -run '^$' ./internal/planio/
 go test -fuzz '^FuzzCrossFormat$' -fuzztime 15s -run '^$' ./internal/planio/
-go test -race -run 'TestTamperedPlanBytesRejectedAtEveryDoor|TestEngineHealsPersistedPlanUnderWrongKey|TestDigestCache|TestPlanBytes|TestPlanEndpointServesJSON|TestPlanStream|TestStreamFetch|TestVerifyDetectsTampering|TestVerifyFileRejectsGappedSetLabels|TestRelabelRoundTripProperty' \
+go test -race -run 'TestTamperedPlanBytesRejectedAtEveryDoor|TestSharedStateCarriesNoRequesterName|TestEngineHealsPersistedPlanUnderWrongKey|TestDigestCache|TestPlanBytes|TestPlanEndpointServesJSON|TestPlanStream|TestStreamFetch|TestVerifyDetectsTampering|TestVerifyFileRejectsGappedSetLabels|TestRelabelRoundTripProperty' \
   ./internal/cluster/ ./internal/service/ ./internal/planio/ ./internal/contam/ ./cmd/verifyplan/ ./internal/spec/
 
 echo "== replication chaos gate: kill any node mid-campaign, zero re-solves =="

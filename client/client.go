@@ -187,40 +187,26 @@ func (c *Client) setIdentity(req *http.Request) {
 // Synthesize submits sp and returns the daemon's response, retrying
 // transient failures until ctx is done or MaxAttempts is exhausted.
 func (c *Client) Synthesize(ctx context.Context, sp *switchsynth.Spec, opts service.RequestOptions) (*service.SynthesizeResponse, error) {
-	// The canonical key validates the spec locally (no round trip for
-	// garbage) and, as a job key, ranks peers.
+	var out *service.SynthesizeResponse
+	err := c.synthesize(ctx, sp, opts, "/synthesize", false, func(body io.Reader) error {
+		out = new(service.SynthesizeResponse) // nothing kept from a failed attempt
+		return decodeJSON(body, out, "response")
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// synthesize sends sp to path on its targets (see targets) through call.
+// The canonical key validates the spec locally (no round trip for
+// garbage) and, as a job key, ranks peers.
+func (c *Client) synthesize(ctx context.Context, sp *switchsynth.Spec, opts service.RequestOptions, path string, streamed bool, read func(io.Reader) error) error {
 	key, err := switchsynth.CanonicalKey(sp)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	body, err := json.Marshal(service.SynthesizeRequest{Spec: sp, Options: opts})
-	if err != nil {
-		return nil, err
-	}
-	targets := c.targets(key)
-
-	var lastErr error
-	for attempt := 0; attempt < c.maxAttempts; attempt++ {
-		if attempt > 0 && !(transportFailure(lastErr) && len(targets) > 1) {
-			if err := c.sleep(ctx, attempt, lastErr); err != nil {
-				return nil, err
-			}
-		}
-		out, err := c.once(ctx, targets[attempt%len(targets)], body)
-		if err == nil {
-			return out, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			return nil, err
-		}
-		var apiErr *APIError
-		if errors.As(err, &apiErr) && !apiErr.Temporary() {
-			return nil, err
-		}
-		// Network errors and temporary statuses fall through to retry.
-	}
-	return nil, lastErr
+	return c.call(ctx, c.targets(key), path, service.SynthesizeRequest{Spec: sp, Options: opts}, streamed, read)
 }
 
 // targets returns the bases to try, in attempt order, for the spec
@@ -242,27 +228,70 @@ func (c *Client) targets(key string) []string {
 	return targets
 }
 
-// once performs a single POST /synthesize round trip against base.
-func (c *Client) once(ctx context.Context, base string, body []byte) (*service.SynthesizeResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/synthesize", bytes.NewReader(body))
+// call POSTs payload as JSON to path, attempt i going to
+// targets[i%len(targets)], and hands a 200 answer's body to read. It is
+// the one retry loop: network errors, temporary statuses and read
+// failures are retried until ctx is done or MaxAttempts is exhausted,
+// sleeping the backoff between attempts — except after a transport
+// failure when there is another target to fail over to. A permanent
+// status fails at once. With streamed set, a 200 commits the call: its
+// frames may already have been delivered, so a failure after it is not
+// retried.
+func (c *Client) call(ctx context.Context, targets []string, path string, payload any, streamed bool, read func(io.Reader) error) error {
+	body, err := json.Marshal(payload)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	c.setIdentity(req)
+	var lastErr error
+	for attempt := 0; attempt < c.maxAttempts; attempt++ {
+		if attempt > 0 && !(transportFailure(lastErr) && len(targets) > 1) {
+			if err := c.sleep(ctx, attempt, lastErr); err != nil {
+				return err
+			}
+		}
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, targets[attempt%len(targets)]+path, bytes.NewReader(body))
+		if err != nil {
+			return err
+		}
+		req.Header.Set("Content-Type", "application/json")
+		c.setIdentity(req)
+		answered, err := c.do(req, read)
+		if err == nil {
+			return nil
+		}
+		lastErr = err
+		if (streamed && answered) || ctx.Err() != nil {
+			return err
+		}
+		var apiErr *APIError
+		if errors.As(err, &apiErr) && !apiErr.Temporary() {
+			return err
+		}
+	}
+	return lastErr
+}
+
+// do performs one round trip and hands a 200 answer's body to read;
+// any other status is an *APIError. answered reports that the daemon
+// answered 200.
+func (c *Client) do(req *http.Request, read func(io.Reader) error) (answered bool, err error) {
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, readAPIError(resp)
+		return false, readAPIError(resp)
 	}
-	var out service.SynthesizeResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("client: decoding response: %w", err)
+	return true, read(resp.Body)
+}
+
+// decodeJSON decodes one JSON value of the named kind from body into v.
+func decodeJSON(body io.Reader, v any, what string) error {
+	if err := json.NewDecoder(body).Decode(v); err != nil {
+		return fmt.Errorf("client: decoding %s: %w", what, err)
 	}
-	return &out, nil
+	return nil
 }
 
 // transportFailure reports whether err is a network-level failure — no
@@ -330,34 +359,13 @@ type BatchItem struct {
 // Batches are sent to BaseURL even when Peers is set: a batch spans many
 // canonical keys, so there is no single owning node to route to.
 func (c *Client) Batch(ctx context.Context, items []service.BatchRequestItem, opts service.RequestOptions) (*service.BatchResponse, []BatchItem, error) {
-	body, err := json.Marshal(service.BatchRequest{Specs: items, Options: opts})
+	var envelope *service.BatchResponse
+	err := c.call(ctx, []string{c.base}, "/synthesize/batch", service.BatchRequest{Specs: items, Options: opts}, false, func(body io.Reader) error {
+		envelope = new(service.BatchResponse) // nothing kept from a failed attempt
+		return decodeJSON(body, envelope, "batch response")
+	})
 	if err != nil {
 		return nil, nil, err
-	}
-	var (
-		envelope *service.BatchResponse
-		lastErr  error
-	)
-	for attempt := 0; attempt < c.maxAttempts; attempt++ {
-		if attempt > 0 {
-			if err := c.sleep(ctx, attempt, lastErr); err != nil {
-				return nil, nil, err
-			}
-		}
-		envelope, lastErr = c.batchOnce(ctx, body)
-		if lastErr == nil {
-			break
-		}
-		if ctx.Err() != nil {
-			return nil, nil, lastErr
-		}
-		var apiErr *APIError
-		if errors.As(lastErr, &apiErr) && !apiErr.Temporary() {
-			return nil, nil, lastErr
-		}
-	}
-	if lastErr != nil {
-		return nil, nil, lastErr
 	}
 	out := make([]BatchItem, len(envelope.Items))
 	for i, it := range envelope.Items {
@@ -367,29 +375,6 @@ func (c *Client) Batch(ctx context.Context, items []service.BatchRequestItem, op
 		}
 	}
 	return envelope, out, nil
-}
-
-// batchOnce performs a single POST /synthesize/batch round trip.
-func (c *Client) batchOnce(ctx context.Context, body []byte) (*service.BatchResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/synthesize/batch", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	c.setIdentity(req)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, readAPIError(resp)
-	}
-	var out service.BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("client: decoding batch response: %w", err)
-	}
-	return &out, nil
 }
 
 // Stream submits sp with ?wait=proof and follows the daemon's ndjson
@@ -406,86 +391,42 @@ func (c *Client) batchOnce(ctx context.Context, body []byte) (*service.BatchResp
 // Stream again, which attaches to the in-flight solve instead of
 // restarting it.
 func (c *Client) Stream(ctx context.Context, sp *switchsynth.Spec, opts service.RequestOptions, onFrame func(*service.SynthesizeResponse) error) (*service.SynthesizeResponse, error) {
-	key, err := switchsynth.CanonicalKey(sp)
+	var final *service.SynthesizeResponse
+	err := c.synthesize(ctx, sp, opts, "/synthesize?wait=proof", true, func(body io.Reader) error {
+		// Each ndjson line is either a SynthesizeResponse frame or, after a
+		// mid-stream failure, the daemon's {"error","kind"} envelope.
+		type streamLine struct {
+			service.SynthesizeResponse
+			Error string `json:"error"`
+			Kind  string `json:"kind"`
+		}
+		dec := json.NewDecoder(body)
+		for {
+			var line streamLine
+			if err := dec.Decode(&line); err != nil {
+				if errors.Is(err, io.EOF) {
+					return fmt.Errorf("client: stream ended without a final frame")
+				}
+				return fmt.Errorf("client: reading stream: %w", err)
+			}
+			if line.Error != "" {
+				return &APIError{Status: statusForKind(line.Kind), Kind: line.Kind, Message: line.Error}
+			}
+			if line.Final {
+				final = &line.SynthesizeResponse
+				return nil
+			}
+			if onFrame != nil {
+				if err := onFrame(&line.SynthesizeResponse); err != nil {
+					return err
+				}
+			}
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	body, err := json.Marshal(service.SynthesizeRequest{Spec: sp, Options: opts})
-	if err != nil {
-		return nil, err
-	}
-	targets := c.targets(key)
-
-	var lastErr error
-	for attempt := 0; attempt < c.maxAttempts; attempt++ {
-		if attempt > 0 && !(transportFailure(lastErr) && len(targets) > 1) {
-			if err := c.sleep(ctx, attempt, lastErr); err != nil {
-				return nil, err
-			}
-		}
-		out, started, err := c.streamOnce(ctx, targets[attempt%len(targets)], body, onFrame)
-		if err == nil {
-			return out, nil
-		}
-		lastErr = err
-		if started || ctx.Err() != nil {
-			// The 200 was committed: frames may already have been
-			// delivered, so the attempt is not idempotently retryable.
-			return nil, err
-		}
-		var apiErr *APIError
-		if errors.As(err, &apiErr) && !apiErr.Temporary() {
-			return nil, err
-		}
-	}
-	return nil, lastErr
-}
-
-// streamOnce performs one ?wait=proof round trip; started reports
-// whether the response stream was entered (no retries past that point).
-func (c *Client) streamOnce(ctx context.Context, base string, body []byte, onFrame func(*service.SynthesizeResponse) error) (_ *service.SynthesizeResponse, started bool, _ error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/synthesize?wait=proof", bytes.NewReader(body))
-	if err != nil {
-		return nil, false, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	c.setIdentity(req)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, false, readAPIError(resp)
-	}
-	// Each ndjson line is either a SynthesizeResponse frame or, after a
-	// mid-stream failure, the daemon's {"error","kind"} envelope.
-	type streamLine struct {
-		service.SynthesizeResponse
-		Error string `json:"error"`
-		Kind  string `json:"kind"`
-	}
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var line streamLine
-		if err := dec.Decode(&line); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil, true, fmt.Errorf("client: stream ended without a final frame")
-			}
-			return nil, true, fmt.Errorf("client: reading stream: %w", err)
-		}
-		if line.Error != "" {
-			return nil, true, &APIError{Status: statusForKind(line.Kind), Kind: line.Kind, Message: line.Error}
-		}
-		if line.Final {
-			return &line.SynthesizeResponse, true, nil
-		}
-		if onFrame != nil {
-			if err := onFrame(&line.SynthesizeResponse); err != nil {
-				return nil, true, err
-			}
-		}
-	}
+	return final, nil
 }
 
 // statusForKind maps an in-band stream error kind back onto the status
@@ -510,41 +451,31 @@ func statusForKind(kind string) int {
 
 // Metrics fetches the daemon's /metrics snapshot (no retries).
 func (c *Client) Metrics(ctx context.Context) (*service.Snapshot, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, readAPIError(resp)
-	}
 	var snap service.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("client: decoding metrics: %w", err)
+	if err := c.get(ctx, "/metrics", func(body io.Reader) error {
+		return decodeJSON(body, &snap, "metrics")
+	}); err != nil {
+		return nil, err
 	}
 	return &snap, nil
 }
 
 // Healthz probes the daemon's liveness endpoint (no retries).
 func (c *Client) Healthz(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
+	return c.get(ctx, "/healthz", func(body io.Reader) error {
+		io.Copy(io.Discard, body)
+		return nil
+	})
+}
+
+// get performs one GET of path on BaseURL through do.
+func (c *Client) get(ctx context.Context, path string, read func(io.Reader) error) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {
 		return err
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return readAPIError(resp)
-	}
-	io.Copy(io.Discard, resp.Body)
-	return nil
+	_, err = c.do(req, read)
+	return err
 }
 
 // readAPIError decodes the daemon's JSON error envelope and Retry-After

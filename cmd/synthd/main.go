@@ -67,9 +67,15 @@
 // planio frame; JSON is only for export and humans. Every plan the
 // daemon did not just solve itself — read from disk, filled from a
 // peer, pushed, repaired or pulled by anti-entropy — passes one
-// admission check (decode, optimality proof, canonical-key
-// re-derivation, contamination verification) before it is served or
-// stored.
+// admission check (binary-frame decode with its CRC32C, optimality
+// proof, canonical-key re-derivation, contamination verification)
+// before it is served or stored. A JSON record an older build left in
+// -store-dir carries no checksum: it is refused, deleted and re-solved.
+//
+// Everything the daemon keeps and shares under a key is solved on the
+// spec's nameless canonical form, so no stored, replicated or watched
+// plan names the tenant whose request produced it; a requester sees
+// its plan (or error) under its own spec's name.
 //
 // On SIGINT/SIGTERM the daemon drains gracefully: /readyz flips to 503
 // so cluster peers stop routing here, the listener stops accepting,
@@ -88,13 +94,13 @@
 //	                              members are canonicalized and deduped, one
 //	                              solve per distinct key, per-item outcomes
 //	GET  /synthesize/stream/{key} attach to a key's in-flight solve and follow
-//	                              its incumbents (ndjson)
+//	                              its incumbents (ndjson; nameless frames)
 //	GET  /healthz                 liveness and pool shape
 //	GET  /readyz                  readiness: 200 serving, 503 once draining
 //	GET  /metrics                 job/cache/store/cluster/admission counters as JSON
 //	GET  /plans                   manifest of locally held plan keys
-//	GET  /plans/{key}             one plan in the JSON file format (404 when
-//	                              absent)
+//	GET  /plans/{key}             one plan frame transcoded to the JSON file
+//	                              format (404 when absent)
 //	GET  /plans.stream            upgrade to the plan stream peers fetch plan
 //	                              frames over
 //	PUT  /plans/{key}             receive a peer's replication push (re-verified

@@ -125,7 +125,7 @@ func (c *Cluster) pushPlan(n Node, key string, data []byte) error {
 		if err != nil {
 			return 0, err
 		}
-		req.Header.Set("Content-Type", planio.ContentTypeOf(data))
+		req.Header.Set("Content-Type", planio.ContentTypeBinary)
 		resp, err := c.hc.Do(req)
 		if err != nil {
 			return 0, fmt.Errorf("cluster: push plan %s to peer %s: %w", key, n.ID, err)

@@ -1,10 +1,11 @@
 // One table for every door plan bytes can enter a node through: the
 // durable store read, the peer fill, the PUT /plans/{key} push, the
 // anti-entropy import and read-repair. Each door is driven with a
-// one-byte-flipped frame, with a valid frame filed under the wrong key
-// and with a well-formed frame whose set labels leave a gap; every door
-// must refuse all three through the engine's single admission check,
-// and the receiving node must hold nothing under the key afterwards.
+// one-byte-flipped frame, with a valid frame filed under the wrong key,
+// with a well-formed frame whose set labels leave a gap and with the
+// right plan in the JSON file format; every door must refuse all four
+// through the engine's single admission check, and the receiving node
+// must hold nothing under the key afterwards.
 package cluster
 
 import (
@@ -84,6 +85,18 @@ func (tp *tamperedPlans) gapped(t *testing.T, sp *spec.Spec, key string) []byte 
 	return bad
 }
 
+// asJSON is sp's valid plan in the JSON file format. JSON carries no
+// checksum, so the doors, which promise a CRC32C check, take binary
+// frames only.
+func (tp *tamperedPlans) asJSON(t *testing.T, sp *spec.Spec, key string) []byte {
+	_, good := tp.plan(t, sp)
+	data, err := planio.ToJSON(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // withStores gives every node a durable tier, recorded in stores by
 // node ID.
 func withStores(t *testing.T, stores map[string]*store.Store) func(int, *Config, *service.Config) {
@@ -159,6 +172,7 @@ func TestTamperedPlanBytesRejectedAtEveryDoor(t *testing.T) {
 		{"flipped-byte", tp.flipped},
 		{"wrong-key", tp.misfiled},
 		{"gapped-sets", tp.gapped},
+		{"valid-json", tp.asJSON},
 	}
 	doors := []struct {
 		name string

@@ -79,15 +79,6 @@ func IsBinary(data []byte) bool {
 		data[2] == frameMagic[2] && data[3] == frameMagic[3]
 }
 
-// ContentTypeOf returns the HTTP content type matching the encoding of
-// data.
-func ContentTypeOf(data []byte) string {
-	if IsBinary(data) {
-		return ContentTypeBinary
-	}
-	return ContentTypeJSON
-}
-
 // ToJSON returns plan bytes in the JSON file format: binary frames are
 // transcoded through full decode validation, JSON passes through
 // unchanged. The transcoded output is byte-identical to EncodeWire of

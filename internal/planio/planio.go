@@ -10,8 +10,11 @@
 //     table and varint vertex encoding, used on the WAL, the cluster
 //     wire and the service plan cache.
 //
-// DecodeAny sniffs the leading bytes and accepts either, so old JSON
-// store records and exports still load. Both decoders
+// DecodeAny sniffs the leading bytes and accepts either; it serves
+// cmd/verifyplan, whose input files may be in either format. The
+// service's admission door takes binary frames only: JSON carries no
+// checksum, so a JSON record left in an old store is refused there and
+// re-solved. Both decoders
 // store only the spec, the binding and each route's vertex sequence;
 // masks, lengths and objectives are recomputed on load and never trusted
 // from the bytes.
@@ -155,9 +158,8 @@ func Decode(data []byte) (*spec.Result, error) {
 
 // DecodeAny decodes a plan in either encoding, sniffing the leading
 // bytes: a binary frame magic selects DecodeBinary, anything else is
-// handed to the JSON decoder. Receivers use this regardless of transport
-// content-type headers, so a mislabeled body can never smuggle bytes
-// past validation — both paths converge on the same checks.
+// handed to the JSON decoder. It is for plan files (cmd/verifyplan);
+// the service admits binary frames only (DecodeBinary).
 func DecodeAny(data []byte) (*spec.Result, error) {
 	if IsBinary(data) {
 		return DecodeBinary(data)

@@ -13,7 +13,7 @@
 //
 // The stream carries stored plan bytes verbatim — the same frames the
 // store and replication pushes carry — so the receiver's admission
-// check (digest cache, DecodeAny, key re-derivation, contamination
+// check (digest cache, DecodeBinary, key re-derivation, contamination
 // verification) is the one every imported plan passes. Only the
 // envelope is special; the trust model is not.
 package planio

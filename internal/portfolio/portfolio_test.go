@@ -54,11 +54,7 @@ func newIndex(capacity int) *SimIndex {
 // the way a caller hands them to Lookup and Add.
 func keyed(t *testing.T, idx *SimIndex, sp *spec.Spec) (string, *spec.Spec, Signatures) {
 	t.Helper()
-	canon, err := sp.CanonicalSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, err := canon.CanonicalKey()
+	canon, key, err := sp.Canonical()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,17 +50,12 @@ const maxUnit = math.MaxInt
 
 // Package-level solver telemetry, exported to the service layer's
 // /metrics endpoint via Counters.
-var (
-	totalNodes  atomic.Int64
-	totalSteals atomic.Int64
-)
+var totalNodes atomic.Int64
 
 // Counters reports process-wide solver telemetry: the total number of
-// branch-and-bound nodes expanded and the total number of work units
-// claimed by a worker other than the one the round-robin split assigned
-// them to (steals). Both are cumulative across all solves.
-func Counters() (nodes, steals int64) {
-	return totalNodes.Load(), totalSteals.Load()
+// branch-and-bound nodes expanded, cumulative across all solves.
+func Counters() (nodes int64) {
+	return totalNodes.Load()
 }
 
 // unitStep is one frozen branch decision: flow order[k] takes candidate
@@ -94,9 +89,8 @@ func (b *sharedBest) yields(c float64, unit int) bool {
 
 // sharedState is the coordination block for one parallel solve.
 type sharedState struct {
-	best   atomic.Pointer[sharedBest]
-	next   atomic.Int64 // claim cursor into the unit permutation
-	steals atomic.Int64
+	best atomic.Pointer[sharedBest]
+	next atomic.Int64 // claim cursor into the unit permutation
 
 	stopped  atomic.Bool
 	causeMu  sync.Mutex
@@ -339,11 +333,6 @@ func (s *solver) runParallel() {
 				if i >= len(units) {
 					return
 				}
-				if i%workers != w {
-					// The unit round-robin "belongs" to another worker:
-					// this claim is a steal in work-stealing terms.
-					sh.steals.Add(1)
-				}
 				wk.runUnit(order[i], units[order[i]])
 			}
 		}(w)
@@ -362,5 +351,4 @@ func (s *solver) runParallel() {
 		}
 		wk.release()
 	}
-	totalSteals.Add(sh.steals.Load())
 }

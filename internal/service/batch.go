@@ -64,6 +64,7 @@ func (e *Engine) DoBatch(ctx context.Context, items []BatchSpec) []BatchOutcome 
 	e.metrics.batchRequests.Add(1)
 	e.metrics.batchSpecs.Add(int64(len(items)))
 	out := make([]BatchOutcome, len(items))
+	canons := make([]*spec.Spec, len(items)) // what a group's solve runs on
 	groups := make(map[string][]int, len(items))
 	order := make([]string, 0, len(items))
 	for i, it := range items {
@@ -75,14 +76,14 @@ func (e *Engine) DoBatch(ctx context.Context, items []BatchSpec) []BatchOutcome 
 			out[i].Err = errNilBatchSpec
 			continue
 		}
-		key, err := JobKey(it.Spec)
+		canon, key, err := canonicalJob(it.Spec)
 		if err != nil {
 			e.metrics.jobsSubmitted.Add(1)
 			e.classifyFailure(err)
 			out[i].Err = err
 			continue
 		}
-		out[i].Key = key
+		out[i].Key, canons[i] = key, canon
 		if _, ok := groups[key]; !ok {
 			order = append(order, key)
 		}
@@ -96,7 +97,7 @@ func (e *Engine) DoBatch(ctx context.Context, items []BatchSpec) []BatchOutcome 
 			defer wg.Done()
 			rep := members[0]
 			e.metrics.jobsSubmitted.Add(1)
-			resp, err := e.doKeyed(ctx, key, items[rep].Spec, items[rep].Opts, nil)
+			resp, err := e.doKeyed(ctx, key, canons[rep], items[rep].Spec, items[rep].Opts, nil)
 			out[rep].Resp, out[rep].Err = resp, err
 			for _, i := range members[1:] {
 				e.metrics.jobsSubmitted.Add(1)

@@ -208,6 +208,8 @@ var ErrEngineClosed = errors.New("service: engine is closed")
 // ErrSolvePanic reports that the optimizer panicked inside a worker. The
 // worker pool survives; only the job (and its coalesced waiters) fail.
 type ErrSolvePanic struct {
+	// SpecName names the requesting spec (onSpec sets it; empty for a
+	// key watcher, which supplied no spec).
 	SpecName string
 	// Value is the recovered panic value.
 	Value any
@@ -224,9 +226,12 @@ func (e *ErrSolvePanic) Is(target error) bool {
 	return errors.As(target, &other)
 }
 
+// job is one queued solve. It holds the canonical spec of key, never a
+// requester's: what the solve produces is shared by every member of the
+// class, so it must not carry any one member's name.
 type job struct {
 	key    string
-	sp     *spec.Spec
+	canon  *spec.Spec
 	opts   switchsynth.Options
 	flight *flight
 }
@@ -358,17 +363,19 @@ func (e *Engine) Do(ctx context.Context, sp *spec.Spec, opts switchsynth.Options
 // anytime incumbents of the flight the request waits on (DoStream).
 func (e *Engine) do(ctx context.Context, sp *spec.Spec, opts switchsynth.Options, emit func(*Response, bool) error) (*Response, error) {
 	e.metrics.jobsSubmitted.Add(1)
-	key, err := JobKey(sp)
+	canon, key, err := canonicalJob(sp)
 	if err != nil {
 		e.classifyFailure(err)
 		return nil, err
 	}
-	return e.doKeyed(ctx, key, sp, opts, emit)
+	return e.doKeyed(ctx, key, canon, sp, opts, emit)
 }
 
-// doKeyed is do for a submission already counted whose job key the
-// caller derived (DoBatch keys every member while grouping).
-func (e *Engine) doKeyed(ctx context.Context, key string, sp *spec.Spec, opts switchsynth.Options, emit func(*Response, bool) error) (*Response, error) {
+// doKeyed is do for a submission already counted whose canonical spec
+// and job key the caller derived (DoBatch derives them for every member
+// while grouping). A solve runs on canon; everything returned is
+// presented on sp.
+func (e *Engine) doKeyed(ctx context.Context, key string, canon, sp *spec.Spec, opts switchsynth.Options, emit func(*Response, bool) error) (*Response, error) {
 	if opts.TimeLimit == 0 {
 		opts.TimeLimit = e.cfg.defaultTimeLimit()
 	}
@@ -423,7 +430,7 @@ func (e *Engine) doKeyed(ctx context.Context, key string, sp *spec.Spec, opts sw
 		f, leader := e.flights.join(key)
 		if leader {
 			e.metrics.cacheMisses.Add(1)
-			if err := e.enqueue(ctx, job{key: key, sp: sp, opts: opts, flight: f}); err != nil {
+			if err := e.enqueue(ctx, job{key: key, canon: canon, opts: opts, flight: f}); err != nil {
 				// Nobody will run this flight; fail it so attached
 				// waiters and watchers get this error instead of hanging,
 				// and let later requests retry.
@@ -557,11 +564,12 @@ func (e *ErrPlanRejected) Unwrap() error { return e.Err }
 // produce itself: store reads, peer fills, replication pushes,
 // read-repair and anti-entropy pulls all pass through it before any tier
 // holds them. Bytes digest-identical to a frame that already passed this
-// check under key return at once. Anything else is decoded, must be
-// flagged proven, must re-derive exactly key as its canonical job key,
-// and must pass the full contamination verifier; only then is its digest
-// recorded. Optimality is not re-proven: the Proven flag is trusted.
-// Callers keep their own counters and heal actions, and the tier that
+// check under key return at once. Anything else must decode as a binary
+// frame, whose CRC32C it checks (JSON, which carries no checksum, is
+// refused), must be flagged proven, must re-derive exactly key as its
+// canonical job key, and must pass the full contamination verifier; only
+// then is its digest recorded. Optimality is not re-proven: the Proven
+// flag is trusted. Callers keep their own counters and heal actions, and the tier that
 // takes the plan in also teaches the similarity index.
 func (e *Engine) admitPlan(key string, data []byte) (*spec.Result, error) {
 	if res, ok := e.verified.Lookup(data, key); ok {
@@ -570,7 +578,7 @@ func (e *Engine) admitPlan(key string, data []byte) (*spec.Result, error) {
 	reject := func(err error) (*spec.Result, error) {
 		return nil, &ErrPlanRejected{Key: key, Err: err}
 	}
-	res, err := planio.DecodeAny(data)
+	res, err := planio.DecodeBinary(data)
 	if err != nil {
 		return reject(err)
 	}
@@ -788,8 +796,9 @@ func (e *Engine) assemble(resp *Response, shared *spec.Result, sp *spec.Spec, op
 // onSpec presents a failure shared under one canonical key — a replayed
 // infeasibility proof, a flight's error, a batch representative's error
 // — on the requesting spec sp, as assemble does for plans: the error
-// names sp, never the spec of the request that produced it. The error's
-// type, and with it errors.Is/As and the HTTP kind, is unchanged.
+// names sp. It is the only place a shared failure gets a name; solves
+// run on the nameless canonical spec. The error's type, and with it
+// errors.Is/As and the HTTP kind, is unchanged.
 func onSpec(err error, sp *spec.Spec) error {
 	switch e := err.(type) {
 	case *spec.ErrNoSolution:
@@ -837,11 +846,11 @@ func (e *Engine) classifyFailure(err error) {
 // isolation: a panicking optimizer fails the job (and its attached
 // waiters) but never kills the worker pool.
 //
-// The worker solves the spec's canonical presentation, not the
-// requester's: the cached plan is then a pure function of the
-// equivalence class and the engine, never of which member happened to
-// submit first or of goroutine scheduling. Deterministic cache contents
-// are what make cmd/experiments' parallel campaign byte-reproducible.
+// The worker solves the job's canonical spec, derived when the request
+// was keyed: the cached plan is then a pure function of the equivalence
+// class and the engine, never of which member happened to submit first
+// or of goroutine scheduling. Deterministic cache contents are what make
+// cmd/experiments' parallel campaign byte-reproducible.
 func (e *Engine) runJob(j job) {
 	var (
 		res  *spec.Result
@@ -863,18 +872,14 @@ func (e *Engine) runJob(j job) {
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				res, err = nil, &ErrSolvePanic{SpecName: j.sp.Name, Value: r}
+				res, err = nil, &ErrSolvePanic{Value: r}
 			}
 		}()
 		if e.inj.Fire(faultinject.SolvePanic) {
 			panic("faultinject: injected solver panic")
 		}
 		e.inj.Fire(faultinject.SolveSlow)
-		var canon *spec.Spec
-		canon, err = j.sp.CanonicalSpec()
-		if err == nil {
-			res, sigs, err = e.solveCanonical(j.key, canon, opts)
-		}
+		res, sigs, err = e.solveCanonical(j.key, j.canon, opts)
 	}()
 	e.metrics.observeSolve(time.Since(start))
 	e.recordBreaker(j.key, err)
@@ -991,7 +996,7 @@ func (e *Engine) Snapshot() Snapshot {
 	s.DigestCacheMisses = dst.Misses
 	s.DigestCacheAdds = dst.Adds
 	s.SolverWorkers = e.cfg.solverWorkers()
-	s.SolverNodesTotal, s.SolverStealsTotal = search.Counters()
+	s.SolverNodesTotal = search.Counters()
 	s.SeedsAdopted, s.SeedsRejected = search.SeedCounters()
 	sim := e.simIndex.Stats()
 	s.SimIndexEntries = sim.Entries
@@ -1056,6 +1061,16 @@ func JobKey(sp *spec.Spec) (string, error) {
 		return "", err
 	}
 	return JobKeyOf(base), nil
+}
+
+// canonicalJob derives sp's canonical spec and its job key in one pass:
+// the engine's one canonicalization of a request.
+func canonicalJob(sp *spec.Spec) (*spec.Spec, string, error) {
+	canon, base, err := sp.Canonical()
+	if err != nil {
+		return nil, "", err
+	}
+	return canon, JobKeyOf(base), nil
 }
 
 // JobKeyOf is JobKey for a spec whose canonical key the caller already

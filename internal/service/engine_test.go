@@ -174,7 +174,9 @@ func TestEngineConcurrentMixedLoad(t *testing.T) {
 	e.solve = func(ctx context.Context, sp *spec.Spec, opts switchsynth.Options) (*spec.Result, error) {
 		solves.Add(1)
 		time.Sleep(time.Millisecond)
-		if strings.HasPrefix(sp.Name, "timeout") {
+		// Solves run on the nameless canonical spec: the timeout specs
+		// are the ones without conflicts.
+		if len(sp.Conflicts) == 0 {
 			return nil, &search.ErrTimeout{SpecName: sp.Name, Cause: context.DeadlineExceeded}
 		}
 		return base, nil
@@ -251,7 +253,7 @@ func TestEnginePanicIsolation(t *testing.T) {
 	base := solveOnce(t, serviceSpec("fine"))
 	e := newTestEngine(t, Config{Workers: 1})
 	e.solve = func(ctx context.Context, sp *spec.Spec, opts switchsynth.Options) (*spec.Result, error) {
-		if sp.Name == "boom" {
+		if len(sp.Conflicts) == 0 { // the "boom" spec; solves see no names
 			panic("synthetic optimizer crash")
 		}
 		return base, nil

@@ -9,8 +9,9 @@
 //	                              each other and the cache tiers, one solve per
 //	                              distinct canonical key, per-item outcomes
 //	GET  /synthesize/stream/{key} attach to key's in-flight solve and stream
-//	                              its incumbents (ndjson); 404 when the key has
-//	                              neither a cached plan nor a running solve
+//	                              its incumbents (ndjson, nameless); 404 when
+//	                              the key has neither a cached plan nor a
+//	                              running solve
 //	GET  /healthz                 liveness + pool shape (alive even while
 //	                              draining)
 //	GET  /readyz                  readiness: 503 once drain has begun or the
@@ -20,8 +21,8 @@
 //	GET  /metrics                 Snapshot as JSON (plus a "cluster" section
 //	                              when a cluster status hook is configured)
 //	GET  /plans                   manifest of locally held canonical plan keys
-//	GET  /plans/{key}             the stored plan in the JSON file format, 404
-//	                              when absent
+//	GET  /plans/{key}             the stored plan frame transcoded to the JSON
+//	                              file format, 404 when absent
 //	GET  /plans.stream            upgrade to the plan stream: the persistent
 //	                              channel peers fetch plan frames over for
 //	                              cache fill and anti-entropy
@@ -320,18 +321,18 @@ func NewHandlerWith(e *Engine, hc HandlerConfig) http.Handler {
 		}
 		// Peers fetch frames over the plan stream; this endpoint serves
 		// curl, humans and verifyplan over HTTP the JSON file format,
-		// transcoded through full decode validation. Plans from an old
-		// JSON store serve verbatim.
-		if planio.IsBinary(data) {
-			jd, err := planio.ToJSON(data)
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, "internal",
-					fmt.Errorf("transcoding plan %q: %w", key, err))
-				return
-			}
-			data = jd
+		// transcoded through full frame validation. A record that is not
+		// a frame (an old JSON store's) is not served.
+		res, err := planio.DecodeBinary(data)
+		if err == nil {
+			data, err = planio.EncodeWire(res)
 		}
-		w.Header().Set("Content-Type", planio.ContentTypeOf(data))
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, "internal",
+				fmt.Errorf("transcoding plan %q: %w", key, err))
+			return
+		}
+		w.Header().Set("Content-Type", planio.ContentTypeJSON)
 		_, _ = w.Write(data)
 	}
 	mux.HandleFunc("/plans", plans)
@@ -425,7 +426,7 @@ func handleSynthesize(e *Engine, w http.ResponseWriter, r *http.Request) {
 	ctx := admission.WithCaller(r.Context(), caller)
 	opts := req.Options.toOptions()
 	if r.URL.Query().Get("wait") == "proof" {
-		streamSynthesize(e, w, req.Spec.Name, req.Options.SVG, func(emit func(*Response, bool) error) (*Response, error) {
+		streamSynthesize(e, w, req.Options.SVG, func(emit func(*Response, bool) error) (*Response, error) {
 			return e.DoStream(ctx, req.Spec, opts, emit)
 		})
 		return
@@ -437,7 +438,7 @@ func handleSynthesize(e *Engine, w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, kind, err)
 		return
 	}
-	out, err := buildResponse(req.Spec.Name, resp, req.Options.SVG)
+	out, err := buildResponse(resp, req.Options.SVG)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "internal", err)
 		return
@@ -496,7 +497,7 @@ func handleBatch(e *Engine, w http.ResponseWriter, r *http.Request) {
 			item.Error, item.Kind, item.Status = oc.Err.Error(), kind, status
 			resp.Failed++
 		default:
-			out, err := buildResponse(req.Specs[i].Spec.Name, oc.Resp, svg[i])
+			out, err := buildResponse(oc.Resp, svg[i])
 			if err != nil {
 				item.Error, item.Kind, item.Status = err.Error(), "internal", http.StatusInternalServerError
 				resp.Failed++
@@ -518,14 +519,14 @@ func handleBatch(e *Engine, w http.ResponseWriter, r *http.Request) {
 // single final frame, an unknown key a 404, and a watched solve that
 // fails carries its own error (a shed or drained leader: 429 or 503 with
 // Retry-After). Frames are presented on the solve's canonical spec (the
-// watcher supplied no spec of its own).
+// watcher supplied no spec of its own), so they carry no name.
 func handleStreamKey(e *Engine, w http.ResponseWriter, r *http.Request) {
 	key := strings.TrimPrefix(r.URL.Path, "/synthesize/stream/")
 	if key == "" {
 		writeError(w, http.StatusBadRequest, "invalid", fmt.Errorf("no key in path"))
 		return
 	}
-	streamSynthesize(e, w, "", false, func(emit func(*Response, bool) error) (*Response, error) {
+	streamSynthesize(e, w, false, func(emit func(*Response, bool) error) (*Response, error) {
 		return e.WatchKey(r.Context(), key, emit)
 	})
 }
@@ -536,7 +537,7 @@ func handleStreamKey(e *Engine, w http.ResponseWriter, r *http.Request) {
 // solve fails, an {"error","kind"} line. Errors before the first frame
 // still get a clean status code and Retry-After; after the first frame
 // the 200 is committed and the error rides in-band as the last line.
-func streamSynthesize(e *Engine, w http.ResponseWriter, name string, svg bool,
+func streamSynthesize(e *Engine, w http.ResponseWriter, svg bool,
 	run func(emit func(*Response, bool) error) (*Response, error)) {
 	var seq int64
 	wrote := false
@@ -544,7 +545,7 @@ func streamSynthesize(e *Engine, w http.ResponseWriter, name string, svg bool,
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	emit := func(resp *Response, final bool) error {
-		out, err := buildResponse(frameName(name, resp), resp, svg && final)
+		out, err := buildResponse(resp, svg && final)
 		if err != nil {
 			if final {
 				return err
@@ -585,28 +586,17 @@ func streamSynthesize(e *Engine, w http.ResponseWriter, name string, svg bool,
 	}
 }
 
-// frameName picks the display name for a streamed frame: the requester's
-// spec name when there is one (DoStream), else the canonical spec's
-// (WatchKey, where no requester spec exists).
-func frameName(name string, resp *Response) string {
-	if name != "" {
-		return name
-	}
-	if resp.Synthesis != nil && resp.Synthesis.Spec != nil {
-		return resp.Synthesis.Spec.Name
-	}
-	return ""
-}
-
-// buildResponse renders one engine Response as the wire payload.
-func buildResponse(name string, resp *Response, svg bool) (*SynthesizeResponse, error) {
+// buildResponse renders one engine Response as the wire payload. The
+// plan was presented on the requester's spec (assemble), so the name is
+// that spec's own.
+func buildResponse(resp *Response, svg bool) (*SynthesizeResponse, error) {
 	syn := resp.Synthesis
 	plan, err := planio.EncodeWire(syn.Result)
 	if err != nil {
 		return nil, err
 	}
 	out := &SynthesizeResponse{
-		Name:          name,
+		Name:          syn.Spec.Name,
 		Summary:       syn.Summary(),
 		CacheHit:      resp.CacheHit,
 		DiskHit:       resp.DiskHit,

@@ -213,12 +213,9 @@ type Snapshot struct {
 	// Exact-solver internals (process-wide, cumulative across every solve
 	// in this process — including solves not routed through the engine).
 	// SolverWorkers is the engine's default per-solve parallelism;
-	// SolverNodesTotal counts branch-and-bound nodes expanded;
-	// SolverStealsTotal counts work units claimed by a worker other than
-	// their round-robin owner.
-	SolverWorkers     int   `json:"solver_workers"`
-	SolverNodesTotal  int64 `json:"solver_nodes_total"`
-	SolverStealsTotal int64 `json:"solver_steals_total"`
+	// SolverNodesTotal counts branch-and-bound nodes expanded.
+	SolverWorkers    int   `json:"solver_workers"`
+	SolverNodesTotal int64 `json:"solver_nodes_total"`
 
 	// Warm-start effectiveness. SeedTightened counts proven solves that
 	// strictly beat their seed. SeedsAdopted/SeedsRejected are the

@@ -10,13 +10,93 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
+	"sync"
 	"testing"
 
 	"switchsynth"
 	"switchsynth/internal/faultinject"
 	"switchsynth/internal/planio"
+	"switchsynth/internal/spec"
 )
+
+// TestSharedStateCarriesNoRequesterName: two tenants submit equivalent
+// specs under their own names. Each sees its own name, and nothing the
+// engine keeps or hands out under the shared key — WatchKey's answer and
+// frames, PlanBytes, the store record, the bytes pushed to replicas —
+// carries either name.
+func TestSharedStateCarriesNoRequesterName(t *testing.T) {
+	names := []string{"tenant-a-secret", "tenant-b"}
+	st := openStoreT(t, t.TempDir())
+	var (
+		mu     sync.Mutex
+		pushed [][]byte
+	)
+	e := newTestEngine(t, Config{Workers: 2, Store: st, OnPlanStored: func(_ string, data []byte) {
+		mu.Lock()
+		defer mu.Unlock()
+		pushed = append(pushed, data)
+	}})
+	var key string
+	for _, sp := range []*spec.Spec{serviceSpec(names[0]), permutedServiceSpec(names[1])} {
+		resp, err := e.Do(context.Background(), sp, switchsynth.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resp.Synthesis.Spec.Name; got != sp.Name {
+			t.Errorf("requester %q was shown its plan as %q", sp.Name, got)
+		}
+		key = resp.Key
+	}
+	anonymous := func(what string, data []byte) {
+		t.Helper()
+		for _, name := range names {
+			if bytes.Contains(data, []byte(name)) {
+				t.Errorf("%s: requester name %q leaked", what, name)
+			}
+		}
+	}
+
+	watched, err := e.WatchKey(context.Background(), key, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := planio.EncodeWire(watched.Synthesis.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anonymous("WatchKey's plan", wire)
+	srv := httptest.NewServer(NewHandler(e))
+	defer srv.Close()
+	hr, err := http.Get(srv.URL + "/synthesize/stream/" + url.PathEscape(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, err := io.ReadAll(hr.Body)
+	hr.Body.Close()
+	if err != nil || hr.StatusCode != http.StatusOK {
+		t.Fatalf("GET /synthesize/stream/{key} = %d, %v", hr.StatusCode, err)
+	}
+	anonymous("the /synthesize/stream/{key} frames", frames)
+
+	data, ok := e.PlanBytes(key)
+	if !ok {
+		t.Fatal("no plan bytes under the shared key")
+	}
+	anonymous("PlanBytes", data)
+	rec, _, ok := st.Get(key)
+	if !ok {
+		t.Fatal("no store record under the shared key")
+	}
+	anonymous("the store record", rec)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(pushed) != 1 {
+		t.Fatalf("pushed %d plans, want 1", len(pushed))
+	}
+	anonymous("the pushed bytes", pushed[0])
+}
 
 func TestPlanBytesAreBinaryByDefault(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 2})

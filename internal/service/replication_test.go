@@ -81,7 +81,7 @@ func TestOnPlanStoredFiresForFreshSolvesOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dwire, err := planio.EncodeWire(dresp.Synthesis.Result)
+	dwire, err := planio.EncodeBinary(dresp.Synthesis.Result)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestPlanPushEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire, err := planio.EncodeWire(dresp.Synthesis.Result)
+	wire, err := planio.EncodeBinary(dresp.Synthesis.Result)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestPlanPushEndpoint(t *testing.T) {
 	// its spec derives: only branch-and-bound plans enter a tier.
 	iqp := *dresp.Synthesis.Result
 	iqp.Engine = "iqp"
-	foreign, err := planio.EncodeWire(&iqp)
+	foreign, err := planio.EncodeBinary(&iqp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func TestSnapshotSolverGauges(t *testing.T) {
 
 	// The node counter is process-wide, so assert on the delta across one
 	// real solve.
-	before, _ := search.Counters()
+	before := search.Counters()
 	if _, err := def.Do(context.Background(), serviceSpec("gauge"), switchsynth.Options{}); err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func (e *Engine) DoStream(ctx context.Context, sp *spec.Spec, opts switchsynth.O
 
 // WatchKey attaches to key's solve without submitting a spec: frames and
 // the final plan are presented on the solve's canonical spec (the
-// watcher supplied none of its own). A key whose plan is already cached
+// watcher supplied none of its own), which carries no name. A key whose plan is already cached
 // (memory or disk tier) returns it immediately with no frames. A watched
 // flight that fails returns its error. A key with no cached plan and no
 // in-flight solve — including one whose solve just finished degraded,

@@ -3,11 +3,11 @@
 // Two specs that differ only in presentation — the order of the module
 // list (where the policy permits), the order of the flow list, or the
 // order and orientation of the conflict pairs — describe the same
-// synthesis problem and admit the same plans. CanonicalKey maps every
-// member of such an equivalence class to one hash, so a service-level
-// result cache can solve the class once and serve every member from the
-// single stored plan (adapted back onto the requesting spec's flow
-// indexing).
+// synthesis problem and admit the same plans. Canonical maps every
+// member of such an equivalence class to one canonical presentation and
+// its hash, the canonical key, so a service-level result cache can solve
+// the class once and serve every member from the single stored plan
+// (adapted back onto the requesting spec's flow indexing).
 //
 // The normalizations mirror the symmetries the engines already exploit:
 //
@@ -21,163 +21,171 @@
 //     lexicographically smallest rotation. Reversal is NOT a symmetry
 //     (it turns clockwise into counter-clockwise) and is not applied.
 //   - Flows: sorted by (From, To). Conflict pairs follow the flow
-//     permutation, are oriented low-index-first and sorted.
-//   - Name and Scalable are presentation-only and excluded; the
-//     objective weights and set cap enter via their effective values.
+//     permutation, are oriented low-index-first, sorted and deduplicated.
+//   - The "crossbar" topology alias is folded to the default "".
+//   - Name and Scalable are presentation-only: the canonical form clears
+//     them, so nothing derived from it names the spec that produced it.
+//     The objective weights and set cap enter the key via their
+//     effective values.
 package spec
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
-// CanonicalKey returns a stable hex digest identifying sp's equivalence
-// class under the presentation symmetries above. Specs with equal keys
-// are solvable by the same plan (modulo flow reindexing; see
-// CanonicalFlowOrder). The spec must be valid.
-func (s *Spec) CanonicalKey() (string, error) {
+// Canonical returns a semantically identical copy of s in canonical
+// presentation together with its canonical key: the stable hex digest
+// identifying s's equivalence class under the presentation symmetries
+// above. Every member of one class maps to the same key, and members
+// that spell the objective weights, set cap and fixed pins alike map to
+// the same presentation, so solving the canonical spec yields one
+// deterministic plan per class — independent of which member triggered
+// the solve. The spec must be valid.
+func (s *Spec) Canonical() (*Spec, string, error) {
 	if s == nil {
-		return "", fmt.Errorf("spec: CanonicalKey on nil spec")
+		return nil, "", fmt.Errorf("spec: Canonical on nil spec")
 	}
 	if err := s.Validate(); err != nil {
-		return "", err
+		return nil, "", err
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "v1|pins=%d|binding=%s|alpha=%g|beta=%g|maxsets=%d\n",
-		s.Ports(), s.Binding, s.EffectiveAlpha(), s.EffectiveBeta(), s.EffectiveMaxSets())
+	c := *s
+	c.Name, c.Scalable = "", false
+	if c.Topology == TopologyCrossbar {
+		c.Topology = ""
+	}
+	c.Modules = s.canonicalModules()
+	perm := s.CanonicalFlowOrder()
+	c.Flows = make([]Flow, len(perm))
+	pos := make([]int, len(perm)) // original index -> canonical index
+	for ci, fi := range perm {
+		c.Flows[ci] = s.Flows[fi]
+		pos[fi] = ci
+	}
+	c.Conflicts = s.canonicalConflicts(pos)
+	return &c, c.key(), nil
+}
+
+// CanonicalKey returns the canonical key of s (see Canonical). Specs
+// with equal keys are solvable by the same plan (modulo flow
+// reindexing; see CanonicalFlowOrder).
+func (s *Spec) CanonicalKey() (string, error) {
+	_, key, err := s.Canonical()
+	return key, err
+}
+
+// key hashes s, a canonical presentation. The rendering is frozen: every
+// key ever filed — cache, store, ring position — depends on these bytes.
+func (s *Spec) key() string {
+	var arr [512]byte
+	b := append(arr[:0], "v1|pins="...)
+	b = strconv.AppendInt(b, int64(s.Ports()), 10)
+	b = append(b, "|binding="...)
+	b = append(b, s.Binding.String()...)
+	b = append(b, "|alpha="...)
+	b = strconv.AppendFloat(b, s.EffectiveAlpha(), 'g', -1, 64)
+	b = append(b, "|beta="...)
+	b = strconv.AppendFloat(b, s.EffectiveBeta(), 'g', -1, 64)
+	b = append(b, "|maxsets="...)
+	b = strconv.AppendInt(b, int64(s.EffectiveMaxSets()), 10)
+	b = append(b, '\n')
 
 	// The topology line appears only for non-crossbar substrates, so
 	// every pre-existing crossbar key digest is unchanged, while an FPVA
 	// spec whose port count collides with a crossbar size (e.g. a 2×2
 	// grid's 8 ports vs the 8-pin crossbar) can never share its key.
 	if s.IsFPVA() {
-		fmt.Fprintf(&b, "topology=%s|rows=%d|cols=%d\n", TopologyFPVA, s.GridRows, s.GridCols)
+		b = append(b, "topology="+TopologyFPVA+"|rows="...)
+		b = strconv.AppendInt(b, int64(s.GridRows), 10)
+		b = append(b, "|cols="...)
+		b = strconv.AppendInt(b, int64(s.GridCols), 10)
+		b = append(b, '\n')
 	}
 
-	b.WriteString("modules=")
-	b.WriteString(strings.Join(s.canonicalModules(), "\x1f"))
-	b.WriteByte('\n')
-
-	perm := s.CanonicalFlowOrder()
-	b.WriteString("flows=")
-	for i, fi := range perm {
+	b = append(b, "modules="...)
+	for i, m := range s.Modules {
 		if i > 0 {
-			b.WriteByte('\x1f')
+			b = append(b, '\x1f')
 		}
-		f := s.Flows[fi]
-		b.WriteString(f.From)
-		b.WriteByte('\x1e')
-		b.WriteString(f.To)
+		b = append(b, m...)
 	}
-	b.WriteByte('\n')
-
-	// Conflict pairs in the canonical flow indexing, oriented and sorted.
-	pos := make([]int, len(s.Flows)) // original index -> canonical index
-	for ci, fi := range perm {
-		pos[fi] = ci
-	}
-	pairs := s.canonicalConflicts(pos)
-	b.WriteString("conflicts=")
-	for i, p := range pairs {
+	b = append(b, "\nflows="...)
+	for i, f := range s.Flows {
 		if i > 0 {
-			b.WriteByte('\x1f')
+			b = append(b, '\x1f')
 		}
-		fmt.Fprintf(&b, "%d-%d", p[0], p[1])
+		b = append(b, f.From...)
+		b = append(b, '\x1e')
+		b = append(b, f.To...)
 	}
-	b.WriteByte('\n')
+	b = append(b, "\nconflicts="...)
+	for i, p := range s.Conflicts {
+		if i > 0 {
+			b = append(b, '\x1f')
+		}
+		b = strconv.AppendInt(b, int64(p[0]), 10)
+		b = append(b, '-')
+		b = strconv.AppendInt(b, int64(p[1]), 10)
+	}
+	b = append(b, '\n')
 
 	if s.Binding == Fixed {
 		names := make([]string, 0, len(s.FixedPins))
 		for m := range s.FixedPins {
 			names = append(names, m)
 		}
-		sort.Strings(names)
-		b.WriteString("fixedpins=")
+		slices.Sort(names)
+		b = append(b, "fixedpins="...)
 		for i, m := range names {
 			if i > 0 {
-				b.WriteByte('\x1f')
+				b = append(b, '\x1f')
 			}
-			fmt.Fprintf(&b, "%s\x1e%d", m, s.FixedPins[m])
+			b = append(b, m...)
+			b = append(b, '\x1e')
+			b = strconv.AppendInt(b, int64(s.FixedPins[m]), 10)
 		}
-		b.WriteByte('\n')
+		b = append(b, '\n')
 	}
 
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:]), nil
-}
-
-// CanonicalSpec returns a semantically identical copy of s in canonical
-// presentation: canonical module order, flows in canonical (From, To)
-// order, conflicts remapped onto the new flow indices, oriented
-// low-first, sorted and deduplicated. Every member of one equivalence
-// class maps to the same canonical presentation (up to Name and
-// Scalable, which no engine consults), so solving the canonical spec
-// yields one deterministic plan per class — independent of which member
-// triggered the solve.
-func (s *Spec) CanonicalSpec() (*Spec, error) {
-	if s == nil {
-		return nil, fmt.Errorf("spec: CanonicalSpec on nil spec")
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	cp := *s
-	// "crossbar" is an accepted alias for the default topology; the
-	// canonical presentation always uses the zero value, so plans solved
-	// for the canonical spec serialize without the redundant selector.
-	if cp.Topology == TopologyCrossbar {
-		cp.Topology = ""
-	}
-	cp.Modules = s.canonicalModules()
-	perm := s.CanonicalFlowOrder()
-	cp.Flows = make([]Flow, len(perm))
-	pos := make([]int, len(perm))
-	for ci, fi := range perm {
-		cp.Flows[ci] = s.Flows[fi]
-		pos[fi] = ci
-	}
-	cp.Conflicts = s.canonicalConflicts(pos)
-	return &cp, nil
+	sum := sha256.Sum256(b)
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:])
 }
 
 // canonicalConflicts maps the conflict pairs through pos (original flow
 // index → canonical index), orients each pair low-first, sorts and
 // deduplicates.
 func (s *Spec) canonicalConflicts(pos []int) [][2]int {
-	pairs := make([][2]int, 0, len(s.Conflicts))
-	seen := make(map[[2]int]bool, len(s.Conflicts))
-	for _, c := range s.Conflicts {
+	pairs := make([][2]int, len(s.Conflicts))
+	for i, c := range s.Conflicts {
 		p := [2]int{pos[c[0]], pos[c[1]]}
 		if p[0] > p[1] {
 			p[0], p[1] = p[1], p[0]
 		}
-		if seen[p] {
-			continue
-		}
-		seen[p] = true
-		pairs = append(pairs, p)
+		pairs[i] = p
 	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a][0] != pairs[b][0] {
-			return pairs[a][0] < pairs[b][0]
-		}
-		return pairs[a][1] < pairs[b][1]
+	slices.SortFunc(pairs, func(a, b [2]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
 	})
-	return pairs
+	return slices.Compact(pairs)
 }
 
 // canonicalModules returns the module list in canonical order: sorted
 // for fixed/unfixed binding, the lexicographically smallest rotation for
 // clockwise binding (whose cyclic order is semantic).
 func (s *Spec) canonicalModules() []string {
-	mods := append([]string(nil), s.Modules...)
 	if s.Binding != Clockwise {
-		sort.Strings(mods)
+		mods := slices.Clone(s.Modules)
+		slices.Sort(mods)
 		return mods
 	}
+	mods := s.Modules
 	best := 0
 	for r := 1; r < len(mods); r++ {
 		if rotationLess(mods, r, best) {
@@ -213,12 +221,9 @@ func (s *Spec) CanonicalFlowOrder() []int {
 	for i := range perm {
 		perm[i] = i
 	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		fa, fb := s.Flows[perm[a]], s.Flows[perm[b]]
-		if fa.From != fb.From {
-			return fa.From < fb.From
-		}
-		return fa.To < fb.To
+	slices.SortStableFunc(perm, func(a, b int) int {
+		fa, fb := s.Flows[a], s.Flows[b]
+		return cmp.Or(strings.Compare(fa.From, fb.From), strings.Compare(fa.To, fb.To))
 	})
 	return perm
 }

@@ -119,12 +119,12 @@ func TestCanonicalKeyPermutationInvarianceProperty(t *testing.T) {
 				t.Fatalf("trial %d rep %d (binding %s): presentation change altered key\nbase: %+v\nrepackaged: %+v",
 					trial, rep, s.Binding, s, p)
 			}
-			canon, err := p.CanonicalSpec()
+			canon, _, err := p.Canonical()
 			if err != nil {
-				t.Fatalf("trial %d: CanonicalSpec: %v", trial, err)
+				t.Fatalf("trial %d: Canonical: %v", trial, err)
 			}
 			if got := mustKey(t, canon); got != want {
-				t.Fatalf("trial %d: CanonicalSpec not in the same class as its source", trial)
+				t.Fatalf("trial %d: canonical spec not in the same class as its source", trial)
 			}
 		}
 	}

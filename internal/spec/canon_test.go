@@ -215,3 +215,29 @@ func TestValidateHardening(t *testing.T) {
 		t.Errorf("Validate error %T is not a *ValidationError", err)
 	}
 }
+
+// TestCanonicalFormIsNameless: the canonical form clears the
+// presentation-only Name and Scalable and folds the "crossbar" alias, so
+// nothing derived from it names a requester; its key is the source's.
+func TestCanonicalFormIsNameless(t *testing.T) {
+	named := canonSpec()
+	named.Name = "tenant-a-secret"
+	named.Scalable = true
+	named.Topology = TopologyCrossbar
+	canon, key, err := named.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canon.Name != "" || canon.Scalable || canon.Topology != "" {
+		t.Errorf("canonical form keeps name %q, scalable %v, topology %q", canon.Name, canon.Scalable, canon.Topology)
+	}
+	if named.Name != "tenant-a-secret" || !named.Scalable || named.Topology != TopologyCrossbar {
+		t.Error("Canonical modified its source spec")
+	}
+	if want := mustKey(t, named); key != want {
+		t.Errorf("Canonical key %s, CanonicalKey %s", key, want)
+	}
+	if got := mustKey(t, canon); got != key {
+		t.Errorf("canonical form keys to %s, its source to %s", got, key)
+	}
+}

@@ -91,7 +91,7 @@ func FuzzValidate(f *testing.F) {
 		if errKey != nil {
 			t.Fatalf("accepted spec has no canonical key: %v", errKey)
 		}
-		canon, errCanon := sp.CanonicalSpec()
+		canon, _, errCanon := sp.Canonical()
 		if errCanon != nil {
 			t.Fatalf("accepted spec does not canonicalize: %v", errCanon)
 		}

@@ -119,7 +119,7 @@ const (
 
 // Topology names accepted by Spec.Topology. The empty string is the
 // canonical crossbar spelling; TopologyCrossbar is accepted as an
-// explicit alias and normalized away by CanonicalSpec.
+// explicit alias and normalized away by Canonical.
 const (
 	TopologyCrossbar = "crossbar"
 	TopologyFPVA     = "fpva"
