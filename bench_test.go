@@ -13,7 +13,9 @@ package switchsynth_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -907,6 +909,54 @@ func BenchmarkService_CachedSynthesize(b *testing.B) {
 	}
 }
 
+// benchHTTPHit posts the benchmark request to srv's /synthesize once to
+// solve it, then b.N times on the clock; every timed post must be a
+// memory-tier hit of e answered by node (empty: no X-Synthd-Node).
+// Client and server share the process, so allocs/op counts both sides of
+// the round trip.
+func benchHTTPHit(b *testing.B, srv *httptest.Server, e *service.Engine, node string) {
+	body, err := json.Marshal(service.SynthesizeRequest{
+		Spec:    serviceBenchSpec(),
+		Options: service.RequestOptions{PressureSharing: serviceBenchOpts.PressureSharing},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	hc := srv.Client()
+	post := func() {
+		resp, err := hc.Post(srv.URL+"/synthesize", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get(service.NodeHeader) != node {
+			b.Fatalf("status %d from node %q, want 200 from %q", resp.StatusCode, resp.Header.Get(service.NodeHeader), node)
+		}
+	}
+	post()
+	hits := e.Snapshot().CacheHits
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+	}
+	b.StopTimer()
+	if got := e.Snapshot().CacheHits - hits; got != int64(b.N) {
+		b.Fatalf("%d cache hits in %d posts", got, b.N)
+	}
+}
+
+// BenchmarkService_HTTPHit is BenchmarkService_CachedSynthesize over HTTP:
+// a cached POST /synthesize through the single-node handler, decode and
+// encode included.
+func BenchmarkService_HTTPHit(b *testing.B) {
+	e := service.New(service.Config{Workers: 2})
+	defer e.Close()
+	srv := httptest.NewServer(service.NewHandler(e))
+	defer srv.Close()
+	benchHTTPHit(b, srv, e, "")
+}
+
 // BenchmarkService_ParallelCampaign measures the 12-case campaign through
 // the engine at GOMAXPROCS workers (compare BenchmarkCampaign_10Cases for
 // the sequential solver cost).
@@ -1072,6 +1122,32 @@ func BenchmarkCluster_LocalHit(b *testing.B) {
 			b.Fatal("expected a local memory-tier hit")
 		}
 	}
+}
+
+// BenchmarkCluster_HTTPOwnerHit is BenchmarkService_HTTPHit through the
+// clustered handler synthd serves, on the node of a two-node cluster
+// that ranks first for the key: the handler parses and keys the request
+// once, the cluster keeps it local, and the engine answers from memory.
+// The peer is never dialed.
+func BenchmarkCluster_HTTPOwnerHit(b *testing.B) {
+	key, err := service.JobKey(serviceBenchSpec())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rank := cluster.NewRing([]cluster.Node{{ID: "a"}, {ID: "b"}}).Rank(key)
+	cl, err := cluster.New(cluster.Config{
+		SelfID:       rank[0].ID,
+		Peers:        []cluster.Node{{ID: rank[0].ID}, {ID: rank[1].ID, URL: "http://127.0.0.1:1"}},
+		SyncInterval: -1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := service.New(service.Config{Workers: 2, PeerFill: cl.FetchPlan})
+	defer e.Close()
+	srv := httptest.NewServer(service.NewHandlerWith(e, service.HandlerConfig{Cluster: cl}))
+	defer srv.Close()
+	benchHTTPHit(b, srv, e, rank[0].ID)
 }
 
 // BenchmarkCluster_PeerFill prices a repeat fill from the owner: the
@@ -1316,15 +1392,21 @@ func TestBenchReport(t *testing.T) {
 	if !benchrec.Enabled() {
 		t.Skip("set " + benchrec.Env + " to price the benchmark tiers and append their records")
 	}
+	// httpHit is the single-node HTTP hit the cluster tier's owner hit is
+	// gated against.
+	var httpHit testing.BenchmarkResult
 	t.Run("service", func(t *testing.T) {
 		cold := nsPerOp(measure(t, BenchmarkService_ColdSynthesize))
 		cached := nsPerOp(measure(t, BenchmarkService_CachedSynthesize))
+		httpHit = measure(t, BenchmarkService_HTTPHit)
 		benchrec.Emit(t, "service", map[string]any{
-			"coldNsPerOp":     math.Round(cold),
-			"cachedNsPerOp":   math.Round(cached),
-			"coldReqPerSec":   1e9 / cold,
-			"cachedReqPerSec": 1e9 / cached,
-			"cachedSpeedup":   cold / cached,
+			"coldNsPerOp":        math.Round(cold),
+			"cachedNsPerOp":      math.Round(cached),
+			"coldReqPerSec":      1e9 / cold,
+			"cachedReqPerSec":    1e9 / cached,
+			"cachedSpeedup":      cold / cached,
+			"httpHitNsPerOp":     math.Round(nsPerOp(httpHit)),
+			"httpHitAllocsPerOp": httpHit.AllocsPerOp(),
 		})
 	})
 	t.Run("search", func(t *testing.T) {
@@ -1370,8 +1452,17 @@ func TestBenchReport(t *testing.T) {
 		push := nsPerOp(pushR)
 		foR := measure(t, BenchmarkCluster_FailoverRead)
 		fo := nsPerOp(foR)
+		ownerHit := measure(t, BenchmarkCluster_HTTPOwnerHit)
 		if fill/local > 3 {
 			t.Errorf("peer fill %.1fx slower than a local hit, > 3x gate", fill/local)
+		}
+		if httpHit.N == 0 { // the service tier did not run
+			httpHit = measure(t, BenchmarkService_HTTPHit)
+		}
+		// The clustered handler parses and keys a request once, as a
+		// single node does; the routing decision is all it may add.
+		if d := ownerHit.AllocsPerOp() - httpHit.AllocsPerOp(); d > 12 {
+			t.Errorf("clustered owner hit makes %d allocs/op more than a single-node hit, > 12 gate", d)
 		}
 		rec := map[string]any{
 			"localHitNsPerOp":            math.Round(local),
@@ -1383,6 +1474,8 @@ func TestBenchReport(t *testing.T) {
 			"peerFillSlowdownOverLocal":  fill / local,
 			"failoverReadOverPeerFill":   fo / fill,
 			"replicaPushSpeedupOverCold": cold / push,
+			"httpOwnerHitNsPerOp":        math.Round(nsPerOp(ownerHit)),
+			"httpOwnerHitAllocsPerOp":    ownerHit.AllocsPerOp(),
 		}
 		addDigestDelta(rec, "peerFill", fillR)
 		addDigestDelta(rec, "replicaPush", pushR)

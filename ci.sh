@@ -128,8 +128,11 @@ go test -race -count=2 ./internal/store/...
 
 echo "== cluster gate: -race -count=2, four-topology determinism =="
 # The ring/membership/proxy/fill/sync suites twice under the race
-# detector (-short skips only the campaign test), then the campaign
-# determinism test once: it boots one node, three nodes, three
+# detector (-short skips only the campaign test; the proxy suite runs
+# the routing hook through the clustered handler, including
+# TestProxyRefusesInvalidBodyWhereItLands: a body the handler refuses
+# is answered by the node it lands on, never forwarded), then the
+# campaign determinism test once: it boots one node, three nodes, three
 # replicating nodes (binary frames forwarded, peer-filled and pushed),
 # and three nodes with one killed mid-campaign, and byte-compares the
 # deterministic reports across all four topologies. The -short suite
@@ -145,12 +148,15 @@ echo "== plan-bytes gate: fuzz + one admission door + plan stream =="
 # fuzzed with, and any frame either decoder accepts must re-encode to a
 # byte-identical fixed point in both formats (JSON stays the export and
 # human format). The door suite, race-checked: a one-byte-flipped frame,
-# a valid frame filed under the wrong key and a valid plan in JSON (no
-# checksum) are refused at the store read, the peer fill, the
-# PUT /plans/{key} push, the anti-entropy import and read-repair, with
-# nothing left behind in any tier; nothing the engine keeps or hands
-# out under a key (watch frames, plan bytes, store record, replica
-# push) names the requester whose spec produced it; a
+# a valid frame filed under the wrong key, a valid plan in JSON (no
+# checksum) and a valid plan whose spec is not its key's canonical form
+# (a requester's name, a permuted module list) are refused at the store
+# read, the peer fill, the PUT /plans/{key} push, the anti-entropy
+# import and read-repair, with nothing left behind in any tier; nothing
+# the engine keeps or hands out under a key (watch frames, plan bytes,
+# store record, replica push) names the requester whose spec produced
+# it, and every spelling of a key leaves the same frame whichever was
+# solved first; a
 # misfiled store record is healed and re-solved to the true optimum;
 # the digest cache only skips re-verification for bytes already
 # admitted. The plan-stream suite proves the persistent fetch channel —
@@ -165,7 +171,7 @@ echo "== plan-bytes gate: fuzz + one admission door + plan stream =="
 # arm of the four-topology determinism test in the cluster gate above.
 go test -fuzz '^FuzzDecodeBinary$' -fuzztime 15s -run '^$' ./internal/planio/
 go test -fuzz '^FuzzCrossFormat$' -fuzztime 15s -run '^$' ./internal/planio/
-go test -race -run 'TestTamperedPlanBytesRejectedAtEveryDoor|TestSharedStateCarriesNoRequesterName|TestEngineHealsPersistedPlanUnderWrongKey|TestDigestCache|TestPlanBytes|TestPlanEndpointServesJSON|TestPlanStream|TestStreamFetch|TestVerifyDetectsTampering|TestVerifyFileRejectsGappedSetLabels|TestRelabelRoundTripProperty' \
+go test -race -run 'TestTamperedPlanBytesRejectedAtEveryDoor|TestSharedStateCarriesNoRequesterName|TestOneFramePerKeyWhateverTheSpelling|TestEngineHealsPersistedPlanUnderWrongKey|TestDigestCache|TestPlanBytes|TestPlanEndpointServesJSON|TestPlanStream|TestStreamFetch|TestVerifyDetectsTampering|TestVerifyFileRejectsGappedSetLabels|TestRelabelRoundTripProperty' \
   ./internal/cluster/ ./internal/service/ ./internal/planio/ ./internal/contam/ ./cmd/verifyplan/ ./internal/spec/
 
 echo "== replication chaos gate: kill any node mid-campaign, zero re-solves =="

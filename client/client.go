@@ -108,14 +108,7 @@ func (e *APIError) Error() string {
 }
 
 // Temporary reports whether retrying the same request can succeed.
-func (e *APIError) Temporary() bool {
-	switch e.Status {
-	case http.StatusTooManyRequests, http.StatusBadGateway,
-		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		return true
-	}
-	return false
-}
+func (e *APIError) Temporary() bool { return service.Transient(e.Status) }
 
 // New creates a client for the daemon at cfg.BaseURL (or the cluster
 // listed in cfg.Peers).

@@ -55,7 +55,11 @@
 // canonical key has one owning node and one successor forming its
 // replica set. Non-owners proxy /synthesize to the owner, failing over
 // to the successor when the owner is down and falling back to a local
-// solve when no replica answers; local cache misses try the replica
+// solve when no replica answers. Routing is a hook of the service
+// handler (service.HandlerConfig.Cluster): each node reads, decodes and
+// canonicalizes a request once, and the cluster decides from that key
+// whether to forward the bytes, so a request the node refuses is
+// refused where it lands. Local cache misses try the replica
 // set's plans before solving; freshly proven plans are pushed
 // asynchronously to the key's replica set; and a background
 // anti-entropy loop pulls plans this node replicates but lacks, so a
@@ -210,16 +214,14 @@ func main() {
 		cfg.OnPlanStored = cl.ReplicatePlan
 	}
 	engine = service.New(cfg)
-	var handler http.Handler = service.NewHandler(engine)
+	var hc service.HandlerConfig
 	if cl != nil {
-		handler = cl.Middleware(service.NewHandlerWith(engine, service.HandlerConfig{
-			ClusterStatus: func() any { return cl.Status() },
-		}))
+		hc.Cluster = cl
 		cl.Start()
 	}
 	srv := &http.Server{
 		Addr:              srvf.Addr,
-		Handler:           handler,
+		Handler:           service.NewHandlerWith(engine, hc),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 

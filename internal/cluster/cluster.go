@@ -2,7 +2,8 @@
 // consistent-hash sharded cluster with no external dependencies and no
 // coordinator: a static peer list, rendezvous hashing for ownership
 // (ring.go), health-probed membership with flap damping
-// (membership.go), request forwarding with local fallback (proxy.go),
+// (membership.go), request forwarding with local fallback (proxy.go, a
+// hook of the service handler),
 // peer cache fill (FetchPlan below) and background anti-entropy plan
 // sync (sync.go).
 //
@@ -27,7 +28,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"switchsynth/internal/faultinject"
+	"switchsynth/internal/service"
 )
 
 // Defaults for the Config fields that leave them zero.
@@ -151,7 +152,7 @@ type Cluster struct {
 
 // New validates cfg and builds the cluster (probe and sync loops start
 // with Start). An empty peer list (or a list containing only self) is
-// valid and yields a single-node cluster whose middleware and fill hook
+// valid and yields a single-node cluster whose routing and fill hooks
 // are pass-through.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.SelfID == "" {
@@ -325,7 +326,7 @@ func (c *Cluster) peerCall(n Node, rt func() (status int, err error)) error {
 	switch {
 	case status == 0 && err != nil:
 		c.mem.observe(n.ID, false, err.Error())
-	case !shedStatus(status):
+	case !service.Transient(status):
 		c.mem.observe(n.ID, true, "")
 	}
 	return err
@@ -538,11 +539,4 @@ func (c *Cluster) Status() Status {
 		SyncErrors:       c.syncErrors.Load(),
 		Probes:           c.probes.Load(),
 	}
-}
-
-// writeJSON is the package's minimal response helper.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
 }

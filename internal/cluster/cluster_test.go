@@ -87,7 +87,7 @@ type testNode struct {
 // customizes node i's cluster and service configs before construction;
 // the harness then finishes the synthd wiring: cluster first (its
 // engine callbacks late-bind), then the engine with the cluster's fill
-// hook, then the middleware-wrapped server on the pre-bound listener.
+// hook, then the clustered handler's server on the pre-bound listener.
 // Background loops stay off: tests drive syncOnce/probeOnce directly.
 func startNodes(t *testing.T, n int, mut func(i int, ccfg *Config, scfg *service.Config)) []*testNode {
 	t.Helper()
@@ -150,9 +150,7 @@ func bootNode(t *testing.T, peers []Node, l net.Listener, i int, repl bool, mut 
 	}
 	eng := service.New(scfg)
 	node.eng, node.cl = eng, cl
-	h := cl.Middleware(service.NewHandlerWith(eng, service.HandlerConfig{
-		ClusterStatus: func() any { return cl.Status() },
-	}))
+	h := service.NewHandlerWith(eng, service.HandlerConfig{Cluster: cl})
 	srv := httptest.NewUnstartedServer(h)
 	srv.Listener.Close()
 	srv.Listener = l

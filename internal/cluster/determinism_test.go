@@ -1,6 +1,6 @@
 // The cluster determinism acceptance test, in an external test package:
 // it drives the full stack (exp campaign -> client -> daemon handler ->
-// cluster middleware), and the client package itself imports cluster, so
+// cluster routing hook), and the client package itself imports cluster, so
 // an in-package test would be an import cycle.
 //
 // The property under test is the tentpole invariant: a fixed campaign
@@ -83,9 +83,7 @@ func bootNodes(t *testing.T, n int, repl bool) []*detNode {
 		}
 		eng := service.New(scfg)
 		node.eng, node.cl = eng, cl
-		h := cl.Middleware(service.NewHandlerWith(eng, service.HandlerConfig{
-			ClusterStatus: func() any { return cl.Status() },
-		}))
+		h := service.NewHandlerWith(eng, service.HandlerConfig{Cluster: cl})
 		srv := httptest.NewUnstartedServer(h)
 		srv.Listener.Close()
 		srv.Listener = listeners[i]

@@ -182,6 +182,36 @@ func TestProxyBadBodyHandledLocally(t *testing.T) {
 	}
 }
 
+// TestProxyRefusesInvalidBodyWhereItLands: a body the handler refuses
+// (here an unknown field, which a lenient decode would have keyed and
+// forwarded) is answered 400 by the node it lands on, never forwarded to
+// the key's owner.
+func TestProxyRefusesInvalidBodyWhereItLands(t *testing.T) {
+	nodes := startNodes(t, 2, nil)
+	sp, _ := specOwnedBy(t, nodes[0].cl.Ring(), "n1")
+	body, err := json.Marshal(map[string]any{"spec": sp, "bogus": true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(nodes[0].url+"/synthesize", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("status %d, want 400", resp.StatusCode)
+	}
+	if got := resp.Header.Get(NodeHeader); got != "n0" {
+		t.Errorf("X-Synthd-Node = %q, want n0: the landing node refuses it", got)
+	}
+	if st := nodes[0].cl.Status(); st.Forwards != 0 {
+		t.Errorf("forwards = %d, want 0", st.Forwards)
+	}
+	if snap := nodes[1].eng.Snapshot(); snap.JobsSubmitted != 0 {
+		t.Errorf("owner jobsSubmitted = %d, want 0", snap.JobsSubmitted)
+	}
+}
+
 func TestClusterStatusEndpoint(t *testing.T) {
 	nodes := startNodes(t, 3, nil)
 	resp, err := http.Get(nodes[1].url + "/cluster")

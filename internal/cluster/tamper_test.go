@@ -2,10 +2,11 @@
 // durable store read, the peer fill, the PUT /plans/{key} push, the
 // anti-entropy import and read-repair. Each door is driven with a
 // one-byte-flipped frame, with a valid frame filed under the wrong key,
-// with a well-formed frame whose set labels leave a gap and with the
-// right plan in the JSON file format; every door must refuse all four
-// through the engine's single admission check, and the receiving node
-// must hold nothing under the key afterwards.
+// with a well-formed frame whose set labels leave a gap, with the right
+// plan in the JSON file format, and with the right plan whose spec
+// carries a requester's name or a permuted module list; every door must
+// refuse all six through the engine's single admission check, and the
+// receiving node must hold nothing under the key afterwards.
 package cluster
 
 import (
@@ -15,6 +16,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"testing"
 	"time"
 
@@ -83,6 +85,27 @@ func (tp *tamperedPlans) gapped(t *testing.T, sp *spec.Spec, key string) []byte 
 		t.Fatal(err)
 	}
 	return bad
+}
+
+// respelled is sp's valid frame re-encoded with its spec changed by
+// edit: a spelling of the same key that is not its canonical form.
+func (tp *tamperedPlans) respelled(edit func(*spec.Spec)) func(t *testing.T, sp *spec.Spec, key string) []byte {
+	return func(t *testing.T, sp *spec.Spec, key string) []byte {
+		_, good := tp.plan(t, sp)
+		res, err := planio.DecodeBinary(good)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(res.Spec)
+		if k, err := service.JobKey(res.Spec); err != nil || k != key {
+			t.Fatalf("respelled spec keys to %q (%v), want %q", k, err, key)
+		}
+		bad, err := planio.EncodeBinary(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bad
+	}
 }
 
 // asJSON is sp's valid plan in the JSON file format. JSON carries no
@@ -173,6 +196,8 @@ func TestTamperedPlanBytesRejectedAtEveryDoor(t *testing.T) {
 		{"wrong-key", tp.misfiled},
 		{"gapped-sets", tp.gapped},
 		{"valid-json", tp.asJSON},
+		{"named-spec", tp.respelled(func(sp *spec.Spec) { sp.Name = "tenant-a" })},
+		{"permuted-modules", tp.respelled(func(sp *spec.Spec) { slices.Reverse(sp.Modules) })},
 	}
 	doors := []struct {
 		name string

@@ -76,10 +76,8 @@ func (e *Engine) DoBatch(ctx context.Context, items []BatchSpec) []BatchOutcome 
 			out[i].Err = errNilBatchSpec
 			continue
 		}
-		canon, key, err := canonicalJob(it.Spec)
+		canon, key, err := e.canonical(it.Spec)
 		if err != nil {
-			e.metrics.jobsSubmitted.Add(1)
-			e.classifyFailure(err)
 			out[i].Err = err
 			continue
 		}
@@ -96,7 +94,6 @@ func (e *Engine) DoBatch(ctx context.Context, items []BatchSpec) []BatchOutcome 
 		go func(key string, members []int) {
 			defer wg.Done()
 			rep := members[0]
-			e.metrics.jobsSubmitted.Add(1)
 			resp, err := e.doKeyed(ctx, key, canons[rep], items[rep].Spec, items[rep].Opts, nil)
 			out[rep].Resp, out[rep].Err = resp, err
 			for _, i := range members[1:] {

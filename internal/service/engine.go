@@ -362,20 +362,30 @@ func (e *Engine) Do(ctx context.Context, sp *spec.Spec, opts switchsynth.Options
 // do is Do with an optional frame sink: a non-nil emit also receives the
 // anytime incumbents of the flight the request waits on (DoStream).
 func (e *Engine) do(ctx context.Context, sp *spec.Spec, opts switchsynth.Options, emit func(*Response, bool) error) (*Response, error) {
-	e.metrics.jobsSubmitted.Add(1)
-	canon, key, err := canonicalJob(sp)
+	canon, key, err := e.canonical(sp)
 	if err != nil {
-		e.classifyFailure(err)
 		return nil, err
 	}
 	return e.doKeyed(ctx, key, canon, sp, opts, emit)
 }
 
-// doKeyed is do for a submission already counted whose canonical spec
-// and job key the caller derived (DoBatch derives them for every member
-// while grouping). A solve runs on canon; everything returned is
-// presented on sp.
+// canonical is canonicalJob for a submission: a spec that cannot be
+// canonicalized is counted as a submitted job that failed.
+func (e *Engine) canonical(sp *spec.Spec) (*spec.Spec, string, error) {
+	canon, key, err := canonicalJob(sp)
+	if err != nil {
+		e.metrics.jobsSubmitted.Add(1)
+		e.classifyFailure(err)
+	}
+	return canon, key, err
+}
+
+// doKeyed is do for a submission whose canonical spec and job key the
+// caller derived (DoBatch derives them for every member while grouping,
+// the HTTP handler before it routes). A solve runs on canon; everything
+// returned is presented on sp.
 func (e *Engine) doKeyed(ctx context.Context, key string, canon, sp *spec.Spec, opts switchsynth.Options, emit func(*Response, bool) error) (*Response, error) {
+	e.metrics.jobsSubmitted.Add(1)
 	if opts.TimeLimit == 0 {
 		opts.TimeLimit = e.cfg.defaultTimeLimit()
 	}
@@ -567,7 +577,9 @@ func (e *ErrPlanRejected) Unwrap() error { return e.Err }
 // check under key return at once. Anything else must decode as a binary
 // frame, whose CRC32C it checks (JSON, which carries no checksum, is
 // refused), must be flagged proven, must re-derive exactly key as its
-// canonical job key, and must pass the full contamination verifier; only
+// canonical job key, must carry its spec in exactly that key's canonical
+// form (nameless, every field as Canonical spells it: what the engine
+// itself stores), and must pass the full contamination verifier; only
 // then is its digest recorded. Optimality is not re-proven: the Proven
 // flag is trusted. Callers keep their own counters and heal actions, and the tier that
 // takes the plan in also teaches the similarity index.
@@ -588,12 +600,15 @@ func (e *Engine) admitPlan(key string, data []byte) (*spec.Result, error) {
 	if res.Engine != searchEngine {
 		return reject(fmt.Errorf("plan is from engine %q, not %q", res.Engine, searchEngine))
 	}
-	derived, err := JobKey(res.Spec)
+	canon, derived, err := canonicalJob(res.Spec)
 	if err != nil {
 		return reject(err)
 	}
 	if derived != key {
 		return reject(fmt.Errorf("canonical key mismatch (derived %q)", derived))
+	}
+	if !canon.Equal(res.Spec) {
+		return reject(errors.New("spec is not in canonical form"))
 	}
 	if err := switchsynth.Verify(res); err != nil {
 		return reject(err)

@@ -19,7 +19,7 @@
 //	                              stop routing here while /healthz still
 //	                              reports the process up
 //	GET  /metrics                 Snapshot as JSON (plus a "cluster" section
-//	                              when a cluster status hook is configured)
+//	                              when a cluster is configured)
 //	GET  /plans                   manifest of locally held canonical plan keys
 //	GET  /plans/{key}             the stored plan frame transcoded to the JSON
 //	                              file format, 404 when absent
@@ -30,6 +30,19 @@
 //	                              a peer; the body is re-verified end to end
 //	                              (Engine.ImportPlan) before it is stored — 204
 //	                              on success, 422 when verification rejects it
+//	GET  /cluster                 the cluster's ring, peer health and counters
+//	                              (only when a cluster is configured)
+//
+// On a clustered node (HandlerConfig.Cluster) routing is a hook of this
+// handler: a /synthesize body is read, decoded and canonicalized once per
+// hop, and only then does the cluster decide, from the job key, whether
+// to forward the buffered bytes to the key's owner or let this node
+// serve it on the engine's keyed path. GET /synthesize/stream/{key} asks
+// the same question with its path key. A body or spec this handler
+// refuses is refused where it lands, never forwarded; the admission
+// headers are judged by the node that serves the request. Every
+// response of a clustered node carries X-Synthd-Node, the ID of the
+// node that served it.
 //
 // Admission identity rides on two request headers: X-Synthd-Tenant names
 // the tenant sharing the fair queue (absent means the default tenant)
@@ -47,6 +60,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -66,14 +80,9 @@ import (
 	"switchsynth/internal/spec"
 )
 
-// maxRequestBody bounds /synthesize payloads; the largest supported
+// MaxRequestBody bounds /synthesize payloads; the largest supported
 // switch spec is a few KB, so 1 MiB is generous.
-const maxRequestBody = 1 << 20
-
-// MaxRequestBody is the exported body limit, so the cluster middleware
-// (which must read the body to compute the routing key) enforces the
-// same bound instead of buffering an unbounded payload.
-const MaxRequestBody = maxRequestBody
+const MaxRequestBody = 1 << 20
 
 // maxBatchRequestBody bounds /synthesize/batch payloads: room for
 // maxBatchSpecs specs of generous size.
@@ -87,10 +96,12 @@ const maxBatchSpecs = 1024
 const maxPlanBody = 8 << 20
 
 // TenantHeader and PriorityHeader carry the admission identity; the
-// cluster middleware forwards both when proxying to a key's owner.
+// cluster forwards both when proxying to a key's owner. NodeHeader names
+// the node whose engine served a clustered response.
 const (
 	TenantHeader   = "X-Synthd-Tenant"
 	PriorityHeader = "X-Synthd-Priority"
+	NodeHeader     = "X-Synthd-Node"
 )
 
 // SynthesizeRequest is the POST /synthesize payload.
@@ -227,10 +238,26 @@ type errorResponse struct {
 // HandlerConfig carries the optional, daemon-level hooks into the HTTP
 // surface. The zero value is a plain single-node handler.
 type HandlerConfig struct {
-	// ClusterStatus, when non-nil, is rendered as the "cluster" section
-	// of the /metrics response (cmd/synthd wires the cluster's Status
-	// here). /cluster itself is served by the cluster middleware.
-	ClusterStatus func() any
+	// Cluster, when non-nil, makes the handler a cluster node
+	// (cmd/synthd wires internal/cluster's *Cluster here): it routes
+	// /synthesize and /synthesize/stream/{key}, names the node in
+	// X-Synthd-Node, serves /cluster and adds the "cluster" section to
+	// /metrics.
+	Cluster Router
+}
+
+// Router is the handler's view of a cluster.
+type Router interface {
+	// SelfID names this node.
+	SelfID() string
+	// Route is asked once per request the handler has read, decoded and
+	// keyed (body is the buffered request bytes, nil for a stream
+	// watch) whether key belongs to another node. It reports true once
+	// it has written that node's answer, false when this node serves the
+	// request.
+	Route(w http.ResponseWriter, r *http.Request, key string, body []byte) bool
+	// Report is the /cluster payload and the /metrics "cluster" section.
+	Report() any
 }
 
 // NewHandler serves the engine over HTTP with no daemon-level hooks.
@@ -247,7 +274,7 @@ func NewHandlerWith(e *Engine, hc HandlerConfig) http.Handler {
 			writeError(w, http.StatusMethodNotAllowed, "invalid", fmt.Errorf("POST required"))
 			return
 		}
-		handleSynthesize(e, w, r)
+		handleSynthesize(e, hc.Cluster, w, r)
 	})
 	mux.HandleFunc("/synthesize/batch", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -263,7 +290,7 @@ func NewHandlerWith(e *Engine, hc HandlerConfig) http.Handler {
 			writeError(w, http.StatusMethodNotAllowed, "invalid", fmt.Errorf("GET required"))
 			return
 		}
-		handleStreamKey(e, w, r)
+		handleStreamKey(e, hc.Cluster, w, r)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		snap := e.Snapshot()
@@ -289,11 +316,11 @@ func NewHandlerWith(e *Engine, hc HandlerConfig) http.Handler {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		snap := e.Snapshot()
-		if hc.ClusterStatus != nil {
+		if hc.Cluster != nil {
 			writeJSON(w, http.StatusOK, struct {
 				Snapshot
 				Cluster any `json:"cluster"`
-			}{snap, hc.ClusterStatus()})
+			}{snap, hc.Cluster.Report()})
 			return
 		}
 		writeJSON(w, http.StatusOK, snap)
@@ -342,7 +369,22 @@ func NewHandlerWith(e *Engine, hc HandlerConfig) http.Handler {
 	mux.HandleFunc(planio.PlanStreamPath, func(w http.ResponseWriter, r *http.Request) {
 		handlePlanStream(e, w, r)
 	})
-	return mux
+	if hc.Cluster == nil {
+		return mux
+	}
+	mux.HandleFunc("/cluster", func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			w.Header().Set("Allow", http.MethodGet)
+			writeError(w, http.StatusMethodNotAllowed, "invalid", fmt.Errorf("GET required"))
+			return
+		}
+		writeJSON(w, http.StatusOK, hc.Cluster.Report())
+	})
+	self := hc.Cluster.SelfID()
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(NodeHeader, self)
+		mux.ServeHTTP(w, r)
+	})
 }
 
 // handlePlanPush receives a replication or read-repair push
@@ -385,53 +427,72 @@ func callerFromRequest(r *http.Request, def admission.Class) (admission.Caller, 
 	return c, nil
 }
 
-// decodeBody decodes r's JSON body into v, refusing unknown fields and
-// bodies over limit bytes. On failure it writes the JSON error envelope
-// and returns false: an oversized body is not malformed JSON but a limit
-// violation, so it is a 413 telling the client that shrinking (not
-// fixing) the payload is the remedy; anything else is a 400. Never a
-// decoder panic or a bare text body.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
+// decodeBody reads r's body, at most limit bytes, and decodes it as JSON
+// into v, refusing unknown fields; it returns the bytes read, which a
+// clustered node may forward. On failure it writes the JSON error
+// envelope and returns false: an oversized body is not malformed JSON
+// but a limit violation, so it is a 413 telling the client that
+// shrinking (not fixing) the payload is the remedy; anything else is a
+// 400. Never a decoder panic or a bare text body.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err == nil {
-		return true
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err = dec.Decode(v); err == nil {
+			return body, true
+		}
 	}
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		writeError(w, http.StatusRequestEntityTooLarge, "invalid",
 			fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
-		return false
+		return nil, false
 	}
 	writeError(w, http.StatusBadRequest, "invalid", fmt.Errorf("parsing request: %w", err))
-	return false
+	return nil, false
 }
 
-func handleSynthesize(e *Engine, w http.ResponseWriter, r *http.Request) {
+// handleSynthesize reads, decodes and canonicalizes one request, then
+// asks cl (nil on a single node) whether the key belongs elsewhere;
+// otherwise it serves the request on the engine's keyed path with the
+// canonical form and key it derived. The admission identity is judged
+// by the node that admits the request, so a forward carries it
+// unjudged.
+func handleSynthesize(e *Engine, cl Router, w http.ResponseWriter, r *http.Request) {
 	e.inj.Fire(faultinject.HTTPDelay)
-	caller, err := callerFromRequest(r, admission.Interactive)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid", err)
-		return
-	}
 	var req SynthesizeRequest
-	if !decodeBody(w, r, maxRequestBody, &req) {
+	body, ok := decodeBody(w, r, MaxRequestBody, &req)
+	if !ok {
 		return
 	}
 	if req.Spec == nil {
 		writeError(w, http.StatusBadRequest, "invalid", fmt.Errorf("request has no spec"))
 		return
 	}
+	canon, key, err := e.canonical(req.Spec)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "invalid", err)
+		return
+	}
+	if cl != nil && cl.Route(w, r, key, body) {
+		return
+	}
+	caller, err := callerFromRequest(r, admission.Interactive)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "invalid", err)
+		return
+	}
 	ctx := admission.WithCaller(r.Context(), caller)
 	opts := req.Options.toOptions()
 	if r.URL.Query().Get("wait") == "proof" {
+		e.metrics.streamWatches.Add(1)
 		streamSynthesize(e, w, req.Options.SVG, func(emit func(*Response, bool) error) (*Response, error) {
-			return e.DoStream(ctx, req.Spec, opts, emit)
+			return e.doKeyed(ctx, key, canon, req.Spec, opts, emit)
 		})
 		return
 	}
-	resp, err := e.Do(ctx, req.Spec, opts)
+	resp, err := e.doKeyed(ctx, key, canon, req.Spec, opts, nil)
 	if err != nil {
 		status, kind := classifyHTTP(err)
 		setRetryAfter(w, e, status, err)
@@ -458,7 +519,7 @@ func handleBatch(e *Engine, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	if !decodeBody(w, r, maxBatchRequestBody, &req) {
+	if _, ok := decodeBody(w, r, maxBatchRequestBody, &req); !ok {
 		return
 	}
 	if len(req.Specs) == 0 {
@@ -519,11 +580,15 @@ func handleBatch(e *Engine, w http.ResponseWriter, r *http.Request) {
 // single final frame, an unknown key a 404, and a watched solve that
 // fails carries its own error (a shed or drained leader: 429 or 503 with
 // Retry-After). Frames are presented on the solve's canonical spec (the
-// watcher supplied no spec of its own), so they carry no name.
-func handleStreamKey(e *Engine, w http.ResponseWriter, r *http.Request) {
+// watcher supplied no spec of its own), so they carry no name. On a
+// clustered node the key's owner serves the watch (cl.Route).
+func handleStreamKey(e *Engine, cl Router, w http.ResponseWriter, r *http.Request) {
 	key := strings.TrimPrefix(r.URL.Path, "/synthesize/stream/")
 	if key == "" {
 		writeError(w, http.StatusBadRequest, "invalid", fmt.Errorf("no key in path"))
+		return
+	}
+	if cl != nil && cl.Route(w, r, key, nil) {
 		return
 	}
 	streamSynthesize(e, w, false, func(emit func(*Response, bool) error) (*Response, error) {
@@ -651,6 +716,19 @@ func classifyHTTP(err error) (int, string) {
 		}
 		return http.StatusInternalServerError, "internal"
 	}
+}
+
+// Transient reports whether an HTTP status means the server refused load
+// (429, 502, 503, 504) rather than judged the request, so the same
+// request can succeed later or on another node: the client retries it
+// and the cluster falls back to the local engine.
+func Transient(status int) bool {
+	switch status {
+	case http.StatusTooManyRequests, http.StatusBadGateway,
+		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+		return true
+	}
+	return false
 }
 
 // setRetryAfter attaches a Retry-After header (whole seconds, rounded

@@ -98,6 +98,54 @@ func TestSharedStateCarriesNoRequesterName(t *testing.T) {
 	anonymous("the pushed bytes", pushed[0])
 }
 
+// TestOneFramePerKeyWhateverTheSpelling: specs that spell a default
+// objective weight or set cap explicitly, or carry fixed pins under a
+// binding that ignores them, share a key with the spec that leaves them
+// out. Two engines fed the two spellings in opposite orders must hold
+// the same frame: what is cached, stored and replicated under a key does
+// not depend on which member was solved first.
+func TestOneFramePerKeyWhateverTheSpelling(t *testing.T) {
+	spellings := []struct {
+		name string
+		edit func(*spec.Spec)
+	}{
+		{"alpha", func(sp *spec.Spec) { sp.Alpha = spec.DefaultAlpha }},
+		{"beta", func(sp *spec.Spec) { sp.Beta = spec.DefaultBeta }},
+		{"max-sets", func(sp *spec.Spec) { sp.MaxSets = len(sp.Flows) }},
+		{"unbound-fixed-pins", func(sp *spec.Spec) {
+			sp.FixedPins = map[string]int{"sample": 0, "buffer": 1, "mix1": 2, "mix2": 3}
+		}},
+	}
+	for _, sc := range spellings {
+		t.Run(sc.name, func(t *testing.T) {
+			plain, spelled := serviceSpec("plain"), serviceSpec("spelled")
+			sc.edit(spelled)
+			frame := func(order ...*spec.Spec) []byte {
+				e := newTestEngine(t, Config{Workers: 1})
+				var key string
+				for _, sp := range order {
+					resp, err := e.Do(context.Background(), sp, switchsynth.Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if key != "" && resp.Key != key {
+						t.Fatalf("spellings keyed apart: %s vs %s", resp.Key, key)
+					}
+					key = resp.Key
+				}
+				data, ok := e.PlanBytes(key)
+				if !ok {
+					t.Fatal("engine holds no plan bytes")
+				}
+				return data
+			}
+			if !bytes.Equal(frame(plain, spelled), frame(spelled, plain)) {
+				t.Error("the frame under one key depends on which spelling was solved first")
+			}
+		})
+	}
+}
+
 func TestPlanBytesAreBinaryByDefault(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 2})
 	resp, err := e.Do(context.Background(), serviceSpec("wf-bin"), switchsynth.Options{})

@@ -81,9 +81,9 @@ func TestOnPlanStoredFiresForFreshSolvesOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dwire, err := planio.EncodeBinary(dresp.Synthesis.Result)
-	if err != nil {
-		t.Fatal(err)
+	dwire, ok := donor.PlanBytes(dresp.Key)
+	if !ok {
+		t.Fatal("donor holds no plan bytes")
 	}
 	if err := e.ImportPlan(dresp.Key, dwire); err != nil {
 		t.Fatal(err)
@@ -103,9 +103,9 @@ func TestPlanPushEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire, err := planio.EncodeBinary(dresp.Synthesis.Result)
-	if err != nil {
-		t.Fatal(err)
+	wire, ok := donor.PlanBytes(dresp.Key)
+	if !ok {
+		t.Fatal("donor holds no plan bytes")
 	}
 	key := dresp.Key
 	put := func(key string, body []byte) *http.Response {

@@ -25,8 +25,13 @@
 //   - The "crossbar" topology alias is folded to the default "".
 //   - Name and Scalable are presentation-only: the canonical form clears
 //     them, so nothing derived from it names the spec that produced it.
-//     The objective weights and set cap enter the key via their
-//     effective values.
+//   - The objective weights and set cap enter the key via their
+//     effective values, so the canonical form spells a default one as
+//     0: Alpha 1, Beta 100 and a MaxSets equal to the flow count all
+//     fold to 0 (a 0 MaxSets keeps tracking the flow count when a
+//     derived spec drops a flow). FixedPins bind nothing outside the
+//     fixed policy and enter the key only under it, so the canonical
+//     form of any other binding carries none.
 package spec
 
 import (
@@ -34,6 +39,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -42,11 +48,10 @@ import (
 // Canonical returns a semantically identical copy of s in canonical
 // presentation together with its canonical key: the stable hex digest
 // identifying s's equivalence class under the presentation symmetries
-// above. Every member of one class maps to the same key, and members
-// that spell the objective weights, set cap and fixed pins alike map to
-// the same presentation, so solving the canonical spec yields one
-// deterministic plan per class — independent of which member triggered
-// the solve. The spec must be valid.
+// above. Every member of one class maps to the same key and to the same
+// presentation, field for field, so solving the canonical spec yields
+// one deterministic plan per class — independent of which member
+// triggered the solve. The spec must be valid.
 func (s *Spec) Canonical() (*Spec, string, error) {
 	if s == nil {
 		return nil, "", fmt.Errorf("spec: Canonical on nil spec")
@@ -59,6 +64,18 @@ func (s *Spec) Canonical() (*Spec, string, error) {
 	if c.Topology == TopologyCrossbar {
 		c.Topology = ""
 	}
+	if c.Alpha == DefaultAlpha {
+		c.Alpha = 0
+	}
+	if c.Beta == DefaultBeta {
+		c.Beta = 0
+	}
+	if c.MaxSets == len(c.Flows) {
+		c.MaxSets = 0
+	}
+	if c.Binding != Fixed {
+		c.FixedPins = nil
+	}
 	c.Modules = s.canonicalModules()
 	perm := s.CanonicalFlowOrder()
 	c.Flows = make([]Flow, len(perm))
@@ -69,6 +86,17 @@ func (s *Spec) Canonical() (*Spec, string, error) {
 	}
 	c.Conflicts = s.canonicalConflicts(pos)
 	return &c, c.key(), nil
+}
+
+// Equal reports whether s and o spell every field alike; a nil and an
+// empty list or map are alike.
+func (s *Spec) Equal(o *Spec) bool {
+	return s.Name == o.Name && s.SwitchPins == o.SwitchPins && s.Topology == o.Topology &&
+		s.GridRows == o.GridRows && s.GridCols == o.GridCols &&
+		slices.Equal(s.Modules, o.Modules) && slices.Equal(s.Flows, o.Flows) &&
+		slices.Equal(s.Conflicts, o.Conflicts) && s.Binding == o.Binding &&
+		maps.Equal(s.FixedPins, o.FixedPins) && s.Alpha == o.Alpha && s.Beta == o.Beta &&
+		s.MaxSets == o.MaxSets && s.Scalable == o.Scalable
 }
 
 // CanonicalKey returns the canonical key of s (see Canonical). Specs
