@@ -137,9 +137,10 @@ echo "== cluster gate: -race -count=2, four-topology determinism =="
 # and three nodes with one killed mid-campaign, and byte-compares the
 # deterministic reports across all four topologies. The -short suite
 # also carries the replication chaos gate: write-time push, failover
-# reads, read-repair, corrupt-push rejection, partition+heal
-# anti-entropy convergence and kill-restart rejoin, all seeded and run
-# twice.
+# reads, corrupt-push rejection, partition+heal anti-entropy
+# convergence and kill-restart rejoin, all seeded and run twice. It
+# skips TestProxyRelaysSlowOwnerAnswer (a plain forward outlives 10 s
+# without a fallback), which the tier-1 run above covers.
 go test -race -count=2 -short ./internal/cluster/
 go test -race -run 'TestCampaignDeterministicAcrossTopologies' ./internal/cluster/
 
@@ -151,8 +152,10 @@ echo "== plan-bytes gate: fuzz + one admission door + plan stream =="
 # a valid frame filed under the wrong key, a valid plan in JSON (no
 # checksum) and a valid plan whose spec is not its key's canonical form
 # (a requester's name, a permuted module list) are refused at the store
-# read, the peer fill, the PUT /plans/{key} push, the anti-entropy
-# import and read-repair, with nothing left behind in any tier; nothing
+# read, the peer fill, the PUT /plans/{key} push and the anti-entropy
+# import, with nothing left behind in any tier; a solve whose proven
+# plan fails contamination verification enters no tier and is vouched
+# for by no digest; nothing
 # the engine keeps or hands out under a key (watch frames, plan bytes,
 # store record, replica push) names the requester whose spec produced
 # it, and every spelling of a key leaves the same frame whichever was
@@ -171,7 +174,7 @@ echo "== plan-bytes gate: fuzz + one admission door + plan stream =="
 # arm of the four-topology determinism test in the cluster gate above.
 go test -fuzz '^FuzzDecodeBinary$' -fuzztime 15s -run '^$' ./internal/planio/
 go test -fuzz '^FuzzCrossFormat$' -fuzztime 15s -run '^$' ./internal/planio/
-go test -race -run 'TestTamperedPlanBytesRejectedAtEveryDoor|TestSharedStateCarriesNoRequesterName|TestOneFramePerKeyWhateverTheSpelling|TestEngineHealsPersistedPlanUnderWrongKey|TestDigestCache|TestPlanBytes|TestPlanEndpointServesJSON|TestPlanStream|TestStreamFetch|TestVerifyDetectsTampering|TestVerifyFileRejectsGappedSetLabels|TestRelabelRoundTripProperty' \
+go test -race -run 'TestTamperedPlanBytesRejectedAtEveryDoor|TestSolvedPlanPassesTheDoorBeforeAnyTier|TestSharedStateCarriesNoRequesterName|TestOneFramePerKeyWhateverTheSpelling|TestEngineHealsPersistedPlanUnderWrongKey|TestDigestCache|TestPlanBytes|TestPlanEndpointServesJSON|TestPlanStream|TestStreamFetch|TestVerifyDetectsTampering|TestVerifyFileRejectsGappedSetLabels|TestRelabelRoundTripProperty' \
   ./internal/cluster/ ./internal/service/ ./internal/planio/ ./internal/contam/ ./cmd/verifyplan/ ./internal/spec/
 
 echo "== replication chaos gate: kill any node mid-campaign, zero re-solves =="
@@ -186,8 +189,10 @@ echo "== admission gate: batch determinism + fair queuing, -race -count=2 =="
 # Batch dedup and determinism: a 100-spec/7-key batch must trigger
 # exactly 7 solves, and a batch answer must be byte-identical to solving
 # the same specs sequentially. Fairness: DRR must bound the interactive
-# tenant's queue wait under a background flood (engine level and queue
-# level), and shed verdicts must carry the measured Retry-After. All of
+# tenant's queue wait under a background flood (engine level: at most
+# one background solve starts between a probe's enqueue and its start,
+# an ordering read from the solve counter; queue level), and shed
+# verdicts must carry the measured Retry-After. All of
 # it twice under the race detector, plus the streaming contract (frames,
 # key watching, wait=proof byte-identity with the cold path).
 go test -race -count=2 -run \

@@ -55,26 +55,30 @@
 // canonical key has one owning node and one successor forming its
 // replica set. Non-owners proxy /synthesize to the owner, failing over
 // to the successor when the owner is down and falling back to a local
-// solve when no replica answers. Routing is a hook of the service
-// handler (service.HandlerConfig.Cluster): each node reads, decodes and
-// canonicalizes a request once, and the cluster decides from that key
-// whether to forward the bytes, so a request the node refuses is
-// refused where it lands. Local cache misses try the replica
-// set's plans before solving; freshly proven plans are pushed
+// solve when no replica answers; a forward is bounded by the caller's
+// request alone, so it lasts as long as the owner's solve. Routing is a
+// hook of the service handler (service.HandlerConfig.Cluster): each
+// node reads, decodes and canonicalizes a request once, and the cluster
+// decides from that key whether to forward the bytes, so a request the
+// node refuses is refused where it lands. Local cache misses try the
+// replica set's plans before solving; freshly proven plans are pushed
 // asynchronously to the key's replica set; and a background
-// anti-entropy loop pulls plans this node replicates but lacks, so a
-// killed-and-restarted node re-converges. The peer list is static and
-// must be identical on every node, and each URL must be exactly
+// anti-entropy loop — the one repair path — pulls plans this node
+// replicates but lacks, so a killed-and-restarted node re-converges.
+// The cluster reports its ring, peer health and counters in the
+// "cluster" block of GET /metrics. The peer list is static and must be
+// identical on every node, and each URL must be exactly
 // http://host:port; see DESIGN.md §8.
 //
 // Plans sit on disk and travel between nodes in one format, the binary
 // planio frame; JSON is only for export and humans. Every plan the
 // daemon did not just solve itself — read from disk, filled from a
-// peer, pushed, repaired or pulled by anti-entropy — passes one
-// admission check (binary-frame decode with its CRC32C, optimality
-// proof, canonical-key re-derivation, contamination verification)
-// before it is served or stored. A JSON record an older build left in
-// -store-dir carries no checksum: it is refused, deleted and re-solved.
+// peer, pushed or pulled by anti-entropy — passes one admission check
+// (binary-frame decode with its CRC32C, optimality proof, canonical-key
+// re-derivation, contamination verification) before it is served or
+// stored; a plan it did solve passes the same contamination check
+// first. A JSON record an older build left in -store-dir carries no
+// checksum: it is refused, deleted and re-solved.
 //
 // Everything the daemon keeps and shares under a key is solved on the
 // spec's nameless canonical form, so no stored, replicated or watched
@@ -101,7 +105,9 @@
 //	                              its incumbents (ndjson; nameless frames)
 //	GET  /healthz                 liveness and pool shape
 //	GET  /readyz                  readiness: 200 serving, 503 once draining
-//	GET  /metrics                 job/cache/store/cluster/admission counters as JSON
+//	GET  /metrics                 job/cache/store/admission counters as JSON,
+//	                              plus a "cluster" block (ring, peer health,
+//	                              forward/fill/sync counters) on a cluster node
 //	GET  /plans                   manifest of locally held plan keys
 //	GET  /plans/{key}             one plan frame transcoded to the JSON file
 //	                              format (404 when absent)
@@ -109,7 +115,6 @@
 //	                              frames over
 //	PUT  /plans/{key}             receive a peer's replication push (re-verified
 //	                              before storing; 204 ok, 422 rejected)
-//	GET  /cluster                 ring membership, health, and forwarding counters
 //
 // The spec payload is the same JSON format cmd/switchsynth reads; the
 // response embeds the routed plan in the cmd/verifyplan format. See the

@@ -105,13 +105,14 @@ type Cluster struct {
 	self Node
 	ring *Ring
 	mem  *membership
-	hc   *http.Client
-	// streamHC shares hc's transport but has no whole-request timeout:
-	// forwarded streaming solves (?wait=proof, /synthesize/stream/) run
-	// as long as the solve does, bounded by the watcher's own context.
-	streamHC *http.Client
-	inj      *faultinject.Injector
-	cfg      Config
+	// hc is the one peer client. It has no whole-request timeout: every
+	// round trip is bounded by its own context — probeTimeout for a
+	// probe, FetchTimeout for a push or a manifest, and the caller's
+	// request context for a forward, which runs as long as the owner's
+	// solve does.
+	hc  *http.Client
+	inj *faultinject.Injector
+	cfg Config
 	// replicas is the replica-set size: replication clamped to the
 	// cluster size.
 	replicas int
@@ -120,7 +121,7 @@ type Cluster struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	// replq carries asynchronous replication and read-repair pushes
+	// replq carries asynchronous replication pushes
 	// (replicate.go); replPending tracks enqueued-but-unfinished tasks
 	// so tests can wait for the queue to settle.
 	replq       chan replTask
@@ -129,7 +130,7 @@ type Cluster struct {
 	// streams pools the persistent plan-fetch channels (planstream.go).
 	streams *planStreams
 
-	// Counters for /cluster and /metrics.
+	// Counters for the /metrics "cluster" block.
 	forwards         atomic.Int64 // requests proxied to the owner
 	forwardFallbacks atomic.Int64 // forwards that fell back to local solve
 	forwardFailovers atomic.Int64 // forwards served by a successor, not the owner
@@ -141,9 +142,8 @@ type Cluster struct {
 	streamFetches    atomic.Int64 // fetches served over the persistent plan stream
 	streamDials      atomic.Int64 // plan-stream upgrade attempts (success or not)
 	replPushes       atomic.Int64 // write-time replica pushes delivered
-	replErrors       atomic.Int64 // replica/repair pushes that failed or were rejected
+	replErrors       atomic.Int64 // replica pushes that failed or were rejected
 	replDropped      atomic.Int64 // pushes dropped because the queue was full
-	repairPushes     atomic.Int64 // read-repair pushes delivered
 	syncRounds       atomic.Int64
 	syncPulls        atomic.Int64 // plans imported by anti-entropy
 	syncErrors       atomic.Int64
@@ -188,8 +188,7 @@ func New(cfg Config) (*Cluster, error) {
 		self:     *self,
 		ring:     NewRing(cfg.Peers),
 		mem:      newMembership(cfg.SelfID, cfg.Peers, cfg.UpAfter, cfg.DownAfter),
-		hc:       &http.Client{Timeout: 10 * time.Second},
-		streamHC: &http.Client{},
+		hc:       &http.Client{},
 		inj:      cfg.FaultInjector,
 		cfg:      cfg,
 		replicas: min(replication, len(cfg.Peers)),
@@ -230,22 +229,6 @@ func (c *Cluster) Stop() {
 	// Hang up the persistent fetch channels so the peers' stream-serving
 	// goroutines unblock; safe (and useful) even if Start never ran.
 	c.streams.closeAll()
-}
-
-// Owner returns key's highest-ranked *alive* node and whether that is
-// the local node. With every preferred peer down the local node answers
-// for the whole keyspace (invariant 1: a partitioned node is a working
-// single node).
-func (c *Cluster) Owner(key string) (Node, bool) {
-	for _, n := range c.ring.Rank(key) {
-		if n.ID == c.self.ID {
-			return n, true
-		}
-		if c.mem.alive(n.ID) {
-			return n, false
-		}
-	}
-	return c.self, true
 }
 
 // probeLoop hits every peer's /readyz on a jittered period, feeding the
@@ -402,14 +385,11 @@ func (c *Cluster) replicaSet(key string) []Node {
 // works through the cluster layer. A caller whose ctx has ended stops
 // the walk at the failed candidate.
 //
-// Read-repair: when a successor serves a plan that an earlier live
-// replica answered 404 for, the served bytes are pushed back to the
-// lacking replica through the same verify-on-receipt import path as
-// write-time replication. The engine re-verifies whatever this
-// function returns; it only moves bytes.
+// The engine re-verifies whatever this function returns; it only moves
+// bytes. A replica that answered 404 catches up through anti-entropy
+// (sync.go) alone.
 func (c *Cluster) FetchPlan(ctx context.Context, key string) ([]byte, error) {
 	var (
-		lacked  []Node // live replicas that answered 404 before the hit
 		lastErr error
 		plan    []byte
 	)
@@ -422,15 +402,11 @@ func (c *Cluster) FetchPlan(ctx context.Context, key string) ([]byte, error) {
 		}
 		if !found {
 			c.fillMisses.Add(1)
-			lacked = append(lacked, n)
 			return false
 		}
 		c.fillHits.Add(1)
 		if failover {
 			c.fillFailovers.Add(1)
-		}
-		for _, back := range lacked {
-			c.enqueue(replTask{key: key, data: data, to: back, repair: true})
 		}
 		plan = data
 		return true
@@ -468,7 +444,7 @@ func (c *Cluster) fetchFrom(ctx context.Context, n Node, key string) (data []byt
 	return data, found, err
 }
 
-// Status is the /cluster endpoint's payload: ownership scheme, the
+// Status is the "cluster" block of /metrics: ownership scheme, the
 // damped health of every peer, and the node's cluster counters.
 type Status struct {
 	Self        string `json:"self"`
@@ -493,7 +469,6 @@ type Status struct {
 	ReplPushes       int64 `json:"replPushes"`
 	ReplErrors       int64 `json:"replErrors"`
 	ReplDropped      int64 `json:"replDropped"`
-	RepairPushes     int64 `json:"repairPushes"`
 	SyncRounds       int64 `json:"syncRounds"`
 	SyncPulls        int64 `json:"syncPulls"`
 	SyncErrors       int64 `json:"syncErrors"`
@@ -533,7 +508,6 @@ func (c *Cluster) Status() Status {
 		ReplPushes:       c.replPushes.Load(),
 		ReplErrors:       c.replErrors.Load(),
 		ReplDropped:      c.replDropped.Load(),
-		RepairPushes:     c.repairPushes.Load(),
 		SyncRounds:       c.syncRounds.Load(),
 		SyncPulls:        c.syncPulls.Load(),
 		SyncErrors:       c.syncErrors.Load(),

@@ -179,7 +179,7 @@ func nodeByID(t *testing.T, nodes []*testNode, id string) *testNode {
 	return nil
 }
 
-// settleRepl blocks until every node's replication/repair queue has
+// settleRepl blocks until every node's replication queue has
 // drained, so tests can assert on the post-push state without racing
 // the async workers.
 func settleRepl(t *testing.T, nodes []*testNode) {

@@ -10,10 +10,7 @@
 // oscillate the ring's effective owner every probe tick.
 package cluster
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // Membership defaults; overridable via Config.
 const (
@@ -21,8 +18,8 @@ const (
 	defaultDownAfter = 3
 )
 
-// PeerStatus is one peer's externally visible health, served by
-// /cluster.
+// PeerStatus is one peer's externally visible health, served in the
+// /metrics "cluster" block.
 type PeerStatus struct {
 	ID  string `json:"id"`
 	URL string `json:"url"`
@@ -50,7 +47,6 @@ type peerState struct {
 	flaps      int64
 	probes     int64
 	lastErr    string
-	lastChange time.Time
 }
 
 // membership tracks liveness for every non-self peer. Peers start
@@ -123,7 +119,6 @@ func (m *membership) observe(id string, ok bool, errMsg string) (flipped bool) {
 				p.up = true
 				p.okStreak = 0
 				p.flaps++
-				p.lastChange = time.Now()
 				return true
 			}
 		}
@@ -137,7 +132,6 @@ func (m *membership) observe(id string, ok bool, errMsg string) (flipped bool) {
 			p.up = false
 			p.failStreak = 0
 			p.flaps++
-			p.lastChange = time.Now()
 			return true
 		}
 	}

@@ -91,8 +91,8 @@ func (c *Cluster) Route(w http.ResponseWriter, r *http.Request, key string, body
 	return false
 }
 
-// Report is Status for the service handler's routing hook: the /cluster
-// payload and the "cluster" block of /metrics.
+// Report is Status for the service handler's routing hook: the
+// "cluster" block of /metrics.
 func (c *Cluster) Report() any { return c.Status() }
 
 // forward proxies the request (same method, path and query) to owner;
@@ -100,6 +100,10 @@ func (c *Cluster) Report() any { return c.Status() }
 // reports whether a response was written; false means the caller must
 // fall back to the local engine (nothing has been written yet in that
 // case). The round trip feeds membership like any other (peerCall).
+// Plain and streamed forwards alike are bounded by the caller's request
+// context alone, so an owner's solve is never cut short by the proxy; a
+// hung owner holds the request until the caller gives up, while the
+// probe loop takes it out of routing for later requests.
 func (c *Cluster) forward(w http.ResponseWriter, r *http.Request, owner Node, body []byte, hop int) bool {
 	target := owner.URL + r.URL.Path
 	if r.URL.RawQuery != "" {
@@ -122,15 +126,9 @@ func (c *Cluster) forward(w http.ResponseWriter, r *http.Request, owner Node, bo
 			req.Header.Set(k, v)
 		}
 	}
-	// Streaming forwards stay open for the whole solve; everything else
-	// keeps the bounded client so a hung owner falls back quickly.
-	hc := c.hc
-	if r.Method == http.MethodGet || r.URL.Query().Get("wait") == "proof" {
-		hc = c.streamHC
-	}
 	var resp *http.Response
 	if c.peerCall(owner, func() (status int, err error) {
-		if resp, err = hc.Do(req); err != nil {
+		if resp, err = c.hc.Do(req); err != nil {
 			return 0, err
 		}
 		return resp.StatusCode, nil

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"switchsynth/internal/service"
 )
@@ -212,30 +215,11 @@ func TestProxyRefusesInvalidBodyWhereItLands(t *testing.T) {
 	}
 }
 
+// TestClusterStatusEndpoint: the cluster's one report is the "cluster"
+// block of /metrics — ring, damped peer health and counters — and no
+// other path serves it.
 func TestClusterStatusEndpoint(t *testing.T) {
 	nodes := startNodes(t, 3, nil)
-	resp, err := http.Get(nodes[1].url + "/cluster")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Self != "n1" || st.Hash != HashScheme || len(st.Peers) != 3 {
-		t.Errorf("status = self %q hash %q peers %d, want n1/%s/3", st.Self, st.Hash, len(st.Peers), HashScheme)
-	}
-	for _, p := range st.Peers {
-		if !p.Up {
-			t.Errorf("peer %s down at boot; membership must start optimistic", p.ID)
-		}
-		if p.Self != (p.ID == "n1") {
-			t.Errorf("peer %s self flag = %v", p.ID, p.Self)
-		}
-	}
-
-	// /metrics must embed the cluster block when wired via HandlerConfig.
 	mresp, err := http.Get(nodes[1].url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +235,87 @@ func TestClusterStatusEndpoint(t *testing.T) {
 	if !metrics.PeerFillEnabled {
 		t.Error("peerFillEnabled = false, want true with a cluster fill hook")
 	}
-	if metrics.Cluster == nil || metrics.Cluster.Self != "n1" {
-		t.Errorf("metrics cluster block = %+v, want self n1", metrics.Cluster)
+	st := metrics.Cluster
+	if st == nil {
+		t.Fatal("/metrics has no cluster block")
+	}
+	if st.Self != "n1" || st.Hash != HashScheme || len(st.Peers) != 3 {
+		t.Errorf("status = self %q hash %q peers %d, want n1/%s/3", st.Self, st.Hash, len(st.Peers), HashScheme)
+	}
+	for _, p := range st.Peers {
+		if !p.Up {
+			t.Errorf("peer %s down at boot; membership must start optimistic", p.ID)
+		}
+		if p.Self != (p.ID == "n1") {
+			t.Errorf("peer %s self flag = %v", p.ID, p.Self)
+		}
+	}
+
+	resp, err := http.Get(nodes[1].url + "/cluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /cluster = %d, want 404: /metrics is the one report", resp.StatusCode)
+	}
+}
+
+// TestProxyRelaysSlowOwnerAnswer: a plain forward is bounded by the
+// caller's request context, not by a proxy timeout, so an owner whose
+// solve runs past 10 s still answers through the proxy. The forwarder
+// neither falls back to a duplicate local solve nor counts the slow
+// owner as down.
+func TestProxyRelaysSlowOwnerAnswer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the owner answers after 10.5 s")
+	}
+	const ownerDelay = 10*time.Second + 500*time.Millisecond
+	answer := []byte(`{"key":"from-the-owner"}`)
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-time.After(ownerDelay):
+		case <-r.Context().Done():
+			return
+		}
+		w.Header().Set(NodeHeader, "n1")
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(answer)
+	}))
+	t.Cleanup(owner.Close)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := []Node{{ID: "n0", URL: "http://" + l.Addr().String()}, {ID: "n1", URL: owner.URL}}
+	entry := bootNode(t, peers, l, 0, false, nil)
+	sp, _ := specOwnedBy(t, entry.cl.Ring(), "n1")
+	body, err := json.Marshal(service.SynthesizeRequest{Spec: sp})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Post(entry.url+"/synthesize", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(NodeHeader) != "n1" || !bytes.Equal(got, answer) {
+		t.Errorf("status %d node %q body %q, want the owner's 200 %q relayed",
+			resp.StatusCode, resp.Header.Get(NodeHeader), got, answer)
+	}
+	st := entry.cl.Status()
+	if st.Forwards != 1 || st.ForwardFallbacks != 0 {
+		t.Errorf("forwards=%d forwardFallbacks=%d, want 1/0", st.Forwards, st.ForwardFallbacks)
+	}
+	if n := entry.eng.Snapshot().SolveCount; n != 0 {
+		t.Errorf("entry solveCount = %d, want 0: the owner solves it", n)
+	}
+	for _, p := range st.Peers {
+		if p.ID == "n1" && (!p.Up || p.Streak != 0 || p.LastErr != "") {
+			t.Errorf("owner membership up=%v streak=%d lastErr=%q, want up with no failed observation",
+				p.Up, p.Streak, p.LastErr)
+		}
 	}
 }

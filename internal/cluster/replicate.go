@@ -1,5 +1,5 @@
-// Write-time plan replication and read-repair: the push half of the
-// replica-set design (the pull half is anti-entropy, sync.go).
+// Write-time plan replication: the push half of the replica-set design
+// (the pull half is anti-entropy, sync.go).
 //
 // A key's replica set is the first replicas nodes of its rendezvous
 // ranking. When the local engine proves and stores a plan, it calls
@@ -7,9 +7,9 @@
 // one push per live replica-set member. Pushes are asynchronous — the
 // solve's latency never waits on a peer — and the queue is bounded:
 // under sustained overload pushes are dropped and counted, and the
-// anti-entropy loop repairs the gap later. Read-repair rides the same
-// queue: FetchPlan pushes a served plan back to earlier-ranked replicas
-// that answered 404 for it.
+// anti-entropy loop repairs the gap later. Anti-entropy is also the one
+// path by which a replica that lacks a plan catches up: a peer fill
+// that finds a replica lacking pushes nothing back.
 //
 // The receiving side is PUT /plans/{key} (service layer), which funnels
 // into Engine.ImportPlan and through the engine's one admission door:
@@ -42,13 +42,11 @@ const (
 )
 
 // replTask is one queued push: deliver data (a wire-encoded proven
-// plan) for key to node to. repair marks a read-repair push, which is
-// counted separately from write-time replication.
+// plan) for key to node to.
 type replTask struct {
-	key    string
-	data   []byte
-	to     Node
-	repair bool
+	key  string
+	data []byte
+	to   Node
 }
 
 // ReplicatePlan is the engine's write-time replication hook
@@ -93,8 +91,6 @@ func (c *Cluster) replLoop() {
 		case t := <-c.replq:
 			if err := c.pushPlan(t.to, t.key, t.data); err != nil {
 				c.replErrors.Add(1)
-			} else if t.repair {
-				c.repairPushes.Add(1)
 			} else {
 				c.replPushes.Add(1)
 			}

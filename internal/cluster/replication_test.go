@@ -1,7 +1,6 @@
-// Write-time replication, successor failover and read-repair: every
-// proven plan must end up on R = 2 nodes, reads must walk the
-// replica set instead of giving up at a dead owner, and a replica that
-// missed its push must be healed by the read path.
+// Write-time replication and successor failover: every proven plan
+// must end up on R = 2 nodes, and reads must walk the replica set
+// instead of giving up at a dead owner.
 package cluster
 
 import (
@@ -118,70 +117,6 @@ func TestFetchPlanFailsOverToSuccessor(t *testing.T) {
 	b, ok := third.eng.PlanBytes(key)
 	if !ok || !bytes.Equal(a, b) {
 		t.Errorf("failover-read plan present=%v identical=%v, want true/true", ok, bytes.Equal(a, b))
-	}
-}
-
-func TestReadRepairHealsLackingReplica(t *testing.T) {
-	injs := make([]*faultinject.Injector, 3)
-	nodes := startReplNodes(t, 3, func(i int, ccfg *Config, scfg *service.Config) {
-		injs[i] = faultinject.New(int64(17 + i))
-		ccfg.FaultInjector = injs[i]
-		ccfg.ProbeInterval = time.Hour
-	})
-	sp, key := specOwnedBy(t, nodes[0].cl.Ring(), "n0")
-	rank := nodes[0].cl.Ring().Rank(key)
-	owner := nodeByID(t, nodes, rank[0].ID)
-	succ := nodeByID(t, nodes, rank[1].ID)
-	third := nodeByID(t, nodes, rank[2].ID)
-	var succInj *faultinject.Injector
-	for i, n := range nodes {
-		if n == succ {
-			succInj = injs[i]
-		}
-	}
-
-	// The successor solves while its link to the owner is cut: the
-	// write-time push fails and the owner is left lacking its own key.
-	succInj.CutLink(succ.id, owner.id)
-	if _, err := succ.eng.Do(context.Background(), sp, switchsynth.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	settleRepl(t, nodes)
-	if _, ok := owner.eng.PlanBytes(key); ok {
-		t.Fatal("push crossed a cut link")
-	}
-	if st := succ.cl.Status(); st.ReplErrors == 0 {
-		t.Error("failed push over the cut link not counted")
-	}
-	if succInj.Fired(faultinject.PeerPartition) == 0 {
-		t.Fatal("partition fault never fired; test exercised nothing")
-	}
-	succInj.HealAllLinks()
-
-	// A read through the third node finds the owner lacking (404) and the
-	// successor serving — and pushes the plan back to the owner.
-	resp, err := third.eng.Do(context.Background(), sp, switchsynth.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.PeerHit {
-		t.Fatal("read did not hit the successor's replica")
-	}
-	settleRepl(t, nodes)
-
-	a, _ := succ.eng.PlanBytes(key)
-	b, ok := owner.eng.PlanBytes(key)
-	if !ok || !bytes.Equal(a, b) {
-		t.Fatalf("read-repair: owner plan present=%v identical=%v, want true/true", ok, bytes.Equal(a, b))
-	}
-	st := third.cl.Status()
-	if st.FillMisses != 1 || st.FillHits != 1 || st.FillFailovers != 1 || st.RepairPushes != 1 {
-		t.Errorf("fillMisses=%d fillHits=%d fillFailovers=%d repairPushes=%d, want 1/1/1/1",
-			st.FillMisses, st.FillHits, st.FillFailovers, st.RepairPushes)
-	}
-	if snap := owner.eng.Snapshot(); snap.PeerImported != 1 || snap.SolveCount != 0 {
-		t.Errorf("owner peerImported=%d solveCount=%d, want 1/0 (healed without solving)",
-			snap.PeerImported, snap.SolveCount)
 	}
 }
 

@@ -9,8 +9,8 @@
 // care about — when one node dies, only the keys it owned move, each to
 // its next-highest-scoring survivor, while every other key keeps its
 // owner. The score is FNV-1a 64 over "nodeID\x00key"; any stable hash
-// works as long as every participant uses the same one (the /cluster
-// status endpoint reports the scheme so mixed deployments are
+// works as long as every participant uses the same one (the "cluster"
+// block of /metrics reports the scheme so mixed deployments are
 // detectable).
 package cluster
 
@@ -22,7 +22,7 @@ import (
 )
 
 // HashScheme names the ownership hash so nodes and clients can check
-// they agree; it is reported by the /cluster status endpoint.
+// they agree; it is reported in the /metrics "cluster" block.
 const HashScheme = "rendezvous-fnv1a64-fmix64"
 
 // Node identifies one synthd instance in the static peer list.

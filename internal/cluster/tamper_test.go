@@ -1,6 +1,6 @@
 // One table for every door plan bytes can enter a node through: the
-// durable store read, the peer fill, the PUT /plans/{key} push, the
-// anti-entropy import and read-repair. Each door is driven with a
+// durable store read, the peer fill, the PUT /plans/{key} push and the
+// anti-entropy import. Each door is driven with a
 // one-byte-flipped frame, with a valid frame filed under the wrong key,
 // with a well-formed frame whose set labels leave a gap, with the right
 // plan in the JSON file format, and with the right plan whose spec
@@ -261,33 +261,6 @@ func TestTamperedPlanBytesRejectedAtEveryDoor(t *testing.T) {
 				t.Errorf("peerRejected = %d, want 2", got)
 			}
 			assertHoldsNothing(t, nodes[1], key)
-		}},
-		{"read-repair", func(t *testing.T, stores map[string]*store.Store, bad func(*testing.T, *spec.Spec, string) []byte) {
-			nodes := startReplNodes(t, 3, withStores(t, stores))
-			sp, key := specOwnedBy(t, nodes[0].cl.Ring(), "n0")
-			rank := nodes[0].cl.Ring().Rank(key)
-			owner := nodeByID(t, nodes, rank[0].ID)
-			succ := nodeByID(t, nodes, rank[1].ID)
-			third := nodeByID(t, nodes, rank[2].ID)
-			// The successor holds bad bytes, the owner nothing: a read
-			// through the third node finds the owner lacking and pushes the
-			// successor's bytes back to it.
-			if err := stores[succ.id].Put(key, "search", bad(t, sp, key)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := third.cl.FetchPlan(context.Background(), key); err != nil {
-				t.Fatal(err)
-			}
-			settleRepl(t, nodes)
-			st := third.cl.Status()
-			if st.FillMisses != 1 || st.FillHits != 1 || st.RepairPushes != 0 || st.ReplErrors != 1 {
-				t.Errorf("fillMisses=%d fillHits=%d repairPushes=%d replErrors=%d, want 1/1/0/1 (the repair refused with 422)",
-					st.FillMisses, st.FillHits, st.RepairPushes, st.ReplErrors)
-			}
-			if got := owner.eng.Snapshot().PeerRejected; got != 1 {
-				t.Errorf("owner peerRejected = %d, want 1", got)
-			}
-			assertHoldsNothing(t, owner, key)
 		}},
 	}
 	for _, tc := range tampers {

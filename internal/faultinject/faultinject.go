@@ -154,16 +154,6 @@ func (in *Injector) CutLink(from, to string) {
 	in.links[[2]string{from, to}] = true
 }
 
-// HealLink restores the directed link from → to. Nil-safe nop.
-func (in *Injector) HealLink(from, to string) {
-	if in == nil {
-		return
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	delete(in.links, [2]string{from, to})
-}
-
 // HealAllLinks restores every cut link. Nil-safe nop.
 func (in *Injector) HealAllLinks() {
 	if in == nil {

@@ -895,6 +895,14 @@ func (e *Engine) runJob(j job) {
 		}
 		e.inj.Fire(faultinject.SolveSlow)
 		res, sigs, err = e.solveCanonical(j.key, j.canon, opts)
+		// The engine's own proof passes the door's contamination check
+		// before it enters any tier: a plan that fails is not cached,
+		// persisted, pushed or vouched for, and the request fails.
+		if err == nil && res.Proven {
+			if err = switchsynth.Verify(res); err != nil {
+				res = nil
+			}
+		}
 	}()
 	e.metrics.observeSolve(time.Since(start))
 	e.recordBreaker(j.key, err)
@@ -906,10 +914,10 @@ func (e *Engine) runJob(j job) {
 		if res.Proven {
 			// Encode the frame exactly once; the same bytes serve the
 			// memory tier, the durable tier, the replication hook and every
-			// plan-stream fetch. The engine's own encoding of its
-			// own proof is as verified as bytes get, so its digest enters
-			// the verified-bytes cache — a replica receiving this push can
-			// skip the redundant re-decode, while any corruption in transit
+			// plan-stream fetch. The plan passed the door's contamination
+			// check above, so the digest of its frame enters the
+			// verified-bytes cache — a replica receiving this push can skip
+			// the redundant re-decode, while any corruption in transit
 			// changes the digest and takes the full check.
 			wire, _ := planio.EncodeBinary(res)
 			if wire != nil {

@@ -18,20 +18,19 @@
 //	                              engine closed, so probes and load balancers
 //	                              stop routing here while /healthz still
 //	                              reports the process up
-//	GET  /metrics                 Snapshot as JSON (plus a "cluster" section
-//	                              when a cluster is configured)
+//	GET  /metrics                 Snapshot as JSON, plus a "cluster" section
+//	                              (ring, peer health, cluster counters) when a
+//	                              cluster is configured
 //	GET  /plans                   manifest of locally held canonical plan keys
 //	GET  /plans/{key}             the stored plan frame transcoded to the JSON
 //	                              file format, 404 when absent
 //	GET  /plans.stream            upgrade to the plan stream: the persistent
 //	                              channel peers fetch plan frames over for
 //	                              cache fill and anti-entropy
-//	PUT  /plans/{key}             receive a replication / read-repair push from
-//	                              a peer; the body is re-verified end to end
+//	PUT  /plans/{key}             receive a replication push from a peer; the
+//	                              body is re-verified end to end
 //	                              (Engine.ImportPlan) before it is stored — 204
 //	                              on success, 422 when verification rejects it
-//	GET  /cluster                 the cluster's ring, peer health and counters
-//	                              (only when a cluster is configured)
 //
 // On a clustered node (HandlerConfig.Cluster) routing is a hook of this
 // handler: a /synthesize body is read, decoded and canonicalized once per
@@ -241,8 +240,7 @@ type HandlerConfig struct {
 	// Cluster, when non-nil, makes the handler a cluster node
 	// (cmd/synthd wires internal/cluster's *Cluster here): it routes
 	// /synthesize and /synthesize/stream/{key}, names the node in
-	// X-Synthd-Node, serves /cluster and adds the "cluster" section to
-	// /metrics.
+	// X-Synthd-Node and adds the "cluster" section to /metrics.
 	Cluster Router
 }
 
@@ -256,7 +254,7 @@ type Router interface {
 	// it has written that node's answer, false when this node serves the
 	// request.
 	Route(w http.ResponseWriter, r *http.Request, key string, body []byte) bool
-	// Report is the /cluster payload and the /metrics "cluster" section.
+	// Report is the /metrics "cluster" section.
 	Report() any
 }
 
@@ -372,14 +370,6 @@ func NewHandlerWith(e *Engine, hc HandlerConfig) http.Handler {
 	if hc.Cluster == nil {
 		return mux
 	}
-	mux.HandleFunc("/cluster", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			writeError(w, http.StatusMethodNotAllowed, "invalid", fmt.Errorf("GET required"))
-			return
-		}
-		writeJSON(w, http.StatusOK, hc.Cluster.Report())
-	})
 	self := hc.Cluster.SelfID()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(NodeHeader, self)
@@ -387,8 +377,8 @@ func NewHandlerWith(e *Engine, hc HandlerConfig) http.Handler {
 	})
 }
 
-// handlePlanPush receives a replication or read-repair push
-// (PUT /plans/{key} from a peer's cluster layer). The body is handed to
+// handlePlanPush receives a replication push (PUT /plans/{key} from a
+// peer's cluster layer). The body is handed to
 // Engine.ImportPlan, whose admitPlan re-verifies everything — decode, Proven,
 // canonical-key re-derivation against the URL key, full contamination
 // check — before any local tier is touched. Success is 204; bytes that

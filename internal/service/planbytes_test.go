@@ -12,7 +12,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"switchsynth"
@@ -254,6 +256,57 @@ func TestPlanEndpointServesJSON(t *testing.T) {
 		if string(body) != string(want) {
 			t.Errorf("Accept %q: body is not the JSON transcode of the stored frame", accept)
 		}
+	}
+}
+
+// TestSolvedPlanPassesTheDoorBeforeAnyTier: a solve whose proven plan
+// fails contamination verification (the paths of its first two routes
+// swapped, so flow 0 does not start at its inlet pin) fails
+// the request and reaches no tier. No frame is served, nothing is
+// persisted or pushed, and the digest cache does not vouch for the plan,
+// so the door still refuses its bytes.
+func TestSolvedPlanPassesTheDoorBeforeAnyTier(t *testing.T) {
+	st := openStoreT(t, t.TempDir())
+	var pushes atomic.Int64
+	e := newTestEngine(t, Config{Workers: 1, Store: st, OnPlanStored: func(string, []byte) { pushes.Add(1) }})
+	var bad *spec.Result
+	e.solve = func(ctx context.Context, sp *spec.Spec, opts switchsynth.Options) (*spec.Result, error) {
+		res, err := switchsynth.SolvePlan(ctx, sp, opts)
+		if err != nil {
+			return nil, err
+		}
+		swapped := *res
+		swapped.Routes = slices.Clone(res.Routes)
+		swapped.Routes[0].Path, swapped.Routes[1].Path = swapped.Routes[1].Path, swapped.Routes[0].Path
+		bad = &swapped
+		return bad, nil
+	}
+	sp := serviceSpec("swapped-routes")
+	if resp, err := e.Do(context.Background(), sp, switchsynth.Options{}); err == nil {
+		t.Fatalf("Do served a plan that fails verification: %+v", resp)
+	}
+	if !bad.Proven {
+		t.Fatal("the tampered solve is not proven; the probe checks nothing")
+	}
+	key, err := JobKey(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := e.PlanBytes(key); ok {
+		t.Error("PlanBytes serves the unverified plan")
+	}
+	if st.Has(key) {
+		t.Error("the store holds the unverified plan")
+	}
+	if n := pushes.Load(); n != 0 {
+		t.Errorf("OnPlanStored fired %d times for the unverified plan, want 0", n)
+	}
+	frame, err := planio.EncodeBinary(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.admitPlan(key, frame); err == nil {
+		t.Error("the door admitted the unverified plan's frame: the digest cache vouched for it")
 	}
 }
 

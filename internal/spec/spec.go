@@ -464,16 +464,6 @@ func (r *Result) SetOf() [][]Route {
 	return out
 }
 
-// InletPinOrder returns the clockwise pin order of the inlet of flow i.
-func (r *Result) InletPinOrder(i int) int {
-	return r.PinOf[r.Spec.Flows[i].From]
-}
-
-// OutletPinOrder returns the clockwise pin order of the outlet of flow i.
-func (r *Result) OutletPinOrder(i int) int {
-	return r.PinOf[r.Spec.Flows[i].To]
-}
-
 // ErrNoSolution is returned by engines that prove the spec infeasible under
 // its binding policy — the paper's "no solution" table entries.
 type ErrNoSolution struct {
