@@ -59,10 +59,16 @@ echo "== solver kernel gate: golden tree + kernel oracles under -race =="
 # full-rescan, sort-per-node and owner-scan oracles. The node bound is
 # checked against exhaustive subtrees: at random reachable states of every
 # golden instance it never exceeds the cheapest leaf below, is +inf only
-# over a subtree without leaves, and its early exits prune exactly when
-# the full bound does. A degraded plan reports the full root bound (plus
-# one set) as its LowerBound, not its stub part.
-go test -race -run 'TestGoldenTree|TestBoundAdmissible|TestDegradedLowerBoundIsRootBound|TestClockwiseAdmitsMatchesFullCheck|TestClockwiseArcMatchesFullCheck|TestCandTableOrder|TestSetOwnershipMatchesOwnerScan|TestBitsRange' \
+# over a subtree without leaves, equals with no cut the full bound — whose
+# junction cover the test recomputes from the switch graph — and its
+# early exits prune exactly when the full bound does. A degraded plan
+# reports the full root bound (plus one set) as its LowerBound, not its
+# stub part. The topology facts the cover rests on are stated as tests:
+# on the 8/12/16-pin crossbars every pin has a junction of its own and
+# every interior edge is the shortest; on FPVA grids exactly the corner
+# junctions carry two ports; every route leaves and enters its pins'
+# junctions by interior edges unless both pins share one junction.
+go test -race -run 'TestGoldenTree|TestBoundAdmissible|TestDegradedLowerBoundIsRootBound|TestClockwiseAdmitsMatchesFullCheck|TestClockwiseArcMatchesFullCheck|TestCandTableOrder|TestSetOwnershipMatchesOwnerScan|TestBitsRange|TestCrossbarJunctionFacts|TestFPVAJunctionPorts' \
   ./internal/search/ ./internal/topo/
 
 echo "== warm-start gate: -race -count=2 =="

@@ -19,19 +19,23 @@ import (
 	"switchsynth/internal/spec"
 )
 
-// streamSpec16 is a 16-pin case hard enough that the solver publishes a
-// degraded incumbent before the optimality proof (mirrors the service
-// layer's streaming fixture).
+// streamSpec16 is a 16-pin case hard enough that the solver publishes
+// degraded incumbents for roughly two seconds before the optimality
+// proof (the service layer's streaming fixture: the search tier's
+// ring16-drop9 row).
 func streamSpec16(name string) *switchsynth.Spec {
 	return &switchsynth.Spec{
 		Name:       name,
 		SwitchPins: 16,
-		Modules:    []string{"a", "b", "c", "o1", "o2", "o3", "o4"},
+		Modules: []string{"m0", "m1", "m2", "m3", "m4", "m5", "m6", "m7",
+			"m8", "m9", "m10", "m11", "m12", "m13", "m15"},
 		Flows: []spec.Flow{
-			{From: "a", To: "o1"}, {From: "b", To: "o2"},
-			{From: "c", To: "o3"}, {From: "a", To: "o4"},
+			{From: "m3", To: "m1"}, {From: "m6", To: "m2"}, {From: "m9", To: "m4"},
+			{From: "m12", To: "m5"}, {From: "m0", To: "m7"}, {From: "m3", To: "m8"},
+			{From: "m6", To: "m10"}, {From: "m9", To: "m11"}, {From: "m12", To: "m13"},
+			{From: "m3", To: "m15"},
 		},
-		Binding: spec.Unfixed,
+		Binding: spec.Clockwise,
 	}
 }
 

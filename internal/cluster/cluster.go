@@ -292,9 +292,11 @@ func checkPeerURL(raw string) error {
 // and records its outcome in membership by one rule: a transport error
 // or an injected fault is a down observation, a shed status
 // (429/502/503/504) is no evidence, and any other answer is an up
-// observation. rt returns the status the peer answered with, 0 when no
-// answer arrived.
-func (c *Cluster) peerCall(n Node, rt func() (status int, err error)) error {
+// observation. A transport error after ctx — the context of whoever
+// wanted the answer — has ended is no evidence either: the caller left,
+// the peer may be fine. rt returns the status the peer answered with, 0
+// when no answer arrived.
+func (c *Cluster) peerCall(ctx context.Context, n Node, rt func() (status int, err error)) error {
 	var status int
 	var err error
 	switch {
@@ -308,7 +310,9 @@ func (c *Cluster) peerCall(n Node, rt func() (status int, err error)) error {
 	}
 	switch {
 	case status == 0 && err != nil:
-		c.mem.observe(n.ID, false, err.Error())
+		if ctx.Err() == nil {
+			c.mem.observe(n.ID, false, err.Error())
+		}
 	case !service.Transient(status):
 		c.mem.observe(n.ID, true, "")
 	}
@@ -317,7 +321,7 @@ func (c *Cluster) peerCall(n Node, rt func() (status int, err error)) error {
 
 // probe performs one /readyz round trip.
 func (c *Cluster) probe(n Node) error {
-	return c.peerCall(n, func() (int, error) {
+	return c.peerCall(context.Background(), n, func() (int, error) {
 		ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 		defer cancel()
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.URL+"/readyz", nil)
@@ -432,7 +436,7 @@ func (c *Cluster) replicated(key string) bool {
 // and no evidence of ill health. Any failure to get an answer is an
 // error.
 func (c *Cluster) fetchFrom(ctx context.Context, n Node, key string) (data []byte, found bool, err error) {
-	err = c.peerCall(n, func() (status int, err error) {
+	err = c.peerCall(ctx, n, func() (status int, err error) {
 		data, found, status, err = c.streamFetch(ctx, n, key)
 		return status, err
 	})

@@ -36,7 +36,9 @@
 //     (service.Transient: 429/502/503/504), falls back to the local
 //     engine. Statuses that are per-request verdicts (400/404/422 etc.)
 //     are relayed as-is — retrying locally would return the same
-//     verdict.
+//     verdict. A forward cut short because the caller went away is
+//     neither: it marks no peer down, tries no other replica and
+//     solves nothing locally.
 //
 // Every /synthesize response carries X-Synthd-Node: the ID of the node
 // whose engine actually answered (forwarded responses keep the owner's
@@ -68,19 +70,23 @@ const (
 // It reports false — serve locally — when the hop limit is reached, the
 // local node outranks every live replica, or none answers: the replica
 // walk narrows where the cluster looks for the plan, never whether the
-// request is served (invariant 1).
+// request is served (invariant 1). A forward that fails because the
+// caller has gone ends the walk and reports true with nothing written:
+// no one is left to serve, so nothing is solved locally and no replica
+// is tried.
 func (c *Cluster) Route(w http.ResponseWriter, r *http.Request, key string, body []byte) bool {
 	hop, _ := strconv.Atoi(r.Header.Get(HopHeader))
 	if hop < maxHops {
-		served := false
+		served, gone := false, false
 		tried := c.walkReplicas(key, func(n Node, failover bool) bool {
 			served = c.forward(w, r, n, body, hop)
 			if served && failover {
 				c.forwardFailovers.Add(1)
 			}
-			return served
+			gone = !served && r.Context().Err() != nil
+			return served || gone
 		})
-		if served {
+		if served || gone {
 			return true
 		}
 		if tried > 0 {
@@ -99,7 +105,9 @@ func (c *Cluster) Report() any { return c.Status() }
 // body is the buffered request body, nil for body-less methods. It
 // reports whether a response was written; false means the caller must
 // fall back to the local engine (nothing has been written yet in that
-// case). The round trip feeds membership like any other (peerCall).
+// case). The round trip feeds membership like any other (peerCall),
+// under the caller's context: a caller that leaves is no evidence
+// against the owner.
 // Plain and streamed forwards alike are bounded by the caller's request
 // context alone, so an owner's solve is never cut short by the proxy; a
 // hung owner holds the request until the caller gives up, while the
@@ -127,7 +135,7 @@ func (c *Cluster) forward(w http.ResponseWriter, r *http.Request, owner Node, bo
 		}
 	}
 	var resp *http.Response
-	if c.peerCall(owner, func() (status int, err error) {
+	if c.peerCall(r.Context(), owner, func() (status int, err error) {
 		if resp, err = c.hc.Do(req); err != nil {
 			return 0, err
 		}

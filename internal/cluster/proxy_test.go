@@ -319,3 +319,57 @@ func TestProxyRelaysSlowOwnerAnswer(t *testing.T) {
 		}
 	}
 }
+
+// TestProxyCallerGoneIsNoEvidence: a forward that ends because the
+// caller gave up says nothing about the owner. Three POSTs with a 100 ms
+// client timeout are forwarded to an owner that answers in 2 s: the
+// owner stays up with no flap, no forward falls back, and the entry node
+// solves nothing for callers that have already left.
+func TestProxyCallerGoneIsNoEvidence(t *testing.T) {
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-time.After(2 * time.Second):
+		case <-r.Context().Done():
+			return
+		}
+		w.Header().Set(NodeHeader, "n1")
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write([]byte(`{"key":"from-the-owner"}`))
+	}))
+	t.Cleanup(owner.Close)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := []Node{{ID: "n0", URL: "http://" + l.Addr().String()}, {ID: "n1", URL: owner.URL}}
+	entry := bootNode(t, peers, l, 0, false, nil)
+	sp, _ := specOwnedBy(t, entry.cl.Ring(), "n1")
+	body, err := json.Marshal(service.SynthesizeRequest{Spec: sp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Timeout: 100 * time.Millisecond}
+	for range 3 {
+		resp, err := client.Post(entry.url+"/synthesize", "application/json", bytes.NewReader(body))
+		if err == nil {
+			resp.Body.Close()
+			t.Errorf("status %d from node %q: the request should have waited for the owner past the client's timeout",
+				resp.StatusCode, resp.Header.Get(NodeHeader))
+		}
+	}
+	// Close waits for the entry's handlers, which end once they notice
+	// that their callers hung up.
+	entry.srv.Close()
+	st := entry.cl.Status()
+	if st.ForwardFallbacks != 0 {
+		t.Errorf("forwardFallbacks = %d, want 0", st.ForwardFallbacks)
+	}
+	if n := entry.eng.Snapshot().SolveCount; n != 0 {
+		t.Errorf("entry solveCount = %d, want 0: nobody is waiting for that solve", n)
+	}
+	for _, p := range st.Peers {
+		if p.ID == "n1" && (!p.Up || p.Flaps != 0) {
+			t.Errorf("owner up=%v flaps=%d lastErr=%q, want up with no flap", p.Up, p.Flaps, p.LastErr)
+		}
+	}
+}

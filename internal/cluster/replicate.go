@@ -105,7 +105,7 @@ func (c *Cluster) replLoop() {
 // tied to any request. The round trip feeds membership like any other
 // (peerCall).
 func (c *Cluster) pushPlan(n Node, key string, data []byte) error {
-	return c.peerCall(n, func() (int, error) {
+	return c.peerCall(context.Background(), n, func() (int, error) {
 		if len(data) > 0 && c.inj.Fire(faultinject.ReplCorrupt) {
 			// Flip one byte mid-payload on a copy (the caller's slice is
 			// shared with local tiers); the receiver must reject it.

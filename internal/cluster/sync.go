@@ -90,7 +90,7 @@ func (c *Cluster) syncOnce(ctx context.Context) int {
 
 // manifest fetches n's plan-key list (GET /plans).
 func (c *Cluster) manifest(ctx context.Context, n Node) (keys []string, err error) {
-	err = c.peerCall(n, func() (int, error) {
+	err = c.peerCall(ctx, n, func() (int, error) {
 		ctx, cancel := context.WithTimeout(ctx, c.cfg.FetchTimeout)
 		defer cancel()
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.URL+"/plans", nil)

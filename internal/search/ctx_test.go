@@ -10,19 +10,24 @@ import (
 )
 
 // hardSpec is large enough that the solver cannot finish before noticing
-// a cancelled context.
+// a cancelled context or a short deadline: the saturated 16-pin
+// clockwise ring without its flow m0→m14 (the search tier's
+// ring16-drop9 row), about two seconds to prove. The 24-pin unfixed
+// case that served here proves in ~15 ms since the node bound prices
+// the junction cover.
 func hardSpec() *spec.Spec {
 	return &spec.Spec{
 		Name:       "ctx-hard",
-		SwitchPins: 24,
-		Modules:    []string{"a", "b", "c", "d", "s1", "s2", "s3", "s4", "s5", "s6"},
+		SwitchPins: 16,
+		Modules: []string{"m0", "m1", "m2", "m3", "m4", "m5", "m6", "m7",
+			"m8", "m9", "m10", "m11", "m12", "m13", "m15"},
 		Flows: []spec.Flow{
-			{From: "a", To: "s1"}, {From: "b", To: "s2"},
-			{From: "c", To: "s3"}, {From: "d", To: "s4"},
-			{From: "a", To: "s5"}, {From: "b", To: "s6"},
+			{From: "m3", To: "m1"}, {From: "m6", To: "m2"}, {From: "m9", To: "m4"},
+			{From: "m12", To: "m5"}, {From: "m0", To: "m7"}, {From: "m3", To: "m8"},
+			{From: "m6", To: "m10"}, {From: "m9", To: "m11"}, {From: "m12", To: "m13"},
+			{From: "m3", To: "m15"},
 		},
-		Conflicts: [][2]int{{0, 1}, {2, 3}, {4, 5}, {0, 5}, {1, 2}},
-		Binding:   spec.Unfixed,
+		Binding: spec.Clockwise,
 	}
 }
 

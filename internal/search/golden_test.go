@@ -16,7 +16,7 @@ import (
 // sequential DFS visits on each instance. Bookkeeping changes (the
 // presorted candidate tables, the LIFO undo log, the incremental
 // clockwise check) kept every count exactly; a change that means to alter
-// the tree must re-record them. The forward-checking length bound
+// the tree must re-record them. The junction cover in the node bound
 // re-recorded them last: an admissible bound only removes subtrees
 // without a leaf the search would take, so no count may rise and
 // goldenPlans must not move.
@@ -26,46 +26,46 @@ import (
 // -n 90 -seed 42`, keeping those that solve in at most 300k nodes so the
 // suite stays fast under the race detector.
 var goldenNodes = map[string]int64{
-	"chip-sw1/fixed":           26,
-	"chip-sw1/clockwise":       10245,
+	"chip-sw1/fixed":           10,
+	"chip-sw1/clockwise":       135,
 	"nucleic-acid/fixed":       2,
 	"nucleic-acid/clockwise":   10,
-	"nucleic-acid/unfixed":     3318,
+	"nucleic-acid/unfixed":     158,
 	"mrna-isolation/fixed":     5,
 	"mrna-isolation/clockwise": 26,
-	"chip-sw2/fixed":           4235,
+	"chip-sw2/fixed":           4008,
 	"kinase-sw1/fixed":         11,
 	"kinase-sw1/clockwise":     120,
 	"kinase-sw1/unfixed":       127,
 	"kinase-sw2/fixed":         117,
-	"kinase-sw2/clockwise":     1877,
-	"kinase-sw2/unfixed":       22759,
+	"kinase-sw2/clockwise":     376,
+	"kinase-sw2/unfixed":       705,
 	"artificial-00":            19,
-	"artificial-01":            6800,
-	"artificial-02":            5240,
+	"artificial-01":            4744,
+	"artificial-02":            172,
 	"artificial-03":            4,
 	"artificial-04":            47,
-	"artificial-05":            21299,
-	"artificial-06":            24,
-	"artificial-07":            1376,
-	"artificial-08":            22450,
+	"artificial-05":            745,
+	"artificial-06":            11,
+	"artificial-07":            399,
+	"artificial-08":            226,
 	"artificial-09":            16,
-	"artificial-10":            83,
-	"artificial-11":            1107,
+	"artificial-10":            51,
+	"artificial-11":            233,
 	"artificial-12":            2,
-	"artificial-13":            447,
-	"artificial-14":            2616,
-	"artificial-15":            61,
+	"artificial-13":            317,
+	"artificial-14":            88,
+	"artificial-15":            33,
 	"artificial-16":            98,
-	"artificial-17":            90263,
+	"artificial-17":            1011,
 	"artificial-18":            8,
-	"artificial-19":            391,
+	"artificial-19":            115,
 	"artificial-20":            30,
 	"artificial-21":            104,
 	"artificial-22":            17,
 	"artificial-24":            8,
 	"artificial-25":            117,
-	"artificial-26":            21974,
+	"artificial-26":            167,
 	"artificial-27":            7,
 	"artificial-28":            168,
 	"fpva-00":                  48,
@@ -74,19 +74,19 @@ var goldenNodes = map[string]int64{
 	"fpva-04":                  111,
 	"fpva-05":                  585,
 	"fpva-06":                  2,
-	"fpva-07":                  862,
-	"fpva-08":                  63542,
+	"fpva-07":                  568,
+	"fpva-08":                  162,
 	"fpva-09":                  2,
-	"fpva-10":                  1587,
+	"fpva-10":                  1255,
 	"fpva-12":                  6,
 	"fpva-13":                  111,
-	"fpva-14":                  42917,
+	"fpva-14":                  11157,
 	"fpva-15":                  10,
 	"fpva-16":                  214,
-	"fpva-17":                  5741,
+	"fpva-17":                  2597,
 	"fpva-18":                  17,
 	"fpva-19":                  125,
-	"fpva-20":                  1708,
+	"fpva-20":                  580,
 	"fpva-21":                  3,
 	"fpva-22":                  9971,
 	"fpva-23":                  117,

@@ -11,12 +11,14 @@
 // Property tests cross-check the two engines' optima on small instances.
 //
 // Every node is bounded by its cost, the pin stubs the unplaced flows must
-// still add, and the longest of their least fresh interiors over the
-// candidates they may still take; a flow with no such candidate prunes
-// the node (forward checking). The bound is admissible, so it only removes
-// subtrees without a leaf the search would accept: the plan, and the first
-// optimal leaf in canonical DFS order, are those of the unbounded tree
-// (see bound and DESIGN.md §5).
+// still add, and the larger of two bounds on the interior edges they must
+// still add: the junction cover (each junction they must reach and no
+// used edge touches takes a fresh edge) and the longest of their least
+// fresh interiors over the candidates they may still take; a flow with no
+// such candidate prunes the node (forward checking). The bound is
+// admissible, so it only removes subtrees without a leaf the search would
+// accept: the plan, and the first optimal leaf in canonical DFS order, are
+// those of the unbounded tree (see bound and DESIGN.md §5).
 //
 // With Options.Workers > 1 the DFS runs on a parallel driver (parallel.go):
 // the canonical search-tree frontier is split into work units consumed by a
@@ -218,6 +220,7 @@ type solver struct {
 	srcs     []int   // flow -> source module index
 	dsts     []int   // flow -> destination module index
 	conf     [][]int // flow -> conflicting flows
+	inlets   int     // distinct inlet modules
 	maxSets  int
 	numPins  int
 	rotStep  int
@@ -314,6 +317,13 @@ func newSolver(sp *spec.Spec, sw *topo.Switch, pt *topo.PathTable, opts Options)
 	s.arena = a
 	a.bind(s, len(sp.Modules), nFlows, s.maxSets)
 	s.freePins = s.allPins
+	s.gen++
+	for _, m := range s.srcs {
+		if s.seenGen[m] != s.gen {
+			s.seenGen[m] = s.gen
+			s.inlets++
+		}
+	}
 
 	for p := 0; p < s.numPins; p++ {
 		s.stubEdge[p] = sw.PinStubEdge(p)
@@ -586,10 +596,12 @@ func (s *solver) remainingLB(pos int) float64 {
 
 // bound is the one node bound: dfs cuts a node whose bound reaches the
 // prune bound, and run takes the root's, with no cut, for the LowerBound
-// of degraded plans. It is cost + remainingLB plus the β-weighted
-// largest, over the unplaced flows, of the least fresh interior length —
-// path edges neither in use nor pin stubs — among each flow's admissible
-// candidates, and is +inf when some flow has none (forward checking). A
+// of degraded plans. It is cost + remainingLB plus β times the larger of
+// two lower bounds on the fresh interior length — path edges neither in
+// use nor pin stubs — the unplaced flows must still add: the junction
+// cover (see cover), and the largest, over the unplaced flows, of the
+// least fresh interior among each flow's admissible candidates. It is
+// +inf when some flow has no admissible candidate (forward checking). A
 // candidate is admissible when its pins pass the node's pin filter
 // without the root symmetry cut, it clashes with no routed conflicting
 // flow, and some set can take it. Every test only fails more often down
@@ -598,20 +610,25 @@ func (s *solver) remainingLB(pos int) float64 {
 // so those lengths add to the stubs remainingLB counts.
 //
 // With a finite cut the evaluation stops as soon as its side of the cut
-// is known, so only that side is exact: when even the longest interior
-// cannot reach the cut only the feasibility exit can, so each flow stops
-// at its first admissible candidate; a flow's scan stops once its least
-// value cannot raise the running maximum; and the bound returns as soon
-// as it reaches the cut. With cut = +inf the value is exact.
+// is known, so only that side is exact: the cover is priced first, and a
+// node it alone cuts skips the candidate walk; when even the longest
+// interior cannot reach the cut only the feasibility exit can, so each
+// flow stops at its first admissible candidate; a flow's scan stops once
+// its least value cannot raise the running maximum, which starts at the
+// cover; and the bound returns as soon as it reaches the cut. With cut =
+// +inf the value is exact.
 func (s *solver) bound(pos int, cut float64) float64 {
 	lb := s.cost() + s.remainingLB(pos)
 	if lb >= cut {
 		return lb
 	}
+	worst := s.cover(pos)
+	if lb+s.beta*worst >= cut {
+		return lb + s.beta*worst
+	}
 	ct := &s.pt.Cands
 	first := !math.IsInf(cut, 1) && lb+s.beta*ct.MaxInterior < cut
 	minus := s.usedEdges.Or(ct.StubEdges)
-	var worst float64
 	for k := pos; k < len(s.order); k++ {
 		least, ok := s.leastFresh(s.order[k], &minus, worst, first)
 		if !ok {
@@ -625,6 +642,119 @@ func (s *solver) bound(pos int, cut float64) float64 {
 		}
 	}
 	return lb + s.beta*worst
+}
+
+// cover is the junction cover: a lower bound on the fresh interior edges
+// the unplaced flows must still add, times the shortest interior edge. A
+// route leaves its inlet's junction and enters its outlet's by interior
+// edges unless both pins share one junction. So a junction no used
+// interior edge touches yet, at which some unplaced flow must end, takes
+// a fresh interior edge. u counts two kinds of such junction:
+//   - the junctions of the bound modules of the unplaced flows, except
+//     where the flow's other module is on, or may take, another pin of
+//     the same junction (sharedJunction);
+//   - the fewest the unbound modules of the unplaced flows can land on
+//     (landings). Those hold no bound module, so the two kinds are
+//     disjoint.
+//
+// The fresh edges number at least ⌈u/2⌉, since one edge touches at most
+// two junctions. They also number at least V − I − E: the finished
+// plan's interior edges touch V ≥ (junctions touched now) + u junctions,
+// every connected piece of them holds an inlet's junction (each route is
+// connected and a module's routes share its junction), so there are at
+// least V − I of them with I the number of inlet modules, and E of them
+// are in use already.
+func (s *solver) cover(pos int) float64 {
+	ct := &s.pt.Cands
+	used := s.usedEdges.AndNot(ct.StubEdges)
+	var touched topo.Bits // junctions a used interior edge touches
+	for wi, w := range used {
+		for ; w != 0; w &= w - 1 {
+			touched = touched.Or(ct.InteriorEnds[wi*64+mathbits.TrailingZeros64(w)])
+		}
+	}
+	var need topo.Bits   // junctions of bound modules that take a fresh edge
+	var paired topo.Bits // unbound inlets with an unplaced flow to an unbound outlet
+	unbound := 0
+	s.gen++
+	gen := s.gen
+	for k := pos; k < len(s.order); k++ {
+		f := s.order[k]
+		ends := [2]int{s.srcs[f], s.dsts[f]}
+		if s.pinOf[ends[0]] < 0 && s.pinOf[ends[1]] < 0 {
+			paired.Set(ends[0])
+		}
+		for i, m := range ends {
+			p := s.pinOf[m]
+			switch {
+			case p < 0:
+				if s.seenGen[m] != gen {
+					s.seenGen[m] = gen
+					unbound++
+				}
+			case !touched.Has(ct.Junction[p]) && !s.sharedJunction(p, ends[1-i]):
+				need.Set(ct.Junction[p])
+			}
+		}
+	}
+	u := need.OnesCount() + s.landings(unbound, paired.OnesCount(), &touched)
+	edges := max((u+1)/2, touched.OnesCount()+u-s.inlets-used.OnesCount())
+	return float64(edges) * ct.MinInterior
+}
+
+// landings is a lower bound on the untouched junctions the unbound
+// modules of the unplaced flows will sit at and leave by a fresh
+// interior edge, given unbound such modules. Each takes its own free pin. A pin costs nothing when its
+// junction is touched, or is shared with a bound module or with more
+// than one other pin. A pair of pins that alone make up an untouched
+// junction costs nothing when both ends of one flow take it (at most
+// pairs flows can: one per unbound inlet), and one junction for one or
+// two modules otherwise; any other pin costs one junction per module.
+func (s *solver) landings(unbound, pairs int, touched *topo.Bits) int {
+	ct := &s.pt.Cands
+	twin := 0 // free pins of untouched two-pin junctions with both pins free
+	for wi, w := range s.freePins {
+		for ; w != 0; w &= w - 1 {
+			p := wi*64 + mathbits.TrailingZeros64(w)
+			switch {
+			case touched.Has(ct.Junction[p]):
+				unbound--
+			case !ct.SharedPins.Has(p):
+			case ct.JunctionPins[p].OnesCount() == 2 && ct.JunctionPins[p].AndNot(s.freePins).IsZero():
+				twin++
+			default:
+				unbound--
+			}
+		}
+	}
+	if unbound <= 0 {
+		return 0
+	}
+	twins := twin / 2
+	q := min(pairs, twins)
+	if unbound -= 2 * q; unbound <= 0 {
+		return 0
+	}
+	if twins -= q; unbound <= 2*twins {
+		return (unbound + 1) / 2
+	}
+	return unbound - twins
+}
+
+// sharedJunction reports whether module o, the other end of a flow with
+// a module on pin p, is on or may take another pin of p's junction, so
+// the flow may run stub to stub with no interior edge.
+func (s *solver) sharedJunction(p, o int) bool {
+	ct := &s.pt.Cands
+	if !ct.SharedPins.Has(p) {
+		return false
+	}
+	others := ct.JunctionPins[p]
+	others.Clear(p)
+	if q := s.pinOf[o]; q >= 0 {
+		return others.Has(q)
+	}
+	return others.Intersects(s.freePins)
 }
 
 // leastFresh returns the least length outside minus of flow f's

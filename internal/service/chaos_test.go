@@ -123,22 +123,13 @@ func TestChaosEngineUnderInjectedFaults(t *testing.T) {
 	}
 }
 
-// hardSpec16 is a feasible 16-pin fan-out case whose optimality proof
-// takes far longer than the throughput test's 5ms limit, so it exercises
-// the anytime degraded path for real.
+// hardSpec16 is the streaming fixture (stream16) under a distinct
+// canonical key per alpha: its optimality proof takes roughly two
+// seconds, far longer than the throughput test's 5ms limit, so it
+// exercises the anytime degraded path for real.
 func hardSpec16(i int) *spec.Spec {
-	sp := &spec.Spec{
-		Name:       fmt.Sprintf("tp-hard-%d", i),
-		SwitchPins: 16,
-		Modules:    []string{"a", "b", "c", "o1", "o2", "o3", "o4", "o5", "o6", "o7", "o8", "o9"},
-		Flows: []spec.Flow{
-			{From: "a", To: "o1"}, {From: "a", To: "o2"}, {From: "a", To: "o3"},
-			{From: "b", To: "o4"}, {From: "b", To: "o5"}, {From: "b", To: "o6"},
-			{From: "c", To: "o7"}, {From: "c", To: "o8"}, {From: "c", To: "o9"},
-		},
-		Binding: spec.Unfixed,
-		Alpha:   float64(i%4 + 1), // distinct canonical keys defeat the cache
-	}
+	sp := stream16(fmt.Sprintf("tp-hard-%d", i))
+	sp.Alpha = float64(i%4 + 1) // distinct canonical keys defeat the cache
 	return sp
 }
 

@@ -251,8 +251,8 @@ type Router interface {
 	// Route is asked once per request the handler has read, decoded and
 	// keyed (body is the buffered request bytes, nil for a stream
 	// watch) whether key belongs to another node. It reports true once
-	// it has written that node's answer, false when this node serves the
-	// request.
+	// it has written that node's answer, or once the caller has gone
+	// while it waited for one; false when this node serves the request.
 	Route(w http.ResponseWriter, r *http.Request, key string, body []byte) bool
 	// Report is the /metrics "cluster" section.
 	Report() any

@@ -19,20 +19,26 @@ import (
 	"switchsynth/internal/spec"
 )
 
-// stream16 is a 16-pin unfixed case hard enough that the solver installs
-// a degraded incumbent well before the optimality proof (roughly a
-// second of search), but easy enough that the proof lands — the spot the
-// streaming contract needs: frames first, proof after.
+// stream16 is the saturated 16-pin ring of the search tier's hard set
+// without its flow m0→m14 (the ring16-drop9 row): under clockwise
+// binding the solver installs a degraded incumbent within a millisecond
+// and about twenty better ones before the proof lands after roughly two
+// seconds of search — the spot the streaming contract needs: frames
+// first, proof after. (The unfixed fan-outs that served here prove in
+// milliseconds since the node bound prices the junction cover.)
 func stream16(name string) *spec.Spec {
 	return &spec.Spec{
 		Name:       name,
 		SwitchPins: 16,
-		Modules:    []string{"a", "b", "c", "o1", "o2", "o3", "o4"},
+		Modules: []string{"m0", "m1", "m2", "m3", "m4", "m5", "m6", "m7",
+			"m8", "m9", "m10", "m11", "m12", "m13", "m15"},
 		Flows: []spec.Flow{
-			{From: "a", To: "o1"}, {From: "b", To: "o2"},
-			{From: "c", To: "o3"}, {From: "a", To: "o4"},
+			{From: "m3", To: "m1"}, {From: "m6", To: "m2"}, {From: "m9", To: "m4"},
+			{From: "m12", To: "m5"}, {From: "m0", To: "m7"}, {From: "m3", To: "m8"},
+			{From: "m6", To: "m10"}, {From: "m9", To: "m11"}, {From: "m12", To: "m13"},
+			{From: "m3", To: "m15"},
 		},
-		Binding: spec.Unfixed,
+		Binding: spec.Clockwise,
 	}
 }
 

@@ -1,6 +1,9 @@
 package topo
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // Cand is one routing choice for a flow: an (inlet pin, outlet pin, path)
 // triple, with In and Out given as clockwise pin orders and Path pointing
@@ -46,6 +49,20 @@ type CandTable struct {
 	// MaxInterior is the largest interior length of any candidate, each
 	// summed over its edges in ascending ID order.
 	MaxInterior float64
+	// MinInterior is the length of the shortest interior edge (0 when
+	// the switch has none).
+	MinInterior float64
+
+	// Junction facts. A pin's stub ends at one junction, the vertex
+	// Junction[p]; JunctionPins[p] holds the pins whose stubs end there
+	// (p included). SharedPins holds the pins whose junction carries
+	// another pin too (the FPVA grid's corners): only a route between two
+	// such pins can go stub to stub with no interior edge. InteriorEnds[e]
+	// holds the two end vertices of interior edge e (empty for a stub).
+	Junction     []int
+	JunctionPins []Bits
+	SharedPins   Bits
+	InteriorEnds []Bits
 }
 
 // buildCandTable sorts pt's candidates once; BuildPathTable calls it, so
@@ -83,5 +100,41 @@ func buildCandTable(pt *PathTable) CandTable {
 		}
 		ct.MaxInterior = max(ct.MaxInterior, interior)
 	}
+	ct.MinInterior = math.Inf(1)
+	for _, e := range sw.Edges {
+		if !ct.StubEdges.Has(e.ID) {
+			ct.MinInterior = min(ct.MinInterior, e.Length)
+		}
+	}
+	if math.IsInf(ct.MinInterior, 1) {
+		ct.MinInterior = 0 // no interior edge: every route is stub to stub
+	}
+	buildJunctions(&ct, sw)
 	return ct
+}
+
+// buildJunctions fills ct's junction facts from the switch's stubs.
+func buildJunctions(ct *CandTable, sw *Switch) {
+	n := sw.NumPins
+	ct.Junction = make([]int, n)
+	ct.JunctionPins = make([]Bits, n)
+	for p := range n {
+		ct.Junction[p] = sw.Edges[sw.PinStubEdge(p)].Other(sw.PinVertex(p))
+	}
+	for p := range n {
+		for q := range n {
+			if ct.Junction[q] == ct.Junction[p] {
+				ct.JunctionPins[p].Set(q)
+			}
+		}
+		if ct.JunctionPins[p].OnesCount() > 1 {
+			ct.SharedPins.Set(p)
+		}
+	}
+	ct.InteriorEnds = make([]Bits, len(sw.Edges))
+	for _, e := range sw.Edges {
+		if !ct.StubEdges.Has(e.ID) {
+			ct.InteriorEnds[e.ID] = BitsOf(e.U, e.V)
+		}
+	}
 }
