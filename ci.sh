@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate, in order: gofmt, vet, build, synthd dependencies (no IQP in
 # the daemon), tier-1 tests, race-checked service layer, parallel
-# solver, solver kernel (golden tree), warm start, campaign determinism,
+# solver, solver kernel (golden tree), seeding, campaign determinism,
 # FPVA, FPVA determinism, service chaos, store crash recovery, cluster,
 # plan bytes, replication chaos, admission, and the benchmark tiers
 # (every record and gate in Go, appended to BENCH.jsonl). Each step's
@@ -71,15 +71,12 @@ echo "== solver kernel gate: golden tree + kernel oracles under -race =="
 go test -race -run 'TestGoldenTree|TestBoundAdmissible|TestDegradedLowerBoundIsRootBound|TestClockwiseAdmitsMatchesFullCheck|TestClockwiseArcMatchesFullCheck|TestCandTableOrder|TestSetOwnershipMatchesOwnerScan|TestBitsRange|TestCrossbarJunctionFacts|TestFPVAJunctionPorts' \
   ./internal/search/ ./internal/topo/
 
-echo "== warm-start gate: -race -count=2 =="
-# The similarity index's adaptation paths and the seeded-solve
-# determinism suite, twice under the race detector. -short skips only
-# the 200-spec property sweep, which tier 1 above already ran once at
-# full size. The engine side follows: a neighbor of a plan learned from
-# a local solve, an import, a peer fill or a disk read warm-starts, and
-# its plan is byte-identical to a cold engine's.
-go test -race -count=2 -short ./internal/portfolio/
-go test -race -count=2 -run 'TestWarmStart' ./internal/service/
+echo "== seeding gate: -race -count=2 =="
+# A solve seeded with a valid plan (Options.SeedIncumbent) proves the
+# same bytes as a cold one at every worker count, including the
+# 200-spec self-seeded property sweep; stale, infeasible and foreign
+# seeds are rejected. Twice under the race detector.
+go test -race -count=2 -run 'Seed' ./internal/search/
 
 echo "== determinism gate: campaign at -solver-workers 1/2/8 =="
 # Plans must be bit-identical at every worker count: run the seeded
@@ -216,13 +213,13 @@ go test -race -count=2 ./internal/admission/
 
 echo "== benchmarks: every tier gated in Go, one stamped record each in BENCH.jsonl =="
 # TestBenchReport prices the service, search, store, cluster, planio and
-# FPVA tiers of bench_test.go; the service package adds the admission,
-# warm-start and degraded-path records. Every ratio and gate is computed
+# FPVA tiers of bench_test.go; the service package adds the admission
+# and degraded-path records. Every ratio and gate is computed
 # beside the number it checks, and each passing tier appends one line.
 # -p 1 keeps the two packages from timing each other; -count=1 stops a
 # cached result from skipping the append.
 BENCH_HISTORY="$PWD/BENCH.jsonl" go test -p 1 -count=1 -v -timeout 1200s \
-  -run '^(TestBenchReport|TestAdmissionBenchReport|TestPortfolioBenchReport|TestChaosDegradedThroughput)$' \
+  -run '^(TestBenchReport|TestAdmissionBenchReport|TestChaosDegradedThroughput)$' \
   -benchtime "${BENCHTIME:-2s}" . ./internal/service/
 
 echo "ci.sh: OK"

@@ -13,7 +13,7 @@
 // The flags are deployment settings only. Tuning values are constants:
 // the job queue holds 4×workers, the admission wait watermark is 30s, a
 // key's breaker opens after 3 consecutive timeouts for 5s, the negative
-// cache holds 256 proofs and the similarity index 512 plans, the store
+// cache holds 256 proofs, the store
 // group-commits every 5ms to its one append-only log, and the cluster
 // probes peers every 2s, runs anti-entropy every 15s and keeps 2
 // replicas of each plan (1 on a single-node cluster).
@@ -42,13 +42,6 @@
 // solver invocations. -export-plans dumps every persisted plan from
 // -store-dir as planio JSON files into DIR (for cmd/verifyplan audit)
 // and exits without serving.
-//
-// The similarity warm-start index (512 plans) seeds cold solves of
-// specs one edit away — a module or flow added or removed, a conflict
-// toggled — from an adapted previously-proven neighbor plan; seeds only
-// tighten the initial bound and plans stay bit-identical. Its counters
-// are the portfolio_* and simindex_* fields of GET /metrics; see
-// DESIGN.md §10.
 //
 // With -peers (and a -node-id naming this instance's entry in the
 // list) the daemon joins a consistent-hash sharded cluster: each spec's

@@ -71,9 +71,9 @@ type Options struct {
 	// sequential regardless of this setting.
 	Workers int
 	// SeedIncumbent, when non-nil, is a plan for (a spec equivalent to)
-	// the same spec — typically an adapted neighbor plan from a
-	// similarity index — installed as the starting incumbent so the
-	// branch and bound begins with a tight upper bound instead of +inf.
+	// the same spec — an earlier incumbent or a plan to re-prove —
+	// installed as the starting incumbent so the branch and bound begins
+	// with a tight upper bound instead of +inf.
 	// The seed is fully re-validated before adoption (flow re-indexing
 	// onto this spec, contamination re-verify, objective recomputation);
 	// an invalid or stale seed is counted (SeedCounters) and ignored,

@@ -9,8 +9,8 @@ import (
 // Seed adoption telemetry: how many external seeds (Options.SeedIncumbent)
 // were validated and installed as starting incumbents, and how many were
 // rejected as stale, infeasible, or mismatched. Rejection is never fatal —
-// the solve simply starts cold — but a nonzero rejected count means the
-// similarity index handed out plans that no longer verify.
+// the solve simply starts cold — but a nonzero rejected count means a
+// caller handed out plans that no longer verify.
 var (
 	seedAdopted  atomic.Int64
 	seedRejected atomic.Int64

@@ -2,9 +2,11 @@ package search
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
+	"switchsynth/internal/cases"
 	"switchsynth/internal/contam"
 	"switchsynth/internal/planio"
 	"switchsynth/internal/spec"
@@ -85,6 +87,45 @@ func TestSeededMatchesColdByteForByte(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPropertySelfSeededMatchesCold is the randomized form of the
+// guarantee above, over 200 generated specs: a solve seeded with its own
+// optimum (the hardest tie-break case — the seed matches the canonical
+// leaf's cost exactly) is byte-identical to the cold solve.
+func TestPropertySelfSeededMatchesCold(t *testing.T) {
+	if testing.Short() {
+		t.Skip("200-spec property sweep")
+	}
+	const timeLimit = 10 * time.Second
+	var proven, infeasible int
+	for _, c := range cases.Artificial(200, 20260808) {
+		sp := c.Spec
+		cold, err := Solve(sp, Options{TimeLimit: timeLimit})
+		if err != nil {
+			var nosol *spec.ErrNoSolution
+			if !errors.As(err, &nosol) {
+				t.Fatalf("%s: cold solve: %v", sp.Name, err)
+			}
+			infeasible++
+			continue
+		}
+		if !cold.Proven {
+			continue // timed out: nothing canonical to compare against
+		}
+		proven++
+		self, err := Solve(sp, Options{TimeLimit: timeLimit, SeedIncumbent: cold})
+		if err != nil {
+			t.Fatalf("%s: self-seeded solve: %v", sp.Name, err)
+		}
+		if !bytes.Equal(encodePlan(t, cold), encodePlan(t, self)) {
+			t.Fatalf("%s: self-seeded plan differs from cold", sp.Name)
+		}
+	}
+	if proven == 0 {
+		t.Fatal("no proven cases — the sweep tested nothing")
+	}
+	t.Logf("200 specs: %d proven, %d infeasible", proven, infeasible)
 }
 
 // TestSeedReindexedAcrossFlowPermutation: a seed solved under a permuted

@@ -41,20 +41,12 @@ import (
 	"switchsynth/internal/faultinject"
 	"switchsynth/internal/lru"
 	"switchsynth/internal/planio"
-	"switchsynth/internal/portfolio"
 	"switchsynth/internal/search"
 	"switchsynth/internal/spec"
 	"switchsynth/internal/store"
 )
 
-// Config sizes the engine. The spec-similarity warm-start index is not
-// configurable: every engine holds one of
-// portfolio.DefaultSimIndexCapacity plans. It learns each proven plan
-// where the plan enters the memory tier — a fresh solve, a peer fill or
-// import (install), a disk read (fromTiers), the last even with a
-// disabled memory tier — and every solve probes it for a starting
-// incumbent adapted from a one-edit neighbor. Warm starts only tighten
-// the initial bound; plans stay bit-identical to a cold solve.
+// Config sizes the engine.
 type Config struct {
 	// Workers is the number of concurrent solver goroutines
 	// (default runtime.GOMAXPROCS(0)).
@@ -253,17 +245,13 @@ type Engine struct {
 	// verified is the verified-bytes digest cache (the process-wide
 	// planio.SharedVerified): SHA-256 of plan bytes that already passed
 	// admitPlan's full check, so identical bytes arriving again — repeat
-	// fills, anti-entropy sweeps, read-repair, disk re-reads — skip the
+	// fills, anti-entropy sweeps, disk re-reads — skip the
 	// redundant decode. Unseen bytes always take the full path.
 	verified *planio.VerifiedCache
 	breakers *admission.Breakers // nil when the breaker is disabled
 	inj      *faultinject.Injector
 	flights  *flightGroup
 	metrics  *Metrics
-	// simIndex is the spec-similarity warm-start index, keyed by job
-	// key: proven plans are added as they enter the memory tier, solves
-	// probe it for an adapted starting incumbent.
-	simIndex *portfolio.SimIndex
 
 	// draining is set by StartDrain (graceful shutdown has begun):
 	// readiness probes — /readyz, cluster membership — steer traffic
@@ -305,7 +293,6 @@ func New(cfg Config) *Engine {
 		fill:     cfg.PeerFill,
 		onStored: cfg.OnPlanStored,
 		neg:      lru.New[string, *spec.ErrNoSolution](negCacheSize, nil),
-		simIndex: portfolio.NewSimIndex(portfolio.DefaultSimIndexCapacity, JobKey),
 		verified: planio.SharedVerified,
 		inj:      cfg.FaultInjector,
 		flights:  newFlightGroup(),
@@ -424,7 +411,7 @@ func (e *Engine) doKeyed(ctx context.Context, key string, canon, sp *spec.Spec, 
 					e.metrics.peerHits.Add(1)
 					// A store failure only costs a later re-fill; the
 					// store's own error counters surface it.
-					_ = e.install(key, res, data, nil)
+					_ = e.install(key, res, data)
 					e.metrics.jobsCompleted.Add(1)
 					return resp, nil
 				}
@@ -483,8 +470,7 @@ func (e *Engine) doKeyed(ctx context.Context, key string, canon, sp *spec.Spec, 
 // not belong to — is healed (dropped from its tier, so the caller
 // re-solves), never served. A disk hit is promoted to the memory tier
 // with its stored frame, so the next hit skips the disk read and peers
-// get the exact bytes without a re-encode, and the similarity index
-// learns it — with or without a memory tier.
+// get the exact bytes without a re-encode.
 func (e *Engine) fromTiers(key string, sp *spec.Spec, opts switchsynth.Options) (*Response, bool) {
 	if ent, ok := e.cache.Get(key); ok {
 		resp, err := e.assemble(&Response{Key: key, CacheHit: true, SolveTime: ent.res.Runtime}, ent.res, sp, opts)
@@ -503,7 +489,6 @@ func (e *Engine) fromTiers(key string, sp *spec.Spec, opts switchsynth.Options) 
 				return nil, false
 			}
 			e.cache.Put(key, cacheEntry{res, data})
-			e.simIndex.Add(key, res, nil)
 			return resp, true
 		}
 	}
@@ -571,8 +556,8 @@ func (e *ErrPlanRejected) Error() string {
 func (e *ErrPlanRejected) Unwrap() error { return e.Err }
 
 // admitPlan is the one door for plan bytes the engine did not just
-// produce itself: store reads, peer fills, replication pushes,
-// read-repair and anti-entropy pulls all pass through it before any tier
+// produce itself: store reads, peer fills, replication pushes and
+// anti-entropy pulls all pass through it before any tier
 // holds them. Bytes digest-identical to a frame that already passed this
 // check under key return at once. Anything else must decode as a binary
 // frame, whose CRC32C it checks (JSON, which carries no checksum, is
@@ -581,8 +566,7 @@ func (e *ErrPlanRejected) Unwrap() error { return e.Err }
 // form (nameless, every field as Canonical spells it: what the engine
 // itself stores), and must pass the full contamination verifier; only
 // then is its digest recorded. Optimality is not re-proven: the Proven
-// flag is trusted. Callers keep their own counters and heal actions, and the tier that
-// takes the plan in also teaches the similarity index.
+// flag is trusted. Callers keep their own counters and heal actions.
 func (e *Engine) admitPlan(key string, data []byte) (*spec.Result, error) {
 	if res, ok := e.verified.Lookup(data, key); ok {
 		return res, nil
@@ -618,14 +602,11 @@ func (e *Engine) admitPlan(key string, data []byte) (*spec.Result, error) {
 }
 
 // install puts a proven plan and its frame into the memory tier and the
-// durable store, and teaches the similarity index the plan: plans
-// admitted from a peer (fill, import) and fresh solves alike. sigs are
-// the plan's neighbor signatures when the caller already derived them
-// (a solve), else nil. A store failure is returned; the store is a
-// cache, so most callers absorb it.
-func (e *Engine) install(key string, res *spec.Result, data []byte, sigs portfolio.Signatures) error {
+// durable store: plans admitted from a peer (fill, import) and fresh
+// solves alike. A store failure is returned; the store is a cache, so
+// most callers absorb it.
+func (e *Engine) install(key string, res *spec.Result, data []byte) error {
 	e.cache.Put(key, cacheEntry{res, data})
-	e.simIndex.Add(key, res, sigs)
 	if e.store != nil && data != nil {
 		return e.store.Put(key, res.Engine, data)
 	}
@@ -677,8 +658,8 @@ func (e *Engine) loadFromPeer(ctx context.Context, key string) (*spec.Result, []
 
 // ImportPlan admits a planio-encoded plan pushed or pulled from a peer
 // and, on success, installs it in the local tiers under key. It is the
-// receiving side of replication pushes, read-repair and anti-entropy
-// sync (internal/cluster): bytes admitPlan refuses come back as an
+// receiving side of replication pushes and anti-entropy sync
+// (internal/cluster): bytes admitPlan refuses come back as an
 // *ErrPlanRejected, never as a stored entry. Importing an
 // already-present key is a cheap no-op.
 func (e *Engine) ImportPlan(key string, data []byte) error {
@@ -693,7 +674,7 @@ func (e *Engine) ImportPlan(key string, data []byte) error {
 		e.metrics.peerRejected.Add(1)
 		return err
 	}
-	if err := e.install(key, res, data, nil); err != nil {
+	if err := e.install(key, res, data); err != nil {
 		return err
 	}
 	e.metrics.peerImported.Add(1)
@@ -868,9 +849,8 @@ func (e *Engine) classifyFailure(err error) {
 // cmd/experiments' parallel campaign byte-reproducible.
 func (e *Engine) runJob(j job) {
 	var (
-		res  *spec.Result
-		sigs portfolio.Signatures
-		err  error
+		res *spec.Result
+		err error
 	)
 	e.inj.Fire(faultinject.QueueStall)
 	// Publish every anytime improvement the optimizer installs on the
@@ -894,7 +874,7 @@ func (e *Engine) runJob(j job) {
 			panic("faultinject: injected solver panic")
 		}
 		e.inj.Fire(faultinject.SolveSlow)
-		res, sigs, err = e.solveCanonical(j.key, j.canon, opts)
+		res, err = e.solve(e.baseCtx, j.canon, opts)
 		// The engine's own proof passes the door's contamination check
 		// before it enters any tier: a plan that fails is not cached,
 		// persisted, pushed or vouched for, and the request fails.
@@ -926,7 +906,7 @@ func (e *Engine) runJob(j job) {
 			// Store write-through failures are absorbed: the store is a
 			// cache, not a system of record, and its error counters surface
 			// in the metrics.
-			_ = e.install(j.key, res, wire, sigs)
+			_ = e.install(j.key, res, wire)
 			// The cache-corruption fault overwrites the memory entry only;
 			// the store and the flight keep the pristine plan (the store has
 			// its own disk fault points). Only an engine with a memory tier
@@ -952,30 +932,6 @@ func (e *Engine) runJob(j job) {
 	// leaves the group must find the entry. The flight always carries the
 	// pristine plan, never the possibly-corrupted cache copy.
 	e.flights.complete(j.key, j.flight, res, err)
-}
-
-// seedTightenEps is the margin below which a proven objective counts as
-// merely matching its warm-start seed rather than tightening it.
-const seedTightenEps = 1e-9
-
-// solveCanonical runs the optimizer on canon, the canonical spec of job
-// key, through the injectable e.solve, the one solve path. Every solve
-// probes the similarity index for a warm-start seed; the seed only
-// tightens the initial bound, so plans are byte-identical with or
-// without it and the index never partitions the cache. The neighbor
-// signatures derived for the probe are returned, so that install teaches
-// the index a proven plan without deriving them again.
-func (e *Engine) solveCanonical(key string, canon *spec.Spec, opts switchsynth.Options) (*spec.Result, portfolio.Signatures, error) {
-	sigs := e.simIndex.Signatures(canon)
-	seed := e.simIndex.Lookup(key, canon, sigs)
-	if seed != nil {
-		opts.SeedIncumbent = seed
-	}
-	res, err := e.solve(e.baseCtx, canon, opts)
-	if err == nil && res != nil && res.Proven && seed != nil && res.Objective < seed.Objective-seedTightenEps {
-		e.metrics.seedTightened.Add(1)
-	}
-	return res, sigs, err
 }
 
 // recordBreaker feeds a solve outcome into the key's circuit breaker:
@@ -1020,12 +976,6 @@ func (e *Engine) Snapshot() Snapshot {
 	s.DigestCacheAdds = dst.Adds
 	s.SolverWorkers = e.cfg.solverWorkers()
 	s.SolverNodesTotal = search.Counters()
-	s.SeedsAdopted, s.SeedsRejected = search.SeedCounters()
-	sim := e.simIndex.Stats()
-	s.SimIndexEntries = sim.Entries
-	s.SimIndexCapacity = sim.Capacity
-	s.SimIndexLookups = sim.Lookups
-	s.SimIndexHits = sim.Hits
 	if e.store != nil {
 		st := e.store.Stats()
 		s.StoreEnabled = true

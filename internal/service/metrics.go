@@ -88,11 +88,6 @@ type Metrics struct {
 	incumbentsPublished atomic.Int64
 	streamWatches       atomic.Int64
 
-	// seedTightened counts proven solves whose optimum strictly beat
-	// their adapted warm-start seed (the seed bounded the search but was
-	// not itself optimal).
-	seedTightened atomic.Int64
-
 	solveCount   atomic.Int64
 	solveNanos   atomic.Int64
 	solveBucket  [numSolveBuckets]atomic.Int64
@@ -217,22 +212,6 @@ type Snapshot struct {
 	SolverWorkers    int   `json:"solver_workers"`
 	SolverNodesTotal int64 `json:"solver_nodes_total"`
 
-	// Warm-start effectiveness. SeedTightened counts proven solves that
-	// strictly beat their seed. SeedsAdopted/SeedsRejected are the
-	// optimizer's own seed-validation counters (process-wide, like the
-	// solver internals above): a rejected seed was stale or infeasible and
-	// was ignored, never trusted. The SimIndex* fields are the similarity
-	// index's own gauges; cold solves are its only lookups,
-	// so SimIndexHits counts warm starts and SimIndexLookups minus
-	// SimIndexHits counts cold solves that found no seed.
-	SeedTightened    int64 `json:"portfolio_seed_tightened"`
-	SeedsAdopted     int64 `json:"portfolio_seeds_adopted"`
-	SeedsRejected    int64 `json:"portfolio_seeds_rejected"`
-	SimIndexEntries  int   `json:"simindex_entries"`
-	SimIndexCapacity int   `json:"simindex_capacity"`
-	SimIndexLookups  int64 `json:"simindex_lookups"`
-	SimIndexHits     int64 `json:"simindex_hits"`
-
 	// Solve latency (actual optimizer runs only — cache hits excluded).
 	SolveCount       int64   `json:"solveCount"`
 	SolveMeanSeconds float64 `json:"solveMeanSeconds"`
@@ -273,8 +252,6 @@ func (m *Metrics) snapshot() Snapshot {
 		BatchDeduped:        m.batchDeduped.Load(),
 		IncumbentsPublished: m.incumbentsPublished.Load(),
 		StreamWatches:       m.streamWatches.Load(),
-
-		SeedTightened: m.seedTightened.Load(),
 
 		SolveCount: m.solveCount.Load(),
 		SolveMaxSeconds: time.Duration(

@@ -129,8 +129,7 @@ type Options struct {
 	// throughput knob and never partitions result caches.
 	SolverWorkers int
 	// SeedIncumbent, when non-nil, warm-starts the search engine with a
-	// previously proven plan for an equivalent spec (typically the
-	// adapted nearest neighbor from a similarity index): the seed is
+	// previously found plan for an equivalent spec: the seed is
 	// re-validated and installed as the starting incumbent so the branch
 	// and bound opens with a tight upper bound. Seeding never changes
 	// the answer — a seeded solve that completes emits a byte-identical
