@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # CI gate, in order: gofmt, vet, build, synthd dependencies (no IQP in
-# the daemon), tier-1 tests, race-checked service layer, parallel
-# solver, solver kernel (golden tree), seeding, campaign determinism,
-# FPVA, FPVA determinism, service chaos, store crash recovery, cluster,
-# plan bytes, replication chaos, admission, and the benchmark tiers
-# (every record and gate in Go, appended to BENCH.jsonl). Each step's
-# comment says what it checks.
+# the daemon), tier-1 tests, perfbench smoke runs, race-checked service
+# layer, parallel solver, solver kernel (golden tree), seeding, campaign
+# determinism, FPVA, FPVA determinism, service chaos, store crash
+# recovery, cluster, plan bytes, replication chaos, admission, and the
+# benchmark tiers (every record and gate in Go, appended to
+# BENCH.jsonl). Each step's comment says what it checks.
 #
 # Usage: ./ci.sh            (full gate)
 #        BENCHTIME=5s ./ci.sh  (longer benchmark runs)
@@ -40,6 +40,21 @@ fi
 
 echo "== go test (tier 1) =="
 go test ./...
+
+echo "== perfbench smoke: vet, then 3 s runs of both workloads =="
+# perfbench is its own module (perfbench/go.mod), outside ./..., so no
+# step above builds or vets it. Build it and run each BENCHMARK.json
+# workload for 3 s against this checkout's synthd: the last line must
+# report a correct run with no failed request.
+(cd perfbench && go vet ./...)
+for w in hit-heavy first-seen; do
+  last=$(bash perfbench/run.sh --workload "$w" --seed 1 --seconds 3 | tail -n 1)
+  echo "$last"
+  if ! grep -q '"correct":true' <<<"$last" || ! grep -q '"failed":0[,}]' <<<"$last"; then
+    echo "ci.sh: perfbench $w smoke run is not correct with 0 failed" >&2
+    exit 1
+  fi
+done
 
 echo "== go test -race (service layer) =="
 go test -race ./internal/service/... ./internal/lru/ ./cmd/synthd/... ./internal/search/ ./internal/topo/ ./client/

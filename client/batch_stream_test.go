@@ -19,10 +19,9 @@ import (
 	"switchsynth/internal/spec"
 )
 
-// streamSpec16 is a 16-pin case hard enough that the solver publishes
-// degraded incumbents for roughly two seconds before the optimality
-// proof (the service layer's streaming fixture: the search tier's
-// ring16-drop9 row).
+// streamSpec16 is a 16-pin case hard enough that a 50 ms solve ends
+// with a degraded anytime plan (the search tier's ring16-drop9 row,
+// which takes about two seconds to prove).
 func streamSpec16(name string) *switchsynth.Spec {
 	return &switchsynth.Spec{
 		Name:       name,
@@ -138,24 +137,45 @@ func TestBatchSurfacesShedMembers(t *testing.T) {
 	}
 }
 
-// TestStreamFramesThenProvenFinal follows ?wait=proof end to end against
-// the real daemon: at least one degraded incumbent frame arrives before
-// the proven final, and the final plan is byte-identical to a plain
-// Synthesize of the same spec.
+// TestStreamFramesThenProvenFinal follows ?wait=proof through a stub
+// daemon whose solve publishes two degraded incumbents before its proof:
+// the frames reach onFrame in order, Stream returns the proven final, and
+// its plan is byte-identical to a plain Synthesize of the same spec. The
+// stub builds every frame from the real daemon handler's answer, so the
+// test does not depend on how long any solve takes.
 func TestStreamFramesThenProvenFinal(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second 16-pin solve")
-	}
 	eng := service.New(service.Config{Workers: 1})
 	defer eng.Close()
-	srv := httptest.NewServer(service.NewHandler(eng))
+	h := service.NewHandler(eng)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("wait") != "proof" {
+			h.ServeHTTP(w, r)
+			return
+		}
+		r.URL.RawQuery = ""
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		var proven service.SynthesizeResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &proven); err != nil {
+			t.Errorf("daemon answer %q: %v", rec.Body.Bytes(), err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		enc := json.NewEncoder(w)
+		for i, gap := range []float64{0.5, 0.25} {
+			f := proven
+			f.Seq, f.Proven, f.Degraded, f.Gap = int64(i+1), false, true, gap
+			enc.Encode(f)
+		}
+		proven.Seq, proven.Final = 3, true
+		enc.Encode(proven)
+	}))
 	defer srv.Close()
 	c := newTestClient(t, srv.URL, Config{})
 
-	sp := streamSpec16("client-stream")
+	sp := clientSpec("client-stream")
 	var frames []*service.SynthesizeResponse
-	final, err := c.Stream(context.Background(), sp,
-		service.RequestOptions{TimeLimitMS: (2 * time.Minute).Milliseconds()},
+	final, err := c.Stream(context.Background(), sp, service.RequestOptions{},
 		func(f *service.SynthesizeResponse) error {
 			frames = append(frames, f)
 			return nil
@@ -166,8 +186,8 @@ func TestStreamFramesThenProvenFinal(t *testing.T) {
 	if !final.Proven || !final.Final {
 		t.Fatalf("final frame = proven %v final %v, want the proven plan", final.Proven, final.Final)
 	}
-	if len(frames) == 0 {
-		t.Fatal("no incumbent frames before the proof")
+	if len(frames) != 2 {
+		t.Fatalf("%d incumbent frames before the proof, want 2", len(frames))
 	}
 	for i, f := range frames {
 		if !f.Degraded || f.Gap <= 0 || f.Final {

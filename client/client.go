@@ -2,15 +2,18 @@
 // (cmd/synthd): it submits synthesis requests over HTTP with
 // context-aware retries and exponential backoff with full jitter.
 //
-// Retry policy: network errors and the shed-load statuses (429, 502,
-// 503, 504) are retried up to Config.MaxAttempts times; a Retry-After
-// header from the daemon's circuit breaker or drain window — either the
+// Retry policy: network errors and the refusals (service.Transient:
+// 429 and 503 from the daemon, 502 from a gateway in front of it) are
+// retried up to Config.MaxAttempts times; a Retry-After header from the
+// daemon's circuit breaker, admission queue or drain window — either the
 // delay-seconds or the HTTP-date form — overrides the computed backoff.
-// All other statuses — including 422 no-solution, which is an
-// infeasibility proof — fail immediately. Retrying is safe because the
-// daemon derives each spec's canonical key itself: a retry of the same
-// spec lands on its result cache (or coalesces onto an in-flight solve)
-// instead of repeating work.
+// A refusal spent nothing on the request, so retrying it is safe: the
+// daemon derives each spec's canonical key itself, and a retry of the
+// same spec lands on its result cache (or coalesces onto an in-flight
+// solve) if another request solved it meanwhile. Every other status is
+// a verdict and fails at once: 422 no-solution is an infeasibility
+// proof, and 504 timeout a solve that spent its whole time limit —
+// timeouts are never cached, so a retry would spend the limit again.
 //
 // Against a sharded deployment (Config.Peers), the client computes each
 // spec's owning node with the same rendezvous ring the daemons use and
@@ -93,8 +96,8 @@ type Client struct {
 }
 
 // APIError is a non-2xx daemon response, carrying the service error
-// taxonomy (kind "invalid", "no-solution", "timeout", "overloaded",
-// "unavailable", "panic", "internal") and any Retry-After hint.
+// taxonomy (kind service.KindInvalid, KindNoSolution, KindTimeout,
+// KindOverloaded, ...) and any Retry-After hint.
 type APIError struct {
 	Status     int
 	Kind       string
@@ -107,7 +110,8 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("synthd: %s (%d %s)", e.Message, e.Status, e.Kind)
 }
 
-// Temporary reports whether retrying the same request can succeed.
+// Temporary reports whether the daemon refused the request rather than
+// answered it, so retrying it can succeed (service.Transient).
 func (e *APIError) Temporary() bool { return service.Transient(e.Status) }
 
 // New creates a client for the daemon at cfg.BaseURL (or the cluster
@@ -327,8 +331,9 @@ func (c *Client) sleep(ctx context.Context, attempt int, lastErr error) error {
 
 // BatchItem is one member's outcome from Batch. Exactly one of Response
 // or Err is set: a failed member carries an *APIError with the daemon's
-// per-item kind/status taxonomy ("invalid", "overloaded", ...), so one
-// shed or malformed member never hides its neighbours' plans.
+// per-item kind/status taxonomy (service.KindInvalid, KindOverloaded,
+// ...), so one shed or malformed member never hides its neighbours'
+// plans.
 type BatchItem struct {
 	// Key is the member's canonical job key (empty when the spec never
 	// canonicalized).
@@ -378,7 +383,7 @@ func (c *Client) Batch(ctx context.Context, items []service.BatchRequestItem, op
 // onFrame abandons the stream (the daemon's solve continues; its result
 // still lands in the cache).
 //
-// Admission failures before the first frame (429/503) are retried like
+// Refusals before the first frame (429/503) are retried like
 // Synthesize, honoring Retry-After. Once frames are flowing there are
 // no retries — a broken stream returns an error and the caller may call
 // Stream again, which attaches to the in-flight solve instead of
@@ -403,7 +408,7 @@ func (c *Client) Stream(ctx context.Context, sp *switchsynth.Spec, opts service.
 				return fmt.Errorf("client: reading stream: %w", err)
 			}
 			if line.Error != "" {
-				return &APIError{Status: statusForKind(line.Kind), Kind: line.Kind, Message: line.Error}
+				return &APIError{Status: service.KindStatus(line.Kind), Kind: line.Kind, Message: line.Error}
 			}
 			if line.Final {
 				final = &line.SynthesizeResponse
@@ -420,26 +425,6 @@ func (c *Client) Stream(ctx context.Context, sp *switchsynth.Spec, opts service.
 		return nil, err
 	}
 	return final, nil
-}
-
-// statusForKind maps an in-band stream error kind back onto the status
-// the same error would have carried before the stream committed its 200.
-func statusForKind(kind string) int {
-	switch kind {
-	case "invalid":
-		return http.StatusBadRequest
-	case "not-found":
-		return http.StatusNotFound
-	case "no-solution":
-		return http.StatusUnprocessableEntity
-	case "overloaded":
-		return http.StatusTooManyRequests
-	case "unavailable":
-		return http.StatusServiceUnavailable
-	case "timeout":
-		return http.StatusGatewayTimeout
-	}
-	return http.StatusInternalServerError
 }
 
 // Metrics fetches the daemon's /metrics snapshot (no retries).
@@ -474,7 +459,7 @@ func (c *Client) get(ctx context.Context, path string, read func(io.Reader) erro
 // readAPIError decodes the daemon's JSON error envelope and Retry-After
 // header into an *APIError.
 func readAPIError(resp *http.Response) error {
-	apiErr := &APIError{Status: resp.StatusCode, Kind: "internal"}
+	apiErr := &APIError{Status: resp.StatusCode, Kind: service.KindInternal}
 	var envelope struct {
 		Error string `json:"error"`
 		Kind  string `json:"kind"`

@@ -99,8 +99,8 @@ func TestRetriesTransientStatusesThenSucceeds(t *testing.T) {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			json.NewEncoder(w).Encode(map[string]string{"error": "draining", "kind": "unavailable"})
 		case 2:
-			w.WriteHeader(http.StatusGatewayTimeout)
-			json.NewEncoder(w).Encode(map[string]string{"error": "slow", "kind": "timeout"})
+			w.WriteHeader(http.StatusBadGateway)
+			json.NewEncoder(w).Encode(map[string]string{"error": "upstream unreachable"})
 		default:
 			json.NewEncoder(w).Encode(service.SynthesizeResponse{Name: sp.Name, NumSets: 1})
 		}
@@ -117,6 +117,29 @@ func TestRetriesTransientStatusesThenSucceeds(t *testing.T) {
 	}
 	if got := calls.Load(); got != 3 {
 		t.Errorf("server saw %d calls, want 3", got)
+	}
+}
+
+// TestSolveTimeoutIsNotRetried: a 504 timeout is a solve that spent its
+// whole time limit, a verdict like 422: the client returns it after one
+// attempt instead of spending the limit again.
+func TestSolveTimeoutIsNotRetried(t *testing.T) {
+	var calls atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.WriteHeader(http.StatusGatewayTimeout)
+		json.NewEncoder(w).Encode(map[string]string{"error": "solver timed out", "kind": service.KindTimeout})
+	}))
+	defer srv.Close()
+
+	c := newTestClient(t, srv.URL, Config{MaxAttempts: 4})
+	_, err := c.Synthesize(context.Background(), clientSpec("client-timeout"), service.RequestOptions{})
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusGatewayTimeout || apiErr.Kind != service.KindTimeout || apiErr.Temporary() {
+		t.Fatalf("err = %v, want a permanent 504 timeout", err)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Errorf("server saw %d calls, want 1", got)
 	}
 }
 

@@ -290,8 +290,9 @@ func checkPeerURL(raw string) error {
 
 // peerCall runs one round trip to n behind the injected peer faults
 // and records its outcome in membership by one rule: a transport error
-// or an injected fault is a down observation, a shed status
-// (429/502/503/504) is no evidence, and any other answer is an up
+// or an injected fault is a down observation, a refusal status
+// (service.Transient: 429/502/503) is no evidence, and any other answer
+// — a verdict such as a 504 solve timeout included — is an up
 // observation. A transport error after ctx — the context of whoever
 // wanted the answer — has ended is no evidence either: the caller left,
 // the peer may be fine. rt returns the status the peer answered with, 0

@@ -32,13 +32,16 @@
 //     (X-Synthd-Tenant, X-Synthd-Priority) ride along on the forward,
 //     and the owner's response is flushed chunk by chunk, so streamed
 //     ndjson frames pass through the proxy as they are produced.
-//   - A forward that fails in transit, or that the owner sheds
-//     (service.Transient: 429/502/503/504), falls back to the local
-//     engine. Statuses that are per-request verdicts (400/404/422 etc.)
-//     are relayed as-is — retrying locally would return the same
-//     verdict. A forward cut short because the caller went away is
-//     neither: it marks no peer down, tries no other replica and
-//     solves nothing locally.
+//   - A forward that fails in transit, or that the owner refuses
+//     (service.Transient: 429/502/503), falls back to the local engine.
+//     Statuses that are per-request verdicts (400/404/422/504 etc.) are
+//     relayed as-is — retrying locally would return the same verdict.
+//     A 504 is a solve that spent its whole time limit on the owner:
+//     re-solving it on a successor and then locally would spend the
+//     limit up to three more times for the same answer, since a single
+//     node would answer 504 too. A forward cut short because the caller
+//     went away is neither: it marks no peer down, tries no other
+//     replica and solves nothing locally.
 //
 // Every /synthesize response carries X-Synthd-Node: the ID of the node
 // whose engine actually answered (forwarded responses keep the owner's

@@ -8,10 +8,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"switchsynth/internal/service"
+	"switchsynth/internal/spec"
 )
 
 // postSynthesize sends one /synthesize request to url and returns the
@@ -117,6 +119,70 @@ func TestProxyFallsBackWhenOwnerSheds(t *testing.T) {
 	}
 	if st := nodes[0].cl.Status(); st.ForwardFallbacks != 1 {
 		t.Errorf("forwardFallbacks = %d, want 1", st.ForwardFallbacks)
+	}
+}
+
+// TestProxyRelaysOwnerSolveTimeout: a 504 is a solve that spent its
+// whole time limit on the owner, a verdict that the successor or the
+// entry node would repeat at the same cost. The entry node, ranked
+// third, relays it: it tries no other replica and solves nothing.
+func TestProxyRelaysOwnerSolveTimeout(t *testing.T) {
+	ids := []Node{{ID: "n0"}, {ID: "n1"}, {ID: "n2"}}
+	ring := NewRing(ids)
+	var sp *spec.Spec
+	var rank []Node
+	for i := 0; i < 20 && sp == nil; i++ {
+		key, err := service.JobKey(clusterSpecVariant(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rank = ring.Rank(key); rank[2].ID == "n0" {
+			sp = clusterSpecVariant(i)
+		}
+	}
+	if sp == nil {
+		t.Fatal("no spec variant ranks n0 third")
+	}
+	var ownerCalls, succCalls atomic.Int64
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ownerCalls.Add(1)
+		w.Header().Set(NodeHeader, rank[0].ID)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusGatewayTimeout)
+		_ = json.NewEncoder(w).Encode(map[string]string{"error": "solve timed out", "kind": service.KindTimeout})
+	}))
+	t.Cleanup(owner.Close)
+	succ := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		succCalls.Add(1)
+		w.WriteHeader(http.StatusInternalServerError)
+	}))
+	t.Cleanup(succ.Close)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	urls := map[string]string{"n0": "http://" + l.Addr().String(), rank[0].ID: owner.URL, rank[1].ID: succ.URL}
+	peers := make([]Node, len(ids))
+	for i, n := range ids {
+		peers[i] = Node{ID: n.ID, URL: urls[n.ID]}
+	}
+	entry := bootNode(t, peers, l, 0, false, nil)
+
+	status, node, _ := postSynthesize(t, entry.url, service.SynthesizeRequest{Spec: sp}, "")
+	if status != http.StatusGatewayTimeout || node != rank[0].ID {
+		t.Errorf("status %d from node %q, want the owner %s's 504 relayed", status, node, rank[0].ID)
+	}
+	if n := ownerCalls.Load(); n != 1 {
+		t.Errorf("owner saw %d forwards, want 1", n)
+	}
+	if n := succCalls.Load(); n != 0 {
+		t.Errorf("successor saw %d forwards, want 0: a timeout is not retried elsewhere", n)
+	}
+	if n := entry.eng.Snapshot().SolveCount; n != 0 {
+		t.Errorf("entry solveCount = %d, want 0: a timeout is not re-solved locally", n)
+	}
+	if st := entry.cl.Status(); st.Forwards != 1 || st.ForwardFallbacks != 0 || st.LocalServes != 0 {
+		t.Errorf("forwards=%d fallbacks=%d localServes=%d, want 1/0/0", st.Forwards, st.ForwardFallbacks, st.LocalServes)
 	}
 }
 

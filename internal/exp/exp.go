@@ -375,7 +375,7 @@ func campaignOneDaemon(cl *client.Client, c cases.Case, cfg Config) (report.Resu
 	})
 	if err != nil {
 		var apiErr *client.APIError
-		if errors.As(err, &apiErr) && apiErr.Kind == "no-solution" {
+		if errors.As(err, &apiErr) && apiErr.Kind == service.KindNoSolution {
 			row.NoSolution = true
 		} else {
 			row.Timeout = true

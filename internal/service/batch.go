@@ -12,24 +12,20 @@
 // disk and peer cache tiers and attaches to any in-flight solve of the
 // same key.
 //
-// Failure is per-item: an invalid member, or a representative shed by
-// the breaker or the admission queue, fails only its own group, and the
-// outcome slice reports each member's error independently.
+// Failure is per-item: an invalid member (a nil spec included), or a
+// representative shed by the breaker or the admission queue, fails only
+// its own group, and the outcome slice reports each member's error
+// independently. A member answered from its representative's failure
+// ends in the representative's /metrics bucket.
 package service
 
 import (
 	"context"
-	"errors"
 	"sync"
 
 	"switchsynth"
-	"switchsynth/internal/admission"
 	"switchsynth/internal/spec"
 )
-
-// errNilBatchSpec fails a batch member that carries no spec at all. HTTP
-// rejects these before the engine, so this guards direct library misuse.
-var errNilBatchSpec = errors.New("service: batch item has no spec")
 
 // BatchSpec is one member of a DoBatch call.
 type BatchSpec struct {
@@ -50,7 +46,7 @@ type BatchOutcome struct {
 	// Resp is the member's synthesis (nil iff Err is non-nil).
 	Resp *Response
 	// Err is the member's failure, carrying the same typed errors Do
-	// returns (*spec.ValidationError, *ErrOverloaded, *admission.ErrShed,
+	// returns (*spec.ValidationError, *admission.ErrOverloaded, *admission.ErrShed,
 	// *search.ErrTimeout, ...).
 	Err error
 }
@@ -69,13 +65,6 @@ func (e *Engine) DoBatch(ctx context.Context, items []BatchSpec) []BatchOutcome 
 	order := make([]string, 0, len(items))
 	for i, it := range items {
 		out[i].Index = i
-		if it.Spec == nil {
-			e.metrics.jobsSubmitted.Add(1)
-			e.metrics.jobsFailed.Add(1)
-			e.metrics.jobsInvalid.Add(1)
-			out[i].Err = errNilBatchSpec
-			continue
-		}
 		canon, key, err := e.canonical(it.Spec)
 		if err != nil {
 			out[i].Err = err
@@ -100,46 +89,24 @@ func (e *Engine) DoBatch(ctx context.Context, items []BatchSpec) []BatchOutcome 
 				e.metrics.jobsSubmitted.Add(1)
 				out[i].Dedup = true
 				if err != nil {
-					e.classifyDedupFailure(err)
 					out[i].Err = onSpec(err, items[i].Spec)
-					continue
+				} else {
+					out[i].Resp, out[i].Err = e.assemble(&Response{
+						Key:       out[i].Key,
+						CacheHit:  resp.CacheHit,
+						DiskHit:   resp.DiskHit,
+						PeerHit:   resp.PeerHit,
+						Coalesced: true,
+						SolveTime: resp.SolveTime,
+					}, resp.Synthesis.Result, items[i].Spec, items[i].Opts)
 				}
-				mresp, merr := e.assemble(&Response{
-					Key:       out[i].Key,
-					CacheHit:  resp.CacheHit,
-					DiskHit:   resp.DiskHit,
-					PeerHit:   resp.PeerHit,
-					Coalesced: true,
-					SolveTime: resp.SolveTime,
-				}, resp.Synthesis.Result, items[i].Spec, items[i].Opts)
-				if merr != nil {
-					e.metrics.jobsFailed.Add(1)
-					out[i].Err = merr
-					continue
+				e.metrics.finish(out[i].Err)
+				if out[i].Err == nil {
+					e.metrics.batchDeduped.Add(1)
 				}
-				e.metrics.jobsCompleted.Add(1)
-				e.metrics.batchDeduped.Add(1)
-				out[i].Resp = mresp
 			}
 		}(key, members)
 	}
 	wg.Wait()
 	return out
-}
-
-// classifyDedupFailure counts a dedup member inheriting its
-// representative's failure, mirroring the buckets Do used for the
-// representative itself (shed and drain rejections are not generic job
-// failures).
-func (e *Engine) classifyDedupFailure(err error) {
-	switch {
-	case errors.Is(err, &ErrOverloaded{}):
-		e.metrics.jobsShed.Add(1)
-	case errors.Is(err, &admission.ErrShed{}):
-		e.metrics.jobsShedQueue.Add(1)
-	case errors.Is(err, &admission.ErrDraining{}):
-		e.metrics.jobsDrainRejected.Add(1)
-	default:
-		e.classifyFailure(err)
-	}
 }

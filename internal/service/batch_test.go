@@ -157,11 +157,11 @@ func TestBatchPartialFailure(t *testing.T) {
 	if !errors.As(out[1].Err, &verr) {
 		t.Errorf("invalid member error = %v, want *spec.ValidationError", out[1].Err)
 	}
-	if out[2].Err == nil {
-		t.Error("nil-spec member did not fail")
+	if !errors.As(out[2].Err, &verr) {
+		t.Errorf("nil-spec member error = %v, want *spec.ValidationError", out[2].Err)
 	}
-	if status, kind := classifyHTTP(out[2].Err); status != http.StatusBadRequest || kind != "invalid" {
-		t.Errorf("nil-spec member classified %d/%s, want 400/invalid", status, kind)
+	if f := classify(out[2].Err); f.status != http.StatusBadRequest || f.kind != KindInvalid {
+		t.Errorf("nil-spec member classified %d/%s, want 400/invalid", f.status, f.kind)
 	}
 	if out[3].Err != nil {
 		t.Fatalf("anytime member failed: %v", out[3].Err)

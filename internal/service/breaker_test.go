@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"switchsynth"
+	"switchsynth/internal/admission"
 	"switchsynth/internal/faultinject"
 	"switchsynth/internal/lru"
 	"switchsynth/internal/search"
@@ -37,9 +38,9 @@ func TestBreakerOpensShedsAndRecovers(t *testing.T) {
 		}
 	}
 	_, err := e.Do(context.Background(), sp(), switchsynth.Options{})
-	var over *ErrOverloaded
+	var over *admission.ErrOverloaded
 	if !errors.As(err, &over) {
-		t.Fatalf("err = %v, want *ErrOverloaded after %d timeouts", err, 2)
+		t.Fatalf("err = %v, want *admission.ErrOverloaded after %d timeouts", err, 2)
 	}
 	if over.RetryAfter <= 0 {
 		t.Errorf("RetryAfter = %v, want > 0", over.RetryAfter)
@@ -57,8 +58,8 @@ func TestBreakerOpensShedsAndRecovers(t *testing.T) {
 	if _, err := e.Do(context.Background(), sp(), switchsynth.Options{}); !errors.Is(err, &search.ErrTimeout{}) {
 		t.Fatalf("probe err = %v, want timeout", err)
 	}
-	if _, err := e.Do(context.Background(), sp(), switchsynth.Options{}); !errors.Is(err, &ErrOverloaded{}) {
-		t.Fatalf("err after failed probe = %v, want *ErrOverloaded", err)
+	if _, err := e.Do(context.Background(), sp(), switchsynth.Options{}); !errors.Is(err, &admission.ErrOverloaded{}) {
+		t.Fatalf("err after failed probe = %v, want *admission.ErrOverloaded", err)
 	}
 
 	// A successful probe closes the breaker for good.
@@ -161,7 +162,7 @@ func TestCacheCorruptionHeals(t *testing.T) {
 // with more distinct first-seen keys than it keeps state for, each
 // failing once and never solved again: the state stays within the bound
 // (1024 keys, internal/admission), and an open breaker inside it still
-// sheds with *ErrOverloaded.
+// sheds with *admission.ErrOverloaded.
 func TestBreakerStateBoundedOverDistinctFailingKeys(t *testing.T) {
 	const bound, keys = 1024, 1100
 	e := newTestEngine(t, Config{Workers: 2, BreakerThreshold: 1, BreakerCooldown: time.Minute})
@@ -182,9 +183,9 @@ func TestBreakerStateBoundedOverDistinctFailingKeys(t *testing.T) {
 		t.Errorf("BreakersOpen = %d after %d distinct failing keys, want <= %d", open, keys, bound)
 	}
 	_, err := e.Do(context.Background(), hard(keys-1), switchsynth.Options{})
-	var over *ErrOverloaded
+	var over *admission.ErrOverloaded
 	if !errors.As(err, &over) || over.RetryAfter <= 0 {
-		t.Errorf("err = %v, want *ErrOverloaded with a RetryAfter from the open breaker", err)
+		t.Errorf("err = %v, want *admission.ErrOverloaded with a RetryAfter from the open breaker", err)
 	}
 }
 

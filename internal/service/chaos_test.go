@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"switchsynth"
+	"switchsynth/internal/admission"
 	"switchsynth/internal/benchrec"
 	"switchsynth/internal/faultinject"
 	"switchsynth/internal/search"
@@ -31,8 +32,9 @@ func chaosSpec(i int) *spec.Spec {
 // panics, slow solves, queue stalls and cache corruption — all from a
 // seeded injector — and asserts the resilience invariants: every request
 // returns (no deadlock), every error is one of the typed resilience
-// errors, every served plan passes verification, and shutting down leaks
-// no goroutines. Run under -race.
+// errors, every served plan passes verification, every request ends in
+// exactly one /metrics bucket, and shutting down leaks no goroutines.
+// Run under -race.
 func TestChaosEngineUnderInjectedFaults(t *testing.T) {
 	base := solveOnce(t, chaosSpec(0))
 	seeds := chaosSeeds
@@ -76,7 +78,7 @@ func TestChaosEngineUnderInjectedFaults(t *testing.T) {
 						if err != nil {
 							failed.Add(1)
 							if !errors.Is(err, &ErrSolvePanic{}) &&
-								!errors.Is(err, &ErrOverloaded{}) &&
+								!errors.Is(err, &admission.ErrOverloaded{}) &&
 								!errors.Is(err, &search.ErrTimeout{}) &&
 								!errors.Is(err, ErrEngineClosed) {
 								fatal <- fmt.Sprintf("untyped chaos error: %v", err)
@@ -112,6 +114,17 @@ func TestChaosEngineUnderInjectedFaults(t *testing.T) {
 			}
 			if served.Load()+failed.Load() != total {
 				t.Errorf("served %d + failed %d != %d", served.Load(), failed.Load(), total)
+			}
+			// At quiescence every submitted request ended in exactly one
+			// terminal bucket.
+			if sum := snap.JobsCompleted + snap.JobsFailed + snap.JobsTimedOut + snap.JobsShed +
+				snap.JobsShedQueue + snap.JobsDrainRejected; sum != snap.JobsSubmitted {
+				t.Errorf("completed %d + failed %d + timedOut %d + shed %d + shedQueue %d + drainRejected %d = %d, want submitted %d",
+					snap.JobsCompleted, snap.JobsFailed, snap.JobsTimedOut, snap.JobsShed,
+					snap.JobsShedQueue, snap.JobsDrainRejected, sum, snap.JobsSubmitted)
+			}
+			if snap.JobsCompleted != served.Load() {
+				t.Errorf("completed = %d, want the %d served", snap.JobsCompleted, served.Load())
 			}
 			if served.Load() == 0 {
 				t.Error("chaos starved every request; expected some plans to be served")

@@ -65,8 +65,8 @@ type Config struct {
 	DefaultTimeLimit time.Duration
 	// BreakerThreshold is the number of consecutive slot-burning failures
 	// (timeouts, solver panics) on one canonical key before its circuit
-	// breaker opens and requests fast-fail with *ErrOverloaded (default
-	// 3; negative disables the breaker).
+	// breaker opens and requests fast-fail with *admission.ErrOverloaded
+	// (default 3; negative disables the breaker).
 	BreakerThreshold int
 	// BreakerCooldown is how long an open breaker sheds load before
 	// admitting a half-open probe (default 5s).
@@ -357,12 +357,13 @@ func (e *Engine) do(ctx context.Context, sp *spec.Spec, opts switchsynth.Options
 }
 
 // canonical is canonicalJob for a submission: a spec that cannot be
-// canonicalized is counted as a submitted job that failed.
+// canonicalized (a nil one included) is counted as a submitted job that
+// failed.
 func (e *Engine) canonical(sp *spec.Spec) (*spec.Spec, string, error) {
 	canon, key, err := canonicalJob(sp)
 	if err != nil {
 		e.metrics.jobsSubmitted.Add(1)
-		e.classifyFailure(err)
+		e.metrics.finish(err)
 	}
 	return canon, key, err
 }
@@ -370,9 +371,17 @@ func (e *Engine) canonical(sp *spec.Spec) (*spec.Spec, string, error) {
 // doKeyed is do for a submission whose canonical spec and job key the
 // caller derived (DoBatch derives them for every member while grouping,
 // the HTTP handler before it routes). A solve runs on canon; everything
-// returned is presented on sp.
+// returned is presented on sp. The request ends in one terminal bucket
+// (Metrics.finish).
 func (e *Engine) doKeyed(ctx context.Context, key string, canon, sp *spec.Spec, opts switchsynth.Options, emit func(*Response, bool) error) (*Response, error) {
 	e.metrics.jobsSubmitted.Add(1)
+	resp, err := e.serve(ctx, key, canon, sp, opts, emit)
+	e.metrics.finish(err)
+	return resp, err
+}
+
+// serve is doKeyed's request path, from the negative cache to the solve.
+func (e *Engine) serve(ctx context.Context, key string, canon, sp *spec.Spec, opts switchsynth.Options, emit func(*Response, bool) error) (*Response, error) {
 	if opts.TimeLimit == 0 {
 		opts.TimeLimit = e.cfg.defaultTimeLimit()
 	}
@@ -383,7 +392,6 @@ func (e *Engine) doKeyed(ctx context.Context, key string, canon, sp *spec.Spec, 
 		// A stored ErrNoSolution is an exhaustive-search proof; replay it
 		// without burning a worker slot.
 		e.metrics.negCacheHits.Add(1)
-		e.classifyFailure(nerr)
 		return nil, onSpec(nerr, sp)
 	}
 
@@ -393,7 +401,6 @@ func (e *Engine) doKeyed(ctx context.Context, key string, canon, sp *spec.Spec, 
 			if !resp.DiskHit {
 				e.metrics.cacheHits.Add(1)
 			}
-			e.metrics.jobsCompleted.Add(1)
 			return resp, nil
 		}
 		// Cluster tier: both local tiers missed — ask the key's owning
@@ -412,7 +419,6 @@ func (e *Engine) doKeyed(ctx context.Context, key string, canon, sp *spec.Spec, 
 					// A store failure only costs a later re-fill; the
 					// store's own error counters surface it.
 					_ = e.install(key, res, data)
-					e.metrics.jobsCompleted.Add(1)
 					return resp, nil
 				}
 				// Fetched plan failed assembly: never served, never
@@ -421,8 +427,7 @@ func (e *Engine) doKeyed(ctx context.Context, key string, canon, sp *spec.Spec, 
 			}
 		}
 		if ok, retryAfter := e.breakers.Allow(key); !ok {
-			e.metrics.jobsShed.Add(1)
-			return nil, &ErrOverloaded{Key: key, RetryAfter: retryAfter}
+			return nil, &admission.ErrOverloaded{Key: key, RetryAfter: retryAfter}
 		}
 		f, leader := e.flights.join(key)
 		if leader {
@@ -432,14 +437,6 @@ func (e *Engine) doKeyed(ctx context.Context, key string, canon, sp *spec.Spec, 
 				// waiters and watchers get this error instead of hanging,
 				// and let later requests retry.
 				e.flights.complete(key, f, nil, err)
-				switch {
-				case errors.Is(err, &admission.ErrShed{}):
-					e.metrics.jobsShedQueue.Add(1)
-				case errors.Is(err, &admission.ErrDraining{}):
-					e.metrics.jobsDrainRejected.Add(1)
-				default:
-					e.metrics.jobsFailed.Add(1)
-				}
 				return nil, err
 			}
 		} else {
@@ -450,16 +447,9 @@ func (e *Engine) doKeyed(ctx context.Context, key string, canon, sp *spec.Spec, 
 			continue
 		}
 		if err != nil {
-			e.classifyFailure(err)
 			return nil, onSpec(err, sp)
 		}
-		resp, ferr := e.assemble(&Response{Key: key, Coalesced: !leader, SolveTime: f.res.Runtime}, f.res, sp, opts)
-		if ferr != nil {
-			e.metrics.jobsFailed.Add(1)
-			return nil, ferr
-		}
-		e.metrics.jobsCompleted.Add(1)
-		return resp, nil
+		return e.assemble(&Response{Key: key, Coalesced: !leader, SolveTime: f.res.Runtime}, f.res, sp, opts)
 	}
 }
 
@@ -811,31 +801,6 @@ func onSpec(err error, sp *spec.Spec) error {
 		return &c
 	}
 	return err
-}
-
-// classifyFailure counts a failed request, both in the aggregate
-// counters (jobsTimedOut vs jobsFailed) and broken down by kind.
-func (e *Engine) classifyFailure(err error) {
-	var (
-		nosol *spec.ErrNoSolution
-		inval *spec.ValidationError
-		pan   *ErrSolvePanic
-	)
-	switch {
-	case errors.Is(err, &search.ErrTimeout{}):
-		e.metrics.jobsTimedOut.Add(1)
-	case errors.As(err, &nosol):
-		e.metrics.jobsFailed.Add(1)
-		e.metrics.jobsInfeasible.Add(1)
-	case errors.As(err, &inval):
-		e.metrics.jobsFailed.Add(1)
-		e.metrics.jobsInvalid.Add(1)
-	case errors.As(err, &pan):
-		e.metrics.jobsFailed.Add(1)
-		e.metrics.jobsPanicked.Add(1)
-	default:
-		e.metrics.jobsFailed.Add(1)
-	}
 }
 
 // runJob executes one queued solve inside a worker, with panic

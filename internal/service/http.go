@@ -51,23 +51,22 @@
 //
 // Error responses are JSON {"error": ..., "kind": ...} where kind is one
 // of "invalid" (400, or 413 for an oversized body), "not-found" (404),
-// "no-solution" (422), "timeout" (504), "overloaded" (429, circuit
-// breaker open or admission queue over its watermarks), "unavailable"
-// (503, engine closed or draining) or "panic"/"internal" (500). 429 and
-// 503 responses carry a Retry-After header (whole seconds) measured from
-// the queue's observed dequeue rate, clamped to [1, 30].
+// "no-solution" (422), "timeout" (504, a solve that spent its time
+// limit), "overloaded" (429, circuit breaker open or admission queue over
+// its watermarks), "unavailable" (503, engine closed or draining) or
+// "panic"/"internal" (500). The failure taxonomy (failure.go) maps each
+// engine error to its kind and status. Its refusals, 429 and 503, carry a
+// Retry-After header (whole seconds, clamped to [1, 30]): the error's own
+// hint, else the queue's measured estimate.
 package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -75,7 +74,6 @@ import (
 	"switchsynth/internal/admission"
 	"switchsynth/internal/faultinject"
 	"switchsynth/internal/planio"
-	"switchsynth/internal/search"
 	"switchsynth/internal/spec"
 )
 
@@ -269,7 +267,7 @@ func NewHandlerWith(e *Engine, hc HandlerConfig) http.Handler {
 	mux.HandleFunc("/synthesize", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
-			writeError(w, http.StatusMethodNotAllowed, "invalid", fmt.Errorf("POST required"))
+			writeError(w, http.StatusMethodNotAllowed, KindInvalid, fmt.Errorf("POST required"))
 			return
 		}
 		handleSynthesize(e, hc.Cluster, w, r)
@@ -277,7 +275,7 @@ func NewHandlerWith(e *Engine, hc HandlerConfig) http.Handler {
 	mux.HandleFunc("/synthesize/batch", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
-			writeError(w, http.StatusMethodNotAllowed, "invalid", fmt.Errorf("POST required"))
+			writeError(w, http.StatusMethodNotAllowed, KindInvalid, fmt.Errorf("POST required"))
 			return
 		}
 		handleBatch(e, w, r)
@@ -285,7 +283,7 @@ func NewHandlerWith(e *Engine, hc HandlerConfig) http.Handler {
 	mux.HandleFunc("/synthesize/stream/", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			w.Header().Set("Allow", http.MethodGet)
-			writeError(w, http.StatusMethodNotAllowed, "invalid", fmt.Errorf("GET required"))
+			writeError(w, http.StatusMethodNotAllowed, KindInvalid, fmt.Errorf("GET required"))
 			return
 		}
 		handleStreamKey(e, hc.Cluster, w, r)
@@ -306,8 +304,7 @@ func NewHandlerWith(e *Engine, hc HandlerConfig) http.Handler {
 		// Retry-After is the queue's measured estimate of when the
 		// backlog — the thing the drain is waiting on — will be gone.
 		if e.Draining() {
-			w.Header().Set("Retry-After", strconv.Itoa(retrySeconds(e.RetryAfterHint())))
-			writeError(w, http.StatusServiceUnavailable, "unavailable", fmt.Errorf("draining"))
+			writeFailure(w, e, &admission.ErrDraining{RetryAfter: e.RetryAfterHint()})
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
@@ -332,7 +329,7 @@ func NewHandlerWith(e *Engine, hc HandlerConfig) http.Handler {
 		}
 		if r.Method != http.MethodGet {
 			w.Header().Set("Allow", "GET, PUT")
-			writeError(w, http.StatusMethodNotAllowed, "invalid", fmt.Errorf("GET or PUT required"))
+			writeError(w, http.StatusMethodNotAllowed, KindInvalid, fmt.Errorf("GET or PUT required"))
 			return
 		}
 		if key == "" {
@@ -341,7 +338,7 @@ func NewHandlerWith(e *Engine, hc HandlerConfig) http.Handler {
 		}
 		data, ok := e.PlanBytes(key)
 		if !ok {
-			writeError(w, http.StatusNotFound, "not-found", fmt.Errorf("no plan for key %q", key))
+			writeError(w, http.StatusNotFound, KindNotFound, fmt.Errorf("no plan for key %q", key))
 			return
 		}
 		// Peers fetch frames over the plan stream; this endpoint serves
@@ -353,7 +350,7 @@ func NewHandlerWith(e *Engine, hc HandlerConfig) http.Handler {
 			data, err = planio.EncodeWire(res)
 		}
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "internal",
+			writeError(w, http.StatusInternalServerError, KindInternal,
 				fmt.Errorf("transcoding plan %q: %w", key, err))
 			return
 		}
@@ -389,15 +386,15 @@ func handlePlanPush(e *Engine, w http.ResponseWriter, r *http.Request, key strin
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "invalid",
+			writeError(w, http.StatusRequestEntityTooLarge, KindInvalid,
 				fmt.Errorf("plan exceeds %d bytes", tooLarge.Limit))
 			return
 		}
-		writeError(w, http.StatusBadRequest, "invalid", fmt.Errorf("reading plan: %w", err))
+		writeError(w, http.StatusBadRequest, KindInvalid, fmt.Errorf("reading plan: %w", err))
 		return
 	}
 	if err := e.ImportPlan(key, data); err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "invalid", err)
+		writeError(w, http.StatusUnprocessableEntity, KindInvalid, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -435,11 +432,11 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) ([]b
 	}
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
-		writeError(w, http.StatusRequestEntityTooLarge, "invalid",
+		writeError(w, http.StatusRequestEntityTooLarge, KindInvalid,
 			fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
 		return nil, false
 	}
-	writeError(w, http.StatusBadRequest, "invalid", fmt.Errorf("parsing request: %w", err))
+	writeError(w, http.StatusBadRequest, KindInvalid, fmt.Errorf("parsing request: %w", err))
 	return nil, false
 }
 
@@ -456,13 +453,9 @@ func handleSynthesize(e *Engine, cl Router, w http.ResponseWriter, r *http.Reque
 	if !ok {
 		return
 	}
-	if req.Spec == nil {
-		writeError(w, http.StatusBadRequest, "invalid", fmt.Errorf("request has no spec"))
-		return
-	}
 	canon, key, err := e.canonical(req.Spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid", err)
+		writeFailure(w, e, err)
 		return
 	}
 	if cl != nil && cl.Route(w, r, key, body) {
@@ -470,7 +463,7 @@ func handleSynthesize(e *Engine, cl Router, w http.ResponseWriter, r *http.Reque
 	}
 	caller, err := callerFromRequest(r, admission.Interactive)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid", err)
+		writeError(w, http.StatusBadRequest, KindInvalid, err)
 		return
 	}
 	ctx := admission.WithCaller(r.Context(), caller)
@@ -482,16 +475,13 @@ func handleSynthesize(e *Engine, cl Router, w http.ResponseWriter, r *http.Reque
 		})
 		return
 	}
+	var out *SynthesizeResponse
 	resp, err := e.doKeyed(ctx, key, canon, req.Spec, opts, nil)
-	if err != nil {
-		status, kind := classifyHTTP(err)
-		setRetryAfter(w, e, status, err)
-		writeError(w, status, kind, err)
-		return
+	if err == nil {
+		out, err = buildResponse(resp, req.Options.SVG)
 	}
-	out, err := buildResponse(resp, req.Options.SVG)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", err)
+		writeFailure(w, e, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, *out)
@@ -505,7 +495,7 @@ func handleBatch(e *Engine, w http.ResponseWriter, r *http.Request) {
 	e.inj.Fire(faultinject.HTTPDelay)
 	caller, err := callerFromRequest(r, admission.Batch)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid", err)
+		writeError(w, http.StatusBadRequest, KindInvalid, err)
 		return
 	}
 	var req BatchRequest
@@ -513,11 +503,11 @@ func handleBatch(e *Engine, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Specs) == 0 {
-		writeError(w, http.StatusBadRequest, "invalid", fmt.Errorf("batch has no specs"))
+		writeError(w, http.StatusBadRequest, KindInvalid, fmt.Errorf("batch has no specs"))
 		return
 	}
 	if len(req.Specs) > maxBatchSpecs {
-		writeError(w, http.StatusRequestEntityTooLarge, "invalid",
+		writeError(w, http.StatusRequestEntityTooLarge, KindInvalid,
 			fmt.Errorf("batch has %d specs, limit is %d", len(req.Specs), maxBatchSpecs))
 		return
 	}
@@ -542,22 +532,16 @@ func handleBatch(e *Engine, w http.ResponseWriter, r *http.Request) {
 		if oc.Key != "" {
 			keys[oc.Key] = struct{}{}
 		}
-		switch {
-		case oc.Err != nil:
-			status, kind := classifyHTTP(oc.Err)
-			item.Error, item.Kind, item.Status = oc.Err.Error(), kind, status
+		err := oc.Err
+		if err == nil {
+			item.Response, err = buildResponse(oc.Resp, svg[i])
+		}
+		if err != nil {
+			f := classify(err)
+			item.Error, item.Kind, item.Status = err.Error(), f.kind, f.status
 			resp.Failed++
-		default:
-			out, err := buildResponse(oc.Resp, svg[i])
-			if err != nil {
-				item.Error, item.Kind, item.Status = err.Error(), "internal", http.StatusInternalServerError
-				resp.Failed++
-				break
-			}
-			item.Response = out
-			if !oc.Dedup && !oc.Resp.CacheHit && !oc.Resp.Coalesced {
-				resp.Solves++
-			}
+		} else if !oc.Dedup && !oc.Resp.CacheHit && !oc.Resp.Coalesced {
+			resp.Solves++
 		}
 		resp.Items[i] = item
 	}
@@ -575,7 +559,7 @@ func handleBatch(e *Engine, w http.ResponseWriter, r *http.Request) {
 func handleStreamKey(e *Engine, cl Router, w http.ResponseWriter, r *http.Request) {
 	key := strings.TrimPrefix(r.URL.Path, "/synthesize/stream/")
 	if key == "" {
-		writeError(w, http.StatusBadRequest, "invalid", fmt.Errorf("no key in path"))
+		writeError(w, http.StatusBadRequest, KindInvalid, fmt.Errorf("no key in path"))
 		return
 	}
 	if cl != nil && cl.Route(w, r, key, nil) {
@@ -629,13 +613,11 @@ func streamSynthesize(e *Engine, w http.ResponseWriter, svg bool,
 			return
 		}
 	}
-	status, kind := classifyHTTP(err)
 	if !wrote {
-		setRetryAfter(w, e, status, err)
-		writeError(w, status, kind, err)
+		writeFailure(w, e, err)
 		return
 	}
-	_ = enc.Encode(errorResponse{Error: err.Error(), Kind: kind})
+	_ = enc.Encode(errorResponse{Error: err.Error(), Kind: classify(err).kind})
 	if flusher != nil {
 		flusher.Flush()
 	}
@@ -674,93 +656,6 @@ func buildResponse(resp *Response, svg bool) (*SynthesizeResponse, error) {
 		out.SVG = syn.SVG()
 	}
 	return out, nil
-}
-
-// classifyHTTP maps engine errors onto HTTP statuses using the typed
-// error chains — no string matching.
-func classifyHTTP(err error) (int, string) {
-	var nosol *spec.ErrNoSolution
-	switch {
-	case errors.As(err, &nosol):
-		return http.StatusUnprocessableEntity, "no-solution"
-	case errors.Is(err, &ErrOverloaded{}),
-		errors.Is(err, &admission.ErrShed{}):
-		return http.StatusTooManyRequests, "overloaded"
-	case errors.Is(err, &ErrSolvePanic{}):
-		return http.StatusInternalServerError, "panic"
-	case errors.Is(err, &search.ErrTimeout{}),
-		errors.Is(err, context.DeadlineExceeded),
-		errors.Is(err, context.Canceled):
-		return http.StatusGatewayTimeout, "timeout"
-	case errors.Is(err, ErrEngineClosed),
-		errors.Is(err, &admission.ErrDraining{}):
-		return http.StatusServiceUnavailable, "unavailable"
-	case errors.Is(err, ErrUnknownKey):
-		return http.StatusNotFound, "not-found"
-	case errors.Is(err, errNilBatchSpec):
-		return http.StatusBadRequest, "invalid"
-	default:
-		var invalid *spec.ValidationError
-		if errors.As(err, &invalid) {
-			return http.StatusBadRequest, "invalid"
-		}
-		return http.StatusInternalServerError, "internal"
-	}
-}
-
-// Transient reports whether an HTTP status means the server refused load
-// (429, 502, 503, 504) rather than judged the request, so the same
-// request can succeed later or on another node: the client retries it
-// and the cluster falls back to the local engine.
-func Transient(status int) bool {
-	switch status {
-	case http.StatusTooManyRequests, http.StatusBadGateway,
-		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		return true
-	}
-	return false
-}
-
-// setRetryAfter attaches a Retry-After header (whole seconds, rounded
-// up, clamped to [1, 30]) to shed-load responses. The error's own hint
-// wins — the breaker's cooldown remainder, the queue's measured wait
-// prediction carried by *admission.ErrShed / *admission.ErrDraining —
-// and anything without one falls back to the queue's current measured
-// estimate instead of a hardcoded guess.
-func setRetryAfter(w http.ResponseWriter, e *Engine, status int, err error) {
-	if status != http.StatusTooManyRequests && status != http.StatusServiceUnavailable {
-		return
-	}
-	var (
-		over  *ErrOverloaded
-		shed  *admission.ErrShed
-		drain *admission.ErrDraining
-	)
-	retry := time.Duration(0)
-	switch {
-	case errors.As(err, &over):
-		retry = over.RetryAfter
-	case errors.As(err, &shed):
-		retry = shed.RetryAfter
-	case errors.As(err, &drain):
-		retry = drain.RetryAfter
-	}
-	if retry <= 0 {
-		retry = e.RetryAfterHint()
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(retrySeconds(retry)))
-}
-
-// retrySeconds renders a Retry-After duration as whole seconds in [1, 30].
-func retrySeconds(d time.Duration) int {
-	secs := int(math.Ceil(d.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 30 {
-		secs = 30
-	}
-	return secs
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -25,26 +25,11 @@ const numSolveBuckets = len(solveBuckets) + 1
 
 // Metrics aggregates the engine's observability counters.
 type Metrics struct {
+	// jobsSubmitted counts every request handed to the engine, and
+	// outcomes the finished ones by terminal bucket: each request ends
+	// in exactly one (finish).
 	jobsSubmitted atomic.Int64
-	jobsCompleted atomic.Int64
-	jobsFailed    atomic.Int64
-	jobsTimedOut  atomic.Int64
-
-	// Failure-kind breakdown (each also counts in jobsFailed above,
-	// except timeouts which count in jobsTimedOut).
-	jobsInfeasible atomic.Int64
-	jobsInvalid    atomic.Int64
-	jobsPanicked   atomic.Int64
-	// jobsShed counts requests fast-failed by an open circuit breaker
-	// (these never reach a worker and count in no other bucket).
-	jobsShed atomic.Int64
-	// jobsShedQueue counts requests shed by the admission queue's depth
-	// or wait watermarks (429 + measured Retry-After), and
-	// jobsDrainRejected counts requests refused because the engine was
-	// draining (503). Like breaker sheds, neither reaches a worker and
-	// neither counts in any other bucket.
-	jobsShedQueue     atomic.Int64
-	jobsDrainRejected atomic.Int64
+	outcomes      [numBuckets]atomic.Int64
 
 	cacheHits      atomic.Int64
 	cacheMisses    atomic.Int64
@@ -94,6 +79,33 @@ type Metrics struct {
 	solveMaxNano atomic.Int64
 }
 
+// bucket is a finished request's terminal /metrics bucket: completed,
+// or the bucket of its failure's taxonomy row (failure.go).
+type bucket uint8
+
+const (
+	bucketCompleted     bucket = iota // jobsCompleted
+	bucketFailed                      // jobsFailed alone
+	bucketInfeasible                  // jobsFailed, broken down as jobsInfeasible
+	bucketInvalid                     // jobsFailed, broken down as jobsInvalid
+	bucketPanicked                    // jobsFailed, broken down as jobsPanicked
+	bucketTimedOut                    // jobsTimedOut
+	bucketShed                        // jobsShed: the key's circuit breaker is open
+	bucketShedQueue                   // jobsShedQueue: the admission queue shed it
+	bucketDrainRejected               // jobsDrainRejected: the engine is draining
+	numBuckets
+)
+
+// finish counts a finished request in its terminal bucket: completed
+// when err is nil, else the bucket of err's row.
+func (m *Metrics) finish(err error) {
+	b := bucketCompleted
+	if err != nil {
+		b = classify(err).bucket
+	}
+	m.outcomes[b].Add(1)
+}
+
 // observeSolve records one completed (or failed) solve's wall-clock time.
 func (m *Metrics) observeSolve(d time.Duration) {
 	m.solveCount.Add(1)
@@ -119,23 +131,26 @@ func (m *Metrics) observeSolve(d time.Duration) {
 // interpolation inside the winning bucket (the overflow bucket reports
 // the maximum observed value).
 type Snapshot struct {
-	// Job outcomes. Submitted counts every request handed to the engine;
-	// Completed/Failed/TimedOut partition the finished ones.
+	// Job outcomes. Submitted counts every request handed to the
+	// engine; each finished one ends in exactly one of Completed, Failed,
+	// TimedOut, Shed, ShedQueue and DrainRejected, so at quiescence they
+	// sum to Submitted. A failure's bucket is its taxonomy row's
+	// (failure.go), so a coalesced request or batch dedup member that
+	// shares its leader's error shares its leader's bucket. TimedOut
+	// counts solves that spent their time limit (504); Shed counts
+	// breaker fast-fails and ShedQueue admission-queue sheds (both 429),
+	// DrainRejected requests refused during graceful drain (503); Failed
+	// counts the other verdicts and a closed engine's refusals.
 	JobsSubmitted int64 `json:"jobsSubmitted"`
 	JobsCompleted int64 `json:"jobsCompleted"`
 	JobsFailed    int64 `json:"jobsFailed"`
 	JobsTimedOut  int64 `json:"jobsTimedOut"`
 
-	// Failure counts by kind. Infeasible/Invalid/Panicked break down
-	// JobsFailed; TimedOut is its own aggregate above; Shed counts
-	// breaker fast-fails, which never reach a worker.
-	JobsInfeasible int64 `json:"jobsInfeasible"`
-	JobsInvalid    int64 `json:"jobsInvalid"`
-	JobsPanicked   int64 `json:"jobsPanicked"`
-	JobsShed       int64 `json:"jobsShed"`
-	// JobsShedQueue counts admission-queue sheds (watermarks), and
-	// JobsDrainRejected requests refused during graceful drain; both are
-	// disjoint from JobsShed (breaker) and from the finished buckets.
+	// Infeasible/Invalid/Panicked break down JobsFailed.
+	JobsInfeasible    int64 `json:"jobsInfeasible"`
+	JobsInvalid       int64 `json:"jobsInvalid"`
+	JobsPanicked      int64 `json:"jobsPanicked"`
+	JobsShed          int64 `json:"jobsShed"`
 	JobsShedQueue     int64 `json:"jobsShedQueue"`
 	JobsDrainRejected int64 `json:"jobsDrainRejected"`
 
@@ -225,15 +240,14 @@ type Snapshot struct {
 func (m *Metrics) snapshot() Snapshot {
 	s := Snapshot{
 		JobsSubmitted:     m.jobsSubmitted.Load(),
-		JobsCompleted:     m.jobsCompleted.Load(),
-		JobsFailed:        m.jobsFailed.Load(),
-		JobsTimedOut:      m.jobsTimedOut.Load(),
-		JobsInfeasible:    m.jobsInfeasible.Load(),
-		JobsInvalid:       m.jobsInvalid.Load(),
-		JobsPanicked:      m.jobsPanicked.Load(),
-		JobsShed:          m.jobsShed.Load(),
-		JobsShedQueue:     m.jobsShedQueue.Load(),
-		JobsDrainRejected: m.jobsDrainRejected.Load(),
+		JobsCompleted:     m.outcomes[bucketCompleted].Load(),
+		JobsTimedOut:      m.outcomes[bucketTimedOut].Load(),
+		JobsInfeasible:    m.outcomes[bucketInfeasible].Load(),
+		JobsInvalid:       m.outcomes[bucketInvalid].Load(),
+		JobsPanicked:      m.outcomes[bucketPanicked].Load(),
+		JobsShed:          m.outcomes[bucketShed].Load(),
+		JobsShedQueue:     m.outcomes[bucketShedQueue].Load(),
+		JobsDrainRejected: m.outcomes[bucketDrainRejected].Load(),
 		CacheHits:         m.cacheHits.Load(),
 		CacheMisses:       m.cacheMisses.Load(),
 		DedupCoalesced:    m.dedupCoalesced.Load(),
@@ -257,6 +271,7 @@ func (m *Metrics) snapshot() Snapshot {
 		SolveMaxSeconds: time.Duration(
 			m.solveMaxNano.Load()).Seconds(),
 	}
+	s.JobsFailed = m.outcomes[bucketFailed].Load() + s.JobsInfeasible + s.JobsInvalid + s.JobsPanicked
 	if s.SolveCount > 0 {
 		s.SolveMeanSeconds = time.Duration(m.solveNanos.Load() / s.SolveCount).Seconds()
 	}

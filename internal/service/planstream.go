@@ -63,23 +63,23 @@ func upgradesToPlanStream(r *http.Request) bool {
 func handlePlanStream(e *Engine, w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "invalid", fmt.Errorf("GET required"))
+		writeError(w, http.StatusMethodNotAllowed, KindInvalid, fmt.Errorf("GET required"))
 		return
 	}
 	if !upgradesToPlanStream(r) {
-		writeError(w, http.StatusUpgradeRequired, "invalid",
+		writeError(w, http.StatusUpgradeRequired, KindInvalid,
 			fmt.Errorf("requires Upgrade: %s", planio.PlanStreamProto))
 		return
 	}
 	hj, ok := w.(http.Hijacker)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "internal",
+		writeError(w, http.StatusInternalServerError, KindInternal,
 			fmt.Errorf("connection cannot be hijacked"))
 		return
 	}
 	conn, rw, err := hj.Hijack()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", err)
+		writeError(w, http.StatusInternalServerError, KindInternal, err)
 		return
 	}
 	if !e.trackStreamConn(conn) {

@@ -38,7 +38,6 @@ import (
 	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"maps"
 	"slices"
 	"strconv"
@@ -51,11 +50,9 @@ import (
 // above. Every member of one class maps to the same key and to the same
 // presentation, field for field, so solving the canonical spec yields
 // one deterministic plan per class — independent of which member
-// triggered the solve. The spec must be valid.
+// triggered the solve. An invalid spec, a nil one included, is a
+// *ValidationError.
 func (s *Spec) Canonical() (*Spec, string, error) {
-	if s == nil {
-		return nil, "", fmt.Errorf("spec: Canonical on nil spec")
-	}
 	if err := s.Validate(); err != nil {
 		return nil, "", err
 	}
