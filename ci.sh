@@ -210,11 +210,14 @@ echo "== admission gate: batch determinism + fair queuing, -race -count=2 =="
 # tenant's queue wait under a background flood (engine level: at most
 # one background solve starts between a probe's enqueue and its start,
 # an ordering read from the solve counter; queue level), and shed
-# verdicts must carry the measured Retry-After. All of
+# verdicts must carry the measured Retry-After. A key whose solves keep
+# timing out or panicking is never shed: each of six requests in a row
+# runs its own solve and gets its own verdict (504, 500, ..., then 200),
+# none a 429, each counted once. All of
 # it twice under the race detector, plus the streaming contract (frames,
 # key watching, wait=proof byte-identity with the cold path).
 go test -race -count=2 -run \
-  'TestBatch|TestRetryAfterQueueShedPath|TestInvalidPriorityHeaderRejected|TestEngineTwoTenantFairness|TestErrorKindStatusTable|TestDoStream|TestWatchKey|TestHTTPWaitProofStreamsAndMatchesCold|TestHTTPStreamKeyEndpoint' \
+  'TestBatch|TestRetryAfterQueueShedPath|TestInvalidPriorityHeaderRejected|TestEngineTwoTenantFairness|TestErrorKindStatusTable|TestRepeatedFailuresOnOneKeyAreNeverShed|TestDoStream|TestWatchKey|TestHTTPWaitProofStreamsAndMatchesCold|TestHTTPStreamKeyEndpoint' \
   ./internal/service/
 # The sub-second flight-lifecycle tests, fifty times under the race
 # detector: a cache hit holds no flight, an unknown or degraded key is

@@ -5,8 +5,8 @@
 // Retry policy: network errors and the refusals (service.Transient:
 // 429 and 503 from the daemon, 502 from a gateway in front of it) are
 // retried up to Config.MaxAttempts times; a Retry-After header from the
-// daemon's circuit breaker, admission queue or drain window — either the
-// delay-seconds or the HTTP-date form — overrides the computed backoff.
+// daemon's admission queue or drain window — either the delay-seconds
+// or the HTTP-date form — overrides the computed backoff.
 // A refusal spent nothing on the request, so retrying it is safe: the
 // daemon derives each spec's canonical key itself, and a retry of the
 // same spec lands on its result cache (or coalesces onto an in-flight

@@ -188,7 +188,7 @@ func TestHonorsRetryAfter(t *testing.T) {
 			firstAt = time.Now()
 			w.Header().Set("Retry-After", "1")
 			w.WriteHeader(http.StatusTooManyRequests)
-			json.NewEncoder(w).Encode(map[string]string{"error": "breaker open", "kind": "overloaded"})
+			json.NewEncoder(w).Encode(map[string]string{"error": "queue over watermark", "kind": "overloaded"})
 			return
 		}
 		secondAt = time.Now()
@@ -258,7 +258,7 @@ func TestContextCancelStopsRetryLoop(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "30")
 		w.WriteHeader(http.StatusTooManyRequests)
-		json.NewEncoder(w).Encode(map[string]string{"error": "breaker open", "kind": "overloaded"})
+		json.NewEncoder(w).Encode(map[string]string{"error": "queue over watermark", "kind": "overloaded"})
 	}))
 	defer srv.Close()
 
@@ -296,7 +296,7 @@ func TestInvalidSpecFailsLocally(t *testing.T) {
 }
 
 // TestHonorsRetryAfterOn503 asserts a 503 drain hint delays the retry
-// exactly like a 429 breaker hint: the shed-load statuses share one
+// exactly like a 429 queue-shed hint: the shed-load statuses share one
 // backoff policy.
 func TestHonorsRetryAfterOn503(t *testing.T) {
 	var calls atomic.Int64

@@ -11,9 +11,8 @@
 //	       [-node-id ID -peers ID=URL,ID=URL,...]
 //
 // The flags are deployment settings only. Tuning values are constants:
-// the job queue holds 4×workers, the admission wait watermark is 30s, a
-// key's breaker opens after 3 consecutive timeouts for 5s, the negative
-// cache holds 256 proofs, the store
+// the job queue holds 4×workers, the admission wait watermark is 30s,
+// the negative cache holds 256 proofs, the store
 // group-commits every 5ms to its one append-only log, and the cluster
 // probes peers every 2s, runs anti-entropy every 15s and keeps 2
 // replicas of each plan (1 on a single-node cluster).

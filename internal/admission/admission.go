@@ -1,7 +1,7 @@
 // Package admission owns everything that happens to a synthesis request
 // before it burns a worker slot: per-tenant weighted fair queuing across
-// priority classes, load-aware shedding with measured Retry-After hints,
-// and the per-canonical-key circuit breaker.
+// priority classes and load-aware shedding with measured Retry-After
+// hints.
 //
 // The package sits between the HTTP surface and the solve engine
 // (internal/service). The service enqueues (tenant, class, job) triples

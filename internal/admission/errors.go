@@ -1,6 +1,6 @@
 // Typed admission errors. Each carries a RetryAfter hint derived from
-// measured state (breaker cooldown remainder, observed dequeue rate) so
-// the HTTP layer never has to fall back to a made-up constant.
+// the queue's measured dequeue rate, so the HTTP layer never has to
+// fall back to a made-up constant.
 package admission
 
 import (
@@ -51,24 +51,5 @@ func (e *ErrDraining) Error() string {
 // Is makes every *ErrDraining match every other under errors.Is.
 func (e *ErrDraining) Is(target error) bool {
 	var other *ErrDraining
-	return errors.As(target, &other)
-}
-
-// ErrOverloaded is returned (without queueing a solve) while a key's
-// circuit breaker is open. RetryAfter tells the caller when the next
-// half-open probe will be admitted.
-type ErrOverloaded struct {
-	Key        string
-	RetryAfter time.Duration
-}
-
-// Error implements error.
-func (e *ErrOverloaded) Error() string {
-	return fmt.Sprintf("admission: circuit breaker open for this spec, retry in %s", e.RetryAfter.Round(time.Millisecond))
-}
-
-// Is makes every *ErrOverloaded match every other under errors.Is.
-func (e *ErrOverloaded) Is(target error) bool {
-	var other *ErrOverloaded
 	return errors.As(target, &other)
 }

@@ -1,8 +1,8 @@
 // Package lru is the engine's one bound on per-key memory: a
 // mutex-guarded map that holds at most a fixed number of entries and
 // evicts the least recently used one past that. The memory tier, the
-// negative cache, the verified-bytes digest cache and the per-key
-// circuit breakers all keep their state in it.
+// negative cache and the verified-bytes digest cache all keep their
+// state in it.
 package lru
 
 import "sync"

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"switchsynth/internal/cases"
 	"switchsynth/internal/contam"
 	"switchsynth/internal/spec"
 )
@@ -152,4 +153,42 @@ func TestGreedyFallbackDisabled(t *testing.T) {
 	if !errors.Is(err, &ErrTimeout{}) {
 		t.Fatalf("err = %v, want *ErrTimeout with fallback disabled", err)
 	}
+}
+
+// TestNoTimeoutAtTinyLimit: at a 1 ns limit, every campaign instance —
+// the 16-pin stress cases, the crossbar and FPVA campaigns and Table 4.3,
+// under the clockwise and unfixed bindings and, where the spec carries
+// pins, the fixed one — ends in a plan or an infeasibility proof, never
+// *ErrTimeout: the greedy fallback answers whatever the search did not
+// reach. The service keeps no per-key protection against keys that burn
+// a worker without producing a plan because, with the fallback, no such
+// key occurs among these instances; a change that removes the fallback
+// fails here and must show that the protection is still unnecessary.
+func TestNoTimeoutAtTinyLimit(t *testing.T) {
+	var all []cases.Case
+	all = append(all, cases.ArtificialSized(12, 7, []int{16})...)
+	all = append(all, cases.Artificial(90, 1)...)
+	all = append(all, cases.ArtificialFPVA(200, 11)...)
+	all = append(all, cases.Table43()...)
+	var runs, plans, proofs int
+	for _, c := range all {
+		bindings := []spec.BindingPolicy{spec.Clockwise, spec.Unfixed}
+		if len(c.Spec.FixedPins) > 0 {
+			bindings = append(bindings, spec.Fixed)
+		}
+		for _, b := range bindings {
+			runs++
+			_, err := Solve(c.WithBinding(b), Options{TimeLimit: time.Nanosecond})
+			var nosol *spec.ErrNoSolution
+			switch {
+			case err == nil:
+				plans++
+			case errors.As(err, &nosol):
+				proofs++
+			default:
+				t.Errorf("%s (%s): err = %v, want a plan or *spec.ErrNoSolution", c.Spec.Name, b, err)
+			}
+		}
+	}
+	t.Logf("%d runs at a 1 ns limit: %d plans, %d infeasibility proofs", runs, plans, proofs)
 }

@@ -23,7 +23,7 @@ import (
 )
 
 // TestRetryAfterQueueShedPath completes the shed-path Retry-After table
-// (breaker 429, drain 503 and closed 503 are pinned in
+// (drain 503 and closed 503 are pinned in
 // TestErrorKindStatusTable): a background-class request arriving with
 // the queue over its depth watermark is a 429 "overloaded" whose
 // Retry-After is a whole second count in [1, 30].

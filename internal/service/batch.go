@@ -13,7 +13,7 @@
 // same key.
 //
 // Failure is per-item: an invalid member (a nil spec included), or a
-// representative shed by the breaker or the admission queue, fails only
+// representative shed by the admission queue, fails only
 // its own group, and the outcome slice reports each member's error
 // independently. A member answered from its representative's failure
 // ends in the representative's /metrics bucket.
@@ -46,8 +46,8 @@ type BatchOutcome struct {
 	// Resp is the member's synthesis (nil iff Err is non-nil).
 	Resp *Response
 	// Err is the member's failure, carrying the same typed errors Do
-	// returns (*spec.ValidationError, *admission.ErrOverloaded, *admission.ErrShed,
-	// *search.ErrTimeout, ...).
+	// returns (*spec.ValidationError, *admission.ErrShed, *search.ErrTimeout,
+	// ...).
 	Err error
 }
 

@@ -13,6 +13,10 @@
 // receive its outcome. The flight also carries the solve's anytime
 // incumbents, which streaming watchers receive while they wait. Failed
 // flights are not cached, so a later request retries the solve.
+//
+// The negative cache remembers proven infeasibility: ErrNoSolution is an
+// exhaustive-search proof (timeouts never produce it), so replaying it
+// from the cache is sound and saves a full solve.
 package service
 
 import (
@@ -20,6 +24,10 @@ import (
 
 	"switchsynth/internal/spec"
 )
+
+// negCacheSize bounds the negative cache in entries. Only proven
+// ErrNoSolution outcomes are stored, never timeouts.
+const negCacheSize = 256
 
 // cacheEntry is one memory-tier plan.
 type cacheEntry struct {

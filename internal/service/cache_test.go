@@ -2,10 +2,12 @@ package service
 
 import (
 	"context"
+	"errors"
 	"sync/atomic"
 	"testing"
 
 	"switchsynth"
+	"switchsynth/internal/faultinject"
 	"switchsynth/internal/lru"
 	"switchsynth/internal/spec"
 )
@@ -156,5 +158,85 @@ func TestMetricsQuantiles(t *testing.T) {
 	}
 	if s.SolveMeanSeconds != 0.002 {
 		t.Errorf("mean = %v, want 0.002", s.SolveMeanSeconds)
+	}
+}
+
+func TestNegativeCacheReplaysInfeasibilityProofs(t *testing.T) {
+	var solves atomic.Int64
+	e := newTestEngine(t, Config{Workers: 1})
+	e.solve = func(ctx context.Context, sp *spec.Spec, opts switchsynth.Options) (*spec.Result, error) {
+		solves.Add(1)
+		return nil, &spec.ErrNoSolution{SpecName: sp.Name, Policy: sp.Binding}
+	}
+	var nosol *spec.ErrNoSolution
+	for i := 0; i < 3; i++ {
+		if _, err := e.Do(context.Background(), serviceSpec("infeasible"), switchsynth.Options{}); !errors.As(err, &nosol) {
+			t.Fatalf("request %d: err = %v, want ErrNoSolution", i, err)
+		}
+	}
+	if got := solves.Load(); got != 1 {
+		t.Errorf("solves = %d, want 1 (proof should replay from the negative cache)", got)
+	}
+	snap := e.Snapshot()
+	if snap.NegCacheHits != 2 {
+		t.Errorf("NegCacheHits = %d, want 2", snap.NegCacheHits)
+	}
+	if snap.JobsInfeasible != 3 {
+		t.Errorf("JobsInfeasible = %d, want 3", snap.JobsInfeasible)
+	}
+}
+
+func TestCacheCorruptionHeals(t *testing.T) {
+	base := solveOnce(t, serviceSpec("heal"))
+	var solves atomic.Int64
+	inj := faultinject.New(1).
+		Set(faultinject.CacheCorrupt, faultinject.Rule{Probability: 1})
+	e := newTestEngine(t, Config{Workers: 1, FaultInjector: inj})
+	e.solve = func(ctx context.Context, sp *spec.Spec, opts switchsynth.Options) (*spec.Result, error) {
+		solves.Add(1)
+		return base, nil
+	}
+
+	// First request: miss, solve, corrupted entry stored — but the
+	// response is assembled from the flight's pristine copy.
+	first, err := e.Do(context.Background(), serviceSpec("heal"), switchsynth.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if verr := switchsynth.Verify(first.Synthesis.Result); verr != nil {
+		t.Fatalf("first plan failed verification: %v", verr)
+	}
+
+	// Second request hits the corrupted entry, heals it, re-solves, and
+	// still serves a verified plan.
+	second, err := e.Do(context.Background(), serviceSpec("heal"), switchsynth.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if verr := switchsynth.Verify(second.Synthesis.Result); verr != nil {
+		t.Fatalf("healed plan failed verification: %v", verr)
+	}
+	snap := e.Snapshot()
+	if snap.CacheHealed == 0 {
+		t.Error("corrupted entry was never healed")
+	}
+	if solves.Load() < 2 {
+		t.Errorf("solves = %d, want >= 2 (heal re-solves)", solves.Load())
+	}
+}
+
+func TestNegCacheBounded(t *testing.T) {
+	c := lru.New[string, *spec.ErrNoSolution](2, nil)
+	for _, k := range []string{"a", "b", "c"} {
+		c.Put(k, &spec.ErrNoSolution{SpecName: k})
+	}
+	if c.Len() != 2 {
+		t.Fatalf("len = %d, want 2", c.Len())
+	}
+	if _, ok := c.Get("a"); ok {
+		t.Error("oldest entry not evicted")
+	}
+	if _, ok := c.Get("c"); !ok {
+		t.Error("newest entry missing")
 	}
 }

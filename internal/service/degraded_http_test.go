@@ -4,9 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -81,69 +81,52 @@ func TestDegradedPlansServedUnderTinyLimit(t *testing.T) {
 	t.Logf("served %d plans, %d degraded", served, degraded)
 }
 
-// TestOverloadedResponseCarriesRetryAfter drives a spec's breaker open
-// through the HTTP handler and checks the 429 contract plus the
-// failure-kind breakdown on /metrics.
-func TestOverloadedResponseCarriesRetryAfter(t *testing.T) {
-	e := New(Config{Workers: 1, BreakerThreshold: 1, BreakerCooldown: time.Second})
+// TestRepeatedFailuresOnOneKeyAreNeverShed sends one key six requests
+// in a row whose solves time out, panic, time out, panic, time out and
+// then find a plan. Each request runs its own solve and gets its own
+// answer — 504 for a timeout, 500 for a panic, 200 for the plan — and
+// none is refused with a 429 for the failures before it. Each ends in
+// exactly one /metrics bucket.
+func TestRepeatedFailuresOnOneKeyAreNeverShed(t *testing.T) {
+	base := solveOnce(t, serviceSpec("verdicts"))
+	var solves atomic.Int64
+	e := newTestEngine(t, Config{Workers: 1})
 	e.solve = func(ctx context.Context, sp *spec.Spec, opts switchsynth.Options) (*spec.Result, error) {
-		return nil, &search.ErrTimeout{SpecName: sp.Name, Cause: context.DeadlineExceeded}
+		switch n := solves.Add(1); {
+		case n == 6:
+			return base, nil
+		case n%2 == 0:
+			panic("solver bug")
+		default:
+			return nil, &search.ErrTimeout{SpecName: sp.Name, Cause: context.DeadlineExceeded}
+		}
 	}
 	srv := httptest.NewServer(NewHandler(e))
-	t.Cleanup(func() {
-		srv.Close()
-		e.CloseNow()
-	})
+	t.Cleanup(srv.Close)
 
-	// First request times out and trips the threshold-1 breaker.
-	resp, body := postJSON(t, srv.URL+"/synthesize", demoRequest)
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("first status %d, want 504: %s", resp.StatusCode, body)
+	body := surfaceBody(t, serviceSpec("verdicts"))
+	for i, want := range []int{
+		http.StatusGatewayTimeout, http.StatusInternalServerError,
+		http.StatusGatewayTimeout, http.StatusInternalServerError,
+		http.StatusGatewayTimeout, http.StatusOK,
+	} {
+		resp, raw := postJSON(t, srv.URL+"/synthesize", body)
+		if resp.StatusCode != want {
+			t.Fatalf("request %d: status %d, want %d: %s", i+1, resp.StatusCode, want, raw)
+		}
 	}
-	// Second request is shed: 429, kind overloaded, Retry-After set.
-	resp, body = postJSON(t, srv.URL+"/synthesize", demoRequest)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second status %d, want 429: %s", resp.StatusCode, body)
+	if got := solves.Load(); got != 6 {
+		t.Errorf("solves = %d, want 6 (one per request)", got)
 	}
-	var e429 errorResponse
-	if err := json.Unmarshal(body, &e429); err != nil {
-		t.Fatalf("429 body not JSON: %s", body)
+	snap := e.Snapshot()
+	if snap.JobsTimedOut != 3 || snap.JobsPanicked != 2 || snap.JobsCompleted != 1 {
+		t.Errorf("jobsTimedOut %d, jobsPanicked %d, jobsCompleted %d; want 3, 2, 1",
+			snap.JobsTimedOut, snap.JobsPanicked, snap.JobsCompleted)
 	}
-	if e429.Kind != "overloaded" {
-		t.Errorf("kind = %q, want overloaded", e429.Kind)
+	if sum := snap.JobsCompleted + snap.JobsFailed + snap.JobsTimedOut +
+		snap.JobsShedQueue + snap.JobsDrainRejected; sum != snap.JobsSubmitted {
+		t.Errorf("completed %d + failed %d + timedOut %d + shedQueue %d + drainRejected %d = %d, want submitted %d",
+			snap.JobsCompleted, snap.JobsFailed, snap.JobsTimedOut,
+			snap.JobsShedQueue, snap.JobsDrainRejected, sum, snap.JobsSubmitted)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Error("429 without Retry-After header")
-	} else if secs := mustAtoi(t, ra); secs < 1 {
-		t.Errorf("Retry-After = %d, want >= 1", secs)
-	}
-
-	// The /metrics breakdown must attribute both failures to their kinds.
-	mresp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap Snapshot
-	if err := json.NewDecoder(mresp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	mresp.Body.Close()
-	if snap.JobsTimedOut == 0 {
-		t.Error("metrics show no timed-out jobs")
-	}
-	if snap.JobsShed == 0 {
-		t.Error("metrics show no shed jobs")
-	}
-	if snap.BreakersOpen != 1 {
-		t.Errorf("BreakersOpen = %d, want 1", snap.BreakersOpen)
-	}
-}
-
-func mustAtoi(t *testing.T, s string) int {
-	t.Helper()
-	var n int
-	if _, err := fmt.Sscanf(s, "%d", &n); err != nil {
-		t.Fatalf("not a number: %q", s)
-	}
-	return n
 }

@@ -63,14 +63,6 @@ type Config struct {
 	// DefaultTimeLimit applies to requests that carry no time limit of
 	// their own (default 30s; negative means unlimited).
 	DefaultTimeLimit time.Duration
-	// BreakerThreshold is the number of consecutive slot-burning failures
-	// (timeouts, solver panics) on one canonical key before its circuit
-	// breaker opens and requests fast-fail with *admission.ErrOverloaded
-	// (default 3; negative disables the breaker).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker sheds load before
-	// admitting a half-open probe (default 5s).
-	BreakerCooldown time.Duration
 	// FaultInjector, when non-nil, enables deterministic fault injection
 	// at the engine's chaos points (see internal/faultinject). Nil — the
 	// default — makes every injection point a nop.
@@ -149,24 +141,6 @@ func (c Config) solverWorkers() int {
 		return c.SolverWorkers
 	}
 	return 1
-}
-
-func (c Config) breakerThreshold() int {
-	switch {
-	case c.BreakerThreshold > 0:
-		return c.BreakerThreshold
-	case c.BreakerThreshold < 0:
-		return 0
-	default:
-		return 3
-	}
-}
-
-func (c Config) breakerCooldown() time.Duration {
-	if c.BreakerCooldown > 0 {
-		return c.BreakerCooldown
-	}
-	return 5 * time.Second
 }
 
 // Response is the outcome of one synthesis request.
@@ -248,7 +222,6 @@ type Engine struct {
 	// fills, anti-entropy sweeps, disk re-reads — skip the
 	// redundant decode. Unseen bytes always take the full path.
 	verified *planio.VerifiedCache
-	breakers *admission.Breakers // nil when the breaker is disabled
 	inj      *faultinject.Injector
 	flights  *flightGroup
 	metrics  *Metrics
@@ -301,9 +274,6 @@ func New(cfg Config) *Engine {
 		cancel:   cancel,
 		drained:  make(chan struct{}),
 		solve:    switchsynth.SolvePlan,
-	}
-	if th := cfg.breakerThreshold(); th > 0 {
-		e.breakers = admission.NewBreakers(th, cfg.breakerCooldown())
 	}
 	if e.store != nil {
 		// Records filed under another engine's suffix are never read
@@ -425,9 +395,6 @@ func (e *Engine) serve(ctx context.Context, key string, canon, sp *spec.Spec, op
 				// stored. Fall through to the local solve.
 				e.metrics.peerRejected.Add(1)
 			}
-		}
-		if ok, retryAfter := e.breakers.Allow(key); !ok {
-			return nil, &admission.ErrOverloaded{Key: key, RetryAfter: retryAfter}
 		}
 		f, leader := e.flights.join(key)
 		if leader {
@@ -850,7 +817,6 @@ func (e *Engine) runJob(j job) {
 		}
 	}()
 	e.metrics.observeSolve(time.Since(start))
-	e.recordBreaker(j.key, err)
 	if err == nil {
 		// Degraded plans are served but not cached or persisted: the
 		// cache key ignores the time limit, so a plan cut short by one
@@ -899,20 +865,6 @@ func (e *Engine) runJob(j job) {
 	e.flights.complete(j.key, j.flight, res, err)
 }
 
-// recordBreaker feeds a solve outcome into the key's circuit breaker:
-// slot-burning failures (timeout, panic) count against it, anything that
-// completed — a plan, or even a proven ErrNoSolution — resets it.
-func (e *Engine) recordBreaker(key string, err error) {
-	if e.breakers == nil {
-		return
-	}
-	if errors.Is(err, &search.ErrTimeout{}) || errors.Is(err, &ErrSolvePanic{}) {
-		e.breakers.RecordFailure(key)
-		return
-	}
-	e.breakers.RecordSuccess(key)
-}
-
 // corruptPlan is the cache-corruption fault: a shallow copy of the plan
 // missing its last route, which can neither adapt onto a requester nor
 // pass verification — exercising the heal path in Do.
@@ -931,7 +883,6 @@ func (e *Engine) Snapshot() Snapshot {
 	s.NegCacheSize = e.neg.Len()
 	s.Admission = e.queue.Stats()
 	s.Workers = e.cfg.workers()
-	s.BreakersOpen = e.breakers.OpenCount()
 	s.PeerFillEnabled = e.fill != nil
 	dst := e.verified.Stats()
 	s.DigestCacheEntries = dst.Entries

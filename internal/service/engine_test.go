@@ -168,9 +168,7 @@ func TestEngineDedupCoalescesConcurrentSolves(t *testing.T) {
 func TestEngineConcurrentMixedLoad(t *testing.T) {
 	base := solveOnce(t, serviceSpec("mixed"))
 	var solves atomic.Int64
-	// The breaker is disabled: this test re-submits the same timing-out
-	// keys on purpose and wants every one to reach the solver.
-	e := newTestEngine(t, Config{Workers: 4, CacheSize: 8, BreakerThreshold: -1})
+	e := newTestEngine(t, Config{Workers: 4, CacheSize: 8})
 	e.solve = func(ctx context.Context, sp *spec.Spec, opts switchsynth.Options) (*spec.Result, error) {
 		solves.Add(1)
 		time.Sleep(time.Millisecond)

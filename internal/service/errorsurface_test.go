@@ -36,7 +36,7 @@ func TestErrorKindStatusTable(t *testing.T) {
 		status  int
 		bucket  string // the job counter of /metrics each request ends in
 		solve   func(ctx context.Context, sp *spec.Spec, opts switchsynth.Options) (*spec.Result, error)
-		prepare func(e *Engine) // optional extra setup (close, trip breaker)
+		prepare func(e *Engine) // optional extra setup (close, drain)
 		// send, when set, replaces the plain POST: it makes the row's
 		// requests and returns the measured one's status and kind, its
 		// response headers (nil for a batch item, which has none of its
@@ -62,7 +62,9 @@ func TestErrorKindStatusTable(t *testing.T) {
 			},
 		},
 		{
-			kind: "unavailable", status: http.StatusServiceUnavailable, bucket: "jobsFailed",
+			// A closed engine refuses like a draining one, and is
+			// counted like one: a refusal is no failure.
+			kind: "unavailable", status: http.StatusServiceUnavailable, bucket: "jobsDrainRejected",
 			prepare: func(e *Engine) { e.Close() },
 		},
 		{
@@ -72,17 +74,6 @@ func TestErrorKindStatusTable(t *testing.T) {
 			// finishing its backlog.
 			kind: "unavailable", status: http.StatusServiceUnavailable, bucket: "jobsDrainRejected",
 			prepare: func(e *Engine) { e.StartDrain() },
-		},
-		{
-			// Threshold-1 breaker: the prepare request times out and
-			// opens it; the measured request is then shed.
-			kind: "overloaded", status: http.StatusTooManyRequests, bucket: "jobsShed",
-			solve: func(ctx context.Context, sp *spec.Spec, opts switchsynth.Options) (*spec.Result, error) {
-				return nil, &search.ErrTimeout{SpecName: sp.Name, Cause: context.DeadlineExceeded}
-			},
-			prepare: func(e *Engine) {
-				_, _ = e.Do(context.Background(), serviceSpec("surface"), switchsynth.Options{})
-			},
 		},
 		{
 			// A coalesced follower of a leader the admission queue sheds
@@ -160,7 +151,7 @@ func TestErrorKindStatusTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.kind, func(t *testing.T) {
-			e := New(Config{Workers: 1, BreakerThreshold: 1})
+			e := New(Config{Workers: 1})
 			if tc.solve != nil {
 				e.solve = tc.solve
 			}

@@ -63,13 +63,11 @@ var failures = [...]failure{
 	{is: isA[*spec.ValidationError], kind: KindInvalid, status: http.StatusBadRequest, bucket: bucketInvalid},
 	{is: isA[*search.ErrTimeout], kind: KindTimeout, status: http.StatusGatewayTimeout, bucket: bucketTimedOut},
 	{is: isA[*ErrSolvePanic], kind: KindPanic, status: http.StatusInternalServerError, bucket: bucketPanicked},
-	{is: isA[*admission.ErrOverloaded], kind: KindOverloaded, status: http.StatusTooManyRequests, bucket: bucketShed, refusal: true,
-		hint: func(err error) time.Duration { return as[*admission.ErrOverloaded](err).RetryAfter }},
 	{is: isA[*admission.ErrShed], kind: KindOverloaded, status: http.StatusTooManyRequests, bucket: bucketShedQueue, refusal: true,
 		hint: func(err error) time.Duration { return as[*admission.ErrShed](err).RetryAfter }},
 	{is: isA[*admission.ErrDraining], kind: KindUnavailable, status: http.StatusServiceUnavailable, bucket: bucketDrainRejected, refusal: true,
 		hint: func(err error) time.Duration { return as[*admission.ErrDraining](err).RetryAfter }},
-	{is: isErr(ErrEngineClosed), kind: KindUnavailable, status: http.StatusServiceUnavailable, bucket: bucketFailed, refusal: true},
+	{is: isErr(ErrEngineClosed), kind: KindUnavailable, status: http.StatusServiceUnavailable, bucket: bucketDrainRejected, refusal: true},
 	{is: isErr(ErrUnknownKey), kind: KindNotFound, status: http.StatusNotFound, bucket: bucketFailed},
 	// The caller's own context ended before an answer.
 	{is: func(err error) bool {

@@ -52,8 +52,8 @@
 // Error responses are JSON {"error": ..., "kind": ...} where kind is one
 // of "invalid" (400, or 413 for an oversized body), "not-found" (404),
 // "no-solution" (422), "timeout" (504, a solve that spent its time
-// limit), "overloaded" (429, circuit breaker open or admission queue over
-// its watermarks), "unavailable" (503, engine closed or draining) or
+// limit), "overloaded" (429, admission queue over its watermarks),
+// "unavailable" (503, engine closed or draining) or
 // "panic"/"internal" (500). The failure taxonomy (failure.go) maps each
 // engine error to its kind and status. Its refusals, 429 and 503, carry a
 // Retry-After header (whole seconds, clamped to [1, 30]): the error's own

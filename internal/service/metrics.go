@@ -90,9 +90,8 @@ const (
 	bucketInvalid                     // jobsFailed, broken down as jobsInvalid
 	bucketPanicked                    // jobsFailed, broken down as jobsPanicked
 	bucketTimedOut                    // jobsTimedOut
-	bucketShed                        // jobsShed: the key's circuit breaker is open
 	bucketShedQueue                   // jobsShedQueue: the admission queue shed it
-	bucketDrainRejected               // jobsDrainRejected: the engine is draining
+	bucketDrainRejected               // jobsDrainRejected: the engine is draining or closed
 	numBuckets
 )
 
@@ -133,14 +132,13 @@ func (m *Metrics) observeSolve(d time.Duration) {
 type Snapshot struct {
 	// Job outcomes. Submitted counts every request handed to the
 	// engine; each finished one ends in exactly one of Completed, Failed,
-	// TimedOut, Shed, ShedQueue and DrainRejected, so at quiescence they
-	// sum to Submitted. A failure's bucket is its taxonomy row's
-	// (failure.go), so a coalesced request or batch dedup member that
-	// shares its leader's error shares its leader's bucket. TimedOut
-	// counts solves that spent their time limit (504); Shed counts
-	// breaker fast-fails and ShedQueue admission-queue sheds (both 429),
-	// DrainRejected requests refused during graceful drain (503); Failed
-	// counts the other verdicts and a closed engine's refusals.
+	// TimedOut, ShedQueue and DrainRejected, so at quiescence they sum to
+	// Submitted. A failure's bucket is its taxonomy row's (failure.go),
+	// so a coalesced request or batch dedup member that shares its
+	// leader's error shares its leader's bucket. TimedOut counts solves
+	// that spent their time limit (504); ShedQueue counts admission-queue
+	// sheds (429), DrainRejected requests refused by a draining or closed
+	// engine (503); Failed counts the other verdicts.
 	JobsSubmitted int64 `json:"jobsSubmitted"`
 	JobsCompleted int64 `json:"jobsCompleted"`
 	JobsFailed    int64 `json:"jobsFailed"`
@@ -150,7 +148,6 @@ type Snapshot struct {
 	JobsInfeasible    int64 `json:"jobsInfeasible"`
 	JobsInvalid       int64 `json:"jobsInvalid"`
 	JobsPanicked      int64 `json:"jobsPanicked"`
-	JobsShed          int64 `json:"jobsShed"`
 	JobsShedQueue     int64 `json:"jobsShedQueue"`
 	JobsDrainRejected int64 `json:"jobsDrainRejected"`
 
@@ -212,13 +209,11 @@ type Snapshot struct {
 	IncumbentsPublished int64 `json:"incumbentsPublished"`
 	StreamWatches       int64 `json:"streamWatches"`
 
-	// Engine load. BreakersOpen is the number of canonical keys currently
-	// shedding load (open or probing half-open). Admission is the fair
-	// queue's own gauge block: per-class depths, sheds, measured dequeue
-	// gap and the current Retry-After hint.
-	Workers      int             `json:"workers"`
-	BreakersOpen int             `json:"breakersOpen"`
-	Admission    admission.Stats `json:"admission"`
+	// Engine load. Admission is the fair queue's own gauge block:
+	// per-class depths, sheds, measured dequeue gap and the current
+	// Retry-After hint.
+	Workers   int             `json:"workers"`
+	Admission admission.Stats `json:"admission"`
 
 	// Exact-solver internals (process-wide, cumulative across every solve
 	// in this process — including solves not routed through the engine).
@@ -245,7 +240,6 @@ func (m *Metrics) snapshot() Snapshot {
 		JobsInfeasible:    m.outcomes[bucketInfeasible].Load(),
 		JobsInvalid:       m.outcomes[bucketInvalid].Load(),
 		JobsPanicked:      m.outcomes[bucketPanicked].Load(),
-		JobsShed:          m.outcomes[bucketShed].Load(),
 		JobsShedQueue:     m.outcomes[bucketShedQueue].Load(),
 		JobsDrainRejected: m.outcomes[bucketDrainRejected].Load(),
 		CacheHits:         m.cacheHits.Load(),

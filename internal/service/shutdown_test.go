@@ -88,7 +88,7 @@ func TestDoAfterCloseReturnsTypedError(t *testing.T) {
 func TestCloseRacesConcurrentSubmitters(t *testing.T) {
 	base := solveOnce(t, serviceSpec("race"))
 	checkLeaks := checkGoroutineLeaks(t)
-	e := New(Config{Workers: 2, BreakerThreshold: -1})
+	e := New(Config{Workers: 2})
 	e.solve = func(ctx context.Context, sp *spec.Spec, opts switchsynth.Options) (*spec.Result, error) {
 		time.Sleep(time.Millisecond)
 		return base, nil
